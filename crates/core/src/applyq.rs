@@ -9,9 +9,9 @@
 //! (factorization direction) and in reverse for `Q`.
 
 use crate::factors::{Reflectors, TileQrFactors};
-use crate::plan::PanelOp;
+use crate::ops::apply_op;
 use pulsar_linalg::kernels::ApplyTrans;
-use pulsar_linalg::{tsmqr_ws, ttmqr_ws, unmqr_ws, Matrix, Workspace};
+use pulsar_linalg::{Matrix, Workspace};
 use pulsar_runtime::{ChannelSpec, Packet, RunConfig, Tuple, VdpContext, VdpSpec, Vsa};
 use std::sync::Arc;
 
@@ -33,40 +33,18 @@ struct ApplyVdp {
 
 impl pulsar_runtime::VdpLogic for ApplyVdp {
     fn fire(&mut self, ctx: &mut VdpContext<'_>) {
-        let r = &self.refl;
+        let (r, trans, ib) = (&self.refl, self.trans, self.ib);
         let scratch = ctx.scratch();
-        match r.op {
-            PanelOp::Geqrt { .. } => {
-                let mut c = ctx.pop(0).into_tile();
-                ctx.kernel("unmqr", || {
-                    scratch.with(|ws: &mut Workspace| {
-                        unmqr_ws(&r.v, &r.t, self.trans, &mut c, self.ib, ws)
-                    })
-                });
-                ctx.push(0, Packet::tile(c));
-            }
-            PanelOp::Tsqrt { .. } => {
-                let mut c1 = ctx.pop(0).into_tile();
-                let mut c2 = ctx.pop(1).into_tile();
-                ctx.kernel("tsmqr", || {
-                    scratch.with(|ws: &mut Workspace| {
-                        tsmqr_ws(&mut c1, &mut c2, &r.v, &r.t, self.trans, self.ib, ws)
-                    })
-                });
-                ctx.push(0, Packet::tile(c1));
-                ctx.push(1, Packet::tile(c2));
-            }
-            PanelOp::Ttqrt { .. } => {
-                let mut c1 = ctx.pop(0).into_tile();
-                let mut c2 = ctx.pop(1).into_tile();
-                ctx.kernel("ttmqr", || {
-                    scratch.with(|ws: &mut Workspace| {
-                        ttmqr_ws(&mut c1, &mut c2, &r.v, &r.t, self.trans, self.ib, ws)
-                    })
-                });
-                ctx.push(0, Packet::tile(c1));
-                ctx.push(1, Packet::tile(c2));
-            }
+        let mut c1 = ctx.pop(0).into_tile();
+        let mut c2 = r.op.rows().1.map(|_| ctx.pop(1).into_tile());
+        ctx.kernel(r.op.update_kernel(), || {
+            scratch.with(|ws: &mut Workspace| {
+                apply_op(r.op, &r.v, &r.t, trans, &mut c1, c2.as_mut(), ib, ws)
+            })
+        });
+        ctx.push(0, Packet::tile(c1));
+        if let Some(c2) = c2 {
+            ctx.push(1, Packet::tile(c2));
         }
     }
 
@@ -95,26 +73,23 @@ pub fn apply_q_vsa(
     let nb = factors.nb;
     let mt = factors.m / nb;
 
-    // Flatten the transformation tree into application order.
-    let mut seq: Vec<Arc<Reflectors>> = Vec::new();
-    match trans {
-        ApplyTrans::Trans => {
-            for panel in &factors.panels {
-                seq.extend(panel.iter().cloned().map(Arc::new));
-            }
-        }
-        ApplyTrans::NoTrans => {
-            for panel in factors.panels.iter().rev() {
-                seq.extend(panel.iter().rev().cloned().map(Arc::new));
-            }
-        }
+    // Flatten the transformation tree into application order: schedule
+    // order for `Q^T`, its exact reverse for `Q`.
+    let mut seq: Vec<Arc<Reflectors>> = factors
+        .panels
+        .iter()
+        .flatten()
+        .cloned()
+        .map(Arc::new)
+        .collect();
+    if matches!(trans, ApplyTrans::NoTrans) {
+        seq.reverse();
     }
 
     // For each block row, the chain of op indices touching it.
-    let touched = |op: &PanelOp, i: usize| op.touches(i);
     let next_in_seq = |after: Option<usize>, row: usize| -> Option<usize> {
         let start = after.map_or(0, |k| k + 1);
-        (start..seq.len()).find(|&k| touched(&seq[k].op, row))
+        (start..seq.len()).find(|&k| seq[k].op.touches(row))
     };
 
     let tile_bytes = 8 * nb * b.ncols().max(1);
@@ -133,32 +108,18 @@ pub fn apply_q_vsa(
         ));
         // Wire each touched row's outgoing hop.
         let (prim, sec) = refl.op.rows();
-        let mut rows = vec![prim];
-        if let Some(s) = sec {
-            rows.push(s);
-        }
-        for (slot, row) in rows.into_iter().enumerate() {
-            match next_in_seq(Some(k), row) {
-                Some(k2) => {
-                    let dst_slot = seq[k2].op.role_slot(row);
-                    vsa.add_channel(ChannelSpec::new(
-                        tile_bytes,
-                        vdp_tuple(k),
-                        slot,
-                        vdp_tuple(k2),
-                        dst_slot,
-                    ));
-                }
-                None => {
-                    vsa.add_channel(ChannelSpec::new(
-                        tile_bytes,
-                        vdp_tuple(k),
-                        slot,
-                        exit_tuple(row),
-                        0,
-                    ));
-                }
-            }
+        for (slot, row) in std::iter::once(prim).chain(sec).enumerate() {
+            let (dst, dst_slot) = match next_in_seq(Some(k), row) {
+                Some(k2) => (vdp_tuple(k2), seq[k2].op.role_slot(row)),
+                None => (exit_tuple(row), 0),
+            };
+            vsa.add_channel(ChannelSpec::new(
+                tile_bytes,
+                vdp_tuple(k),
+                slot,
+                dst,
+                dst_slot,
+            ));
         }
     }
 

@@ -10,12 +10,13 @@
 //! stage on separate channels, forwarded before use (bypass), exactly as in
 //! Figure 9.
 
-use crate::factors::{Reflectors, TileQrFactors};
-use crate::plan::PanelOp;
-use crate::seqqr::t_for;
+use crate::ops::{apply_op, collect_factors, factor_op};
+use crate::plan::{PanelOp, Tree};
+use crate::store::stream_operands;
 use crate::vsa3d::VsaQrResult;
+use crate::QrOptions;
 use pulsar_linalg::kernels::ApplyTrans;
-use pulsar_linalg::{geqrt_ws, tsmqr_ws, tsqrt_ws, unmqr_ws, Matrix, TileMatrix, Workspace};
+use pulsar_linalg::{Matrix, TileMatrix, Workspace};
 use pulsar_runtime::{ChannelSpec, Packet, RunConfig, Tuple, VdpContext, VdpLogic, VdpSpec, Vsa};
 
 fn vdp(i: usize, j: usize) -> Tuple {
@@ -42,35 +43,13 @@ impl VdpLogic for FactorVdp {
     fn fire(&mut self, ctx: &mut VdpContext<'_>) {
         let ib = self.ib;
         let scratch = ctx.scratch();
-        let mut tile = ctx.pop(0).into_tile();
-        let refl = if ctx.firing() == 0 {
-            let mut t = t_for(tile.ncols(), ib);
-            ctx.kernel("geqrt", || {
-                scratch.with(|ws: &mut Workspace| geqrt_ws(&mut tile, &mut t, ib, ws))
-            });
-            let refl = Reflectors {
-                op: PanelOp::Geqrt { row: self.stage },
-                v: tile.clone(),
-                t,
-            };
-            self.r = Some(tile);
-            refl
-        } else {
-            let r = self.r.as_mut().expect("R factor initialized at firing 0");
-            let mut t = t_for(r.ncols(), ib);
-            ctx.kernel("tsqrt", || {
-                scratch.with(|ws: &mut Workspace| tsqrt_ws(r, &mut tile, &mut t, ib, ws))
-            });
-            Reflectors {
-                op: PanelOp::Tsqrt {
-                    head: self.stage,
-                    row: self.stage + ctx.firing() as usize,
-                },
-                v: tile,
-                t,
-            }
-        };
-        ctx.set_label(format!("{}{:?}", refl.op.factor_kernel(), ctx.tuple()));
+        let k = ctx.firing() as usize;
+        let op = PanelOp::flat_step(self.stage, k);
+        let (r, tile) = stream_operands(&mut self.r, ctx.pop(0).into_tile(), k == 0);
+        let refl = ctx.kernel(op.factor_kernel(), || {
+            scratch.with(|ws: &mut Workspace| factor_op(op, r, tile, ib, ws))
+        });
+        ctx.set_label(format!("{}{:?}", op.factor_kernel(), ctx.tuple()));
         // Figure 9 wiring: V and T travel on separate channels.
         if ctx.output_connected(1) {
             ctx.push(1, Packet::tile(refl.v.clone()));
@@ -97,6 +76,7 @@ impl VdpLogic for FactorVdp {
 /// (storing the top tile), then a chain of `dtsmqr`s streaming updated
 /// tiles down to stage `i+1`.
 struct UpdateVdp {
+    stage: usize,
     ib: usize,
     c1: Option<Matrix>, // persistent local store
 }
@@ -104,7 +84,9 @@ struct UpdateVdp {
 impl VdpLogic for UpdateVdp {
     fn fire(&mut self, ctx: &mut VdpContext<'_>) {
         let ib = self.ib;
-        let mut tile = ctx.pop(0).into_tile();
+        let k = ctx.firing() as usize;
+        let op = PanelOp::flat_step(self.stage, k);
+        let (c1, mut tile) = stream_operands(&mut self.c1, ctx.pop(0).into_tile(), k == 0);
         let vp = ctx.pop(1);
         let tp = ctx.pop(2);
         // Bypass: forward V and T to the next column before applying them.
@@ -115,21 +97,13 @@ impl VdpLogic for UpdateVdp {
         let v = vp.as_tile().expect("V channel carries a tile");
         let t = tp.as_tile().expect("T channel carries a tile");
         let scratch = ctx.scratch();
-        if ctx.firing() == 0 {
-            ctx.kernel("unmqr", || {
-                scratch
-                    .with(|ws: &mut Workspace| unmqr_ws(v, t, ApplyTrans::Trans, &mut tile, ib, ws))
-            });
-            ctx.set_label(format!("unmqr{:?}", ctx.tuple()));
-            self.c1 = Some(tile);
-        } else {
-            let c1 = self.c1.as_mut().expect("C1 initialized at firing 0");
-            ctx.kernel("tsmqr", || {
-                scratch.with(|ws: &mut Workspace| {
-                    tsmqr_ws(c1, &mut tile, v, t, ApplyTrans::Trans, ib, ws)
-                })
-            });
-            ctx.set_label(format!("tsmqr{:?}", ctx.tuple()));
+        ctx.kernel(op.update_kernel(), || {
+            scratch.with(|ws: &mut Workspace| {
+                apply_op(op, v, t, ApplyTrans::Trans, c1, tile.as_mut(), ib, ws)
+            })
+        });
+        ctx.set_label(format!("{}{:?}", op.update_kernel(), ctx.tuple()));
+        if let Some(tile) = tile {
             ctx.push(0, Packet::tile(tile)); // stream the updated row down
         }
         if ctx.remaining() == 0 {
@@ -152,7 +126,7 @@ impl VdpLogic for UpdateVdp {
 ///
 /// `opts.tree`/`opts.boundary` are ignored — the domino array *is* the flat
 /// tree. Requires exact row tiling (`m % nb == 0`).
-pub fn tile_qr_domino(a: &Matrix, opts: &crate::QrOptions, config: &RunConfig) -> VsaQrResult {
+pub fn tile_qr_domino(a: &Matrix, opts: &QrOptions, config: &RunConfig) -> VsaQrResult {
     assert_eq!(
         a.nrows() % opts.nb,
         0,
@@ -200,7 +174,11 @@ pub fn tile_qr_domino(a: &Matrix, opts: &crate::QrOptions, config: &RunConfig) -
                 counter,
                 3,
                 4,
-                UpdateVdp { ib, c1: None },
+                UpdateVdp {
+                    stage: i,
+                    ib,
+                    c1: None,
+                },
             ));
             if counter > 1 {
                 vsa.add_channel(ChannelSpec::new(tile_bytes, vdp(i, j), 0, vdp(i + 1, j), 0));
@@ -230,38 +208,10 @@ pub fn tile_qr_domino(a: &Matrix, opts: &crate::QrOptions, config: &RunConfig) -
     let mut out = vsa
         .run(config)
         .unwrap_or_else(|e| panic!("tile_qr_domino: {e}"));
-    let k = a.nrows().min(a.ncols());
-    let mut r = Matrix::zeros(k, a.ncols());
-    for i in 0..kt {
-        for j in i..nt {
-            if i * nb >= k {
-                continue;
-            }
-            let mut p = out.take_exit(exit_r(i, j), 0);
-            assert_eq!(p.len(), 1, "missing R tile ({i},{j})");
-            let tile = p.remove(0).into_tile();
-            let block = if i == j { tile.upper_triangle() } else { tile };
-            let rows = block.nrows().min(k - i * nb);
-            r.set_submatrix(i * nb, j * nb, &block.submatrix(0, 0, rows, block.ncols()));
-        }
-    }
-    let panels: Vec<Vec<Reflectors>> = (0..kt)
-        .map(|i| {
-            let p = out.take_exit(exit_refl(i), 0);
-            assert_eq!(p.len(), mt - i, "missing transforms for stage {i}");
-            p.into_iter().map(|pk| pk.take::<Reflectors>()).collect()
-        })
-        .collect();
-
+    let flat = QrOptions::new(nb, ib, Tree::Flat);
+    let factors = collect_factors(&mut out, a, &flat, exit_r, |i, _| vec![exit_refl(i)]);
     VsaQrResult {
-        factors: TileQrFactors {
-            m: a.nrows(),
-            n: a.ncols(),
-            nb,
-            ib,
-            r: r.upper_triangle(),
-            panels,
-        },
+        factors,
         stats: out.stats,
         trace: out.trace,
     }

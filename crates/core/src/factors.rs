@@ -3,9 +3,10 @@
 //! solving. Shared by the sequential executor, the 3D VSA, and the domino
 //! baseline, so all of them are verified by the same machinery.
 
+use crate::ops::apply_op;
 use crate::plan::PanelOp;
 use pulsar_linalg::kernels::ApplyTrans;
-use pulsar_linalg::{tsmqr, ttmqr, unmqr, Matrix};
+use pulsar_linalg::{with_thread_workspace, Matrix};
 use pulsar_runtime::packet::{decode_matrix_body, encode_matrix_body};
 use pulsar_runtime::{PacketCodec, WireError};
 
@@ -103,37 +104,28 @@ impl TileQrFactors {
             .map(|i| b.submatrix(i * nb, 0, nb, b.ncols()))
             .collect();
 
-        let mut step = |r: &Reflectors| {
-            match r.op {
-                PanelOp::Geqrt { row } => {
-                    unmqr(&r.v, &r.t, trans, &mut blocks[row], self.ib);
-                }
-                PanelOp::Tsqrt { head, row } => {
-                    let (top, bot) = two_blocks(&mut blocks, head, row);
-                    tsmqr(top, bot, &r.v, &r.t, trans, self.ib);
-                }
-                PanelOp::Ttqrt { top, bot } => {
-                    let (c1, c2) = two_blocks(&mut blocks, top, bot);
-                    ttmqr(c1, c2, &r.v, &r.t, trans, self.ib);
-                }
+        with_thread_workspace(|ws| {
+            let mut step = |r: &Reflectors| {
+                // The primary row of every op lies above its secondary.
+                let (c1, c2) = match r.op.rows() {
+                    (p, None) => (&mut blocks[p], None),
+                    (p, Some(s)) => {
+                        let (lo, hi) = blocks.split_at_mut(s);
+                        (&mut lo[p], Some(&mut hi[0]))
+                    }
+                };
+                apply_op(r.op, &r.v, &r.t, trans, c1, c2, self.ib, ws);
             };
-        };
-        match trans {
-            ApplyTrans::Trans => {
-                for panel in &self.panels {
-                    for r in panel {
-                        step(r);
-                    }
-                }
+            match trans {
+                ApplyTrans::Trans => self.panels.iter().flatten().for_each(&mut step),
+                ApplyTrans::NoTrans => self
+                    .panels
+                    .iter()
+                    .rev()
+                    .flat_map(|p| p.iter().rev())
+                    .for_each(&mut step),
             }
-            ApplyTrans::NoTrans => {
-                for panel in self.panels.iter().rev() {
-                    for r in panel.iter().rev() {
-                        step(r);
-                    }
-                }
-            }
-        }
+        });
 
         let mut out = Matrix::zeros(self.m, b.ncols());
         for (i, blk) in blocks.iter().enumerate() {
@@ -226,17 +218,5 @@ impl TileQrFactors {
     pub fn r_condition_estimate(&self) -> f64 {
         assert!(self.m >= self.n, "condition estimate needs m >= n");
         pulsar_linalg::cond::cond_est_upper(&self.r)
-    }
-}
-
-fn two_blocks(blocks: &mut [Matrix], a: usize, b: usize) -> (&mut Matrix, &mut Matrix) {
-    assert_ne!(a, b);
-    if a < b {
-        let (lo, hi) = blocks.split_at_mut(b);
-        (&mut lo[a], &mut hi[0])
-    } else {
-        let (lo, hi) = blocks.split_at_mut(a);
-        let second = &mut lo[b];
-        (&mut hi[0], second)
     }
 }

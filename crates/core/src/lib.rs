@@ -4,21 +4,41 @@
 //! of tall-and-skinny matrices executed by a 3D Virtual Systolic Array** on
 //! the PULSAR runtime.
 //!
+//! Every reduction tree is one elimination list over the same six tile
+//! kernels, so the crate has one op core and executors that differ only in
+//! *who runs an op and when*:
+//!
 //! - [`plan`] — reduction-tree plans (flat / binary / binary-on-flat trees,
 //!   fixed / shifted domain boundaries), i.e. the paper's Figure 5 schedule.
-//! - [`seqqr`] — a sequential executor of any plan (numerical oracle).
-//! - [`vsa3d`] — the 3D VSA: one VDP per (panel, op, column), transformations
-//!   flowing along vertical channels with bypass, tiles flowing horizontally
-//!   between panel stages (the paper's Section V-C / Figure 8).
-//! - [`domino`] — the IPDPS'13 2D domino QR baseline (Figure 9), with
-//!   multi-fire VDPs and persistent local stores.
-//! - [`mapping`] — VDP→(node, thread) mapping functions.
+//! - `ops` (crate-private) — the op core: the only two functions that call
+//!   a tile kernel (`factor_op`, `apply_op`), the one `R` assembly and the
+//!   one exits→factors collector. Everything below is built on it.
+//! - [`seqqr`] — the plan walker over one tile grid, run on one thread: the
+//!   numerical oracle. Adds nothing to the op core but the loop.
+//! - [`tsqr`] — the same walker with each panel's domains dispatched onto
+//!   scoped threads (communication-optimal TSQR; no VSA at all).
+//! - [`vsa3d`] — the 3D VSA: adds one single-fire VDP per (panel, op,
+//!   column), transformations flowing along vertical channels with bypass,
+//!   tiles flowing horizontally between panel stages (the paper's Section
+//!   V-C / Figure 8), batching of many jobs into one launch, and the SPMD
+//!   partial collector for distributed ranks.
+//! - [`vsa_compact`] — the literal Figure 8 geometry: adds multi-fire VDPs
+//!   with a persistent local tile and the dashed channel enabled mid-run.
+//! - [`domino`] — the IPDPS'13 2D domino QR baseline (Figure 9): adds
+//!   multi-fire VDPs with `V` and `T` travelling on separate channels.
+//! - [`applyq`] — `Q`/`Q^T` application as a VSA: one VDP per recorded
+//!   transformation, row tiles streaming through them.
 //! - [`factors`] — the factorization output: `R`, the transformation tree,
-//!   `Q` application, least-squares solving, and verification.
+//!   sequential `Q` application, least-squares solving, and verification.
+//! - [`update`] — streaming row append to stored factors (a TSQRT chain
+//!   against the stored `R`).
+//! - [`lsqr`] — the least-squares driver: factor and apply `Q^T` as VSAs,
+//!   then back-substitute.
+//! - [`cholesky`] — tile Cholesky on the same runtime (its own kernels; the
+//!   generality demonstration, not part of the QR op core).
+//! - [`mapping`] — VDP→(node, thread) mapping functions.
 //! - [`policy`] — plan policies: `{tree, h, nb, ib, backend}` chosen per
 //!   `(m, n, threads)` instead of hard-coded at call sites.
-//! - [`tsqr`] — the communication-optimal TSQR fast path for tall-skinny
-//!   jobs (bypasses the 3D VSA entirely).
 
 #![warn(missing_docs)]
 
@@ -28,6 +48,7 @@ pub mod domino;
 pub mod factors;
 pub mod lsqr;
 pub mod mapping;
+pub(crate) mod ops;
 pub mod plan;
 pub mod policy;
 pub mod seqqr;

@@ -26,7 +26,8 @@ pub struct LsSolution {
 ///
 /// Requires `m >= n`, full column rank, and `m % opts.nb == 0`.
 /// Both the factorization and the `Q^T b` application run as VSAs under
-/// `config`.
+/// `config`. Panics naming the zero-pivot column when `R` is exactly
+/// singular (rank-deficient `A`), like [`TileQrFactors::solve_ls`].
 pub fn least_squares(a: &Matrix, b: &Matrix, opts: &QrOptions, config: &RunConfig) -> LsSolution {
     let (m, n) = (a.nrows(), a.ncols());
     assert!(m >= n, "least squares needs m >= n");
@@ -49,7 +50,7 @@ fn solve_from_qtb(factors: TileQrFactors, qtb: &Matrix, nrhs: usize) -> LsSoluti
     let n = factors.n;
     let m = factors.m;
     let mut x = qtb.submatrix(0, 0, n, nrhs);
-    pulsar_linalg::blas::dtrsm_upper_left(&factors.r, &mut x);
+    pulsar_linalg::back_substitute(&factors.r, &mut x).expect("singular R in least_squares");
     // ||A x - b|| == ||Q^T b - [R x; 0]|| == ||(Q^T b)[n..]||.
     let residual_norms: Vec<f64> = (0..nrhs)
         .map(|j| {
@@ -129,6 +130,19 @@ mod tests {
             &RunConfig::smp(2),
         );
         assert!(sol2.factors.r_condition_estimate() > 1e8);
+    }
+
+    #[test]
+    #[should_panic(expected = "singular R in least_squares: Singular { col: 2 }")]
+    fn zero_column_fails_typed_instead_of_returning_nan() {
+        let mut rng = rand::rng();
+        let mut a = Matrix::random(24, 6, &mut rng);
+        for i in 0..24 {
+            a[(i, 2)] = 0.0;
+        }
+        let b = Matrix::random(24, 1, &mut rng);
+        let opts = QrOptions::new(4, 2, Tree::BinaryOnFlat { h: 2 });
+        least_squares(&a, &b, &opts, &RunConfig::smp(2));
     }
 
     #[test]

@@ -158,6 +158,18 @@ pub enum PanelOp {
 }
 
 impl PanelOp {
+    /// Step `k` of the flat reduction headed at block row `head`: the
+    /// head's own QR, then the elimination of row `head + k` against it.
+    pub(crate) fn flat_step(head: usize, k: usize) -> Self {
+        match k {
+            0 => PanelOp::Geqrt { row: head },
+            _ => PanelOp::Tsqrt {
+                head,
+                row: head + k,
+            },
+        }
+    }
+
     /// Does this op read or write block row `i`?
     pub fn touches(&self, i: usize) -> bool {
         match *self {
@@ -331,10 +343,7 @@ impl QrPlan {
         // Flat-tree reduction of each domain.
         for (d, &head) in heads.iter().enumerate() {
             let end = heads.get(d + 1).copied().unwrap_or(self.mt);
-            ops.push(PanelOp::Geqrt { row: head });
-            for row in head + 1..end {
-                ops.push(PanelOp::Tsqrt { head, row });
-            }
+            ops.extend((0..end - head).map(|k| PanelOp::flat_step(head, k)));
         }
         // Reduction of the domain tops.
         let mut level = heads;

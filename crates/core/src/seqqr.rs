@@ -1,156 +1,108 @@
-//! Sequential executor for tile tree-QR plans: runs the exact Figure-5
-//! schedule on a single thread. It is the numerical oracle for the runtime
-//! implementations and the reference for plan-equivalence tests.
+//! The plan walker: runs the exact Figure-5 schedule over one tile grid.
+//! [`tile_qr_seq`] walks it on a single thread — the numerical oracle for
+//! the runtime implementations and the reference for plan-equivalence
+//! tests; [`crate::tsqr::tile_qr_tsqr`] is the same walker with each
+//! panel's domain stage dispatched onto scoped threads.
 
 use crate::factors::{Reflectors, TileQrFactors};
+use crate::ops::{apply_op, assemble_r, factor_op};
 use crate::plan::{PanelOp, QrPlan};
 use crate::QrOptions;
 use pulsar_linalg::kernels::ApplyTrans;
-use pulsar_linalg::{
-    geqrt_ws, tsmqr_ws, tsqrt_ws, ttmqr_ws, ttqrt_ws, unmqr_ws, Matrix, TileMatrix, Workspace,
-};
-
-/// Make a `T` workspace for a tile with `nc` factored columns.
-pub(crate) fn t_for(nc: usize, ib: usize) -> Matrix {
-    Matrix::zeros(ib.min(nc).max(1), nc.max(1))
-}
+use pulsar_linalg::{Matrix, TileMatrix, Workspace};
 
 /// Factor `a` with the given options on the current thread.
 ///
 /// Requires `a.nrows() % nb == 0` (exact row tiling; see DESIGN.md — domain
 /// heads must be full-height tiles). Ragged column edges are fine.
 pub fn tile_qr_seq(a: &Matrix, opts: &QrOptions) -> TileQrFactors {
+    walk_plan(a, opts, 1)
+}
+
+/// Walk the plan `opts` induces for `a`, panel by panel. With
+/// `threads > 1` the domain stage of each panel runs on scoped threads
+/// ([`crate::tsqr::reduce_domains`]); everything it leaves — the merge
+/// tree, or the whole panel when `threads <= 1` — runs inline in plan
+/// order.
+pub(crate) fn walk_plan(a: &Matrix, opts: &QrOptions, threads: usize) -> TileQrFactors {
     assert_eq!(
         a.nrows() % opts.nb,
         0,
         "tree QR requires exact row tiling (m % nb == 0)"
     );
     let mut tiles = TileMatrix::from_matrix(a, opts.nb);
-    let plan = opts.plan(tiles.mt(), tiles.nt());
-    let mut panels = Vec::with_capacity(plan.panels());
-    // One scratch arena for the whole factorization: every kernel call below
-    // reuses it, so the steady state allocates nothing per tile op.
+    let (nt, ib) = (tiles.nt(), opts.ib);
+    let plan = opts.plan(tiles.mt(), nt);
+    // One scratch arena for the whole factorization: every inline kernel
+    // call reuses it, so the steady state allocates nothing per tile op.
     let mut ws = Workspace::new();
 
-    for j in 0..plan.panels() {
-        let mut recorded = Vec::new();
-        for op in plan.panel_ops(j) {
-            let refl = execute_panel_op(&mut tiles, j, op, opts.ib, &mut ws);
-            // Trailing updates for every column to the right.
-            for l in j + 1..tiles.nt() {
-                apply_update(&mut tiles, l, &refl, opts.ib, &mut ws);
+    let panels = (0..plan.panels())
+        .map(|j| {
+            let ops = plan.panel_ops(j);
+            let mut recorded = Vec::with_capacity(ops.len());
+            if threads > 1 {
+                let active = &mut tiles.tiles_mut()[j * nt..];
+                crate::tsqr::reduce_domains(active, j, nt, &ops, ib, threads, &mut recorded);
             }
-            recorded.push(refl);
-        }
-        panels.push(recorded);
-    }
+            for &op in &ops[recorded.len()..] {
+                recorded.push(run_op(tiles.tiles_mut(), 0, nt, j, op, ib, &mut ws));
+            }
+            recorded
+        })
+        .collect();
 
     TileQrFactors {
         m: a.nrows(),
         n: a.ncols(),
         nb: opts.nb,
-        ib: opts.ib,
-        r: extract_r(&tiles),
+        ib,
+        r: assemble_r(a.nrows(), a.ncols(), opts.nb, |i, l| tiles.take_tile(i, l)),
         panels,
     }
 }
 
-/// Run one panel op on the tile grid, returning the recorded transformation.
-pub(crate) fn execute_panel_op(
-    tiles: &mut TileMatrix,
+/// Run `op` of panel `j` — the panel kernel, then its trailing update of
+/// every column to the right — on `rows`, the row-major tiles of the block
+/// rows from `row0` on (the whole grid, or one domain group's chunk).
+pub(crate) fn run_op(
+    rows: &mut [Matrix],
+    row0: usize,
+    nt: usize,
     j: usize,
     op: PanelOp,
     ib: usize,
     ws: &mut Workspace,
 ) -> Reflectors {
-    match op {
-        PanelOp::Geqrt { row } => {
-            let tile = tiles.tile_mut(row, j);
-            let mut t = t_for(tile.ncols(), ib);
-            geqrt_ws(tile, &mut t, ib, ws);
-            Reflectors {
-                op,
-                v: tile.clone(),
-                t,
-            }
+    let (p, s) = op.rows();
+    let at = |i: usize| (i - row0) * nt;
+    let (prim, mut sec) = match s {
+        None => (&mut rows[at(p)..][..nt], None),
+        Some(s) => {
+            let (lo, hi) = rows.split_at_mut(at(s));
+            (&mut lo[at(p)..][..nt], Some(&mut hi[..nt]))
         }
-        PanelOp::Tsqrt { head, row } => {
-            let (a1, a2) = tiles.two_tiles_mut((head, j), (row, j));
-            let mut t = t_for(a1.ncols(), ib);
-            tsqrt_ws(a1, a2, &mut t, ib, ws);
-            Reflectors {
-                op,
-                v: a2.clone(),
-                t,
-            }
-        }
-        PanelOp::Ttqrt { top, bot } => {
-            let (a1, a2) = tiles.two_tiles_mut((top, j), (bot, j));
-            let mut t = t_for(a1.ncols(), ib);
-            ttqrt_ws(a1, a2, &mut t, ib, ws);
-            Reflectors {
-                op,
-                v: a2.clone(),
-                t,
-            }
-        }
+    };
+    // The eliminated panel tile is spent (no later op or `R` block reads
+    // it), so it moves out of the grid and becomes the recorded `v`.
+    let a2 = sec
+        .as_mut()
+        .map(|row| std::mem::replace(&mut row[j], Matrix::zeros(0, 0)));
+    let refl = factor_op(op, &mut prim[j], a2, ib, ws);
+    for l in j + 1..nt {
+        let c2 = sec.as_mut().map(|row| &mut row[l]);
+        apply_op(
+            op,
+            &refl.v,
+            &refl.t,
+            ApplyTrans::Trans,
+            &mut prim[l],
+            c2,
+            ib,
+            ws,
+        );
     }
-}
-
-/// Apply the trailing-submatrix update of `refl` to column `l`.
-pub(crate) fn apply_update(
-    tiles: &mut TileMatrix,
-    l: usize,
-    refl: &Reflectors,
-    ib: usize,
-    ws: &mut Workspace,
-) {
-    match refl.op {
-        PanelOp::Geqrt { row } => {
-            unmqr_ws(
-                &refl.v,
-                &refl.t,
-                ApplyTrans::Trans,
-                tiles.tile_mut(row, l),
-                ib,
-                ws,
-            );
-        }
-        PanelOp::Tsqrt { head, row } => {
-            let (c1, c2) = tiles.two_tiles_mut((head, l), (row, l));
-            tsmqr_ws(c1, c2, &refl.v, &refl.t, ApplyTrans::Trans, ib, ws);
-        }
-        PanelOp::Ttqrt { top, bot } => {
-            let (c1, c2) = tiles.two_tiles_mut((top, l), (bot, l));
-            ttmqr_ws(c1, c2, &refl.v, &refl.t, ApplyTrans::Trans, ib, ws);
-        }
-    }
-}
-
-/// Assemble the `min(m,n) x n` upper-trapezoidal `R` from the factored
-/// tile grid.
-pub(crate) fn extract_r(tiles: &TileMatrix) -> Matrix {
-    let k = tiles.ncols().min(tiles.nrows());
-    let n = tiles.ncols();
-    let nb = tiles.nb();
-    let mut r = Matrix::zeros(k, n);
-    for j in 0..tiles.nt() {
-        for i in 0..=j.min(tiles.mt() - 1) {
-            if i * nb >= k {
-                break;
-            }
-            let tile = tiles.tile(i, j);
-            let block = if i == j {
-                tile.upper_triangle()
-            } else {
-                tile.clone()
-            };
-            // Clip to the top k rows (rows beyond hold reflectors).
-            let rows = block.nrows().min(k - i * nb);
-            r.set_submatrix(i * nb, j * nb, &block.submatrix(0, 0, rows, block.ncols()));
-        }
-    }
-    r.upper_triangle()
+    refl
 }
 
 impl QrOptions {

@@ -1,13 +1,30 @@
-//! Local-store snapshot helpers for the checkpoint/restart protocol.
+//! The local store of the multi-fire QR VDPs, and its snapshot helpers
+//! for the checkpoint/restart protocol.
 //!
 //! Every stateful QR VDP carries the same local store — an optional tile
 //! (`R` under construction in a factor VDP, `C1` in an update VDP) — so
-//! they share one byte layout: a present flag, then the matrix body in
-//! the standard wire encoding.
+//! they share one firing rule ([`stream_operands`]) and one byte layout:
+//! a present flag, then the matrix body in the standard wire encoding.
 
 use pulsar_linalg::Matrix;
 use pulsar_runtime::packet::{decode_matrix_body, encode_matrix_body};
 use pulsar_runtime::WireError;
+
+/// Operands of one firing of a flat-reduction VDP: the first firing's tile
+/// becomes the held tile and is the op's only operand; every later tile
+/// streams against the held one as the op's secondary.
+pub(crate) fn stream_operands(
+    held: &mut Option<Matrix>,
+    tile: Matrix,
+    first: bool,
+) -> (&mut Matrix, Option<Matrix>) {
+    if first {
+        (held.insert(tile), None)
+    } else {
+        let held = held.as_mut().expect("local tile initialized at firing 0");
+        (held, Some(tile))
+    }
+}
 
 /// Append a `Option<Matrix>` local store to `out`.
 pub(crate) fn snapshot_tile(tile: &Option<Matrix>, out: &mut Vec<u8>) {

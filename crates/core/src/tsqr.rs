@@ -3,36 +3,33 @@
 //! "Implementing Communication-Optimal Parallel and Sequential QR"
 //! (arXiv:0809.2407) factors a tall-skinny matrix by local QRs on row
 //! blocks followed by a binary merge tree of the local `R` factors. On the
-//! tile grid that is exactly a [`QrPlan`] panel schedule — flat reductions
-//! inside each domain, `ttqrt` merges of the domain tops — so this module
-//! executes the *same* plan ops as [`crate::seqqr::tile_qr_seq`], just
-//! without building a 3D VSA: no VDPs, no channels, no packet traffic.
-//! For jobs with `mt >> nt` (the dominant least-squares serve shape) the
-//! array-construction and channel overheads of the VSA dwarf the actual
-//! kernel work, and this direct executor wins.
+//! tile grid that is exactly a [`QrPlan`](crate::plan::QrPlan) panel
+//! schedule — flat reductions inside each domain, `ttqrt` merges of the
+//! domain tops — so TSQR is not a second executor: it is the plan walker
+//! of [`crate::seqqr`] with one extra dispatch, and no 3D VSA: no VDPs, no
+//! channels, no packet traffic. For jobs with `mt >> nt` (the dominant
+//! least-squares serve shape) the array-construction and channel overheads
+//! of the VSA dwarf the actual kernel work, and this direct path wins.
 //!
 //! Parallelism comes from the plan itself: the flat reduction of each
-//! domain touches only that domain's block rows, so domains run on scoped
-//! threads over disjoint row slices. The merge tree is executed on the
+//! domain touches only that domain's block rows, and the tile grid is
+//! row-major, so `reduce_domains` hands each scoped thread one
+//! contiguous `&mut` chunk of it. The merge tree is executed on the
 //! calling thread (it is `O(log domains)` deep and cheap relative to the
 //! domain stage whenever `h > log2(mt/h)`).
 //!
-//! Because every kernel invocation is identical to the sequential
-//! executor's — same inputs, and ops that share a tile run in the same
-//! relative order (ops on disjoint rows commute exactly) — the produced
-//! [`TileQrFactors`] are **bit-identical** to `tile_qr_seq` with the same
-//! options, and therefore interchangeable with VSA-produced factors for
-//! solve / apply-Q / update (all paths share the documented row-sign
-//! convention).
+//! Every op goes through the same `run_op` as the sequential oracle — same
+//! inputs, and ops that share a tile run in the same relative order (ops
+//! on disjoint rows commute exactly) — so the produced [`TileQrFactors`]
+//! are **bit-identical** to `tile_qr_seq` with the same options, and
+//! therefore interchangeable with VSA-produced factors for solve /
+//! apply-Q / update (all paths share the documented row-sign convention).
 
 use crate::factors::{Reflectors, TileQrFactors};
 use crate::plan::PanelOp;
-use crate::seqqr::t_for;
+use crate::seqqr::{run_op, walk_plan};
 use crate::QrOptions;
-use pulsar_linalg::kernels::ApplyTrans;
-use pulsar_linalg::{
-    geqrt_ws, tsmqr_ws, tsqrt_ws, ttmqr_ws, ttqrt_ws, unmqr_ws, Matrix, Workspace,
-};
+use pulsar_linalg::{Matrix, Workspace};
 
 /// Tile-grid aspect ratio `mt / nt` of an `m x n` matrix under tile size
 /// `nb` — the quantity the tuner's TSQR routing threshold is compared
@@ -43,126 +40,70 @@ pub fn grid_aspect(m: usize, n: usize, nb: usize) -> usize {
     mt / nt
 }
 
-/// One domain of a panel's flat-reduction stage: block rows
-/// `[head, end)`, with the head holding the surviving `R` factor.
-struct Domain {
-    head: usize,
-    end: usize,
-}
-
-/// Group a panel's leading `Geqrt`/`Tsqrt` ops into contiguous domains.
-/// Returns the domains and the index of the first merge (`Ttqrt`) op.
-fn split_domains(ops: &[PanelOp]) -> (Vec<Domain>, usize) {
+/// Run the domain stage of panel `j` — the `Geqrt`/`Tsqrt` ops leading
+/// `ops` — on up to `threads` scoped threads, appending the recorded
+/// transformations to `recorded` in plan order. `rows` holds the row-major
+/// tiles of block rows `j..`. When the stage does not split into at least
+/// two groups nothing runs and the walker executes the whole panel inline.
+pub(crate) fn reduce_domains(
+    rows: &mut [Matrix],
+    j: usize,
+    nt: usize,
+    ops: &[PanelOp],
+    ib: usize,
+    threads: usize,
+    recorded: &mut Vec<Reflectors>,
+) {
     let merge_at = ops
         .iter()
         .position(|o| matches!(o, PanelOp::Ttqrt { .. }))
         .unwrap_or(ops.len());
-    let mut domains: Vec<Domain> = Vec::new();
-    for op in &ops[..merge_at] {
-        match *op {
-            PanelOp::Geqrt { row } => domains.push(Domain {
-                head: row,
-                end: row + 1,
-            }),
-            PanelOp::Tsqrt { head, row } => {
-                let d = domains.last_mut().expect("tsqrt before any geqrt");
-                assert_eq!(d.head, head, "non-contiguous domain in plan");
-                assert_eq!(d.end, row, "non-contiguous domain in plan");
-                d.end = row + 1;
-            }
-            PanelOp::Ttqrt { .. } => unreachable!(),
-        }
-    }
-    debug_assert!(
-        ops[merge_at..]
-            .iter()
-            .all(|o| matches!(o, PanelOp::Ttqrt { .. })),
-        "plan interleaves merges with domain ops"
+    let ops = &ops[..merge_at];
+    // Domains are contiguous and ascending, so the k-th domain op works on
+    // block row j + k: a run of whole domains is a run of ops over one
+    // contiguous chunk of rows.
+    assert!(
+        ops.iter()
+            .enumerate()
+            .all(|(k, op)| op.rows().1.unwrap_or(op.rows().0) == j + k),
+        "non-contiguous domain in plan"
     );
-    (domains, merge_at)
-}
-
-/// Flat-reduce one domain in panel `j`: QR of the head tile, then
-/// eliminate every following row against it, applying each op's trailing
-/// updates immediately. `rows` is the domain's block-row slice (index 0 is
-/// the head, absolute block row `head_row`).
-fn reduce_domain(
-    rows: &mut [Vec<Matrix>],
-    head_row: usize,
-    j: usize,
-    ib: usize,
-    ws: &mut Workspace,
-) -> Vec<Reflectors> {
-    let nt = rows[0].len();
-    let mut recorded = Vec::with_capacity(rows.len());
-    let (head, rest) = rows.split_first_mut().expect("empty domain");
-    // Head QR (same kernel sequence as seqqr::execute_panel_op).
-    let mut t = t_for(head[j].ncols(), ib);
-    geqrt_ws(&mut head[j], &mut t, ib, ws);
-    let refl = Reflectors {
-        op: PanelOp::Geqrt { row: head_row },
-        v: head[j].clone(),
-        t,
-    };
-    for tile in head.iter_mut().take(nt).skip(j + 1) {
-        unmqr_ws(&refl.v, &refl.t, ApplyTrans::Trans, tile, ib, ws);
-    }
-    recorded.push(refl);
-    // Eliminate the domain body against the head.
-    for (k, row) in rest.iter_mut().enumerate() {
-        let mut t = t_for(head[j].ncols(), ib);
-        tsqrt_ws(&mut head[j], &mut row[j], &mut t, ib, ws);
-        let refl = Reflectors {
-            op: PanelOp::Tsqrt {
-                head: head_row,
-                row: head_row + 1 + k,
-            },
-            v: row[j].clone(),
-            t,
-        };
-        for l in j + 1..nt {
-            tsmqr_ws(
-                &mut head[l],
-                &mut row[l],
-                &refl.v,
-                &refl.t,
-                ApplyTrans::Trans,
-                ib,
-                ws,
-            );
-        }
-        recorded.push(refl);
-    }
-    recorded
-}
-
-/// Assemble the upper-trapezoidal `R` from the reduced row blocks
-/// (mirror of `seqqr::extract_r` over the row-block storage).
-fn extract_r(rows: &[Vec<Matrix>], m: usize, n: usize, nb: usize) -> Matrix {
-    let k = m.min(n);
-    let mt = rows.len();
-    let mut r = Matrix::zeros(k, n);
-    for (j, _) in rows[0].iter().enumerate() {
-        for (i, row) in rows.iter().enumerate().take((j + 1).min(mt)) {
-            if i * nb >= k {
-                break;
-            }
-            let tile = &row[j];
-            let block = if i == j {
-                tile.upper_triangle()
-            } else {
-                tile.clone()
-            };
-            let nrows = block.nrows().min(k - i * nb);
-            r.set_submatrix(i * nb, j * nb, &block.submatrix(0, 0, nrows, block.ncols()));
+    // Cut at domain heads into groups balanced by block-row count.
+    let target = ops.len().div_ceil(threads);
+    let mut cuts = vec![0];
+    for (k, op) in ops.iter().enumerate() {
+        let head = matches!(op, PanelOp::Geqrt { .. });
+        if head && k - cuts[cuts.len() - 1] >= target && cuts.len() < threads {
+            cuts.push(k);
         }
     }
-    r.upper_triangle()
+    cuts.push(ops.len());
+    if cuts.len() <= 2 {
+        return;
+    }
+    std::thread::scope(|s| {
+        let mut rest = rows;
+        let handles: Vec<_> = cuts
+            .windows(2)
+            .map(|w| {
+                let group = &ops[w[0]..w[1]];
+                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(group.len() * nt);
+                rest = tail;
+                let row0 = j + w[0];
+                s.spawn(move || {
+                    let mut ws = Workspace::new();
+                    group
+                        .iter()
+                        .map(|&op| run_op(chunk, row0, nt, j, op, ib, &mut ws))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for h in handles {
+            recorded.extend(h.join().expect("tsqr domain worker panicked"));
+        }
+    });
 }
-
-/// One domain's work unit: its head block-row index plus mutable access
-/// to the domain's tile rows.
-type DomainSlice<'a> = (usize, &'a mut [Vec<Matrix>]);
 
 /// Factor `a` by TSQR reduction, bypassing the 3D VSA: domains of each
 /// panel are flat-reduced in parallel on up to `threads` scoped threads,
@@ -173,124 +114,7 @@ type DomainSlice<'a> = (usize, &'a mut [Vec<Matrix>]);
 /// options and numerically interchangeable with the VSA paths. Requires
 /// `a.nrows() % nb == 0`, like every tile executor.
 pub fn tile_qr_tsqr(a: &Matrix, opts: &QrOptions, threads: usize) -> TileQrFactors {
-    assert_eq!(
-        a.nrows() % opts.nb,
-        0,
-        "tree QR requires exact row tiling (m % nb == 0)"
-    );
-    let (m, n, nb, ib) = (a.nrows(), a.ncols(), opts.nb, opts.ib);
-    let mt = m / nb;
-    let nt = n.div_ceil(nb);
-    // Row-block tile storage: rows[i][l] is tile (i, l). Plain nested Vecs
-    // (not TileMatrix) so domains can borrow disjoint row slices mutably.
-    let mut rows: Vec<Vec<Matrix>> = (0..mt)
-        .map(|i| {
-            (0..nt)
-                .map(|l| a.submatrix(i * nb, l * nb, nb, nb.min(n - l * nb)))
-                .collect()
-        })
-        .collect();
-    let plan = opts.plan(mt, nt);
-    let mut panels = Vec::with_capacity(plan.panels());
-    let mut ws = Workspace::new();
-
-    for j in 0..plan.panels() {
-        let ops = plan.panel_ops(j);
-        let (domains, merge_at) = split_domains(&ops);
-        assert_eq!(domains[0].head, j, "panel {j} does not start at row {j}");
-
-        // Slice the active rows [j, mt) into one disjoint &mut per domain.
-        let mut slices: Vec<(usize, &mut [Vec<Matrix>])> = Vec::with_capacity(domains.len());
-        let mut rest = &mut rows[j..];
-        for d in &domains {
-            let (dom, tail) = rest.split_at_mut(d.end - d.head);
-            slices.push((d.head, dom));
-            rest = tail;
-        }
-        assert!(rest.is_empty(), "domains do not cover the panel");
-
-        let nworkers = threads.max(1).min(slices.len());
-        let mut reduced: Vec<(usize, Vec<Reflectors>)> = Vec::with_capacity(slices.len());
-        if nworkers <= 1 {
-            for (head, dom) in slices {
-                reduced.push((head, reduce_domain(dom, head, j, ib, &mut ws)));
-            }
-        } else {
-            // Contiguous domain groups balanced by block-row count.
-            let total: usize = slices.iter().map(|(_, d)| d.len()).sum();
-            let target = total.div_ceil(nworkers);
-            let mut groups: Vec<Vec<DomainSlice>> = vec![Vec::new()];
-            let mut acc = 0usize;
-            for (head, dom) in slices {
-                if acc >= target && groups.len() < nworkers {
-                    groups.push(Vec::new());
-                    acc = 0;
-                }
-                acc += dom.len();
-                groups.last_mut().unwrap().push((head, dom));
-            }
-            let results = std::thread::scope(|s| {
-                let handles: Vec<_> = groups
-                    .into_iter()
-                    .map(|group| {
-                        s.spawn(move || {
-                            let mut ws = Workspace::new();
-                            group
-                                .into_iter()
-                                .map(|(head, dom)| (head, reduce_domain(dom, head, j, ib, &mut ws)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("tsqr domain worker panicked"))
-                    .collect::<Vec<_>>()
-            });
-            reduced.extend(results);
-        }
-        // Plan order is domains ascending by head row.
-        reduced.sort_by_key(|(head, _)| *head);
-        let mut recorded: Vec<Reflectors> = reduced.into_iter().flat_map(|(_, r)| r).collect();
-
-        // Binary merge tree of the domain tops, in plan order.
-        for op in &ops[merge_at..] {
-            let &PanelOp::Ttqrt { top, bot } = op else {
-                unreachable!()
-            };
-            let (lo, hi) = rows.split_at_mut(bot);
-            let (top_row, bot_row) = (&mut lo[top], &mut hi[0]);
-            let mut t = t_for(top_row[j].ncols(), ib);
-            ttqrt_ws(&mut top_row[j], &mut bot_row[j], &mut t, ib, &mut ws);
-            let refl = Reflectors {
-                op: *op,
-                v: bot_row[j].clone(),
-                t,
-            };
-            for l in j + 1..nt {
-                ttmqr_ws(
-                    &mut top_row[l],
-                    &mut bot_row[l],
-                    &refl.v,
-                    &refl.t,
-                    ApplyTrans::Trans,
-                    ib,
-                    &mut ws,
-                );
-            }
-            recorded.push(refl);
-        }
-        panels.push(recorded);
-    }
-
-    TileQrFactors {
-        m,
-        n,
-        nb,
-        ib,
-        r: extract_r(&rows, m, n, nb),
-        panels,
-    }
+    walk_plan(a, opts, threads)
 }
 
 #[cfg(test)]

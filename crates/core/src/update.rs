@@ -14,7 +14,7 @@
 //! burst is cheaper by the ratio `m/p` (benchmarked in
 //! `crates/bench/benches/qr_solve.rs`).
 //!
-//! Because [`tsqrt_ws`] reads and writes only the upper triangle of its
+//! Because `tsqrt` reads and writes only the upper triangle of its
 //! `R` operand, eliminating `E` against the *extracted* `R` performs
 //! bit-for-bit the same arithmetic as continuing the original tile grid.
 //! Under a flat reduction tree the old transformation chain is a prefix
@@ -24,10 +24,10 @@
 //! tolerance.
 
 use crate::factors::{Reflectors, TileQrFactors};
+use crate::ops::{apply_op, factor_op};
 use crate::plan::PanelOp;
-use crate::seqqr::t_for;
 use pulsar_linalg::kernels::ApplyTrans;
-use pulsar_linalg::{tsmqr_ws, tsqrt_ws, with_thread_workspace, Matrix, Workspace};
+use pulsar_linalg::{with_thread_workspace, Matrix, TileMatrix};
 
 /// Why a row update cannot be applied to a stored factorization.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,18 +87,8 @@ impl std::error::Error for UpdateError {}
 
 /// Append the rows of `e` to a stored factorization, producing factors of
 /// the stacked matrix `[A; E]`. See the module docs for the math and the
-/// flat-tree bit-identity guarantee. Uses the thread-local workspace; see
-/// [`append_rows_ws`] for the explicit-workspace variant.
+/// flat-tree bit-identity guarantee. Uses the thread-local workspace.
 pub fn append_rows(f: &TileQrFactors, e: &Matrix) -> Result<TileQrFactors, UpdateError> {
-    with_thread_workspace(|ws| append_rows_ws(f, e, ws))
-}
-
-/// [`append_rows`] with caller-provided kernel scratch.
-pub fn append_rows_ws(
-    f: &TileQrFactors,
-    e: &Matrix,
-    ws: &mut Workspace,
-) -> Result<TileQrFactors, UpdateError> {
     if f.m < f.n {
         return Err(UpdateError::Underdetermined { m: f.m, n: f.n });
     }
@@ -117,54 +107,50 @@ pub fn append_rows_ws(
     }
     let n = f.n;
     let p = e.nrows();
-    let pt = p / nb;
-    let kt = n.div_ceil(nb);
     let mt_old = f.m / nb;
 
     // Working copy of R (n x n upper triangular for m >= n) and the tile
     // rows of E; both are updated in place by the TSQRT chain.
     let mut r = f.r.clone();
-    let mut etiles: Vec<Vec<Matrix>> = (0..pt)
-        .map(|i| {
-            (0..kt)
-                .map(|l| {
-                    let w = nb.min(n - l * nb);
-                    e.submatrix(i * nb, l * nb, nb, w)
-                })
-                .collect()
-        })
-        .collect();
+    let mut etiles = TileMatrix::from_matrix(e, nb);
+    let (pt, kt) = (etiles.mt(), etiles.nt());
 
     let mut panels: Vec<Vec<Reflectors>> = f.panels.clone();
-    for j in 0..kt {
-        let w = nb.min(n - j * nb);
-        let mut recorded = Vec::with_capacity(pt);
-        for (i, row) in etiles.iter_mut().enumerate() {
-            // Eliminate E_ij against the diagonal block R_jj, then fold the
-            // trailing updates into R_jl / E_il for every column right of j —
-            // the same op -> trailing-update order the executors use.
-            let mut rjj = r.submatrix(j * nb, j * nb, w, w);
-            let mut t = t_for(w, f.ib);
-            tsqrt_ws(&mut rjj, &mut row[j], &mut t, f.ib, ws);
-            r.set_submatrix(j * nb, j * nb, &rjj);
-            let v = row[j].clone();
-            for (l, eil) in row.iter_mut().enumerate().skip(j + 1) {
-                let wl = nb.min(n - l * nb);
-                let mut rjl = r.submatrix(j * nb, l * nb, w, wl);
-                tsmqr_ws(&mut rjl, eil, &v, &t, ApplyTrans::Trans, f.ib, ws);
-                r.set_submatrix(j * nb, l * nb, &rjl);
-            }
-            recorded.push(Reflectors {
-                op: PanelOp::Tsqrt {
+    with_thread_workspace(|ws| {
+        for j in 0..kt {
+            let w = nb.min(n - j * nb);
+            let mut recorded = Vec::with_capacity(pt);
+            for i in 0..pt {
+                // Eliminate E_ij against the diagonal block R_jj, then fold the
+                // trailing updates into R_jl / E_il for every column right of j —
+                // the same op -> trailing-update order the executors use.
+                let op = PanelOp::Tsqrt {
                     head: j,
                     row: mt_old + i,
-                },
-                v,
-                t,
-            });
+                };
+                let mut rjj = r.submatrix(j * nb, j * nb, w, w);
+                let refl = factor_op(op, &mut rjj, Some(etiles.take_tile(i, j)), f.ib, ws);
+                r.set_submatrix(j * nb, j * nb, &rjj);
+                for l in j + 1..kt {
+                    let mut rjl = r.submatrix(j * nb, l * nb, w, nb.min(n - l * nb));
+                    let eil = etiles.tile_mut(i, l);
+                    apply_op(
+                        op,
+                        &refl.v,
+                        &refl.t,
+                        ApplyTrans::Trans,
+                        &mut rjl,
+                        Some(eil),
+                        f.ib,
+                        ws,
+                    );
+                    r.set_submatrix(j * nb, l * nb, &rjl);
+                }
+                recorded.push(refl);
+            }
+            panels.push(recorded);
         }
-        panels.push(recorded);
-    }
+    });
 
     Ok(TileQrFactors {
         m: f.m + p,

@@ -22,13 +22,11 @@
 //!   transformations out of the array.
 
 use crate::factors::{Reflectors, TileQrFactors};
+use crate::ops::{apply_op, collect_factors, factor_op, r_blocks};
 use crate::plan::{PanelOp, QrPlan};
-use crate::seqqr::t_for;
 use crate::QrOptions;
 use pulsar_linalg::kernels::ApplyTrans;
-use pulsar_linalg::{
-    geqrt_ws, tsmqr_ws, tsqrt_ws, ttmqr_ws, ttqrt_ws, unmqr_ws, Matrix, TileMatrix, Workspace,
-};
+use pulsar_linalg::{Matrix, TileMatrix, Workspace};
 use pulsar_runtime::{
     ChannelSpec, Packet, RunConfig, RunError, RunOutput, RunStats, Trace, Tuple, VdpContext,
     VdpSpec, Vsa, VsaPool,
@@ -72,28 +70,32 @@ impl Ns {
     fn exit_trans(self, j: usize, q: usize) -> Tuple {
         self.tuple(-2, j as i32, q as i32)
     }
+
+    /// Drain this job's exits from a finished run into its factorization.
+    fn collect(self, out: &mut RunOutput, a: &Matrix, opts: &QrOptions) -> TileQrFactors {
+        collect_factors(
+            out,
+            a,
+            opts,
+            |i, l| self.exit_r(i, l),
+            |j, ops| (0..ops.len()).map(|q| self.exit_trans(j, q)).collect(),
+        )
+    }
 }
 
-/// Where a row's tile goes after op `after_q` (or after arriving fresh when
-/// `after_q` is `None`) in stage `j`, at column `l`.
-enum Hop {
-    /// Another VDP: `(tuple, input slot)`.
-    Vdp(Tuple, usize),
-    /// The tile is a finished `R` tile.
-    ExitR,
-    /// The tile's content is spent (its reflectors travel separately).
-    Drop,
-}
-
+/// Where row `row`'s tile at column `l` goes after op `after_q` of stage
+/// `j` (or after arriving fresh when `after_q` is `None`), as
+/// `(destination, input slot)`: the next op touching the row, the `R` exit
+/// once the row is finished, or `None` when the tile's content is spent
+/// (its reflectors travel separately).
 fn next_hop(
     stage_ops: &[Vec<PanelOp>],
-    kt: usize,
     j: usize,
     after_q: Option<usize>,
     row: usize,
     l: usize,
     ns: Ns,
-) -> Hop {
+) -> Option<(Tuple, usize)> {
     let start = after_q.map_or(0, |q| q + 1);
     if let Some((q2, op)) = stage_ops[j]
         .iter()
@@ -101,54 +103,102 @@ fn next_hop(
         .skip(start)
         .find(|(_, op)| op.touches(row))
     {
-        return Hop::Vdp(ns.vdp(j, q2, l), op.role_slot(row));
+        return Some((ns.vdp(j, q2, l), op.role_slot(row)));
     }
     if row == j {
-        return Hop::ExitR;
+        return Some((ns.exit_r(row, l), 0));
     }
-    if j + 1 < kt {
+    if j + 1 < stage_ops.len() {
         debug_assert!(l > j, "panel-column tiles of eliminated rows are spent");
-        return next_hop(stage_ops, kt, j + 1, None, row, l, ns);
+        return next_hop(stage_ops, j + 1, None, row, l, ns);
     }
-    Hop::Drop
+    None
 }
 
-/// Array geometry a collector needs after the run.
-struct QrGeom {
+/// Every stage's elimination list.
+fn stage_ops(plan: &QrPlan) -> Vec<Vec<PanelOp>> {
+    (0..plan.panels()).map(|j| plan.panel_ops(j)).collect()
+}
+
+/// Enumerate every channel of the array, in creation order. The builder
+/// adds them to the VSA; [`array_shape`] counts them.
+///
+/// Factor VDPs (`l == j`): in 0/1 = primary/secondary tile; out 0 = R
+/// onward, 1 = transform chain, 2 = transform exit. Update VDPs: in 0/1 =
+/// C1/C2, in 2 = transform; out 0/1 = tiles onward, out 2 = transform
+/// chain.
+fn for_each_channel(
+    stage_ops: &[Vec<PanelOp>],
     nt: usize,
-    kt: usize,
     nb: usize,
     ib: usize,
-    stage_ops: Vec<Vec<PanelOp>>,
+    ns: Ns,
+    mut emit: impl FnMut(ChannelSpec),
+) {
+    let tile_bytes = 8 * nb * nb;
+    let trans_bytes = 8 * nb * nb + 8 * ib * nb;
+    for (j, ops) in stage_ops.iter().enumerate() {
+        for (q, &op) in ops.iter().enumerate() {
+            for l in j..nt {
+                let src = ns.vdp(j, q, l);
+                // Tile channels out of this VDP (the factor's secondary
+                // tile becomes the transformation, not a tile).
+                let (prim, sec) = op.rows();
+                let rows = [Some(prim), sec.filter(|_| l > j)];
+                for (slot, row) in rows.into_iter().enumerate() {
+                    let hop = row.and_then(|row| next_hop(stage_ops, j, Some(q), row, l, ns));
+                    if let Some((dst, dst_slot)) = hop {
+                        emit(ChannelSpec::new(
+                            tile_bytes,
+                            src.clone(),
+                            slot,
+                            dst,
+                            dst_slot,
+                        ));
+                    }
+                }
+                // Transformation channels: down the vertical chain, and
+                // from the factor to the exit store.
+                if l + 1 < nt {
+                    let chain_out = if l == j { 1 } else { 2 };
+                    let next = ns.vdp(j, q, l + 1);
+                    emit(ChannelSpec::new(
+                        trans_bytes,
+                        src.clone(),
+                        chain_out,
+                        next,
+                        2,
+                    ));
+                }
+                if l == j {
+                    emit(ChannelSpec::new(
+                        trans_bytes,
+                        src,
+                        2,
+                        ns.exit_trans(j, q),
+                        0,
+                    ));
+                }
+            }
+        }
+    }
 }
 
-/// Build the full 3D VSA for `a` (every rank of an SPMD run builds the
-/// identical array; the runtime materializes only the local part).
-fn build_qr_array(a: &Matrix, opts: &QrOptions) -> (Vsa, QrGeom) {
-    let mut vsa = Vsa::new();
-    let g = build_qr_array_into(&mut vsa, a, opts, Ns::default());
-    (vsa, g)
-}
-
-/// Add `a`'s QR sub-array to an existing VSA under tuple namespace `ns`.
-/// With distinct namespaces this composes: a batch launch builds one
-/// sub-array per job into a single [`Vsa`] and runs them all at once.
-fn build_qr_array_into(vsa: &mut Vsa, a: &Matrix, opts: &QrOptions, ns: Ns) -> QrGeom {
+/// Add `a`'s QR sub-array to `vsa` under tuple namespace `ns` (every rank
+/// of an SPMD run builds the identical array; the runtime materializes
+/// only the local part). With distinct namespaces this composes: a batch
+/// launch builds one sub-array per job into a single [`Vsa`] and runs them
+/// all at once.
+fn build_qr_array_into(vsa: &mut Vsa, a: &Matrix, opts: &QrOptions, ns: Ns) {
     assert_eq!(
         a.nrows() % opts.nb,
         0,
         "tree QR requires exact row tiling (m % nb == 0)"
     );
-    let tiles = TileMatrix::from_matrix(a, opts.nb);
-    let (mt, nt, nb, ib) = (tiles.mt(), tiles.nt(), opts.nb, opts.ib);
-    let plan = opts.plan(mt, nt);
-    let kt = plan.panels();
-    let stage_ops: Vec<Vec<PanelOp>> = (0..kt).map(|j| plan.panel_ops(j)).collect();
+    let mut tiles = TileMatrix::from_matrix(a, opts.nb);
+    let (mt, nt, ib) = (tiles.mt(), tiles.nt(), opts.ib);
+    let stage_ops = stage_ops(&opts.plan(mt, nt));
 
-    let tile_bytes = 8 * nb * nb;
-    let trans_bytes = 8 * nb * nb + 8 * ib * nb;
-
-    // VDPs.
     for (j, ops) in stage_ops.iter().enumerate() {
         for (q, &op) in ops.iter().enumerate() {
             for l in j..nt {
@@ -157,116 +207,24 @@ fn build_qr_array_into(vsa: &mut Vsa, a: &Matrix, opts: &QrOptions, ns: Ns) -> Q
                     ib,
                     factor: l == j,
                 };
-                // Factor VDPs: in 0/1 = primary/secondary tile; out 0 = R
-                // onward, 1 = transform chain, 2 = transform exit.
-                // Update VDPs: in 0/1 = C1/C2, in 2 = transform; out 0/1 =
-                // tiles onward, out 2 = transform chain.
-                let (n_in, n_out) = if l == j { (2, 3) } else { (3, 3) };
-                vsa.add_vdp(VdpSpec::new(ns.vdp(j, q, l), 1, n_in, n_out, logic));
+                let n_in = if l == j { 2 } else { 3 };
+                vsa.add_vdp(VdpSpec::new(ns.vdp(j, q, l), 1, n_in, 3, logic));
             }
         }
     }
-
-    // Channels.
-    for (j, ops) in stage_ops.iter().enumerate() {
-        for (q, &op) in ops.iter().enumerate() {
-            for l in j..nt {
-                let src = ns.vdp(j, q, l);
-                // Tile channels out of this VDP.
-                let (prim, sec) = op.rows();
-                match next_hop(&stage_ops, kt, j, Some(q), prim, l, ns) {
-                    Hop::Vdp(dst, slot) => {
-                        vsa.add_channel(ChannelSpec::new(tile_bytes, src.clone(), 0, dst, slot));
-                    }
-                    Hop::ExitR => {
-                        vsa.add_channel(ChannelSpec::new(
-                            tile_bytes,
-                            src.clone(),
-                            0,
-                            ns.exit_r(prim, l),
-                            0,
-                        ));
-                    }
-                    Hop::Drop => {}
-                }
-                if l > j {
-                    if let Some(s) = sec {
-                        match next_hop(&stage_ops, kt, j, Some(q), s, l, ns) {
-                            Hop::Vdp(dst, slot) => {
-                                vsa.add_channel(ChannelSpec::new(
-                                    tile_bytes,
-                                    src.clone(),
-                                    1,
-                                    dst,
-                                    slot,
-                                ));
-                            }
-                            Hop::ExitR => {
-                                vsa.add_channel(ChannelSpec::new(
-                                    tile_bytes,
-                                    src.clone(),
-                                    1,
-                                    ns.exit_r(s, l),
-                                    0,
-                                ));
-                            }
-                            Hop::Drop => {}
-                        }
-                    }
-                }
-                // Transformation channels.
-                if l == j {
-                    // Factor: into the vertical chain and to the exit store.
-                    if l + 1 < nt {
-                        vsa.add_channel(ChannelSpec::new(
-                            trans_bytes,
-                            src.clone(),
-                            1,
-                            ns.vdp(j, q, l + 1),
-                            2,
-                        ));
-                    }
-                    vsa.add_channel(ChannelSpec::new(
-                        trans_bytes,
-                        src.clone(),
-                        2,
-                        ns.exit_trans(j, q),
-                        0,
-                    ));
-                } else if l + 1 < nt {
-                    vsa.add_channel(ChannelSpec::new(
-                        trans_bytes,
-                        src.clone(),
-                        2,
-                        ns.vdp(j, q, l + 1),
-                        2,
-                    ));
-                }
-            }
-        }
-    }
+    for_each_channel(&stage_ops, nt, opts.nb, ib, ns, |c| vsa.add_channel(c));
 
     // Seed every tile into the first stage-0 op that touches its row.
-    let mut tiles = tiles;
     for i in 0..mt {
         let (q0, op0) = stage_ops[0]
             .iter()
             .enumerate()
             .find(|(_, op)| op.touches(i))
             .expect("every row is touched in stage 0");
-        let slot = op0.role_slot(i);
         for l in 0..nt {
-            let t = tiles.take_tile(i, l);
-            vsa.seed(ns.vdp(0, q0, l), slot, Packet::tile(t));
+            let tile = Packet::tile(tiles.take_tile(i, l));
+            vsa.seed(ns.vdp(0, q0, l), op0.role_slot(i), tile);
         }
-    }
-
-    QrGeom {
-        nt,
-        kt,
-        nb,
-        ib,
-        stage_ops,
     }
 }
 
@@ -280,55 +238,15 @@ fn build_qr_array_into(vsa: &mut Vsa, a: &Matrix, opts: &QrOptions, ns: Ns) -> Q
 /// [`pulsar_runtime::Backend::InProcess`]; distributed ranks use
 /// [`tile_qr_vsa_partial`].
 pub fn tile_qr_vsa(a: &Matrix, opts: &QrOptions, config: &RunConfig) -> VsaQrResult {
-    let (vsa, g) = build_qr_array(a, opts);
+    let mut vsa = Vsa::new();
+    build_qr_array_into(&mut vsa, a, opts, Ns::default());
     let mut out = vsa
         .run(config)
         .unwrap_or_else(|e| panic!("tile_qr_vsa: {e}"));
-    let factors = collect_factors(&mut out, a.nrows(), a.ncols(), &g, Ns::default());
     VsaQrResult {
-        factors,
+        factors: Ns::default().collect(&mut out, a, opts),
         stats: out.stats,
         trace: out.trace,
-    }
-}
-
-/// Drain one job's exits from a finished run into its factorization.
-fn collect_factors(out: &mut RunOutput, m: usize, n: usize, g: &QrGeom, ns: Ns) -> TileQrFactors {
-    let (nt, kt, nb, ib) = (g.nt, g.kt, g.nb, g.ib);
-    let k = m.min(n);
-    let mut r = Matrix::zeros(k, n);
-    for i in 0..kt {
-        for l in i..nt {
-            if i * nb >= k {
-                continue;
-            }
-            let mut packets = out.take_exit(ns.exit_r(i, l), 0);
-            assert_eq!(packets.len(), 1, "missing R tile ({i},{l})");
-            let tile = packets.remove(0).into_tile();
-            let block = if i == l { tile.upper_triangle() } else { tile };
-            let rows = block.nrows().min(k - i * nb);
-            r.set_submatrix(i * nb, l * nb, &block.submatrix(0, 0, rows, block.ncols()));
-        }
-    }
-    let panels: Vec<Vec<Reflectors>> = (0..kt)
-        .map(|j| {
-            (0..g.stage_ops[j].len())
-                .map(|q| {
-                    let mut p = out.take_exit(ns.exit_trans(j, q), 0);
-                    assert_eq!(p.len(), 1, "missing transform ({j},{q})");
-                    p.remove(0).take::<Reflectors>()
-                })
-                .collect()
-        })
-        .collect();
-
-    TileQrFactors {
-        m,
-        n,
-        nb,
-        ib,
-        r: r.upper_triangle(),
-        panels,
     }
 }
 
@@ -343,81 +261,39 @@ pub struct BatchQrResult {
     pub trace: Option<Trace>,
 }
 
-fn build_batch_array(jobs: &[(&Matrix, &QrOptions)]) -> (Vsa, Vec<QrGeom>) {
-    assert!(!jobs.is_empty(), "batch needs at least one job");
-    let mut vsa = Vsa::new();
-    let geoms = jobs
-        .iter()
-        .enumerate()
-        .map(|(b, (a, opts))| {
-            build_qr_array_into(
-                &mut vsa,
-                a,
-                opts,
-                Ns {
-                    job: Some(b as i32),
-                },
-            )
-        })
-        .collect();
-    (vsa, geoms)
-}
-
-fn collect_batch(
-    mut out: RunOutput,
-    jobs: &[(&Matrix, &QrOptions)],
-    geoms: &[QrGeom],
-) -> BatchQrResult {
-    let factors = jobs
-        .iter()
-        .zip(geoms)
-        .enumerate()
-        .map(|(b, ((a, _), g))| {
-            collect_factors(
-                &mut out,
-                a.nrows(),
-                a.ncols(),
-                g,
-                Ns {
-                    job: Some(b as i32),
-                },
-            )
-        })
-        .collect();
-    BatchQrResult {
-        factors,
-        stats: out.stats,
-        trace: out.trace,
-    }
-}
-
-/// Factor several matrices in ONE VSA launch: each job's sub-array gets a
+/// Factor several matrices in ONE VSA launch on a persistent [`VsaPool`]
+/// — the warm path of `pulsar-qr serve`, where the pool's kernel
+/// workspaces persist from batch to batch. Each job's sub-array gets a
 /// disjoint tuple namespace (its batch index prefixes every tuple), and the
 /// runtime schedules all of them together — the service's small-job
 /// batching, amortizing thread wake-up and run setup across jobs.
 ///
 /// The dataflow of each sub-array is independent, so every job's factors
 /// are identical to what a solo [`tile_qr_vsa`] run would produce.
-pub fn tile_qr_vsa_batch(
-    jobs: &[(&Matrix, &QrOptions)],
-    config: &RunConfig,
-) -> Result<BatchQrResult, RunError> {
-    let (vsa, geoms) = build_batch_array(jobs);
-    let out = vsa.run(config)?;
-    Ok(collect_batch(out, jobs, &geoms))
-}
-
-/// [`tile_qr_vsa_batch`] executed on a persistent [`VsaPool`] instead of
-/// freshly spawned threads — the warm path of `pulsar-qr serve`, where the
-/// pool's kernel workspaces persist from batch to batch.
 pub fn tile_qr_vsa_batch_pooled(
     jobs: &[(&Matrix, &QrOptions)],
     config: &RunConfig,
     pool: &VsaPool,
 ) -> Result<BatchQrResult, RunError> {
-    let (vsa, geoms) = build_batch_array(jobs);
-    let out = vsa.run_pooled(config, pool)?;
-    Ok(collect_batch(out, jobs, &geoms))
+    assert!(!jobs.is_empty(), "batch needs at least one job");
+    let ns = |b: usize| Ns {
+        job: Some(b as i32),
+    };
+    let mut vsa = Vsa::new();
+    for (b, (a, opts)) in jobs.iter().enumerate() {
+        build_qr_array_into(&mut vsa, a, opts, ns(b));
+    }
+    let mut out = vsa.run_pooled(config, pool)?;
+    let factors = jobs
+        .iter()
+        .enumerate()
+        .map(|(b, (a, opts))| ns(b).collect(&mut out, a, opts))
+        .collect();
+    Ok(BatchQrResult {
+        factors,
+        stats: out.stats,
+        trace: out.trace,
+    })
 }
 
 /// What one rank of a distributed run collected: the `R` tiles whose
@@ -449,28 +325,20 @@ pub fn tile_qr_vsa_partial(
     opts: &QrOptions,
     config: &RunConfig,
 ) -> Result<VsaQrPartial, RunError> {
-    let (vsa, g) = build_qr_array(a, opts);
-    let mut out = vsa.run(config)?;
     let ns = Ns::default();
-    let k = a.nrows().min(a.ncols());
-    let mut r_tiles = Vec::new();
-    for i in 0..g.kt {
-        for l in i..g.nt {
-            if i * g.nb >= k {
-                continue;
-            }
-            let mut packets = out.take_exit(ns.exit_r(i, l), 0);
-            let Some(p) = (!packets.is_empty()).then(|| packets.remove(0)) else {
-                continue;
-            };
-            let tile = p.into_tile();
+    let mut vsa = Vsa::new();
+    build_qr_array_into(&mut vsa, a, opts, ns);
+    let mut out = vsa.run(config)?;
+    let r_tiles = r_blocks(a.nrows(), a.ncols(), opts.nb)
+        .filter_map(|(i, l)| {
+            let tile = out.take_exit(ns.exit_r(i, l), 0).pop()?.into_tile();
             let block = if i == l { tile.upper_triangle() } else { tile };
-            r_tiles.push((i, l, block));
-        }
-    }
+            Some((i, l, block))
+        })
+        .collect();
     Ok(VsaQrPartial {
         r_tiles,
-        nb: g.nb,
+        nb: opts.nb,
         stats: out.stats,
     })
 }
@@ -484,12 +352,62 @@ struct QrVdp {
     factor: bool,
 }
 
+/// Pop an update VDP's transformation (input 2) and forward it down the
+/// chain on output `chain_out` *before* it is used — the paper's bypass,
+/// overlapping the broadcast with compute. Shared with the compact array.
+pub(crate) fn pop_transform(ctx: &mut VdpContext<'_>, chain_out: usize) -> Packet {
+    let trans = ctx.pop(2);
+    if ctx.output_connected(chain_out) {
+        ctx.push(chain_out, trans.clone());
+    }
+    trans
+}
+
+/// Label the firing, then send a factor VDP's transformation on its way:
+/// down the chain on output 1 first (bypass), then to the record on
+/// output 2. Shared with the compact array, which wires the same slots.
+pub(crate) fn emit_transform(ctx: &mut VdpContext<'_>, refl: Reflectors) {
+    ctx.set_label(format!("{}{:?}", refl.op.factor_kernel(), ctx.tuple()));
+    let pkt = Packet::wire(refl);
+    if ctx.output_connected(1) {
+        ctx.push(1, pkt.clone());
+    }
+    ctx.push(2, pkt);
+}
+
 impl pulsar_runtime::VdpLogic for QrVdp {
     fn fire(&mut self, ctx: &mut VdpContext<'_>) {
+        let (op, ib) = (self.op, self.ib);
+        let scratch = ctx.scratch();
         if self.factor {
-            self.fire_factor(ctx);
+            let mut a1 = ctx.pop(0).into_tile();
+            let a2 = op.rows().1.map(|_| ctx.pop(1).into_tile());
+            let refl = ctx.kernel(op.factor_kernel(), || {
+                scratch.with(|ws: &mut Workspace| factor_op(op, &mut a1, a2, ib, ws))
+            });
+            // The transformation first, then pass the R factor along.
+            emit_transform(ctx, refl);
+            if ctx.output_connected(0) {
+                ctx.push(0, Packet::tile(a1));
+            }
         } else {
-            self.fire_update(ctx);
+            let trans = pop_transform(ctx, 2);
+            let refl = trans
+                .get::<Reflectors>()
+                .expect("transform channel carries Reflectors");
+            let mut c1 = ctx.pop(0).into_tile();
+            let mut c2 = op.rows().1.map(|_| ctx.pop(1).into_tile());
+            ctx.kernel(op.update_kernel(), || {
+                scratch.with(|ws: &mut Workspace| {
+                    let c2 = c2.as_mut();
+                    apply_op(op, &refl.v, &refl.t, ApplyTrans::Trans, &mut c1, c2, ib, ws)
+                })
+            });
+            ctx.push(0, Packet::tile(c1));
+            if let Some(c2) = c2 {
+                ctx.push(1, Packet::tile(c2));
+            }
+            ctx.set_label(format!("{}{:?}", op.update_kernel(), ctx.tuple()));
         }
     }
 
@@ -505,123 +423,6 @@ impl pulsar_runtime::VdpLogic for QrVdp {
     }
 }
 
-impl QrVdp {
-    fn fire_factor(&mut self, ctx: &mut VdpContext<'_>) {
-        let ib = self.ib;
-        let op = self.op;
-        let scratch = ctx.scratch();
-        let (refl, r_tile) = match op {
-            PanelOp::Geqrt { .. } => {
-                let mut tile = ctx.pop(0).into_tile();
-                let mut t = t_for(tile.ncols(), ib);
-                ctx.kernel("geqrt", || {
-                    scratch.with(|ws: &mut Workspace| geqrt_ws(&mut tile, &mut t, ib, ws))
-                });
-                let refl = Reflectors {
-                    op,
-                    v: tile.clone(),
-                    t,
-                };
-                (refl, tile)
-            }
-            PanelOp::Tsqrt { .. } => {
-                let mut a1 = ctx.pop(0).into_tile();
-                let mut a2 = ctx.pop(1).into_tile();
-                let mut t = t_for(a1.ncols(), ib);
-                ctx.kernel("tsqrt", || {
-                    scratch.with(|ws: &mut Workspace| tsqrt_ws(&mut a1, &mut a2, &mut t, ib, ws))
-                });
-                (Reflectors { op, v: a2, t }, a1)
-            }
-            PanelOp::Ttqrt { .. } => {
-                let mut a1 = ctx.pop(0).into_tile();
-                let mut a2 = ctx.pop(1).into_tile();
-                let mut t = t_for(a1.ncols(), ib);
-                ctx.kernel("ttqrt", || {
-                    scratch.with(|ws: &mut Workspace| ttqrt_ws(&mut a1, &mut a2, &mut t, ib, ws))
-                });
-                (Reflectors { op, v: a2, t }, a1)
-            }
-        };
-        ctx.set_label(format!("{}{:?}", op.factor_kernel(), ctx.tuple()));
-        let pkt = Packet::wire(refl);
-        // Broadcast the transformation down the vertical chain first
-        // (bypass), then record it, then pass the R factor along.
-        if ctx.output_connected(1) {
-            ctx.push(1, pkt.clone());
-        }
-        ctx.push(2, pkt);
-        if ctx.output_connected(0) {
-            ctx.push(0, Packet::tile(r_tile));
-        }
-    }
-
-    fn fire_update(&mut self, ctx: &mut VdpContext<'_>) {
-        let ib = self.ib;
-        let op = self.op;
-        // Pop the transformation and forward it down the chain *before*
-        // using it — the paper's communication/computation overlap.
-        let trans = ctx.pop(2);
-        if ctx.output_connected(2) {
-            ctx.push(2, trans.clone());
-        }
-        let refl = trans
-            .get::<Reflectors>()
-            .expect("transform channel carries Reflectors");
-        let scratch = ctx.scratch();
-        match op {
-            PanelOp::Geqrt { .. } => {
-                let mut c = ctx.pop(0).into_tile();
-                ctx.kernel("unmqr", || {
-                    scratch.with(|ws: &mut Workspace| {
-                        unmqr_ws(&refl.v, &refl.t, ApplyTrans::Trans, &mut c, ib, ws)
-                    })
-                });
-                ctx.push(0, Packet::tile(c));
-            }
-            PanelOp::Tsqrt { .. } => {
-                let mut c1 = ctx.pop(0).into_tile();
-                let mut c2 = ctx.pop(1).into_tile();
-                ctx.kernel("tsmqr", || {
-                    scratch.with(|ws: &mut Workspace| {
-                        tsmqr_ws(
-                            &mut c1,
-                            &mut c2,
-                            &refl.v,
-                            &refl.t,
-                            ApplyTrans::Trans,
-                            ib,
-                            ws,
-                        )
-                    })
-                });
-                ctx.push(0, Packet::tile(c1));
-                ctx.push(1, Packet::tile(c2));
-            }
-            PanelOp::Ttqrt { .. } => {
-                let mut c1 = ctx.pop(0).into_tile();
-                let mut c2 = ctx.pop(1).into_tile();
-                ctx.kernel("ttmqr", || {
-                    scratch.with(|ws: &mut Workspace| {
-                        ttmqr_ws(
-                            &mut c1,
-                            &mut c2,
-                            &refl.v,
-                            &refl.t,
-                            ApplyTrans::Trans,
-                            ib,
-                            ws,
-                        )
-                    })
-                });
-                ctx.push(0, Packet::tile(c1));
-                ctx.push(1, Packet::tile(c2));
-            }
-        }
-        ctx.set_label(format!("{}{:?}", op.update_kernel(), ctx.tuple()));
-    }
-}
-
 /// Summary of the array a plan builds (for Figure 8-style inspection).
 pub struct ArrayShape {
     /// Total VDPs.
@@ -634,36 +435,15 @@ pub struct ArrayShape {
 
 /// Compute the array shape without running it.
 pub fn array_shape(plan: &QrPlan) -> ArrayShape {
-    let per_stage: Vec<usize> = (0..plan.panels())
-        .map(|j| plan.panel_ops(j).len() * (plan.nt - j))
+    let stage_ops = stage_ops(plan);
+    let per_stage: Vec<usize> = stage_ops
+        .iter()
+        .enumerate()
+        .map(|(j, ops)| ops.len() * (plan.nt - j))
         .collect();
-    // Channels: counted the same way the builder creates them.
-    let kt = plan.panels();
-    let stage_ops: Vec<Vec<PanelOp>> = (0..kt).map(|j| plan.panel_ops(j)).collect();
+    // Tile and transform sizes do not change which channels exist.
     let mut channels = 0usize;
-    for (j, ops) in stage_ops.iter().enumerate() {
-        for (q, &op) in ops.iter().enumerate() {
-            for l in j..plan.nt {
-                let (prim, sec) = op.rows();
-                let ns = Ns::default();
-                if !matches!(next_hop(&stage_ops, kt, j, Some(q), prim, l, ns), Hop::Drop) {
-                    channels += 1;
-                }
-                if l > j {
-                    if let Some(s) = sec {
-                        if !matches!(next_hop(&stage_ops, kt, j, Some(q), s, l, ns), Hop::Drop) {
-                            channels += 1;
-                        }
-                    }
-                }
-                if l == j {
-                    channels += 1 + usize::from(l + 1 < plan.nt);
-                } else if l + 1 < plan.nt {
-                    channels += 1;
-                }
-            }
-        }
-    }
+    for_each_channel(&stage_ops, plan.nt, 1, 1, Ns::default(), |_| channels += 1);
     ArrayShape {
         vdps: per_stage.iter().sum(),
         channels,
@@ -771,7 +551,8 @@ mod tests {
             .zip(&specs)
             .map(|(a, (_, _, o))| (a, o))
             .collect();
-        let out = tile_qr_vsa_batch(&jobs, &RunConfig::smp(4)).expect("batch run");
+        let pool = VsaPool::new(4);
+        let out = tile_qr_vsa_batch_pooled(&jobs, &RunConfig::smp(4), &pool).expect("batch run");
         assert_eq!(out.factors.len(), 3);
         for ((a, opts), f) in jobs.iter().zip(&out.factors) {
             let seq = tile_qr_seq(a, opts);

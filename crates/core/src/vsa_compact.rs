@@ -24,17 +24,15 @@
 //! Supports the paper's configuration: [`Tree::Flat`] or
 //! [`Tree::BinaryOnFlat`] with [`Boundary::Shifted`].
 
-use crate::factors::{Reflectors, TileQrFactors};
+use crate::factors::Reflectors;
+use crate::ops::{apply_op, collect_factors, factor_op};
 use crate::plan::{Boundary, PanelOp, Tree};
-use crate::seqqr::t_for;
-use crate::vsa3d::VsaQrResult;
+use crate::store::stream_operands;
+use crate::vsa3d::{emit_transform, pop_transform, VsaQrResult};
 use crate::QrOptions;
 use pulsar_linalg::kernels::ApplyTrans;
-use pulsar_linalg::{
-    geqrt_ws, tsmqr_ws, tsqrt_ws, ttmqr_ws, ttqrt_ws, unmqr_ws, Matrix, TileMatrix, Workspace,
-};
+use pulsar_linalg::{Matrix, TileMatrix, Workspace};
 use pulsar_runtime::{ChannelSpec, Packet, RunConfig, Tuple, VdpContext, VdpLogic, VdpSpec, Vsa};
-use std::collections::HashMap;
 
 fn flat_tuple(j: usize, d: usize, l: usize) -> Tuple {
     Tuple::new4(0, j as i32, d as i32, l as i32)
@@ -57,10 +55,6 @@ fn exit_refl_binary(j: usize, lvl: usize, pair: usize) -> Tuple {
     Tuple::new3(-3, j as i32, (lvl * 10_000 + pair) as i32)
 }
 
-fn refl_packet(refl: Reflectors) -> Packet {
-    Packet::wire(refl)
-}
-
 /// Red (factor) or orange (update) VDP of one (stage, domain) at column `l`.
 ///
 /// Inputs: 0 = tile stream, 1 = the dashed last-tile channel (optional),
@@ -78,80 +72,31 @@ struct FlatDomainVdp {
 
 impl VdpLogic for FlatDomainVdp {
     fn fire(&mut self, ctx: &mut VdpContext<'_>) {
+        let ib = self.ib;
         let k = ctx.firing() as usize;
         let last = ctx.remaining() == 0;
         let slot = if last && self.has_dashed { 1 } else { 0 };
-        let mut tile = ctx.pop(slot).into_tile();
-        let is_factor = self.l == self.j;
+        let op = PanelOp::flat_step(self.head_row, k);
+        let (c1, mut tile) = stream_operands(&mut self.c1, ctx.pop(slot).into_tile(), k == 0);
 
         let scratch = ctx.scratch();
-        if is_factor {
-            let refl = if k == 0 {
-                let mut t = t_for(tile.ncols(), self.ib);
-                ctx.kernel("geqrt", || {
-                    scratch.with(|ws: &mut Workspace| geqrt_ws(&mut tile, &mut t, self.ib, ws))
-                });
-                let refl = Reflectors {
-                    op: PanelOp::Geqrt { row: self.head_row },
-                    v: tile.clone(),
-                    t,
-                };
-                self.c1 = Some(tile);
-                refl
-            } else {
-                let r = self.c1.as_mut().expect("R initialized at firing 0");
-                let mut t = t_for(r.ncols(), self.ib);
-                ctx.kernel("tsqrt", || {
-                    scratch.with(|ws: &mut Workspace| tsqrt_ws(r, &mut tile, &mut t, self.ib, ws))
-                });
-                Reflectors {
-                    op: PanelOp::Tsqrt {
-                        head: self.head_row,
-                        row: self.head_row + k,
-                    },
-                    v: tile,
-                    t,
-                }
-            };
-            ctx.set_label(format!("{}{:?}", refl.op.factor_kernel(), ctx.tuple()));
-            let pkt = refl_packet(refl);
-            if ctx.output_connected(1) {
-                ctx.push(1, pkt.clone());
-            }
-            ctx.push(2, pkt);
+        if self.l == self.j {
+            let refl = ctx.kernel(op.factor_kernel(), || {
+                scratch.with(|ws: &mut Workspace| factor_op(op, c1, tile, ib, ws))
+            });
+            emit_transform(ctx, refl);
         } else {
-            let trans = ctx.pop(2);
-            if ctx.output_connected(1) {
-                ctx.push(1, trans.clone()); // bypass
-            }
+            let trans = pop_transform(ctx, 1);
             let refl = trans.get::<Reflectors>().expect("transformation packet");
-            if k == 0 {
-                ctx.kernel("unmqr", || {
-                    scratch.with(|ws: &mut Workspace| {
-                        unmqr_ws(&refl.v, &refl.t, ApplyTrans::Trans, &mut tile, self.ib, ws)
-                    })
-                });
-                ctx.set_label(format!("unmqr{:?}", ctx.tuple()));
-                self.c1 = Some(tile);
-            } else {
-                let c1 = self.c1.as_mut().expect("C1 initialized at firing 0");
-                ctx.kernel("tsmqr", || {
-                    scratch.with(|ws: &mut Workspace| {
-                        tsmqr_ws(
-                            c1,
-                            &mut tile,
-                            &refl.v,
-                            &refl.t,
-                            ApplyTrans::Trans,
-                            self.ib,
-                            ws,
-                        )
-                    })
-                });
-                ctx.set_label(format!("tsmqr{:?}", ctx.tuple()));
-                if ctx.output_connected(0) {
-                    ctx.push(0, Packet::tile(tile)); // stream the row down
-                }
+            ctx.kernel(op.update_kernel(), || {
+                scratch.with(|ws: &mut Workspace| {
+                    let c2 = tile.as_mut();
+                    apply_op(op, &refl.v, &refl.t, ApplyTrans::Trans, c1, c2, ib, ws)
+                })
+            });
+            ctx.set_label(format!("{}{:?}", op.update_kernel(), ctx.tuple()));
+            if let Some(tile) = tile.filter(|_| ctx.output_connected(0)) {
+                ctx.push(0, Packet::tile(tile)); // stream the row down
             }
         }
 
@@ -194,48 +139,29 @@ struct BinaryVdp {
 
 impl VdpLogic for BinaryVdp {
     fn fire(&mut self, ctx: &mut VdpContext<'_>) {
+        let ib = self.ib;
+        let op = PanelOp::Ttqrt {
+            top: self.top,
+            bot: self.bot,
+        };
         let mut a1 = ctx.pop(0).into_tile();
         let mut a2 = ctx.pop(1).into_tile();
         let scratch = ctx.scratch();
         if self.l == self.j {
-            let mut t = t_for(a1.ncols(), self.ib);
-            ctx.kernel("ttqrt", || {
-                scratch.with(|ws: &mut Workspace| ttqrt_ws(&mut a1, &mut a2, &mut t, self.ib, ws))
+            let refl = ctx.kernel(op.factor_kernel(), || {
+                scratch.with(|ws: &mut Workspace| factor_op(op, &mut a1, Some(a2), ib, ws))
             });
-            ctx.set_label(format!("ttqrt{:?}", ctx.tuple()));
-            let refl = Reflectors {
-                op: PanelOp::Ttqrt {
-                    top: self.top,
-                    bot: self.bot,
-                },
-                v: a2,
-                t,
-            };
-            let pkt = refl_packet(refl);
-            if ctx.output_connected(1) {
-                ctx.push(1, pkt.clone());
-            }
-            ctx.push(2, pkt);
+            emit_transform(ctx, refl);
         } else {
-            let trans = ctx.pop(2);
-            if ctx.output_connected(1) {
-                ctx.push(1, trans.clone()); // bypass
-            }
+            let trans = pop_transform(ctx, 1);
             let refl = trans.get::<Reflectors>().expect("transformation packet");
-            ctx.kernel("ttmqr", || {
+            ctx.kernel(op.update_kernel(), || {
                 scratch.with(|ws: &mut Workspace| {
-                    ttmqr_ws(
-                        &mut a1,
-                        &mut a2,
-                        &refl.v,
-                        &refl.t,
-                        ApplyTrans::Trans,
-                        self.ib,
-                        ws,
-                    )
+                    let c2 = Some(&mut a2);
+                    apply_op(op, &refl.v, &refl.t, ApplyTrans::Trans, &mut a1, c2, ib, ws)
                 })
             });
-            ctx.set_label(format!("ttmqr{:?}", ctx.tuple()));
+            ctx.set_label(format!("{}{:?}", op.update_kernel(), ctx.tuple()));
             // The paper: "after each binary-reduction of two top tiles, the
             // second tile is passed right to the flat-tree" of the next
             // stage (it is that domain's last tile).
@@ -276,6 +202,16 @@ pub fn tile_qr_compact(a: &Matrix, opts: &QrOptions, config: &RunConfig) -> VsaQ
     let heads_of = |j: usize| -> Vec<usize> { (j..mt).step_by(h.min(mt.max(1))).collect() };
     let size_of =
         |heads: &[usize], d: usize| -> usize { heads.get(d + 1).copied().unwrap_or(mt) - heads[d] };
+    // Transformation outputs of a VDP: out 1 down the chain to the same VDP
+    // one column right (its in 2), and, on a factor VDP, out 2 to a record.
+    let wire_transforms =
+        |vsa: &mut Vsa, src: &Tuple, right: Option<Tuple>, record: Option<Tuple>| {
+            for (out, dst, slot) in [(1, right, 2), (2, record, 0)] {
+                if let Some(dst) = dst {
+                    vsa.add_channel(ChannelSpec::new(trans_bytes, src.clone(), out, dst, slot));
+                }
+            }
+        };
 
     let mut vsa = Vsa::new();
 
@@ -287,65 +223,32 @@ pub fn tile_qr_compact(a: &Matrix, opts: &QrOptions, config: &RunConfig) -> VsaQ
             // A stage-j>0 domain receives `prev_size - 1` tiles from the
             // previous stage's stream; the remainder (0 or 1) arrives on
             // the dashed channel from the binary tree.
-            let has_dashed = if j == 0 {
-                false
-            } else {
-                let prev_heads = heads_of(j - 1);
-                let stream_in = size_of(&prev_heads, d) - 1;
+            let has_dashed = j > 0 && {
+                let stream_in = size_of(&heads_of(j - 1), d) - 1;
                 debug_assert!(size == stream_in || size == stream_in + 1);
                 size == stream_in + 1
             };
             for l in j..nt {
-                vsa.add_vdp(VdpSpec::new(
-                    flat_tuple(j, d, l),
-                    size as u32,
-                    3,
-                    4,
-                    FlatDomainVdp {
-                        j,
-                        l,
-                        head_row: head,
-                        has_dashed,
-                        ib,
-                        c1: None,
-                    },
-                ));
-                // Transformation chain and record.
-                if l == j {
-                    if l + 1 < nt {
-                        vsa.add_channel(ChannelSpec::new(
-                            trans_bytes,
-                            flat_tuple(j, d, l),
-                            1,
-                            flat_tuple(j, d, l + 1),
-                            2,
-                        ));
-                    }
-                    vsa.add_channel(ChannelSpec::new(
-                        trans_bytes,
-                        flat_tuple(j, d, l),
-                        2,
-                        exit_refl_flat(j, d),
-                        0,
-                    ));
-                } else if l + 1 < nt {
-                    vsa.add_channel(ChannelSpec::new(
-                        trans_bytes,
-                        flat_tuple(j, d, l),
-                        1,
-                        flat_tuple(j, d, l + 1),
-                        2,
-                    ));
-                }
+                let src = flat_tuple(j, d, l);
+                let logic = FlatDomainVdp {
+                    j,
+                    l,
+                    head_row: head,
+                    has_dashed,
+                    ib,
+                    c1: None,
+                };
+                vsa.add_vdp(VdpSpec::new(src.clone(), size as u32, 3, 4, logic));
+                wire_transforms(
+                    &mut vsa,
+                    &src,
+                    (l + 1 < nt).then(|| flat_tuple(j, d, l + 1)),
+                    (l == j).then(|| exit_refl_flat(j, d)),
+                );
                 // Stream to the next stage's same-domain flat VDP.
                 if size > 1 && l > j && j + 1 < kt {
-                    vsa.add_channel(ChannelSpec::new(
-                        tile_bytes,
-                        flat_tuple(j, d, l),
-                        0,
-                        flat_tuple(j + 1, d, l),
-                        0,
-                    ));
+                    let next = flat_tuple(j + 1, d, l);
+                    vsa.add_channel(ChannelSpec::new(tile_bytes, src, 0, next, 0));
                 }
             }
         }
@@ -354,7 +257,7 @@ pub fn tile_qr_compact(a: &Matrix, opts: &QrOptions, config: &RunConfig) -> VsaQ
     // --- Binary reductions and final-tile routing, stage by stage. --------
     for j in 0..kt {
         let heads = heads_of(j);
-        let next_heads_len = if j + 1 < kt { heads_of(j + 1).len() } else { 0 };
+        let next_domains = if j + 1 < kt { heads_of(j + 1).len() } else { 0 };
         for l in j..nt {
             // Producers of each domain-top tile: (tuple, out_slot, top_row,
             // head index in `heads`).
@@ -366,92 +269,51 @@ pub fn tile_qr_compact(a: &Matrix, opts: &QrOptions, config: &RunConfig) -> VsaQ
             let mut lvl = 0usize;
             while producers.len() > 1 {
                 let mut next = Vec::with_capacity(producers.len().div_ceil(2));
-                let pairs: Vec<_> = producers.chunks(2).map(<[_]>::to_vec).collect();
-                for (pair_idx, chunk) in pairs.into_iter().enumerate() {
-                    if let [aa, bb] = &chunk[..] {
-                        let bt = binary_tuple(j, lvl, pair_idx, l);
-                        vsa.add_vdp(VdpSpec::new(
-                            bt.clone(),
-                            1,
-                            3,
-                            3,
-                            BinaryVdp {
-                                j,
-                                l,
-                                top: aa.2,
-                                bot: bb.2,
-                                ib,
-                            },
-                        ));
-                        vsa.add_channel(ChannelSpec::new(
-                            tile_bytes,
-                            aa.0.clone(),
-                            aa.1,
-                            bt.clone(),
-                            0,
-                        ));
-                        vsa.add_channel(ChannelSpec::new(
-                            tile_bytes,
-                            bb.0.clone(),
-                            bb.1,
-                            bt.clone(),
-                            1,
-                        ));
-                        // Transformation chain / record.
-                        if l == j {
-                            if l + 1 < nt {
-                                vsa.add_channel(ChannelSpec::new(
-                                    trans_bytes,
-                                    bt.clone(),
-                                    1,
-                                    binary_tuple(j, lvl, pair_idx, l + 1),
-                                    2,
-                                ));
-                            }
-                            vsa.add_channel(ChannelSpec::new(
-                                trans_bytes,
-                                bt.clone(),
-                                2,
-                                exit_refl_binary(j, lvl, pair_idx),
-                                0,
-                            ));
-                        } else {
-                            if l + 1 < nt {
-                                vsa.add_channel(ChannelSpec::new(
-                                    trans_bytes,
-                                    bt.clone(),
-                                    1,
-                                    binary_tuple(j, lvl, pair_idx, l + 1),
-                                    2,
-                                ));
-                            }
-                            // The dashed channel: the merged-away top is the
-                            // last tile of next stage's domain (d_b - 1).
-                            let d_next = bb.3 - 1;
-                            if j + 1 < kt && d_next < next_heads_len {
-                                let next_heads = heads_of(j + 1);
-                                let stream_in = size_of(&heads, d_next) - 1;
-                                let _ = next_heads;
-                                vsa.add_channel(
-                                    ChannelSpec::new(
-                                        tile_bytes,
-                                        bt.clone(),
-                                        2,
-                                        flat_tuple(j + 1, d_next, l),
-                                        1,
-                                    )
-                                    // Disabled until the flat VDP has
-                                    // drained its stream (Section V-C);
-                                    // enabled at creation when there is no
-                                    // stream to wait for.
-                                    .into_disabled_if(stream_in > 0),
-                                );
-                            }
-                        }
-                        next.push((bt, 0, aa.2, aa.3));
-                    } else {
+                for (pair, chunk) in producers.chunks(2).enumerate() {
+                    let [aa, bb] = chunk else {
                         next.push(chunk[0].clone());
+                        continue;
+                    };
+                    let bt = binary_tuple(j, lvl, pair, l);
+                    let logic = BinaryVdp {
+                        j,
+                        l,
+                        top: aa.2,
+                        bot: bb.2,
+                        ib,
+                    };
+                    vsa.add_vdp(VdpSpec::new(bt.clone(), 1, 3, 3, logic));
+                    for (slot, from) in [aa, bb].into_iter().enumerate() {
+                        let src = from.0.clone();
+                        vsa.add_channel(ChannelSpec::new(
+                            tile_bytes,
+                            src,
+                            from.1,
+                            bt.clone(),
+                            slot,
+                        ));
                     }
+                    wire_transforms(
+                        &mut vsa,
+                        &bt,
+                        (l + 1 < nt).then(|| binary_tuple(j, lvl, pair, l + 1)),
+                        (l == j).then(|| exit_refl_binary(j, lvl, pair)),
+                    );
+                    // The dashed channel: the merged-away top is the last
+                    // tile of next stage's domain (d_b - 1).
+                    let d_next = bb.3 - 1;
+                    if l > j && d_next < next_domains {
+                        let dashed = flat_tuple(j + 1, d_next, l);
+                        let mut ch = ChannelSpec::new(tile_bytes, bt.clone(), 2, dashed, 1);
+                        // Disabled until the flat VDP has drained its
+                        // stream (Section V-C); enabled at creation when
+                        // there is no stream to wait for.
+                        if size_of(&heads, d_next) > 1 {
+                            ch = ch.disabled();
+                        }
+                        vsa.add_channel(ch);
+                    }
+                    next.push((bt, 0, aa.2, aa.3));
                 }
                 producers = next;
                 lvl += 1;
@@ -464,15 +326,12 @@ pub fn tile_qr_compact(a: &Matrix, opts: &QrOptions, config: &RunConfig) -> VsaQ
     }
 
     // --- Seeds: stage-0 streams carry whole domains in row order. ---------
-    {
-        let heads = heads_of(0);
-        for (d, &head) in heads.iter().enumerate() {
-            let size = size_of(&heads, d);
-            for l in 0..nt {
-                for i in head..head + size {
-                    let t = tiles.take_tile(i, l);
-                    vsa.seed(flat_tuple(0, d, l), 0, Packet::tile(t));
-                }
+    let heads = heads_of(0);
+    for (d, &head) in heads.iter().enumerate() {
+        for l in 0..nt {
+            for i in head..head + size_of(&heads, d) {
+                let t = tiles.take_tile(i, l);
+                vsa.seed(flat_tuple(0, d, l), 0, Packet::tile(t));
             }
         }
     }
@@ -481,85 +340,24 @@ pub fn tile_qr_compact(a: &Matrix, opts: &QrOptions, config: &RunConfig) -> VsaQ
     let mut out = vsa
         .run(config)
         .unwrap_or_else(|e| panic!("tile_qr_vsa_compact: {e}"));
-    let k = a.nrows().min(a.ncols());
-    let mut r = Matrix::zeros(k, a.ncols());
-    for j in 0..kt {
-        for l in j..nt {
-            if j * nb >= k {
-                continue;
-            }
-            let mut p = out.take_exit(exit_r(j, l), 0);
-            assert_eq!(p.len(), 1, "missing R tile ({j},{l})");
-            let tile = p.remove(0).into_tile();
-            let block = if j == l { tile.upper_triangle() } else { tile };
-            let rows = block.nrows().min(k - j * nb);
-            r.set_submatrix(j * nb, l * nb, &block.submatrix(0, 0, rows, block.ncols()));
+    // The transformation tree in plan order: each domain's flat record,
+    // then the binary records level by level (an odd top out passes up
+    // unpaired, so level `lvl` of `width` tops has `width / 2` merges).
+    let panel_exits = |j: usize, _: &[PanelOp]| {
+        let mut width = heads_of(j).len();
+        let mut exits: Vec<Tuple> = (0..width).map(|d| exit_refl_flat(j, d)).collect();
+        let mut lvl = 0usize;
+        while width > 1 {
+            exits.extend((0..width / 2).map(|pair| exit_refl_binary(j, lvl, pair)));
+            width = width.div_ceil(2);
+            lvl += 1;
         }
-    }
-    // Reassemble the transformation tree in plan order.
-    let plan = opts.plan(mt, nt);
-    let panels: Vec<Vec<Reflectors>> = (0..kt)
-        .map(|j| {
-            let order: HashMap<PanelOp, usize> = plan
-                .panel_ops(j)
-                .into_iter()
-                .enumerate()
-                .map(|(i, op)| (op, i))
-                .collect();
-            let mut collected: Vec<Reflectors> = Vec::new();
-            let heads = heads_of(j);
-            for d in 0..heads.len() {
-                for p in out.take_exit(exit_refl_flat(j, d), 0) {
-                    collected.push(p.take::<Reflectors>());
-                }
-            }
-            // Binary records: sweep all (lvl, pair) keys that exist.
-            let mut lvl = 0usize;
-            let mut width = heads.len();
-            while width > 1 {
-                for pair in 0..width / 2 {
-                    for p in out.take_exit(exit_refl_binary(j, lvl, pair), 0) {
-                        collected.push(p.take::<Reflectors>());
-                    }
-                }
-                width = width.div_ceil(2);
-                lvl += 1;
-            }
-            collected.sort_by_key(|r| order[&r.op]);
-            assert_eq!(
-                collected.len(),
-                order.len(),
-                "missing transforms in stage {j}"
-            );
-            collected
-        })
-        .collect();
-
+        exits
+    };
     VsaQrResult {
-        factors: TileQrFactors {
-            m: a.nrows(),
-            n: a.ncols(),
-            nb,
-            ib,
-            r: r.upper_triangle(),
-            panels,
-        },
+        factors: collect_factors(&mut out, a, opts, exit_r, panel_exits),
         stats: out.stats,
         trace: out.trace,
-    }
-}
-
-/// Small extension trait so channel construction reads naturally above.
-trait DisabledIf {
-    fn into_disabled_if(self, cond: bool) -> Self;
-}
-impl DisabledIf for ChannelSpec {
-    fn into_disabled_if(self, cond: bool) -> Self {
-        if cond {
-            self.disabled()
-        } else {
-            self
-        }
     }
 }
 

@@ -1,81 +1,124 @@
-//! Engine-equivalence suite: the sequential oracle, the unrolled 3D VSA,
-//! the compact Figure-8 array, and the 2D domino baseline must produce the
-//! *same* factorization (identical schedules mean identical arithmetic).
+//! Engine-equivalence suite: the sequential oracle, TSQR, the unrolled 3D
+//! VSA, the compact Figure-8 array, and the 2D domino baseline run the
+//! same schedule through the same op core, so they must produce the
+//! *same* factorization — bit for bit, in `R` and in every recorded
+//! `op`/`V`/`T`, not merely within a tolerance.
 
+use pulsar_core::applyq::apply_q_vsa;
 use pulsar_core::domino::tile_qr_domino;
 use pulsar_core::plan::Tree;
 use pulsar_core::vsa3d::tile_qr_vsa;
 use pulsar_core::vsa_compact::tile_qr_compact;
-use pulsar_core::{tile_qr_seq, QrOptions, TileQrFactors};
+use pulsar_core::{tile_qr_seq, tile_qr_tsqr, QrOptions, TileQrFactors};
+use pulsar_linalg::kernels::ApplyTrans;
 use pulsar_linalg::verify::r_factor_distance;
 use pulsar_linalg::Matrix;
 use pulsar_runtime::RunConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn check_same(a: &Matrix, f1: &TileQrFactors, f2: &TileQrFactors, what: &str) {
-    assert!(
-        r_factor_distance(&f1.r, &f2.r) < 1e-12,
-        "{what}: R factors differ"
-    );
-    assert!(f2.residual(a) < 1e-13, "{what}: residual too large");
+/// Same shape and the same bit pattern in every entry (stricter than
+/// `==`, which equates `0.0` with `-0.0`).
+fn same_bits(x: &Matrix, y: &Matrix) -> bool {
+    (x.nrows(), x.ncols()) == (y.nrows(), y.ncols())
+        && x.data()
+            .iter()
+            .zip(y.data())
+            .all(|(p, q)| p.to_bits() == q.to_bits())
+}
+
+/// Bit-for-bit equality of two factorizations. Walks the recorded
+/// transformations in schedule order first, so a failure names the first
+/// diverging op instead of a downstream symptom in `R`.
+fn assert_identical(want: &TileQrFactors, got: &TileQrFactors, what: &str) {
     assert_eq!(
-        f1.transform_count(),
-        f2.transform_count(),
-        "{what}: different transformation counts"
+        want.panels.len(),
+        got.panels.len(),
+        "{what}: panel counts differ"
     );
+    for (j, (pw, pg)) in want.panels.iter().zip(&got.panels).enumerate() {
+        assert_eq!(pw.len(), pg.len(), "{what}: panel {j} op counts differ");
+        for (q, (rw, rg)) in pw.iter().zip(pg).enumerate() {
+            let at = format!("{what}: panel {j} op {q}");
+            assert_eq!(rw.op, rg.op, "{at}: schedule order differs");
+            assert!(same_bits(&rw.v, &rg.v), "{at}: V differs for {:?}", rw.op);
+            assert!(same_bits(&rw.t, &rg.t), "{at}: T differs for {:?}", rw.op);
+        }
+    }
+    assert!(
+        same_bits(&want.r, &got.r),
+        "{what}: R differs though every recorded op matches"
+    );
+}
+
+/// Factor `a` with every engine that supports `opts` and require each to
+/// be identical to the sequential oracle: TSQR on 1 and 3 threads and the
+/// 3D VSA always; the compact array on flat / binary-on-flat trees; the
+/// domino array on flat trees.
+fn all_engines_identical(a: &Matrix, opts: &QrOptions, threads: usize) {
+    let cfg = RunConfig::smp(threads);
+    let what = |engine: &str| format!("{engine} vs seq, {}x{} {}", a.nrows(), a.ncols(), opts.tree);
+    let seq = tile_qr_seq(a, opts);
+    assert!(seq.residual(a) < 1e-13, "{}: residual", what("seq"));
+    assert_identical(&seq, &tile_qr_tsqr(a, opts, 1), &what("tsqr(1)"));
+    assert_identical(&seq, &tile_qr_tsqr(a, opts, 3), &what("tsqr(3)"));
+    assert_identical(&seq, &tile_qr_vsa(a, opts, &cfg).factors, &what("vsa3d"));
+    if matches!(opts.tree, Tree::Flat | Tree::BinaryOnFlat { .. }) {
+        let compact = tile_qr_compact(a, opts, &cfg).factors;
+        assert_identical(&seq, &compact, &what("compact"));
+    }
+    if opts.tree == Tree::Flat {
+        let domino = tile_qr_domino(a, opts, &cfg).factors;
+        assert_identical(&seq, &domino, &what("domino"));
+    }
 }
 
 #[test]
 fn four_engines_agree_hierarchical() {
     let mut rng = StdRng::seed_from_u64(2014);
-    let a = Matrix::random(48, 16, &mut rng);
     let opts = QrOptions::new(4, 2, Tree::BinaryOnFlat { h: 3 });
-    let seq = tile_qr_seq(&a, &opts);
-    let vsa = tile_qr_vsa(&a, &opts, &RunConfig::smp(4)).factors;
-    let compact = tile_qr_compact(&a, &opts, &RunConfig::smp(4)).factors;
-    check_same(&a, &seq, &vsa, "seq vs vsa3d");
-    check_same(&a, &seq, &compact, "seq vs compact");
+    // Tall, ragged last column block, and a wide grid (mt < nt).
+    for (m, n) in [(48, 16), (48, 14), (8, 14)] {
+        all_engines_identical(&Matrix::random(m, n, &mut rng), &opts, 4);
+    }
 }
 
 #[test]
 fn three_engines_agree_flat_plus_domino() {
     let mut rng = StdRng::seed_from_u64(7);
-    let a = Matrix::random(40, 16, &mut rng);
     let opts = QrOptions::new(4, 2, Tree::Flat);
-    let seq = tile_qr_seq(&a, &opts);
-    let vsa = tile_qr_vsa(&a, &opts, &RunConfig::smp(3)).factors;
-    let compact = tile_qr_compact(&a, &opts, &RunConfig::smp(3)).factors;
-    let domino = tile_qr_domino(&a, &opts, &RunConfig::smp(3)).factors;
-    check_same(&a, &seq, &vsa, "seq vs vsa3d");
-    check_same(&a, &seq, &compact, "seq vs compact");
-    check_same(&a, &seq, &domino, "seq vs domino");
+    for (m, n) in [(40, 16), (40, 13), (8, 14)] {
+        all_engines_identical(&Matrix::random(m, n, &mut rng), &opts, 3);
+    }
 }
 
 #[test]
 fn transforms_are_identical_not_just_r() {
-    // Beyond R: the recorded V/T trees must match op for op.
+    // Beyond R: the recorded V/T trees must match op for op, on the trees
+    // only the plan-driven engines run too.
     let mut rng = StdRng::seed_from_u64(99);
     let a = Matrix::random(24, 8, &mut rng);
-    let opts = QrOptions::new(4, 2, Tree::BinaryOnFlat { h: 2 });
-    let seq = tile_qr_seq(&a, &opts);
-    let compact = tile_qr_compact(&a, &opts, &RunConfig::smp(3)).factors;
-    assert_eq!(seq.panels.len(), compact.panels.len());
-    for (ps, pc) in seq.panels.iter().zip(&compact.panels) {
-        assert_eq!(ps.len(), pc.len());
-        for (rs, rc) in ps.iter().zip(pc) {
-            assert_eq!(rs.op, rc.op, "schedule order differs");
-            assert!(
-                rs.v.sub(&rc.v).norm_fro() < 1e-13,
-                "V differs for {:?}",
-                rs.op
-            );
-            assert!(
-                rs.t.sub(&rc.t).norm_fro() < 1e-13,
-                "T differs for {:?}",
-                rs.op
-            );
-        }
+    for tree in [
+        Tree::BinaryOnFlat { h: 2 },
+        Tree::Binary,
+        Tree::Greedy,
+        Tree::custom([3, 2]),
+    ] {
+        all_engines_identical(&a, &QrOptions::new(4, 2, tree), 3);
+    }
+}
+
+#[test]
+fn vsa_apply_is_identical_to_sequential_apply() {
+    let mut rng = StdRng::seed_from_u64(1553);
+    let a = Matrix::random(32, 12, &mut rng);
+    let b = Matrix::random(32, 3, &mut rng);
+    for tree in [Tree::Flat, Tree::Binary, Tree::BinaryOnFlat { h: 3 }] {
+        let f = tile_qr_seq(&a, &QrOptions::new(4, 2, tree.clone()));
+        let qb = apply_q_vsa(&f, &b, ApplyTrans::NoTrans, &RunConfig::smp(3));
+        assert!(same_bits(&qb, &f.apply_q(&b)), "{tree}: Q b differs");
+        let qtb = apply_q_vsa(&f, &b, ApplyTrans::Trans, &RunConfig::smp(3));
+        assert!(same_bits(&qtb, &f.apply_qt(&b)), "{tree}: Q^T b differs");
     }
 }
 
@@ -115,12 +158,7 @@ fn many_random_shapes_compact_vs_seq() {
             Tree::BinaryOnFlat { h }
         };
         let opts = QrOptions::new(nb, 2, tree);
-        let seq = tile_qr_seq(&a, &opts);
-        let compact = tile_qr_compact(&a, &opts, &RunConfig::smp(1 + case % 4)).factors;
-        assert!(
-            r_factor_distance(&seq.r, &compact.r) < 1e-11,
-            "case {case}: m={m} n={n} nb={nb} h={h}"
-        );
+        all_engines_identical(&a, &opts, 1 + case % 4);
     }
 }
 

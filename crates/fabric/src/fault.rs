@@ -78,33 +78,14 @@ impl FaultPlan {
     /// Unknown keys and malformed values are errors.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
-        for part in spec.split(',').filter(|s| !s.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("fault spec `{part}` is not key=value"))?;
-            let prob = |v: &str| -> Result<f64, String> {
-                let p: f64 = v
-                    .parse()
-                    .map_err(|_| format!("fault spec: `{v}` is not a number"))?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(format!("fault spec: probability {p} outside 0..=1"));
-                }
-                Ok(p)
-            };
+        for directive in directives(spec) {
+            let (key, value) = directive?;
             match key {
-                "seed" => {
-                    plan.seed = value
-                        .parse()
-                        .map_err(|_| format!("fault spec: bad seed `{value}`"))?
-                }
+                "seed" => plan.seed = num(key, value)?,
                 "drop" => plan.drop = prob(value)?,
                 "dup" => plan.duplicate = prob(value)?,
                 "delay" => plan.delay = prob(value)?,
-                "delay-steps" => {
-                    plan.delay_steps = value
-                        .parse()
-                        .map_err(|_| format!("fault spec: bad delay-steps `{value}`"))?
-                }
+                "delay-steps" => plan.delay_steps = num(key, value)?,
                 "corrupt" => plan.corrupt = prob(value)?,
                 "trunc" => plan.truncate = prob(value)?,
                 "kill" | "disconnect" => {
@@ -112,12 +93,8 @@ impl FaultPlan {
                         .split_once('@')
                         .ok_or_else(|| format!("fault spec: {key} `{value}` is not rank@sends"))?;
                     let spec = KillSpec {
-                        rank: rank
-                            .parse()
-                            .map_err(|_| format!("fault spec: bad {key} rank `{rank}`"))?,
-                        after_sends: sends
-                            .parse()
-                            .map_err(|_| format!("fault spec: bad {key} step `{sends}`"))?,
+                        rank: num(&format!("{key} rank"), rank)?,
+                        after_sends: num(&format!("{key} step"), sends)?,
                     };
                     if key == "kill" {
                         plan.kill = Some(spec);
@@ -132,11 +109,42 @@ impl FaultPlan {
     }
 }
 
-/// SplitMix64: tiny, seedable, and good enough to scatter faults.
-struct SplitMix64(u64);
+/// The `key=value` directives of a comma-separated fault spec. This is the
+/// front end every layer's fault plan shares (this crate's [`FaultPlan`],
+/// the serve front end's plan); each layer matches its own key set.
+pub fn directives(spec: &str) -> impl Iterator<Item = Result<(&str, &str), String>> {
+    spec.split(',').filter(|s| !s.is_empty()).map(|part| {
+        part.split_once('=')
+            .ok_or_else(|| format!("fault spec `{part}` is not key=value"))
+    })
+}
+
+/// Parse a probability directive value: a number in `0.0..=1.0`.
+pub fn prob(v: &str) -> Result<f64, String> {
+    let p: f64 = v
+        .parse()
+        .map_err(|_| format!("fault spec: `{v}` is not a number"))?;
+    if !(0.0..=1.0).contains(&p) {
+        return Err(format!("fault spec: probability {p} outside 0..=1"));
+    }
+    Ok(p)
+}
+
+/// Parse the numeric value of directive `key`.
+pub fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("fault spec: bad {key} `{value}`"))
+}
+
+/// SplitMix64: tiny, seedable, and good enough to scatter faults. Every
+/// injector derives its stream from the plan seed, so a given
+/// `(plan, traffic)` pair replays identically.
+pub struct SplitMix64(pub u64);
 
 impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
+    /// The next 64 random bits.
+    pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -145,11 +153,13 @@ impl SplitMix64 {
     }
 
     /// Uniform in `[0, 1)`.
-    fn next_f64(&mut self) -> f64 {
+    pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    fn roll(&mut self, p: f64) -> bool {
+    /// `true` with probability `p` (a zero `p` draws nothing, so adding a
+    /// disabled fault kind never shifts the stream).
+    pub fn roll(&mut self, p: f64) -> bool {
         p > 0.0 && self.next_f64() < p
     }
 }

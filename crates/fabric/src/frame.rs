@@ -15,6 +15,18 @@
 //! reconnect). Control kinds (heartbeat, ack, abort) carry whatever `seq`
 //! the sender stamps but do not advance the receiver's expected sequence.
 
+/// 32-bit FNV-1a: the one body checksum of the stack. The runtime's packet
+/// codec and checkpoint files, the server's WAL/snapshot records and its
+/// service frames all hash their bytes with this and mix their own
+/// tag/verb/handle on top, so it lives at the bottom of the crate graph.
+pub fn fnv1a(bytes: &[u8]) -> u32 {
+    let mut h: u32 = 0x811c_9dc5;
+    for &b in bytes {
+        h = (h ^ u32::from(b)).wrapping_mul(0x0100_0193);
+    }
+    h
+}
+
 /// Magic prefix of every frame.
 pub const MAGIC: [u8; 4] = *b"PSLF";
 

@@ -3,10 +3,10 @@
 //! [`crate::blas::dtrsm_upper_left`] divides blindly: a zero pivot turns
 //! the whole solution into inf/NaN garbage that only surfaces much later
 //! (or never, if the caller forwards it over a wire). The service needs a
-//! *typed* verdict instead, so [`back_substitute`] performs the same
-//! in-place back-substitution but refuses exactly-singular systems with
-//! [`SolveError::Singular`] naming the offending column. The loop holds no
-//! temporaries, so a warm solve against cached factors stays
+//! *typed* verdict instead, so [`back_substitute`] scans the pivots first,
+//! refuses exactly-singular systems with [`SolveError::Singular`] naming
+//! the offending column, and only then runs that same loop. Neither step
+//! holds temporaries, so a warm solve against cached factors stays
 //! allocation-free (proved in `tests/alloc_count.rs`).
 
 use crate::matrix::Matrix;
@@ -50,16 +50,7 @@ pub fn back_substitute(u: &Matrix, b: &mut Matrix) -> Result<(), SolveError> {
             return Err(SolveError::Singular { col: i });
         }
     }
-    for j in 0..b.ncols() {
-        let col = b.col_mut(j);
-        for i in (0..n).rev() {
-            let mut s = col[i];
-            for k in i + 1..n {
-                s -= u[(i, k)] * col[k];
-            }
-            col[i] = s / u[(i, i)];
-        }
-    }
+    crate::blas::dtrsm_upper_left(u, b);
     Ok(())
 }
 

@@ -98,6 +98,13 @@ impl TileMatrix {
         &mut self.tiles[i * self.nt + j]
     }
 
+    /// The whole grid, row-major (tile `(i, j)` at `i * nt + j`): the tiles
+    /// of consecutive block rows are one contiguous chunk, so disjoint row
+    /// ranges can be split off and mutated on different threads.
+    pub fn tiles_mut(&mut self) -> &mut [Matrix] {
+        &mut self.tiles
+    }
+
     /// Replace tile `(i, j)`, returning the old one.
     pub fn replace_tile(&mut self, i: usize, j: usize, t: Matrix) -> Matrix {
         std::mem::replace(&mut self.tiles[i * self.nt + j], t)

@@ -21,6 +21,7 @@
 use crate::channel::ChannelState;
 use crate::packet::{Packet, PacketRegistry, WireError};
 use crate::tuple::Tuple;
+use pulsar_fabric::fnv1a;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -177,15 +178,6 @@ pub(crate) fn entry_of(v: &crate::vdp::VdpState) -> VdpEntry {
             })
             .collect(),
     }
-}
-
-/// FNV-1a over the body (same hash the packet codec uses).
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h = (h ^ b as u32).wrapping_mul(0x0100_0193);
-    }
-    h
 }
 
 // ---- body writers ---------------------------------------------------------

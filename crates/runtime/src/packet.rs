@@ -256,11 +256,7 @@ impl PacketRegistry {
 /// FNV-1a over the body, mixed with the tag so the same bytes under a
 /// different tag do not collide.
 fn body_checksum(tag: u32, body: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in body {
-        h = (h ^ b as u32).wrapping_mul(0x0100_0193);
-    }
-    h ^ tag.wrapping_mul(0x9e37_79b9)
+    pulsar_fabric::fnv1a(body) ^ tag.wrapping_mul(0x9e37_79b9)
 }
 
 // ---- standard codecs (tags 1-15 reserved for the runtime) ----

@@ -10,11 +10,7 @@ use pulsar_runtime::{Packet, PacketRegistry, WireError};
 /// Mirror of the codec's checksum (FNV-1a over the body, mixed with the
 /// tag) so tests can hand-build valid `[tag][crc][body]` frames.
 fn checksum(tag: u32, body: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in body {
-        h = (h ^ b as u32).wrapping_mul(0x0100_0193);
-    }
-    h ^ tag.wrapping_mul(0x9e37_79b9)
+    pulsar_fabric::fnv1a(body) ^ tag.wrapping_mul(0x9e37_79b9)
 }
 
 /// Build a wire buffer with a correct checksum for an arbitrary tag/body.

@@ -6,10 +6,12 @@
 //! a dead air ACK and must retry idempotently), delays it (read deadlines
 //! fire), flips a byte in it (the client's decoder must reject the frame
 //! with a typed error, never trust it), or severs the connection outright.
-//! All randomness comes from a hand-rolled SplitMix64 stream seeded by the
-//! plan and the connection index, so a given `(plan, traffic)` pair
-//! replays identically.
+//! The spec grammar (`key=value,...`), the probability validator and the
+//! SplitMix64 stream are the fabric's; this layer adds only its own
+//! directive set. The stream is seeded by the plan and the connection
+//! index, so a given `(plan, traffic)` pair replays identically.
 
+use pulsar_fabric::fault::{directives, num, prob, SplitMix64};
 use std::time::Duration;
 
 /// What to inject into serve replies, with what probability (all in
@@ -74,81 +76,22 @@ impl ServeFaultPlan {
     /// and malformed values are errors.
     pub fn parse(spec: &str) -> Result<ServeFaultPlan, String> {
         let mut plan = ServeFaultPlan::default();
-        for part in spec.split(',').filter(|s| !s.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("fault spec `{part}` is not key=value"))?;
-            let prob = |v: &str| -> Result<f64, String> {
-                let p: f64 = v
-                    .parse()
-                    .map_err(|_| format!("fault spec: `{v}` is not a number"))?;
-                if !(0.0..=1.0).contains(&p) {
-                    return Err(format!("fault spec: probability {p} outside 0..=1"));
-                }
-                Ok(p)
-            };
+        for directive in directives(spec) {
+            let (key, value) = directive?;
             match key {
-                "seed" => {
-                    plan.seed = value
-                        .parse()
-                        .map_err(|_| format!("fault spec: bad seed `{value}`"))?
-                }
+                "seed" => plan.seed = num(key, value)?,
                 "drop" => plan.drop = prob(value)?,
                 "delay" => plan.delay = prob(value)?,
-                "delay-ms" => {
-                    plan.delay_ms = value
-                        .parse()
-                        .map_err(|_| format!("fault spec: bad delay-ms `{value}`"))?
-                }
+                "delay-ms" => plan.delay_ms = num(key, value)?,
                 "corrupt" => plan.corrupt = prob(value)?,
                 "disconnect" => plan.disconnect = prob(value)?,
-                "panic-job" => {
-                    plan.panic_job = Some(
-                        value
-                            .parse()
-                            .map_err(|_| format!("fault spec: bad panic-job `{value}`"))?,
-                    )
-                }
-                "die" => {
-                    plan.die = Some(
-                        value
-                            .parse()
-                            .map_err(|_| format!("fault spec: bad die `{value}`"))?,
-                    )
-                }
-                "sched-delay-ms" => {
-                    plan.sched_delay_ms = Some(
-                        value
-                            .parse()
-                            .map_err(|_| format!("fault spec: bad sched-delay-ms `{value}`"))?,
-                    )
-                }
+                "panic-job" => plan.panic_job = Some(num(key, value)?),
+                "die" => plan.die = Some(num(key, value)?),
+                "sched-delay-ms" => plan.sched_delay_ms = Some(num(key, value)?),
                 k => return Err(format!("fault spec: unknown key `{k}`")),
             }
         }
         Ok(plan)
-    }
-}
-
-/// SplitMix64: tiny, seedable, and good enough to scatter faults.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform in `[0, 1)`.
-    fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn roll(&mut self, p: f64) -> bool {
-        p > 0.0 && self.next_f64() < p
     }
 }
 

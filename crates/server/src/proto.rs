@@ -12,7 +12,7 @@
 //! u64][column-major f64]`, all little-endian.
 
 use pulsar_fabric::frame::{
-    decode_header, encode_header, FrameError, FrameHeader, FrameKind, HEADER_LEN,
+    decode_header, encode_header, fnv1a, FrameError, FrameHeader, FrameKind, HEADER_LEN,
 };
 use pulsar_linalg::Matrix;
 use pulsar_runtime::packet::{decode_matrix_body, encode_matrix_body};
@@ -483,12 +483,7 @@ impl std::error::Error for ProtoError {}
 /// cannot be replayed as a different verb or request. Same constants as
 /// the runtime packet codec.
 fn service_crc(verb: u32, seq: u64, payload: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in payload {
-        h = (h ^ u32::from(b)).wrapping_mul(0x0100_0193);
-    }
-    h ^= verb.wrapping_mul(0x9e37_79b9);
-    h ^ (seq as u32) ^ ((seq >> 32) as u32)
+    fnv1a(payload) ^ verb.wrapping_mul(0x9e37_79b9) ^ (seq as u32) ^ ((seq >> 32) as u32)
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {

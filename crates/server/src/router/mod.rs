@@ -22,6 +22,7 @@ pub mod placement;
 
 use crate::client::{Client, ClientError};
 use crate::proto::{self, ErrCode, JobState, Msg};
+use crate::service::latency_percentiles;
 use ledger::{Assignment, Entry, Ledger, Outcome};
 use membership::{Caps, Health, Membership};
 use parking_lot::{Condvar, Mutex};
@@ -603,15 +604,7 @@ impl Router {
     pub fn stats_json(&self, nodes_json: &str) -> String {
         let st = self.state.lock();
         let uptime = self.started.elapsed().as_secs_f64().max(1e-9);
-        let mut lat = st.latencies_ms.clone();
-        lat.sort_by(|a, b| a.total_cmp(b));
-        let pct = |p: f64| -> f64 {
-            if lat.is_empty() {
-                0.0
-            } else {
-                lat[((lat.len() - 1) as f64 * p).round() as usize]
-            }
-        };
+        let [p50, p90, p99] = latency_percentiles(&st.latencies_ms);
         let c = &st.counters;
         format!(
             "{{\"router\":true,\"jobs_done\":{},\"jobs_failed\":{},\
@@ -632,9 +625,9 @@ impl Router {
             c.idem_hits,
             c.joins,
             c.leaves,
-            pct(0.50),
-            pct(0.90),
-            pct(0.99),
+            p50,
+            p90,
+            p99,
             c.done as f64 / uptime,
             st.ledger.inflight(),
             uptime,

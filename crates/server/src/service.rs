@@ -740,15 +740,7 @@ impl Service {
         let store_json = self.store.lock().stats_json();
         let st = self.state.lock();
         let uptime = self.started.elapsed().as_secs_f64().max(1e-9);
-        let mut lat = st.latencies_ms.clone();
-        lat.sort_by(|a, b| a.total_cmp(b));
-        let pct = |p: f64| -> f64 {
-            if lat.is_empty() {
-                0.0
-            } else {
-                lat[((lat.len() - 1) as f64 * p).round() as usize]
-            }
-        };
+        let [p50, p90, p99] = latency_percentiles(&st.latencies_ms);
         let c = &st.counters;
         format!(
             "{{\"jobs_done\":{},\"jobs_failed\":{},\"jobs_cancelled\":{},\
@@ -769,9 +761,9 @@ impl Service {
             c.panicked,
             c.redispatched,
             self.pool.respawns(),
-            pct(0.50),
-            pct(0.90),
-            pct(0.99),
+            p50,
+            p90,
+            p99,
             c.done as f64 / uptime,
             st.queue.len(),
             st.queue_peak,
@@ -1134,6 +1126,18 @@ impl Drop for Service {
             let _ = handle.join();
         }
     }
+}
+
+/// Nearest-rank p50/p90/p99 of a latency sample (all zero when empty) —
+/// the percentiles both the service's and the router's stats rollups
+/// report.
+pub(crate) fn latency_percentiles(latencies_ms: &[f64]) -> [f64; 3] {
+    let mut lat = latencies_ms.to_vec();
+    lat.sort_by(|a, b| a.total_cmp(b));
+    [0.50, 0.90, 0.99].map(|p| match lat.len() {
+        0 => 0.0,
+        n => lat[((n - 1) as f64 * p).round() as usize],
+    })
 }
 
 #[cfg(test)]

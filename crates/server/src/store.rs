@@ -32,6 +32,7 @@
 
 use parking_lot::Mutex;
 use pulsar_core::{Reflectors, TileQrFactors};
+use pulsar_fabric::fnv1a;
 use pulsar_linalg::Matrix;
 use pulsar_runtime::packet::{decode_matrix_body, encode_matrix_body, PacketCodec};
 use std::collections::{BTreeMap, HashMap};
@@ -439,15 +440,6 @@ impl From<std::io::Error> for WalError {
     fn from(e: std::io::Error) -> Self {
         WalError::Io(e)
     }
-}
-
-/// FNV-1a, the same checksum the runtime's checkpoint files use.
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h = (h ^ b as u32).wrapping_mul(0x0100_0193);
-    }
-    h
 }
 
 /// Record checksum binds the body to its kind and handle, so a record

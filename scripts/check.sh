@@ -6,6 +6,30 @@ set -eu
 cd "$(dirname "$0")/.."
 
 cargo fmt --all --check
+
+# Re-duplication guard (grep only, always on). The six tile kernels are
+# called from one file, so bit-identity across executors holds by
+# construction; the FNV-1a checksum and the fault injectors' SplitMix64
+# each exist once, so wire/disk formats and seed->fault sequences cannot
+# drift apart between layers. Prints the offending file:line.
+dup=0
+hits=$(grep -nE '\b(geqrt|unmqr|tsqrt|tsmqr|ttqrt|ttmqr)(_ws)?\(' crates/core/src/*.rs \
+    | grep -v '^crates/core/src/ops\.rs:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$hits" ]; then
+    echo "guard: tile kernels may be called only from crates/core/src/ops.rs:" >&2
+    echo "$hits" >&2
+    dup=1
+fi
+for pat in '0x811c_9dc5' 'struct SplitMix64'; do
+    hits=$(grep -rn --include='*.rs' -F "$pat" src crates/*/src || true)
+    if [ "$(printf '%s\n' "$hits" | cut -d: -f1 | sort -u | grep -c .)" -ne 1 ]; then
+        echo "guard: \`$pat\` must appear in exactly one non-test source file:" >&2
+        echo "$hits" >&2
+        dup=1
+    fi
+done
+[ "$dup" -eq 0 ] || exit 1
+
 cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo build --offline --workspace --release
 cargo test --offline --workspace -q
