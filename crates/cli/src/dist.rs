@@ -28,6 +28,7 @@ use pulsar_core::vsa3d::tile_qr_vsa_partial;
 use pulsar_core::{wire_registry, QrOptions};
 use pulsar_linalg::Matrix;
 use pulsar_runtime::{Backend, FaultPlan, RetryPolicy, RunConfig, TcpBackend};
+use pulsar_tuner::json::obj;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -595,27 +596,23 @@ pub fn worker(args: &Args) -> Result<String, CliError> {
             s.retried_sends,
             s.quarantined_vdps
         );
-        // Machine-readable recovery counters (hand-rolled JSON, one line).
-        println!(
-            "STATS-JSON {{\"fired\":{},\"remote_msgs\":{},\"wire_bytes_sent\":{},\
-             \"wire_bytes_recv\":{},\"heartbeats_sent\":{},\"heartbeats_missed\":{},\
-             \"reconnect_attempts\":{},\"retried_sends\":{},\"quarantined_vdps\":{},\
-             \"checkpoints_written\":{},\"checkpoint_bytes\":{},\"frames_replayed\":{},\
-             \"retries_healed\":{}}}",
-            s.fired,
-            s.remote_msgs,
-            s.wire_bytes_sent,
-            s.wire_bytes_recv,
-            s.heartbeats_sent,
-            s.heartbeats_missed,
-            s.reconnect_attempts,
-            s.retried_sends,
-            s.quarantined_vdps,
-            s.checkpoints_written,
-            s.checkpoint_bytes,
-            s.frames_replayed,
-            s.retries_healed
-        );
+        // Machine-readable recovery counters, one line.
+        let counters = obj([
+            ("fired", s.fired.into()),
+            ("remote_msgs", s.remote_msgs.into()),
+            ("wire_bytes_sent", s.wire_bytes_sent.into()),
+            ("wire_bytes_recv", s.wire_bytes_recv.into()),
+            ("heartbeats_sent", s.heartbeats_sent.into()),
+            ("heartbeats_missed", s.heartbeats_missed.into()),
+            ("reconnect_attempts", s.reconnect_attempts.into()),
+            ("retried_sends", s.retried_sends.into()),
+            ("quarantined_vdps", s.quarantined_vdps.into()),
+            ("checkpoints_written", s.checkpoints_written.into()),
+            ("checkpoint_bytes", s.checkpoint_bytes.into()),
+            ("frames_replayed", s.frames_replayed.into()),
+            ("retries_healed", s.retries_healed.into()),
+        ]);
+        println!("STATS-JSON {}", counters.write());
     }
     if ft.fault_plan.is_some() {
         // Audit line for chaos runs: what the injector actually did.

@@ -41,18 +41,21 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
     .map_err(CliError::usage)?;
     let port: u16 = args.opt("port", 0)?;
     let trace_out = args.get("trace-out").map(str::to_string);
+    let d = ServeConfig::default();
     let cfg = ServeConfig {
-        threads: args.opt("threads", 2)?,
-        queue_cap: args.opt("queue-cap", 32)?,
-        batch_max: args.opt("batch-max", 4)?,
-        batch_bytes: args.opt::<usize>("batch-mb", 64)? << 20,
-        default_retry_after_ms: args.opt("retry-ms", 50)?,
-        retry_budget: args.opt("retry-budget", 2)?,
-        store_bytes: args.opt::<usize>("store-mb", 256)? << 20,
+        threads: args.opt("threads", d.threads)?,
+        queue_cap: args.opt("queue-cap", d.queue_cap)?,
+        batch_max: args.opt("batch-max", d.batch_max)?,
+        batch_bytes: args.opt("batch-mb", d.batch_bytes >> 20)? << 20,
+        default_retry_after_ms: args.opt("retry-ms", d.default_retry_after_ms)?,
+        retry_budget: args.opt("retry-budget", d.retry_budget)?,
+        store_bytes: args.opt("store-mb", d.store_bytes >> 20)? << 20,
         store_path: args.get("store-path").map(std::path::PathBuf::from),
-        idem_cap: args.opt("idem-cap", 1024)?,
-        drain_grace: Duration::from_millis(args.opt("drain-grace-ms", 250)?),
-        wal_compact_bytes: args.opt::<u64>("wal-compact-mb", 32)? << 20,
+        idem_cap: args.opt("idem-cap", d.idem_cap)?,
+        drain_grace: Duration::from_millis(
+            args.opt("drain-grace-ms", d.drain_grace.as_millis() as u64)?,
+        ),
+        wal_compact_bytes: args.opt("wal-compact-mb", d.wal_compact_bytes >> 20)? << 20,
         trace: trace_out.is_some(),
         profile_path: args.get("profile").map(std::path::PathBuf::from),
     };

@@ -27,6 +27,79 @@ pub fn fnv1a(bytes: &[u8]) -> u32 {
     h
 }
 
+/// Append `v` little-endian. With [`put_u64`], [`put_str`] and [`Cursor`]
+/// this is the one byte-level writer/reader pair under the packet codec,
+/// checkpoint files, the server's WAL/snapshot and its service frames.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append `v` little-endian.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append `s` as `[len u32][UTF-8 bytes]`.
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u32(out, s.len() as u32);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// The bytes ended before the layout said they would. Each format converts
+/// this into its own truncation error.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Truncated;
+
+/// Bounds-checked little-endian reader over a byte slice: every read
+/// either succeeds or returns [`Truncated`] — arbitrary input never panics.
+pub struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    /// Start reading at the front of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Cursor(buf)
+    }
+
+    /// The next `n` bytes.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], Truncated> {
+        if self.0.len() < n {
+            return Err(Truncated);
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], Truncated> {
+        Ok(self.bytes(N)?.try_into().expect("bytes(N) returns N bytes"))
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, Truncated> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, Truncated> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    /// A little-endian `i32`.
+    pub fn i32(&mut self) -> Result<i32, Truncated> {
+        self.array().map(i32::from_le_bytes)
+    }
+
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, Truncated> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// The unread tail.
+    pub fn rest(&self) -> &'a [u8] {
+        self.0
+    }
+}
+
 /// Magic prefix of every frame.
 pub const MAGIC: [u8; 4] = *b"PSLF";
 
@@ -219,6 +292,28 @@ pub fn decode_header(buf: &[u8]) -> Result<FrameHeader, FrameError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cursor_reads_back_what_the_writers_put_and_never_overruns() {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 0xDEAD_BEEF);
+        put_u64(&mut buf, u64::MAX - 1);
+        put_str(&mut buf, "hier:4");
+        buf.extend_from_slice(&(-7i32).to_le_bytes());
+        let mut c = Cursor::new(&buf);
+        assert_eq!(c.u32(), Ok(0xDEAD_BEEF));
+        assert_eq!(c.u64(), Ok(u64::MAX - 1));
+        let len = c.u32().unwrap() as usize;
+        assert_eq!(c.bytes(len), Ok(&b"hier:4"[..]));
+        assert_eq!(c.i32(), Ok(-7));
+        assert!(c.rest().is_empty());
+        assert_eq!(c.u8(), Err(Truncated));
+        // A failed read consumes nothing.
+        let mut short = Cursor::new(&buf[..3]);
+        assert_eq!(short.u32(), Err(Truncated));
+        assert_eq!(short.rest().len(), 3);
+        assert_eq!(short.bytes(usize::MAX), Err(Truncated));
+    }
 
     #[test]
     fn roundtrip_data_header() {

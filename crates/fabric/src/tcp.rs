@@ -617,8 +617,8 @@ impl TcpFabric {
         let mut progressed = false;
         let mut fatal: Option<FabricError> = None;
         let retry_enabled = self.retry.attempts > 0;
-        let retry_attempts = self.retry.attempts;
         let mut want_ack: Vec<NodeId> = Vec::new();
+        let mut to_recover: Vec<NodeId> = Vec::new();
         'peers: for (peer_rank, slot) in self.peers.iter_mut().enumerate() {
             let Some(peer) = slot.as_mut() else { continue };
             if peer.stream.is_none() {
@@ -627,6 +627,9 @@ impl TcpFabric {
             // `Some(None)` = connection gone cleanly (EOF / closed socket),
             // `Some(Some(e))` = I/O error. Dispatched after parsing.
             let mut fault: Option<Option<FabricError>> = None;
+            // A write found the peer gone; reported only after its read
+            // side is drained.
+            let mut hung_up = false;
 
             // Writes: drain the outbound queue as far as the kernel allows.
             while fault.is_none() && !peer.out.is_empty() {
@@ -666,6 +669,20 @@ impl TcpFabric {
                         self.health.retried_sends += 1;
                         continue;
                     }
+                    // The peer closed its end. What it sent before leaving
+                    // (an abort frame, its final barrier) may still sit in
+                    // our receive buffer, so read that first.
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            std::io::ErrorKind::BrokenPipe
+                                | std::io::ErrorKind::ConnectionReset
+                                | std::io::ErrorKind::ConnectionAborted
+                        ) =>
+                    {
+                        hung_up = true;
+                        break;
+                    }
                     Err(e) => {
                         fault = Some(Some(FabricError::Io {
                             peer: Some(peer_rank),
@@ -701,6 +718,10 @@ impl TcpFabric {
                         }));
                     }
                 }
+            }
+
+            if hung_up {
+                fault = Some(Some(FabricError::PeerClosed { peer: peer_rank }));
             }
 
             // Parse complete frames (even when the connection just died:
@@ -778,18 +799,7 @@ impl TcpFabric {
             if let Some(cause) = fault {
                 let heal = retry_enabled && !peer.replay_overflow && !peer.aborted && !peer.eof;
                 if heal {
-                    peer.stream = None;
-                    peer.inbuf.clear();
-                    peer.reconnect = Some(Reconnect {
-                        attempts_left: retry_attempts,
-                        next_at: Instant::now(),
-                    });
-                    let drained: Vec<OutFrame> = peer.out.drain(..).collect();
-                    for f in drained {
-                        if self.send_ops.contains_key(&f.op) {
-                            self.counts.insert(f.op, f.count);
-                        }
-                    }
+                    to_recover.push(peer_rank);
                 } else {
                     peer.eof = true;
                     if let Some(e) = cause {
@@ -809,6 +819,9 @@ impl TcpFabric {
                 // stays bounded.
                 want_ack.push(peer_rank);
             }
+        }
+        for r in to_recover {
+            self.start_recovery(r);
         }
         for dst in want_ack {
             self.queue_frame(dst, FrameKind::Ack, Vec::new(), NO_OP, 0);
@@ -1131,6 +1144,40 @@ mod tests {
         assert_eq!(f0.test(r), Err(FabricError::PeerClosed { peer: 1 }));
         assert_eq!(
             f0.post_send(1, 0, vec![1], 1),
+            Err(FabricError::PeerClosed { peer: 1 })
+        );
+    }
+
+    #[test]
+    fn write_to_a_peer_that_already_closed_is_peer_closed_not_io() {
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addrs = vec![
+            l0.local_addr().unwrap().to_string(),
+            l1.local_addr().unwrap().to_string(),
+        ];
+        let a1 = addrs.clone();
+        let t = std::thread::spawn(move || {
+            // A "rank 1" that handshakes, waits for our first frame, and
+            // hangs up without reading it: the kernel answers the unread
+            // bytes with a reset, so our next write fails outright.
+            let mut s = TcpStream::connect(&a1[0]).unwrap();
+            s.write_all(&1u32.to_le_bytes()).unwrap();
+            s.peek(&mut [0u8; 1]).unwrap();
+        });
+        let mut f0 = TcpFabric::connect(0, l0, &addrs, Duration::from_secs(5)).unwrap();
+        f0.post_send(1, 0, vec![1], 1).unwrap();
+        t.join().unwrap();
+        // Wait for the reset on the raw socket, not through the fabric: a
+        // pump would notice it on the read side first.
+        let stream = f0.peers[1].as_ref().unwrap().stream.as_ref().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while stream.take_error().unwrap().is_none() {
+            assert!(Instant::now() < deadline, "reset never arrived");
+            std::thread::yield_now();
+        }
+        assert_eq!(
+            f0.post_send(1, 0, vec![2], 1),
             Err(FabricError::PeerClosed { peer: 1 })
         );
     }

@@ -22,6 +22,7 @@ use crate::channel::ChannelState;
 use crate::packet::{Packet, PacketRegistry, WireError};
 use crate::tuple::Tuple;
 use pulsar_fabric::fnv1a;
+use pulsar_fabric::frame::{put_u32, put_u64, Cursor, Truncated};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
@@ -91,6 +92,12 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+impl From<Truncated> for CheckpointError {
+    fn from(_: Truncated) -> Self {
+        CheckpointError::Truncated
+    }
+}
 
 impl From<WireError> for CheckpointError {
     fn from(e: WireError) -> Self {
@@ -182,14 +189,6 @@ pub(crate) fn entry_of(v: &crate::vdp::VdpState) -> VdpEntry {
 
 // ---- body writers ---------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn put_tuple(out: &mut Vec<u8>, t: &Tuple) -> Result<(), CheckpointError> {
     let ids = t.ids();
     if ids.len() > u8::MAX as usize {
@@ -214,67 +213,23 @@ fn put_packets(out: &mut Vec<u8>, packets: &[Packet]) -> Result<(), CheckpointEr
 
 // ---- body reader ----------------------------------------------------------
 
-/// Bounds-checked little-endian cursor: every read either succeeds or
-/// returns [`CheckpointError::Truncated`] — arbitrary input never panics.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn read_tuple(r: &mut Cursor<'_>) -> Result<Tuple, CheckpointError> {
+    let arity = r.u8()? as usize;
+    let mut ids = Vec::with_capacity(arity);
+    for _ in 0..arity {
+        ids.push(r.i32()?);
+    }
+    Ok(Tuple::new(ids))
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+fn read_packets(r: &mut Cursor<'_>, reg: &PacketRegistry) -> Result<Vec<Packet>, CheckpointError> {
+    let n = r.u64()?;
+    let mut packets = Vec::new();
+    for _ in 0..n {
+        let len = r.u64()? as usize;
+        packets.push(reg.decode(r.bytes(len)?)?);
     }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        let end = self.pos.checked_add(n).ok_or(CheckpointError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(CheckpointError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-
-    fn i32(&mut self) -> Result<i32, CheckpointError> {
-        Ok(i32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
-    }
-
-    fn tuple(&mut self) -> Result<Tuple, CheckpointError> {
-        let arity = self.u8()? as usize;
-        let mut ids = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            ids.push(self.i32()?);
-        }
-        Ok(Tuple::new(ids))
-    }
-
-    fn packets(&mut self, reg: &PacketRegistry) -> Result<Vec<Packet>, CheckpointError> {
-        let n = self.u64()?;
-        let mut packets = Vec::new();
-        for _ in 0..n {
-            let len = self.u64()? as usize;
-            let body = self.bytes(len)?;
-            packets.push(reg.decode(body).map_err(CheckpointError::from)?);
-        }
-        Ok(packets)
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
+    Ok(packets)
 }
 
 fn channel_state_byte(s: ChannelState) -> u8 {
@@ -360,16 +315,14 @@ pub fn decode(bytes: &[u8], reg: &PacketRegistry) -> Result<RankCheckpoint, Chec
     if bytes.len() < HEADER_LEN {
         return Err(CheckpointError::Truncated);
     }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+    let mut head = Cursor::new(&bytes[4..]);
+    let version = head.u32()?;
     if version != VERSION {
         return Err(CheckpointError::Version(version));
     }
-    let rank = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-    let nodes = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-    let epoch = u64::from_le_bytes(bytes[16..24].try_into().unwrap());
-    let body_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
-    let expected = u32::from_le_bytes(bytes[32..36].try_into().unwrap());
-    let body = &bytes[HEADER_LEN..];
+    let (rank, nodes) = (head.u32()? as usize, head.u32()? as usize);
+    let (epoch, body_len, expected) = (head.u64()?, head.u64()?, head.u32()?);
+    let body = head.rest();
     if (body.len() as u64) < body_len {
         return Err(CheckpointError::Truncated);
     }
@@ -381,11 +334,11 @@ pub fn decode(bytes: &[u8], reg: &PacketRegistry) -> Result<RankCheckpoint, Chec
         return Err(CheckpointError::Checksum { expected, got });
     }
 
-    let mut r = Reader::new(body);
+    let mut r = Cursor::new(body);
     let n_vdps = r.u64()?;
     let mut vdps = Vec::new();
     for _ in 0..n_vdps {
-        let tuple = r.tuple()?;
+        let tuple = read_tuple(&mut r)?;
         let counter = r.u32()?;
         let fired = r.u32()?;
         let logic_len = r.u64()? as usize;
@@ -397,7 +350,7 @@ pub fn decode(bytes: &[u8], reg: &PacketRegistry) -> Result<RankCheckpoint, Chec
                 0 => slots.push(None),
                 1 => {
                     let state = channel_state_from(r.u8()?)?;
-                    let packets = r.packets(reg)?;
+                    let packets = read_packets(&mut r, reg)?;
                     slots.push(Some(SlotEntry { state, packets }));
                 }
                 _ => return Err(CheckpointError::Malformed("bad slot presence byte")),
@@ -414,16 +367,16 @@ pub fn decode(bytes: &[u8], reg: &PacketRegistry) -> Result<RankCheckpoint, Chec
     let n_exits = r.u64()?;
     let mut exits = Vec::new();
     for _ in 0..n_exits {
-        let tuple = r.tuple()?;
+        let tuple = read_tuple(&mut r)?;
         let slot = r.u32()? as usize;
-        let packets = r.packets(reg)?;
+        let packets = read_packets(&mut r, reg)?;
         exits.push(ExitEntry {
             tuple,
             slot,
             packets,
         });
     }
-    if !r.done() {
+    if !r.rest().is_empty() {
         return Err(CheckpointError::Malformed("trailing bytes in body"));
     }
     Ok(RankCheckpoint {

@@ -15,6 +15,7 @@
 //! with the tag) means a corrupted payload is rejected as
 //! [`WireError::Checksum`] instead of silently decoding to wrong data.
 
+use pulsar_fabric::frame::{put_u64, Cursor, Truncated};
 use pulsar_linalg::Matrix;
 use std::any::Any;
 use std::collections::HashMap;
@@ -57,6 +58,12 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<Truncated> for WireError {
+    fn from(_: Truncated) -> Self {
+        WireError::Truncated
+    }
+}
 
 /// A payload type that can cross a byte-oriented fabric.
 ///
@@ -285,8 +292,8 @@ impl PacketCodec for Matrix {
 /// little-endian. Public so application codecs (e.g. reflector payloads)
 /// can nest matrices in their own bodies.
 pub fn encode_matrix_body(m: &Matrix, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(m.nrows() as u64).to_le_bytes());
-    out.extend_from_slice(&(m.ncols() as u64).to_le_bytes());
+    put_u64(out, m.nrows() as u64);
+    put_u64(out, m.ncols() as u64);
     for &x in m.data() {
         out.extend_from_slice(&x.to_le_bytes());
     }
@@ -295,24 +302,24 @@ pub fn encode_matrix_body(m: &Matrix, out: &mut Vec<u8>) {
 /// Parse a matrix written by [`encode_matrix_body`] off the front of
 /// `body`, returning it with the unconsumed tail.
 pub fn decode_matrix_body(body: &[u8]) -> Result<(Matrix, &[u8]), WireError> {
-    if body.len() < 16 {
-        return Err(WireError::Truncated);
-    }
-    let nrows = u64::from_le_bytes(body[0..8].try_into().unwrap()) as usize;
-    let ncols = u64::from_le_bytes(body[8..16].try_into().unwrap()) as usize;
+    let mut c = Cursor::new(body);
+    Ok((read_matrix(&mut c)?, c.rest()))
+}
+
+/// [`decode_matrix_body`] for callers already walking a [`Cursor`].
+pub fn read_matrix(c: &mut Cursor<'_>) -> Result<Matrix, WireError> {
+    let nrows = c.u64()? as usize;
+    let ncols = c.u64()? as usize;
     let need = nrows
         .checked_mul(ncols)
         .and_then(|n| n.checked_mul(8))
         .ok_or(WireError::Malformed("matrix dimensions overflow"))?;
-    let rest = &body[16..];
-    if rest.len() < need {
-        return Err(WireError::Truncated);
-    }
-    let data = rest[..need]
+    let data = c
+        .bytes(need)?
         .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+        .map(|x| f64::from_le_bytes(x.try_into().unwrap()))
         .collect();
-    Ok((Matrix::from_col_major(nrows, ncols, data), &rest[need..]))
+    Ok(Matrix::from_col_major(nrows, ncols, data))
 }
 
 macro_rules! le_scalar_codec {

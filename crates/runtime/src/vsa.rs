@@ -4,14 +4,16 @@ use crate::channel::{ChannelQueue, ChannelSpec};
 use crate::checkpoint::{self, CheckpointError, RankCheckpoint, VdpEntry};
 use crate::error::RunError;
 use crate::net::{NetModel, RouteTable};
-use crate::packet::{Packet, PacketRegistry};
+use crate::packet::{Packet, PacketRegistry, WireError};
 use crate::pool::{PoolJob, VsaPool};
 use crate::sched::{worker_loop, OutgoingQueue, ThreadNotifier};
 use crate::trace::{Trace, TraceCollector};
 use crate::tuple::Tuple;
 use crate::vdp::{OutputTarget, VdpSpec, VdpState, WorkerScratch};
 use parking_lot::Mutex;
-use pulsar_fabric::{FaultLog, FaultPlan, FaultyFabric, InProcFabric, RetryPolicy, TcpFabric};
+use pulsar_fabric::{
+    Fabric, FaultLog, FaultPlan, FaultyFabric, InProcFabric, RetryPolicy, TcpFabric,
+};
 use std::collections::HashMap;
 use std::net::TcpListener;
 use std::ops::Range;
@@ -912,7 +914,7 @@ impl Vsa {
             mut per_thread,
             node_shared: node_shared_arc,
             all_queues,
-            mut routes,
+            routes,
             local_nodes,
             t0,
         } = self.prepare(config)?;
@@ -953,6 +955,18 @@ impl Vsa {
             }
             // Proxies (one per local node, matching the paper's PRT layout).
             if nodes > 1 {
+                let mut proxies = Proxies {
+                    scope,
+                    shared,
+                    node_shared,
+                    routes,
+                    capture: &capture,
+                };
+                // A byte fabric's codec pair: packets cross as wire bytes.
+                let wire_codec = |registry: &Arc<PacketRegistry>| {
+                    let registry = registry.clone();
+                    (wire_encode, move |buf: Vec<u8>| registry.decode(&buf))
+                };
                 match &config.backend {
                     Backend::InProcess if config.fault.is_some() => {
                         // Chaos mode: packets cross the in-process "network"
@@ -962,134 +976,65 @@ impl Vsa {
                         let plan = config.fault.clone().unwrap();
                         let registry = config
                             .chaos_registry
-                            .clone()
+                            .as_ref()
                             .expect("fault injection on InProcess requires with_fault's registry");
                         let mesh = InProcFabric::<Vec<u8>>::mesh(nodes);
                         for (node, fabric) in mesh.into_iter().enumerate() {
                             let fabric = FaultyFabric::new(fabric, plan.clone());
-                            let rt = std::mem::take(&mut routes[node]);
-                            let registry = registry.clone();
-                            let ns = &node_shared[node];
-                            let capture = &capture;
-                            scope.spawn(move || {
-                                let r =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        crate::net::proxy_loop(
-                                            node,
-                                            fabric,
-                                            rt,
-                                            &ns.outgoing,
-                                            shared,
-                                            |p: &Packet| {
-                                                let buf = encode_or_die(p);
-                                                let n = buf.len();
-                                                (buf, n)
-                                            },
-                                            move |buf: Vec<u8>| registry.decode(&buf),
-                                        )
-                                    }));
-                                if let Err(e) = r {
-                                    capture(e);
-                                }
-                            });
+                            proxies.spawn(node, move || Some(fabric), wire_codec(registry));
                         }
                     }
                     Backend::InProcess => {
                         let mesh = InProcFabric::<Packet>::mesh(nodes);
                         for (node, fabric) in mesh.into_iter().enumerate() {
-                            let rt = std::mem::take(&mut routes[node]);
-                            let ns = &node_shared[node];
-                            let capture = &capture;
-                            scope.spawn(move || {
-                                let r =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        crate::net::proxy_loop(
-                                            node,
-                                            fabric,
-                                            rt,
-                                            &ns.outgoing,
-                                            shared,
-                                            // Zero-copy across the "network":
-                                            // clone the Arc, not the payload.
-                                            |p: &Packet| (p.clone(), p.bytes()),
-                                            |p: Packet| Ok(p),
-                                        )
-                                    }));
-                                if let Err(e) = r {
-                                    capture(e);
-                                }
-                            });
+                            // Zero-copy across the "network": clone the
+                            // Arc, not the payload.
+                            let codec = (|p: &Packet| (p.clone(), p.bytes()), |p: Packet| Ok(p));
+                            proxies.spawn(node, move || Some(fabric), codec);
                         }
                     }
                     Backend::Tcp(t) => {
                         let rank = t.rank;
-                        let rt = std::mem::take(&mut routes[rank]);
                         let listener = t
                             .listener
                             .lock()
                             .take()
                             .expect("TcpBackend listener already consumed");
                         let peers = t.peers.clone();
-                        let registry = t.registry.clone();
                         let timeout = t.connect_timeout;
                         let heartbeat = config.heartbeat;
                         let retry = config.retry;
-                        let fault = config.fault.clone();
-                        let ns = &node_shared[rank];
-                        let capture = &capture;
-                        scope.spawn(move || {
-                            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                let mut fabric =
-                                    match TcpFabric::connect(rank, listener, &peers, timeout) {
-                                        Ok(f) => f,
-                                        Err(e) => {
-                                            // The mesh never came up; the
-                                            // workers are unblocked by the
-                                            // abort inside fail().
-                                            shared.fail(RunError::MeshConnect {
-                                                node: rank,
-                                                msg: e.to_string(),
-                                            });
-                                            return;
-                                        }
-                                    };
-                                if let Some(hb) = heartbeat {
-                                    fabric.set_heartbeat(hb, hb * 5);
-                                }
-                                if retry.attempts > 0 {
-                                    fabric.set_retry(retry);
-                                }
-                                let encode = |p: &Packet| {
-                                    let buf = encode_or_die(p);
-                                    let n = buf.len();
-                                    (buf, n)
+                        let connect = move || {
+                            let mut fabric =
+                                match TcpFabric::connect(rank, listener, &peers, timeout) {
+                                    Ok(f) => f,
+                                    Err(e) => {
+                                        // The mesh never came up; the workers
+                                        // are unblocked by the abort inside
+                                        // fail().
+                                        shared.fail(RunError::MeshConnect {
+                                            node: rank,
+                                            msg: e.to_string(),
+                                        });
+                                        return None;
+                                    }
                                 };
-                                let decode = move |buf: Vec<u8>| registry.decode(&buf);
-                                match fault {
-                                    Some(plan) => crate::net::proxy_loop(
-                                        rank,
-                                        FaultyFabric::new(fabric, plan),
-                                        rt,
-                                        &ns.outgoing,
-                                        shared,
-                                        encode,
-                                        decode,
-                                    ),
-                                    None => crate::net::proxy_loop(
-                                        rank,
-                                        fabric,
-                                        rt,
-                                        &ns.outgoing,
-                                        shared,
-                                        encode,
-                                        decode,
-                                    ),
-                                }
-                            }));
-                            if let Err(e) = r {
-                                capture(e);
+                            if let Some(hb) = heartbeat {
+                                fabric.set_heartbeat(hb, hb * 5);
                             }
-                        });
+                            if retry.attempts > 0 {
+                                fabric.set_retry(retry);
+                            }
+                            Some(fabric)
+                        };
+                        let codec = wire_codec(&t.registry);
+                        match config.fault.clone() {
+                            Some(plan) => {
+                                let faulty = move || connect().map(|f| FaultyFabric::new(f, plan));
+                                proxies.spawn(rank, faulty, codec)
+                            }
+                            None => proxies.spawn(rank, connect, codec),
+                        }
                     }
                 }
             }
@@ -1316,13 +1261,55 @@ fn apply_restore(
     Ok(())
 }
 
-/// Encode a packet for a byte fabric; a non-wire packet crossing nodes is
-/// a wiring bug in the caller's array, so it panics like the other wiring
-/// asserts.
-fn encode_or_die(p: &Packet) -> Vec<u8> {
-    p.encode_wire().unwrap_or_else(|e| {
+/// What the proxy threads of one run share; [`Self::spawn`] starts one.
+struct Proxies<'scope, 'env, C> {
+    scope: &'scope std::thread::Scope<'scope, 'env>,
+    shared: &'scope Shared,
+    node_shared: &'scope [NodeShared],
+    routes: Vec<RouteTable>,
+    capture: &'scope C,
+}
+
+impl<'scope, C: Fn(Box<dyn std::any::Any + Send>) + Sync> Proxies<'scope, '_, C> {
+    /// Start `node`'s proxy thread: build the fabric on that thread (`make`
+    /// returns `None` once it has reported why there is none), run
+    /// [`proxy_loop`](crate::net::proxy_loop) over it with the `(encode,
+    /// decode)` codec pair, and hand a panic payload to `capture`.
+    fn spawn<F, E, D>(
+        &mut self,
+        node: usize,
+        make: impl FnOnce() -> Option<F> + Send + 'scope,
+        (encode, decode): (E, D),
+    ) where
+        F: Fabric,
+        E: Fn(&Packet) -> (F::Payload, usize) + Send + 'scope,
+        D: Fn(F::Payload) -> Result<Packet, WireError> + Send + 'scope,
+    {
+        let (shared, capture) = (self.shared, self.capture);
+        let outgoing = &self.node_shared[node].outgoing;
+        let routes = std::mem::take(&mut self.routes[node]);
+        self.scope.spawn(move || {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if let Some(fabric) = make() {
+                    crate::net::proxy_loop(node, fabric, routes, outgoing, shared, encode, decode)
+                }
+            }));
+            if let Err(e) = r {
+                capture(e);
+            }
+        });
+    }
+}
+
+/// Encode half of a byte fabric's codec pair. A non-wire packet crossing
+/// nodes is a wiring bug in the caller's array, so it panics like the
+/// other wiring asserts.
+fn wire_encode(p: &Packet) -> (Vec<u8>, usize) {
+    let buf = p.encode_wire().unwrap_or_else(|e| {
         panic!("packet crossing nodes must be wire-encodable (use Packet::wire): {e}")
-    })
+    });
+    let n = buf.len();
+    (buf, n)
 }
 
 fn attach_input(state: &mut VdpState, slot: usize, q: Arc<ChannelQueue>, ch: &ChannelSpec) {

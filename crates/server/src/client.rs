@@ -132,6 +132,17 @@ fn backoff_delay(key: u64, attempt: u32) -> Duration {
     Duration::from_millis(cap / 2 + x % (cap / 2 + 1))
 }
 
+/// The `expect` argument of [`Client::call`]: the one reply pattern a verb
+/// succeeds with, and what the method returns from it.
+macro_rules! expect {
+    ($reply:pat => $out:expr) => {
+        |m| match m {
+            $reply => Some($out),
+            _ => None,
+        }
+    };
+}
+
 /// A blocking connection to a QR service.
 pub struct Client {
     stream: TcpStream,
@@ -146,14 +157,7 @@ impl Client {
     /// [`Self::connect_timeout`] when a wedged server must not wedge
     /// the client too).
     pub fn connect(addr: &str) -> Result<Client, ClientError> {
-        let stream = TcpStream::connect(addr).map_err(ClientError::Io)?;
-        stream.set_nodelay(true).ok();
-        Ok(Client {
-            stream,
-            next_seq: 1,
-            addr: addr.to_string(),
-            timeout: None,
-        })
+        Self::open(addr, None)
     }
 
     /// [`Self::connect`] with a deadline on the dial and on every
@@ -161,12 +165,15 @@ impl Client {
     /// [`ClientError::Timeout`]; the connection is then no longer
     /// frame-aligned and must be reconnected before reuse.
     pub fn connect_timeout(addr: &str, timeout: Duration) -> Result<Client, ClientError> {
-        let stream = dial(addr, Some(timeout))?;
+        Self::open(addr, Some(timeout))
+    }
+
+    fn open(addr: &str, timeout: Option<Duration>) -> Result<Client, ClientError> {
         Ok(Client {
-            stream,
+            stream: dial(addr, timeout)?,
             next_seq: 1,
             addr: addr.to_string(),
-            timeout: Some(timeout),
+            timeout,
         })
     }
 
@@ -178,7 +185,15 @@ impl Client {
         Ok(())
     }
 
-    fn call(&mut self, msg: &Msg) -> Result<Msg, ClientError> {
+    /// One request/reply exchange. `expect` picks the verb's success
+    /// reply apart; a typed error, a reject, or any other verb becomes the
+    /// matching [`ClientError`] here, once for every verb.
+    fn call<T>(
+        &mut self,
+        what: &'static str,
+        msg: &Msg,
+        expect: impl FnOnce(Msg) -> Option<T>,
+    ) -> Result<T, ClientError> {
         let seq = self.next_seq;
         self.next_seq += 1;
         proto::write_msg(&mut self.stream, msg, seq)?;
@@ -186,7 +201,19 @@ impl Client {
         if rseq != seq {
             return Err(ClientError::Unexpected("reply with a foreign request id"));
         }
-        Ok(reply)
+        match reply {
+            Msg::Error { job, code, msg } => Err(ClientError::Job { job, code, msg }),
+            Msg::Reject {
+                draining,
+                retry_after_ms,
+                queued,
+            } => Err(ClientError::Backpressure {
+                retry_after_ms,
+                queued,
+                draining,
+            }),
+            other => expect(other).ok_or(ClientError::Unexpected(what)),
+        }
     }
 
     /// Submit a factorization; returns the server-assigned job id.
@@ -197,7 +224,7 @@ impl Client {
         opts: &QrOptions,
         deadline_ms: u32,
     ) -> Result<u64, ClientError> {
-        self.submit_inner(a, opts, deadline_ms, false, 0)
+        self.submit_with_idem(a, opts, deadline_ms, false, 0)
     }
 
     /// [`Self::submit`] with keep: the server stores the complete
@@ -210,7 +237,7 @@ impl Client {
         opts: &QrOptions,
         deadline_ms: u32,
     ) -> Result<u64, ClientError> {
-        self.submit_inner(a, opts, deadline_ms, true, 0)
+        self.submit_with_idem(a, opts, deadline_ms, true, 0)
     }
 
     /// Submit under a caller-provided idempotency key (0 = none). The
@@ -225,7 +252,16 @@ impl Client {
         keep: bool,
         idem: u64,
     ) -> Result<u64, ClientError> {
-        self.submit_inner(a, opts, deadline_ms, keep, idem)
+        let msg = Msg::Submit {
+            nb: opts.nb as u32,
+            ib: opts.ib as u32,
+            deadline_ms,
+            keep,
+            idem,
+            tree: opts.tree.to_string(),
+            a: a.clone(),
+        };
+        self.call("submit", &msg, expect!(Msg::SubmitOk { job } => job))
     }
 
     /// Submit with automatic retries for up to `retry_for` wall time.
@@ -249,7 +285,7 @@ impl Client {
         let start = Instant::now();
         let mut attempt = 0u32;
         loop {
-            let err = match self.submit_inner(a, opts, deadline_ms, keep, idem) {
+            let err = match self.submit_with_idem(a, opts, deadline_ms, keep, idem) {
                 Ok(job) => return Ok(job),
                 Err(e) => e,
             };
@@ -280,46 +316,13 @@ impl Client {
         }
     }
 
-    fn submit_inner(
-        &mut self,
-        a: &Matrix,
-        opts: &QrOptions,
-        deadline_ms: u32,
-        keep: bool,
-        idem: u64,
-    ) -> Result<u64, ClientError> {
-        let msg = Msg::Submit {
-            nb: opts.nb as u32,
-            ib: opts.ib as u32,
-            deadline_ms,
-            keep,
-            idem,
-            tree: opts.tree.to_string(),
-            a: a.clone(),
-        };
-        match self.call(&msg)? {
-            Msg::SubmitOk { job } => Ok(job),
-            Msg::Reject {
-                draining,
-                retry_after_ms,
-                queued,
-            } => Err(ClientError::Backpressure {
-                retry_after_ms,
-                queued,
-                draining,
-            }),
-            Msg::Error { job, code, msg } => Err(ClientError::Job { job, code, msg }),
-            _ => Err(ClientError::Unexpected("submit")),
-        }
-    }
-
     /// Block until `job` finishes and return its R factor.
     pub fn result(&mut self, job: u64) -> Result<Matrix, ClientError> {
-        match self.call(&Msg::Result { job })? {
-            Msg::RFactor { r, .. } => Ok(r),
-            Msg::Error { job, code, msg } => Err(ClientError::Job { job, code, msg }),
-            _ => Err(ClientError::Unexpected("result")),
-        }
+        self.call(
+            "result",
+            &Msg::Result { job },
+            expect!(Msg::RFactor { r, .. } => r),
+        )
     }
 
     /// [`Self::result`] with transport retries for up to `retry_for` wall
@@ -352,35 +355,31 @@ impl Client {
 
     /// Query a job's state and queue position.
     pub fn status(&mut self, job: u64) -> Result<(JobState, u32), ClientError> {
-        match self.call(&Msg::Status { job })? {
-            Msg::State {
-                state, queue_pos, ..
-            } => Ok((state, queue_pos)),
-            Msg::Error { job, code, msg } => Err(ClientError::Job { job, code, msg }),
-            _ => Err(ClientError::Unexpected("status")),
-        }
+        self.call(
+            "status",
+            &Msg::Status { job },
+            expect!(Msg::State { state, queue_pos, .. } => (state, queue_pos)),
+        )
     }
 
     /// Cancel a queued job; false when it already ran (or never existed).
     pub fn cancel(&mut self, job: u64) -> Result<bool, ClientError> {
-        match self.call(&Msg::Cancel { job })? {
-            Msg::CancelOk { cancelled, .. } => Ok(cancelled),
-            Msg::Error { job, code, msg } => Err(ClientError::Job { job, code, msg }),
-            _ => Err(ClientError::Unexpected("cancel")),
-        }
+        self.call(
+            "cancel",
+            &Msg::Cancel { job },
+            expect!(Msg::CancelOk { cancelled, .. } => cancelled),
+        )
     }
 
     /// Least-squares solve against a stored factorization: returns the
     /// `n x k` solution of `min ||A x - b||`.
     pub fn solve(&mut self, handle: u64, b: &Matrix) -> Result<Matrix, ClientError> {
-        match self.call(&Msg::Solve {
-            handle,
-            b: b.clone(),
-        })? {
-            Msg::Solution { x, .. } => Ok(x),
-            Msg::Error { job, code, msg } => Err(ClientError::Job { job, code, msg }),
-            _ => Err(ClientError::Unexpected("solve")),
-        }
+        let b = b.clone();
+        self.call(
+            "solve",
+            &Msg::Solve { handle, b },
+            expect!(Msg::Solution { x, .. } => x),
+        )
     }
 
     /// Apply `Q` (or `Q^T` when `transpose`) from a stored factorization
@@ -391,48 +390,43 @@ impl Client {
         b: &Matrix,
         transpose: bool,
     ) -> Result<Matrix, ClientError> {
-        match self.call(&Msg::ApplyQ {
+        let msg = Msg::ApplyQ {
             handle,
             transpose,
             b: b.clone(),
-        })? {
-            Msg::QApplied { c, .. } => Ok(c),
-            Msg::Error { job, code, msg } => Err(ClientError::Job { job, code, msg }),
-            _ => Err(ClientError::Unexpected("apply-q")),
-        }
+        };
+        self.call("apply-q", &msg, expect!(Msg::QApplied { c, .. } => c))
     }
 
     /// Append rows to a stored factorization (streaming update). Returns
     /// the updated total row count.
     pub fn update(&mut self, handle: u64, e: &Matrix) -> Result<u64, ClientError> {
-        match self.call(&Msg::Update {
-            handle,
-            e: e.clone(),
-        })? {
-            Msg::Updated { rows, .. } => Ok(rows),
-            Msg::Error { job, code, msg } => Err(ClientError::Job { job, code, msg }),
-            _ => Err(ClientError::Unexpected("update")),
-        }
+        let e = e.clone();
+        self.call(
+            "update",
+            &Msg::Update { handle, e },
+            expect!(Msg::Updated { rows, .. } => rows),
+        )
     }
 
     /// Drop a stored factorization; false when the handle was already
     /// gone (released, evicted, or never kept).
     pub fn release(&mut self, handle: u64) -> Result<bool, ClientError> {
-        match self.call(&Msg::Release { handle })? {
-            Msg::Released { released, .. } => Ok(released),
-            Msg::Error { job, code, msg } => Err(ClientError::Job { job, code, msg }),
-            _ => Err(ClientError::Unexpected("release")),
-        }
+        self.call(
+            "release",
+            &Msg::Release { handle },
+            expect!(Msg::Released { released, .. } => released),
+        )
     }
 
     /// Drain the server: no new admissions, queued jobs finish, the
     /// daemon exits. Returns the final stats JSON.
     pub fn drain(&mut self) -> Result<String, ClientError> {
-        match self.call(&Msg::Drain)? {
-            Msg::Drained { stats } => Ok(stats),
-            Msg::Error { job, code, msg } => Err(ClientError::Job { job, code, msg }),
-            _ => Err(ClientError::Unexpected("drain")),
-        }
+        self.call(
+            "drain",
+            &Msg::Drain,
+            expect!(Msg::Drained { stats } => stats),
+        )
     }
 
     /// Register a worker node with a router. `addr` is where the router
@@ -445,46 +439,38 @@ impl Client {
         store_bytes: u64,
         gemm_tier: &str,
     ) -> Result<u32, ClientError> {
-        match self.call(&Msg::Join {
+        let msg = Msg::Join {
             addr: addr.to_string(),
             threads,
             store_bytes,
             gemm_tier: gemm_tier.to_string(),
-        })? {
-            Msg::JoinOk { node_id } => Ok(node_id),
-            Msg::Error { job, code, msg } => Err(ClientError::Job { job, code, msg }),
-            _ => Err(ClientError::Unexpected("join")),
-        }
+        };
+        self.call("join", &msg, expect!(Msg::JoinOk { node_id } => node_id))
     }
 
     /// Stop a router from placing new jobs on node `node_id`. In-flight
     /// work completes and resident factors keep routing. Returns false
     /// when the node was not a member.
     pub fn leave(&mut self, node_id: u32) -> Result<bool, ClientError> {
-        match self.call(&Msg::Leave { node_id })? {
-            Msg::LeaveOk { left, .. } => Ok(left),
-            Msg::Error { job, code, msg } => Err(ClientError::Job { job, code, msg }),
-            _ => Err(ClientError::Unexpected("leave")),
-        }
+        self.call(
+            "leave",
+            &Msg::Leave { node_id },
+            expect!(Msg::LeaveOk { left, .. } => left),
+        )
     }
 
     /// Liveness probe; returns the peer's (queued, running) load snapshot.
     pub fn ping(&mut self) -> Result<(u32, u32), ClientError> {
         let nonce = fresh_idem();
-        match self.call(&Msg::Ping { nonce })? {
-            Msg::Pong {
-                nonce: echoed,
-                queued,
-                running,
-            } => {
-                if echoed != nonce {
-                    return Err(ClientError::Unexpected("pong with a foreign nonce"));
-                }
-                Ok((queued, running))
-            }
-            Msg::Error { job, code, msg } => Err(ClientError::Job { job, code, msg }),
-            _ => Err(ClientError::Unexpected("ping")),
+        let (echoed, load) = self.call(
+            "ping",
+            &Msg::Ping { nonce },
+            expect!(Msg::Pong { nonce, queued, running, } => (nonce, (queued, running))),
+        )?;
+        if echoed != nonce {
+            return Err(ClientError::Unexpected("pong with a foreign nonce"));
         }
+        Ok(load)
     }
 }
 

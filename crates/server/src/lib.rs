@@ -22,11 +22,12 @@
 //! - [`store`] — the byte-budgeted LRU factorization store, optionally
 //!   durable (checksummed snapshot + write-ahead log).
 //! - [`service`] — the in-process queue + scheduler + pool + store.
-//! - [`server`] — TCP accept loop mapping the protocol onto a service.
+//! - [`server`] — the one TCP front end ([`serve_node`]) over the [`Node`]
+//!   interface that a worker and a router both implement.
 //! - [`fault`] — seeded reply-path fault injection for chaos tests.
 //! - [`client`] — blocking client used by `pulsar-qr submit`/`drain`,
 //!   with per-call deadlines and idempotent retries.
-//! - [`router`] — the `pulsar-route` front end: shards jobs across many
+//! - [`router`] — the `pulsar-route` node: shards jobs across many
 //!   worker nodes with health-checked placement, a bounded in-flight
 //!   ledger for lossless failover, and elastic join/leave membership.
 
@@ -44,7 +45,7 @@ pub use client::{fresh_idem, Client, ClientError};
 pub use fault::ServeFaultPlan;
 pub use proto::{decode_msg, encode_msg, ErrCode, JobState, Msg, ProtoError, MAX_SERVICE_BODY};
 pub use router::{route, routed_handle, split_handle, RouteConfig, Router};
-pub use server::{serve, serve_with_faults};
+pub use server::{serve, serve_node, serve_with_faults, Node, NodeResult};
 pub use service::{JobError, ServeConfig, Service, SubmitError};
 pub use store::{FactorHandle, FactorStore, StoreError, StoreStats, WalError};
 

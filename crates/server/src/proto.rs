@@ -8,14 +8,15 @@
 //! the request id — a frame cannot be replayed as a different verb, and a
 //! single flipped bit anywhere (header or body) is detected. Matrices ride
 //! inside payloads in the runtime's packet layout
-//! ([`encode_matrix_body`]/[`decode_matrix_body`]): `[nrows u64][ncols
+//! ([`encode_matrix_body`]/[`read_matrix`]): `[nrows u64][ncols
 //! u64][column-major f64]`, all little-endian.
 
 use pulsar_fabric::frame::{
-    decode_header, encode_header, fnv1a, FrameError, FrameHeader, FrameKind, HEADER_LEN,
+    decode_header, encode_header, fnv1a, put_str, put_u32, put_u64, Cursor, FrameError,
+    FrameHeader, FrameKind, Truncated, HEADER_LEN,
 };
 use pulsar_linalg::Matrix;
-use pulsar_runtime::packet::{decode_matrix_body, encode_matrix_body};
+use pulsar_runtime::packet::{encode_matrix_body, read_matrix};
 
 /// Largest accepted service body (checksum + payload): 64 MiB, far below
 /// the fabric's 1 GiB frame ceiling — a submit bigger than this should go
@@ -391,40 +392,6 @@ pub enum Msg {
     },
 }
 
-impl Msg {
-    /// The verb this message travels under.
-    pub fn verb(&self) -> u32 {
-        match self {
-            Msg::Submit { .. } => verb::SUBMIT,
-            Msg::SubmitOk { .. } => verb::SUBMIT_OK,
-            Msg::Reject { .. } => verb::REJECT,
-            Msg::Status { .. } => verb::STATUS,
-            Msg::State { .. } => verb::STATE,
-            Msg::Result { .. } => verb::RESULT,
-            Msg::RFactor { .. } => verb::R_FACTOR,
-            Msg::Cancel { .. } => verb::CANCEL,
-            Msg::CancelOk { .. } => verb::CANCEL_OK,
-            Msg::Drain => verb::DRAIN,
-            Msg::Drained { .. } => verb::DRAINED,
-            Msg::Error { .. } => verb::ERROR,
-            Msg::Solve { .. } => verb::SOLVE,
-            Msg::Solution { .. } => verb::SOLUTION,
-            Msg::ApplyQ { .. } => verb::APPLY_Q,
-            Msg::QApplied { .. } => verb::Q_APPLIED,
-            Msg::Update { .. } => verb::UPDATE,
-            Msg::Updated { .. } => verb::UPDATED,
-            Msg::Release { .. } => verb::RELEASE,
-            Msg::Released { .. } => verb::RELEASED,
-            Msg::Join { .. } => verb::JOIN,
-            Msg::JoinOk { .. } => verb::JOIN_OK,
-            Msg::Leave { .. } => verb::LEAVE,
-            Msg::LeaveOk { .. } => verb::LEAVE_OK,
-            Msg::Ping { .. } => verb::PING,
-            Msg::Pong { .. } => verb::PONG,
-        }
-    }
-}
-
 /// Typed decode failures. Framing-level problems are wrapped
 /// [`FrameError`]s; everything else is service-layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -486,138 +453,10 @@ fn service_crc(verb: u32, seq: u64, payload: &[u8]) -> u32 {
     fnv1a(payload) ^ verb.wrapping_mul(0x9e37_79b9) ^ (seq as u32) ^ ((seq >> 32) as u32)
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
 /// Encode one message as a complete wire frame (header + body).
 pub fn encode_msg(msg: &Msg, seq: u64) -> Vec<u8> {
     let mut payload = Vec::new();
-    match msg {
-        Msg::Submit {
-            nb,
-            ib,
-            deadline_ms,
-            keep,
-            idem,
-            tree,
-            a,
-        } => {
-            put_u32(&mut payload, *nb);
-            put_u32(&mut payload, *ib);
-            put_u32(&mut payload, *deadline_ms);
-            payload.push(u8::from(*keep));
-            put_u64(&mut payload, *idem);
-            put_str(&mut payload, tree);
-            encode_matrix_body(a, &mut payload);
-        }
-        Msg::SubmitOk { job } | Msg::Status { job } | Msg::Result { job } | Msg::Cancel { job } => {
-            put_u64(&mut payload, *job);
-        }
-        Msg::Reject {
-            draining,
-            retry_after_ms,
-            queued,
-        } => {
-            payload.push(u8::from(*draining));
-            put_u32(&mut payload, *retry_after_ms);
-            put_u32(&mut payload, *queued);
-        }
-        Msg::State {
-            job,
-            state,
-            queue_pos,
-        } => {
-            put_u64(&mut payload, *job);
-            payload.push(state.to_wire());
-            put_u32(&mut payload, *queue_pos);
-        }
-        Msg::RFactor { job, r } => {
-            put_u64(&mut payload, *job);
-            encode_matrix_body(r, &mut payload);
-        }
-        Msg::CancelOk { job, cancelled } => {
-            put_u64(&mut payload, *job);
-            payload.push(u8::from(*cancelled));
-        }
-        Msg::Drain => {}
-        Msg::Drained { stats } => put_str(&mut payload, stats),
-        Msg::Error { job, code, msg } => {
-            put_u64(&mut payload, *job);
-            payload.push(code.to_wire());
-            put_str(&mut payload, msg);
-        }
-        Msg::Solve { handle, b } => {
-            put_u64(&mut payload, *handle);
-            encode_matrix_body(b, &mut payload);
-        }
-        Msg::Solution { handle, x } => {
-            put_u64(&mut payload, *handle);
-            encode_matrix_body(x, &mut payload);
-        }
-        Msg::ApplyQ {
-            handle,
-            transpose,
-            b,
-        } => {
-            put_u64(&mut payload, *handle);
-            payload.push(u8::from(*transpose));
-            encode_matrix_body(b, &mut payload);
-        }
-        Msg::QApplied { handle, c } => {
-            put_u64(&mut payload, *handle);
-            encode_matrix_body(c, &mut payload);
-        }
-        Msg::Update { handle, e } => {
-            put_u64(&mut payload, *handle);
-            encode_matrix_body(e, &mut payload);
-        }
-        Msg::Updated { handle, rows } => {
-            put_u64(&mut payload, *handle);
-            put_u64(&mut payload, *rows);
-        }
-        Msg::Release { handle } => put_u64(&mut payload, *handle),
-        Msg::Released { handle, released } => {
-            put_u64(&mut payload, *handle);
-            payload.push(u8::from(*released));
-        }
-        Msg::Join {
-            addr,
-            threads,
-            store_bytes,
-            gemm_tier,
-        } => {
-            put_str(&mut payload, addr);
-            put_u32(&mut payload, *threads);
-            put_u64(&mut payload, *store_bytes);
-            put_str(&mut payload, gemm_tier);
-        }
-        Msg::JoinOk { node_id } => put_u32(&mut payload, *node_id),
-        Msg::Leave { node_id } => put_u32(&mut payload, *node_id),
-        Msg::LeaveOk { node_id, left } => {
-            put_u32(&mut payload, *node_id);
-            payload.push(u8::from(*left));
-        }
-        Msg::Ping { nonce } => put_u64(&mut payload, *nonce),
-        Msg::Pong {
-            nonce,
-            queued,
-            running,
-        } => {
-            put_u64(&mut payload, *nonce);
-            put_u32(&mut payload, *queued);
-            put_u32(&mut payload, *running);
-        }
-    }
+    msg.put_payload(&mut payload);
     let verb = msg.verb();
     let crc = service_crc(verb, seq, &payload);
     let body_len = 4 + payload.len();
@@ -638,58 +477,142 @@ pub fn encode_msg(msg: &Msg, seq: u64) -> Vec<u8> {
     out
 }
 
-/// Byte-slice reader with typed, bounds-checked accessors.
-struct Cur<'a>(&'a [u8]);
-
-impl<'a> Cur<'a> {
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        let (&b, rest) = self.0.split_first().ok_or(ProtoError::Truncated)?;
-        self.0 = rest;
-        Ok(b)
+impl From<Truncated> for ProtoError {
+    fn from(_: Truncated) -> Self {
+        ProtoError::Truncated
     }
+}
 
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        if self.0.len() < 4 {
-            return Err(ProtoError::Truncated);
+/// A payload field type: how it is appended and how it is read back.
+trait Field: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError>;
+}
+
+impl Field for u32 {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u32(out, *self);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        Ok(c.u32()?)
+    }
+}
+
+impl Field for u64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u64(out, *self);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        Ok(c.u64()?)
+    }
+}
+
+impl Field for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        Ok(c.u8()? != 0)
+    }
+}
+
+impl Field for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(out, self);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        let len = c.u32()? as usize;
+        String::from_utf8(c.bytes(len)?.to_vec())
+            .map_err(|_| ProtoError::Malformed("non-UTF-8 string"))
+    }
+}
+
+impl Field for Matrix {
+    fn put(&self, out: &mut Vec<u8>) {
+        encode_matrix_body(self, out);
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        read_matrix(c).map_err(|_| ProtoError::Malformed("bad matrix body"))
+    }
+}
+
+impl Field for JobState {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(self.to_wire());
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        JobState::from_wire(c.u8()?)
+    }
+}
+
+impl Field for ErrCode {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(self.to_wire());
+    }
+    fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError> {
+        ErrCode::from_wire(c.u8()?)
+    }
+}
+
+/// The wire table: each message's verb and its payload fields in wire
+/// order (field types come from the [`Msg`] variant). [`Msg::verb`], the
+/// encoder and the decoder are all generated from this one list, so they
+/// cannot disagree.
+macro_rules! wire_table {
+    ($($name:ident = $verb:ident { $($field:ident),* }),* $(,)?) => {
+        impl Msg {
+            /// The verb this message travels under.
+            pub fn verb(&self) -> u32 {
+                match self {
+                    $(Msg::$name { .. } => verb::$verb,)*
+                }
+            }
+
+            fn put_payload(&self, out: &mut Vec<u8>) {
+                match self {
+                    $(Msg::$name { $($field),* } => {
+                        $($field.put(out);)*
+                    })*
+                }
+            }
+
+            fn get_payload(verb: u32, c: &mut Cursor<'_>) -> Result<Msg, ProtoError> {
+                Ok(match verb {
+                    $(verb::$verb => Msg::$name { $($field: Field::get(c)?),* },)*
+                    other => return Err(ProtoError::UnknownVerb(other)),
+                })
+            }
         }
-        let (head, rest) = self.0.split_at(4);
-        self.0 = rest;
-        Ok(u32::from_le_bytes(head.try_into().unwrap()))
-    }
+    };
+}
 
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        if self.0.len() < 8 {
-            return Err(ProtoError::Truncated);
-        }
-        let (head, rest) = self.0.split_at(8);
-        self.0 = rest;
-        Ok(u64::from_le_bytes(head.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Result<String, ProtoError> {
-        let len = self.u32()? as usize;
-        if self.0.len() < len {
-            return Err(ProtoError::Truncated);
-        }
-        let (head, rest) = self.0.split_at(len);
-        self.0 = rest;
-        String::from_utf8(head.to_vec()).map_err(|_| ProtoError::Malformed("non-UTF-8 string"))
-    }
-
-    fn matrix(&mut self) -> Result<Matrix, ProtoError> {
-        let (m, rest) =
-            decode_matrix_body(self.0).map_err(|_| ProtoError::Malformed("bad matrix body"))?;
-        self.0 = rest;
-        Ok(m)
-    }
-
-    fn finish(self) -> Result<(), ProtoError> {
-        if self.0.is_empty() {
-            Ok(())
-        } else {
-            Err(ProtoError::Malformed("payload has trailing bytes"))
-        }
-    }
+wire_table! {
+    Submit = SUBMIT { nb, ib, deadline_ms, keep, idem, tree, a },
+    SubmitOk = SUBMIT_OK { job },
+    Reject = REJECT { draining, retry_after_ms, queued },
+    Status = STATUS { job },
+    State = STATE { job, state, queue_pos },
+    Result = RESULT { job },
+    RFactor = R_FACTOR { job, r },
+    Cancel = CANCEL { job },
+    CancelOk = CANCEL_OK { job, cancelled },
+    Drain = DRAIN {},
+    Drained = DRAINED { stats },
+    Error = ERROR { job, code, msg },
+    Solve = SOLVE { handle, b },
+    Solution = SOLUTION { handle, x },
+    ApplyQ = APPLY_Q { handle, transpose, b },
+    QApplied = Q_APPLIED { handle, c },
+    Update = UPDATE { handle, e },
+    Updated = UPDATED { handle, rows },
+    Release = RELEASE { handle },
+    Released = RELEASED { handle, released },
+    Join = JOIN { addr, threads, store_bytes, gemm_tier },
+    JoinOk = JOIN_OK { node_id },
+    Leave = LEAVE { node_id },
+    LeaveOk = LEAVE_OK { node_id, left },
+    Ping = PING { nonce },
+    Pong = PONG { nonce, queued, running },
 }
 
 /// Decode a frame body that has already been separated from its header.
@@ -715,106 +638,11 @@ pub fn decode_body(header: &FrameHeader, body: &[u8]) -> Result<(Msg, u64), Prot
     if got != expected {
         return Err(ProtoError::Checksum { expected, got });
     }
-    let mut c = Cur(payload);
-    let msg = match verb {
-        verb::SUBMIT => {
-            let nb = c.u32()?;
-            let ib = c.u32()?;
-            let deadline_ms = c.u32()?;
-            let keep = c.u8()? != 0;
-            let idem = c.u64()?;
-            let tree = c.string()?;
-            let a = c.matrix()?;
-            Msg::Submit {
-                nb,
-                ib,
-                deadline_ms,
-                keep,
-                idem,
-                tree,
-                a,
-            }
-        }
-        verb::SUBMIT_OK => Msg::SubmitOk { job: c.u64()? },
-        verb::REJECT => Msg::Reject {
-            draining: c.u8()? != 0,
-            retry_after_ms: c.u32()?,
-            queued: c.u32()?,
-        },
-        verb::STATUS => Msg::Status { job: c.u64()? },
-        verb::STATE => Msg::State {
-            job: c.u64()?,
-            state: JobState::from_wire(c.u8()?)?,
-            queue_pos: c.u32()?,
-        },
-        verb::RESULT => Msg::Result { job: c.u64()? },
-        verb::R_FACTOR => Msg::RFactor {
-            job: c.u64()?,
-            r: c.matrix()?,
-        },
-        verb::CANCEL => Msg::Cancel { job: c.u64()? },
-        verb::CANCEL_OK => Msg::CancelOk {
-            job: c.u64()?,
-            cancelled: c.u8()? != 0,
-        },
-        verb::DRAIN => Msg::Drain,
-        verb::DRAINED => Msg::Drained { stats: c.string()? },
-        verb::ERROR => Msg::Error {
-            job: c.u64()?,
-            code: ErrCode::from_wire(c.u8()?)?,
-            msg: c.string()?,
-        },
-        verb::SOLVE => Msg::Solve {
-            handle: c.u64()?,
-            b: c.matrix()?,
-        },
-        verb::SOLUTION => Msg::Solution {
-            handle: c.u64()?,
-            x: c.matrix()?,
-        },
-        verb::APPLY_Q => Msg::ApplyQ {
-            handle: c.u64()?,
-            transpose: c.u8()? != 0,
-            b: c.matrix()?,
-        },
-        verb::Q_APPLIED => Msg::QApplied {
-            handle: c.u64()?,
-            c: c.matrix()?,
-        },
-        verb::UPDATE => Msg::Update {
-            handle: c.u64()?,
-            e: c.matrix()?,
-        },
-        verb::UPDATED => Msg::Updated {
-            handle: c.u64()?,
-            rows: c.u64()?,
-        },
-        verb::RELEASE => Msg::Release { handle: c.u64()? },
-        verb::RELEASED => Msg::Released {
-            handle: c.u64()?,
-            released: c.u8()? != 0,
-        },
-        verb::JOIN => Msg::Join {
-            addr: c.string()?,
-            threads: c.u32()?,
-            store_bytes: c.u64()?,
-            gemm_tier: c.string()?,
-        },
-        verb::JOIN_OK => Msg::JoinOk { node_id: c.u32()? },
-        verb::LEAVE => Msg::Leave { node_id: c.u32()? },
-        verb::LEAVE_OK => Msg::LeaveOk {
-            node_id: c.u32()?,
-            left: c.u8()? != 0,
-        },
-        verb::PING => Msg::Ping { nonce: c.u64()? },
-        verb::PONG => Msg::Pong {
-            nonce: c.u64()?,
-            queued: c.u32()?,
-            running: c.u32()?,
-        },
-        other => return Err(ProtoError::UnknownVerb(other)),
-    };
-    c.finish()?;
+    let c = &mut Cursor::new(payload);
+    let msg = Msg::get_payload(verb, c)?;
+    if !c.rest().is_empty() {
+        return Err(ProtoError::Malformed("payload has trailing bytes"));
+    }
     Ok((msg, header.seq))
 }
 

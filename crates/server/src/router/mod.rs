@@ -3,8 +3,7 @@
 //! The router speaks the same wire protocol as a single worker, so any
 //! existing client works unchanged. Behind the front end it keeps a
 //! [`Membership`] table with probed health (healthy → suspect → dead,
-//! with hysteresis), places jobs by a pluggable [`PlacementPolicy`]
-//! (least-loaded, small jobs replicated: first answer wins, loser
+//! with hysteresis), places jobs least-loaded ([`placement::place`]: small jobs replicated: first answer wins, loser
 //! cancelled), and journals every accepted job in a bounded in-flight
 //! [`Ledger`] so a node death mid-job triggers re-dispatch to survivors
 //! under the job's original idempotency key — exactly-once outcomes,
@@ -21,17 +20,17 @@ pub mod membership;
 pub mod placement;
 
 use crate::client::{Client, ClientError};
-use crate::proto::{self, ErrCode, JobState, Msg};
-use crate::service::latency_percentiles;
+use crate::proto::{ErrCode, JobState};
+use crate::server::{serve_node, validate_job, IdemMap, Node, NodeResult};
+use crate::service::{latency_percentiles, milli, SubmitError};
 use ledger::{Assignment, Entry, Ledger, Outcome};
 use membership::{Caps, Health, Membership};
 use parking_lot::{Condvar, Mutex};
-use placement::{LeastLoaded, Placement, PlacementPolicy};
+use placement::{place, Placement};
 use pulsar_core::QrOptions;
 use pulsar_linalg::Matrix;
-use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use pulsar_tuner::json::{obj, Json};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -93,21 +92,6 @@ impl Default for RouteConfig {
     }
 }
 
-/// Why the router refused or failed a submit.
-pub enum RouteError {
-    /// The ledger is full or the router is draining.
-    Backpressure {
-        /// Suggested back-off.
-        retry_after_ms: u32,
-        /// In-flight depth at rejection.
-        queued: u32,
-        /// True when the router is shutting down.
-        draining: bool,
-    },
-    /// Typed failure (invalid job, no live nodes, worker refusal).
-    Typed(ErrCode, String),
-}
-
 #[derive(Default)]
 struct Counters {
     done: u64,
@@ -118,7 +102,6 @@ struct Counters {
     node_lost: u64,
     redispatched: u64,
     replicated: u64,
-    idem_hits: u64,
     joins: u64,
     leaves: u64,
 }
@@ -134,9 +117,8 @@ struct RState {
     counters: Counters,
     /// Router-admission-to-outcome, one sample per resolved entry.
     latencies_ms: Vec<f64>,
-    /// Client idempotency key → ledger id, bounded FIFO.
-    idem: HashMap<u64, u64>,
-    idem_order: VecDeque<u64>,
+    /// Client idempotency keys of admitted jobs.
+    idem: IdemMap,
 }
 
 /// The router core: membership + placement + ledger behind one lock,
@@ -144,7 +126,6 @@ struct RState {
 /// prober. Cheap to share behind an [`Arc`].
 pub struct Router {
     cfg: RouteConfig,
-    policy: Box<dyn PlacementPolicy>,
     started: Instant,
     state: Mutex<RState>,
     /// Signals waiters-of-outcomes (result long-polls, drain).
@@ -162,16 +143,8 @@ enum Redispatch {
 }
 
 impl Router {
-    /// A router with the default least-loaded/replicating policy.
+    /// A router with no members yet.
     pub fn new(cfg: RouteConfig) -> Arc<Router> {
-        let policy = Box::new(LeastLoaded {
-            replicate_under: cfg.replicate_under,
-        });
-        Self::with_policy(cfg, policy)
-    }
-
-    /// A router with a caller-supplied placement policy.
-    pub fn with_policy(cfg: RouteConfig, policy: Box<dyn PlacementPolicy>) -> Arc<Router> {
         Arc::new(Router {
             state: Mutex::new(RState {
                 members: Membership::new(),
@@ -180,24 +153,31 @@ impl Router {
                 next_id: 1,
                 counters: Counters::default(),
                 latencies_ms: Vec::new(),
-                idem: HashMap::new(),
-                idem_order: VecDeque::new(),
+                idem: IdemMap::new(cfg.idem_cap),
             }),
             cfg,
-            policy,
             started: Instant::now(),
             done: Condvar::new(),
         })
     }
 
-    /// The configuration this router was started with.
-    pub fn config(&self) -> &RouteConfig {
-        &self.cfg
+    /// Number of member nodes currently placeable.
+    pub fn placeable_nodes(&self) -> usize {
+        self.state.lock().members.placeable().len()
     }
 
+    /// In-flight entries journaled right now.
+    pub fn inflight(&self) -> usize {
+        self.state.lock().ledger.inflight()
+    }
+}
+
+/// The fleet as one [`Node`]: any client of a single worker works against
+/// the router unchanged.
+impl Node for Router {
     /// Register a worker node after probing it once (an unreachable
     /// worker is refused — a join must mean the router can dispatch).
-    pub fn join(&self, addr: &str, caps: Caps) -> Result<u32, (ErrCode, String)> {
+    fn join(&self, addr: &str, caps: Caps) -> NodeResult<u32> {
         let probe = Client::connect_timeout(addr, self.cfg.dial_timeout)
             .and_then(|mut c| c.ping())
             .map_err(|e| {
@@ -215,54 +195,39 @@ impl Router {
 
     /// Stop placing new jobs on `node_id`. In-flight dispatches finish
     /// and resident factors keep routing until the node really goes away.
-    pub fn leave(&self, node_id: u32) -> bool {
+    fn leave(&self, node_id: u32) -> NodeResult<bool> {
         let mut st = self.state.lock();
         let left = st.members.leave(node_id);
         if left {
             st.counters.leaves += 1;
         }
-        left
-    }
-
-    /// Number of member nodes currently placeable.
-    pub fn placeable_nodes(&self) -> usize {
-        self.state.lock().members.placeable().len()
-    }
-
-    /// In-flight entries journaled right now.
-    pub fn inflight(&self) -> usize {
-        self.state.lock().ledger.inflight()
+        Ok(left)
     }
 
     /// Admit a job, shard it, and return the id result polls use. Keep
     /// jobs return a routed handle (node bits set) after a synchronous
     /// dispatch; fire-and-forget jobs return a router-local id and are
     /// dispatched (possibly twice) in the background.
-    pub fn submit(
+    fn submit(
         self: &Arc<Self>,
         a: Matrix,
         opts: QrOptions,
         deadline_ms: u32,
         keep: bool,
         client_idem: u64,
-    ) -> Result<u64, RouteError> {
-        if let Err(m) = validate_job(&a, &opts) {
-            return Err(RouteError::Typed(ErrCode::Invalid, m));
-        }
+    ) -> Result<u64, SubmitError> {
+        validate_job(&a, &opts).map_err(SubmitError::Invalid)?;
         let job_bytes = a.nrows() * a.ncols() * 8;
         let idem = crate::client::fresh_idem();
         let placement;
         {
             let mut st = self.state.lock();
-            if client_idem != 0 {
-                if let Some(&known) = st.idem.get(&client_idem) {
-                    st.counters.idem_hits += 1;
-                    return Ok(known);
-                }
+            if let Some(known) = st.idem.lookup(client_idem) {
+                return Ok(known);
             }
             if st.draining {
                 st.counters.rejected += 1;
-                return Err(RouteError::Backpressure {
+                return Err(SubmitError::Backpressure {
                     retry_after_ms: 0,
                     queued: st.ledger.inflight() as u32,
                     draining: true,
@@ -270,16 +235,16 @@ impl Router {
             }
             if st.ledger.inflight() >= st.ledger.cap() {
                 st.counters.rejected += 1;
-                return Err(RouteError::Backpressure {
+                return Err(SubmitError::Backpressure {
                     retry_after_ms: 50,
                     queued: st.ledger.inflight() as u32,
                     draining: false,
                 });
             }
-            placement = self.policy.place(&st.members, job_bytes, keep);
+            placement = place(&st.members, self.cfg.replicate_under, job_bytes, keep);
             if matches!(placement, Placement::None) {
                 st.counters.rejected += 1;
-                return Err(RouteError::Typed(
+                return Err(SubmitError::Node(
                     ErrCode::NodeLost,
                     "no live worker node to place on".into(),
                 ));
@@ -320,7 +285,7 @@ impl Router {
                         node.placed += 1;
                     }
                 }
-                remember_idem(&mut st, self.cfg.idem_cap, client_idem, id);
+                st.idem.remember(client_idem, id);
                 drop(st);
                 for n in nodes {
                     self.spawn_waiter(id, n, None);
@@ -337,7 +302,7 @@ impl Router {
         let addr = {
             let mut st = self.state.lock();
             let Some(m) = st.members.get_mut(node) else {
-                return Err(RouteError::Typed(
+                return Err(SubmitError::Node(
                     ErrCode::NodeLost,
                     format!("node {node} vanished before dispatch"),
                 ));
@@ -360,15 +325,15 @@ impl Router {
                         retry_after_ms,
                         queued,
                         draining,
-                    } => RouteError::Backpressure {
+                    } => SubmitError::Backpressure {
                         retry_after_ms,
                         queued,
                         draining,
                     },
-                    ClientError::Job { code, msg, .. } => RouteError::Typed(code, msg),
+                    ClientError::Job { code, msg, .. } => SubmitError::Node(code, msg),
                     other => {
-                        self.note_node_failure(node);
-                        RouteError::Typed(
+                        self.note_miss(node, None);
+                        SubmitError::Node(
                             ErrCode::NodeLost,
                             format!("node {node} failed mid-dispatch: {other}"),
                         )
@@ -399,7 +364,7 @@ impl Router {
             if !st.ledger.admit(handle, entry) {
                 st.counters.rejected += 1;
             }
-            remember_idem(&mut st, self.cfg.idem_cap, client_idem, handle);
+            st.idem.remember(client_idem, handle);
         }
         self.spawn_waiter(handle, node, Some(remote));
         Ok(handle)
@@ -407,7 +372,7 @@ impl Router {
 
     /// Block until `id` resolves; the outcome is exactly the one the
     /// first successful dispatch posted.
-    pub fn wait_result(&self, id: u64) -> Outcome {
+    fn wait_result(&self, id: u64) -> Outcome {
         let mut st = self.state.lock();
         loop {
             match st.ledger.get(id) {
@@ -423,7 +388,7 @@ impl Router {
     }
 
     /// A journaled job's state as the router sees it.
-    pub fn status(&self, id: u64) -> Option<(JobState, u32)> {
+    fn status(&self, id: u64) -> Option<(JobState, u32)> {
         let st = self.state.lock();
         let e = st.ledger.get(id)?;
         let state = match &e.outcome {
@@ -438,7 +403,7 @@ impl Router {
 
     /// Best-effort cancel: forwarded to every live dispatch; the entry
     /// resolves cancelled if any node still had it queued.
-    pub fn cancel(self: &Arc<Self>, id: u64) -> bool {
+    fn cancel(&self, id: u64) -> bool {
         let targets: Vec<(String, u64)> = {
             let st = self.state.lock();
             match st.ledger.get(id) {
@@ -467,13 +432,57 @@ impl Router {
         any
     }
 
+    /// Drain the fleet: stop admission, wait for the ledger to empty,
+    /// then cascade a drain to every live member and return the combined
+    /// stats (router rollup + per-node sections).
+    fn drain(&self) -> String {
+        {
+            let mut st = self.state.lock();
+            st.draining = true;
+            while st.ledger.inflight() > 0 {
+                self.done.wait(&mut st);
+            }
+        }
+        let sections = self.node_sections(|addr| {
+            let stats = Client::connect_timeout(addr, self.cfg.dial_timeout)
+                .and_then(|mut c| c.drain())
+                .ok()?;
+            Json::parse(&stats).ok()
+        });
+        self.stats_json(sections)
+    }
+
+    // Handle verbs are proxied to the node the routed handle names.
+    fn solve(&self, handle: u64, b: &Matrix) -> NodeResult<Matrix> {
+        self.with_owner(handle, |c, remote| c.solve(remote, b))
+    }
+    fn apply_q(&self, handle: u64, b: &Matrix, transpose: bool) -> NodeResult<Matrix> {
+        self.with_owner(handle, |c, remote| c.apply_q(remote, b, transpose))
+    }
+    fn update(&self, handle: u64, e: &Matrix) -> NodeResult<u64> {
+        self.with_owner(handle, |c, remote| c.update(remote, e))
+    }
+    fn release(&self, handle: u64) -> NodeResult<bool> {
+        self.with_owner(handle, |c, remote| c.release(remote))
+    }
+    fn load(&self) -> (u32, u32) {
+        (self.inflight() as u32, 0)
+    }
+    // The ledger does not track which outcomes were collected, so the
+    // router always lingers its whole grace.
+    fn linger(&self) {
+        std::thread::sleep(self.cfg.drain_grace);
+    }
+}
+
+impl Router {
     /// Proxy a handle verb to the owning node. `handle` is routed; the
     /// worker sees only its local part.
-    pub fn with_owner<T>(
+    fn with_owner<T>(
         &self,
         handle: u64,
         call: impl FnOnce(&mut Client, u64) -> Result<T, ClientError>,
-    ) -> Result<T, (ErrCode, String)> {
+    ) -> NodeResult<T> {
         let (node, remote) = split_handle(handle);
         if node == 0 {
             return Err((
@@ -481,40 +490,23 @@ impl Router {
                 format!("handle {handle} carries no node id (not a routed handle)"),
             ));
         }
-        let addr = {
-            let st = self.state.lock();
-            match st.members.get(node) {
-                None => {
-                    return Err((
-                        ErrCode::NodeLost,
-                        format!("handle {node}:{remote}: node {node} is not a member"),
-                    ))
-                }
-                Some(n) if n.health == Health::Dead => {
-                    return Err((
-                        ErrCode::NodeLost,
-                        format!(
-                            "handle {node}:{remote}: node {node} is dead (factor unreplicated)"
-                        ),
-                    ))
-                }
-                Some(n) => n.addr.clone(),
-            }
+        let lost = |why: String| {
+            let msg = format!("handle {node}:{remote}: node {node} {why}");
+            (ErrCode::NodeLost, msg)
         };
-        let mut client = Client::connect_timeout(&addr, self.cfg.dial_timeout).map_err(|e| {
-            (
-                ErrCode::NodeLost,
-                format!("handle {node}:{remote}: node {node} unreachable: {e}"),
-            )
-        })?;
-        match call(&mut client, remote) {
-            Ok(t) => Ok(t),
-            Err(ClientError::Job { code, msg, .. }) => Err((code, msg)),
-            Err(e) => Err((
-                ErrCode::NodeLost,
-                format!("handle {node}:{remote}: node {node} failed mid-call: {e}"),
-            )),
-        }
+        let addr = match self.state.lock().members.get(node) {
+            None => return Err(lost("is not a member".into())),
+            Some(n) if n.health == Health::Dead => {
+                return Err(lost("is dead (factor unreplicated)".into()))
+            }
+            Some(n) => n.addr.clone(),
+        };
+        let mut client = Client::connect_timeout(&addr, self.cfg.dial_timeout)
+            .map_err(|e| lost(format!("unreachable: {e}")))?;
+        call(&mut client, remote).map_err(|e| match e {
+            ClientError::Job { code, msg, .. } => (code, msg),
+            e => lost(format!("failed mid-call: {e}")),
+        })
     }
 
     /// One probe round: ping every non-dead member, applying beats and
@@ -528,49 +520,9 @@ impl Router {
                 Ok((queued, running)) => {
                     self.state.lock().members.record_beat(id, queued, running);
                 }
-                Err(_) => self.note_probe_miss(id),
+                Err(_) => self.note_miss(id, None),
             }
         }
-    }
-
-    /// Drain the fleet: stop admission, wait for the ledger to empty,
-    /// then cascade a drain to every live member and return the combined
-    /// stats (router rollup + per-node sections).
-    pub fn drain(&self) -> String {
-        {
-            let mut st = self.state.lock();
-            st.draining = true;
-            while st.ledger.inflight() > 0 {
-                self.done.wait(&mut st);
-            }
-        }
-        let nodes: Vec<(u32, String, Health, u64)> = {
-            let st = self.state.lock();
-            st.members
-                .all()
-                .iter()
-                .map(|n| (n.id, n.addr.clone(), n.health, n.placed))
-                .collect()
-        };
-        let mut node_sections = Vec::new();
-        for (id, addr, health, placed) in nodes {
-            let stats = if health == Health::Dead {
-                "null".to_string()
-            } else {
-                match Client::connect_timeout(&addr, self.cfg.dial_timeout)
-                    .and_then(|mut c| c.drain())
-                {
-                    Ok(s) => s,
-                    Err(_) => "null".to_string(),
-                }
-            };
-            node_sections.push(format!(
-                "{{\"node\":{id},\"addr\":\"{addr}\",\"health\":\"{}\",\
-                 \"placed\":{placed},\"stats\":{stats}}}",
-                health.name()
-            ));
-        }
-        self.stats_json(&node_sections.join(","))
     }
 
     /// Stats rollup without dialing any worker (per-node sections carry
@@ -578,61 +530,67 @@ impl Router {
     /// this after its front end returns; the drained client got the full
     /// cascade from [`Self::drain`].
     pub fn stats_json_standalone(&self) -> String {
-        let sections: Vec<String> = {
-            let st = self.state.lock();
-            st.members
-                .all()
-                .iter()
-                .map(|n| {
-                    format!(
-                        "{{\"node\":{},\"addr\":\"{}\",\"health\":\"{}\",\
-                         \"placed\":{},\"stats\":null}}",
-                        n.id,
-                        n.addr,
-                        n.health.name(),
-                        n.placed
-                    )
-                })
-                .collect()
-        };
-        self.stats_json(&sections.join(","))
+        self.stats_json(self.node_sections(|_| None))
     }
 
-    /// One-line JSON rollup. Latencies measure router-admission-to-
-    /// outcome — a job re-dispatched after a node death carries its full
-    /// wait, not just its final node's service time.
-    pub fn stats_json(&self, nodes_json: &str) -> String {
+    /// One section per member, in id order. `stats_of` supplies a live
+    /// member's own stats (dead members and failures report `null`); it
+    /// runs off-lock because it may dial the member.
+    fn node_sections(&self, stats_of: impl Fn(&str) -> Option<Json>) -> Vec<Json> {
+        let members: Vec<(u32, String, Health, u64)> = {
+            let st = self.state.lock();
+            let all = st.members.all();
+            all.iter()
+                .map(|n| (n.id, n.addr.clone(), n.health, n.placed))
+                .collect()
+        };
+        members
+            .into_iter()
+            .map(|(id, addr, health, placed)| {
+                let stats = (health != Health::Dead).then(|| stats_of(&addr)).flatten();
+                obj([
+                    ("node", id.into()),
+                    ("addr", Json::Str(addr)),
+                    ("health", Json::Str(health.name().into())),
+                    ("placed", placed.into()),
+                    ("stats", stats.unwrap_or(Json::Null)),
+                ])
+            })
+            .collect()
+    }
+
+    /// One-line JSON rollup over the per-node `sections`. Latencies
+    /// measure router-admission-to-outcome — a job re-dispatched after a
+    /// node death carries its full wait, not just its final node's
+    /// service time.
+    fn stats_json(&self, sections: Vec<Json>) -> String {
         let st = self.state.lock();
         let uptime = self.started.elapsed().as_secs_f64().max(1e-9);
         let [p50, p90, p99] = latency_percentiles(&st.latencies_ms);
         let c = &st.counters;
-        format!(
-            "{{\"router\":true,\"jobs_done\":{},\"jobs_failed\":{},\
-             \"jobs_cancelled\":{},\"jobs_expired\":{},\"jobs_rejected\":{},\
-             \"node_lost\":{},\"redispatched\":{},\"replicated\":{},\
-             \"idem_hits\":{},\"joins\":{},\"leaves\":{},\
-             \"p50_ms\":{:.3},\"p90_ms\":{:.3},\"p99_ms\":{:.3},\
-             \"jobs_per_s\":{:.3},\"inflight\":{},\"uptime_s\":{:.3},\
-             \"nodes\":[{}]}}",
-            c.done,
-            c.failed,
-            c.cancelled,
-            c.expired,
-            c.rejected,
-            c.node_lost,
-            c.redispatched,
-            c.replicated,
-            c.idem_hits,
-            c.joins,
-            c.leaves,
-            p50,
-            p90,
-            p99,
-            c.done as f64 / uptime,
-            st.ledger.inflight(),
-            uptime,
-            nodes_json,
-        )
+        obj([
+            ("router", Json::Bool(true)),
+            ("jobs_done", c.done.into()),
+            ("jobs_failed", c.failed.into()),
+            ("jobs_cancelled", c.cancelled.into()),
+            ("jobs_expired", c.expired.into()),
+            ("jobs_rejected", c.rejected.into()),
+            ("node_lost", c.node_lost.into()),
+            ("redispatched", c.redispatched.into()),
+            ("replicated", c.replicated.into()),
+            ("idem_hits", st.idem.hits.into()),
+            ("idem_evictions", st.idem.evictions.into()),
+            ("joins", c.joins.into()),
+            ("leaves", c.leaves.into()),
+            ("p50_ms", p50),
+            ("p90_ms", p90),
+            ("p99_ms", p99),
+            ("jobs_per_s", milli(c.done as f64 / uptime)),
+            ("inflight", st.ledger.inflight().into()),
+            ("uptime_s", milli(uptime)),
+            ("nodes", Json::Arr(sections)),
+        ])
+        .write()
     }
 
     // --- dispatch machinery ------------------------------------------
@@ -685,7 +643,7 @@ impl Router {
             };
             let Some(m) = st.members.get(node) else {
                 drop(st);
-                self.on_dispatch_failed(id, node);
+                self.note_miss(node, Some(id));
                 return;
             };
             (m.addr.clone(), payload, remaining)
@@ -695,7 +653,7 @@ impl Router {
         });
         match result {
             Ok(outcome) => self.post_outcome(id, Some(node), outcome),
-            Err(_transport) => self.on_dispatch_failed(id, node),
+            Err(_transport) => self.note_miss(node, Some(id)),
         }
     }
 
@@ -713,7 +671,7 @@ impl Router {
 
     /// Post a terminal outcome (first one wins), cancel losing replicas,
     /// and wake result polls.
-    fn post_outcome(self: &Arc<Self>, id: u64, winner: Option<u32>, outcome: Outcome) {
+    fn post_outcome(&self, id: u64, winner: Option<u32>, outcome: Outcome) {
         let mut cancels: Vec<(String, u64)> = Vec::new();
         {
             let mut st = self.state.lock();
@@ -759,69 +717,39 @@ impl Router {
         }
     }
 
-    /// A dispatch-side transport failure: write off the assignment, count
-    /// a miss against the node, and re-home the entry (plus everything
-    /// else stranded, if this miss was the dead transition).
-    fn on_dispatch_failed(self: &Arc<Self>, id: u64, node: u32) {
-        let spawns = {
+    /// Count a miss against `node` — a probe's, or the severed dispatch of
+    /// entry `failed`, whose assignment there is written off — and re-home
+    /// what that strands: `failed` itself, plus every entry on the node if
+    /// this miss was the dead transition (so each is re-homed exactly once).
+    fn note_miss(self: &Arc<Self>, node: u32, failed: Option<u64>) {
+        let mut spawns = Vec::new();
+        {
             let mut st = self.state.lock();
-            abandon_on_node(&mut st, id, node);
-            let (_, became_dead) = st.members.record_miss(node);
-            let mut ids = vec![id];
-            if became_dead {
-                for sid in st.ledger.stranded_on(node) {
-                    abandon_on_node(&mut st, sid, node);
-                    ids.push(sid);
+            let mut ids = Vec::from_iter(failed);
+            for &id in &ids {
+                abandon_on_node(&mut st, id, node);
+            }
+            if st.members.record_miss(node).1 {
+                for id in st.ledger.stranded_on(node) {
+                    abandon_on_node(&mut st, id, node);
+                    ids.push(id);
                 }
             }
-            self.redispatch_ids(&mut st, &ids)
-        };
-        for (eid, n) in spawns {
-            self.spawn_waiter(eid, n, None);
-        }
-    }
-
-    /// A probe miss; on the dead transition every stranded entry is
-    /// re-homed exactly once.
-    fn note_probe_miss(self: &Arc<Self>, node: u32) {
-        let spawns = {
-            let mut st = self.state.lock();
-            let (_, became_dead) = st.members.record_miss(node);
-            if !became_dead {
-                return;
+            let mut resolved_any = false;
+            for id in ids {
+                match redispatch_entry(&mut st, &self.cfg, id) {
+                    Redispatch::Spawn(n) => spawns.push((id, n)),
+                    Redispatch::Resolved => resolved_any = true,
+                    Redispatch::Covered => {}
+                }
             }
-            let ids = st.ledger.stranded_on(node);
-            for &sid in &ids {
-                abandon_on_node(&mut st, sid, node);
-            }
-            self.redispatch_ids(&mut st, &ids)
-        };
-        for (eid, n) in spawns {
-            self.spawn_waiter(eid, n, None);
-        }
-    }
-
-    /// Declare a node failed outright (used by [`Self::submit`] when a
-    /// synchronous dispatch severs).
-    fn note_node_failure(&self, node: u32) {
-        let mut st = self.state.lock();
-        let _ = st.members.record_miss(node);
-    }
-
-    fn redispatch_ids(self: &Arc<Self>, st: &mut RState, ids: &[u64]) -> Vec<(u64, u32)> {
-        let mut spawns = Vec::new();
-        let mut resolved_any = false;
-        for &eid in ids {
-            match redispatch_entry(st, &self.cfg, &*self.policy, eid) {
-                Redispatch::Spawn(n) => spawns.push((eid, n)),
-                Redispatch::Resolved => resolved_any = true,
-                Redispatch::Covered => {}
+            if resolved_any {
+                self.done.notify_all();
             }
         }
-        if resolved_any {
-            self.done.notify_all();
+        for (id, n) in spawns {
+            self.spawn_waiter(id, n, None);
         }
-        spawns
     }
 }
 
@@ -845,12 +773,7 @@ fn abandon_on_node(st: &mut RState, id: u64, node: u32) {
 }
 
 /// Decide what happens to an entry that just lost a dispatch.
-fn redispatch_entry(
-    st: &mut RState,
-    cfg: &RouteConfig,
-    policy: &dyn PlacementPolicy,
-    id: u64,
-) -> Redispatch {
+fn redispatch_entry(st: &mut RState, cfg: &RouteConfig, id: u64) -> Redispatch {
     let Some(entry) = st.ledger.get(id) else {
         return Redispatch::Covered;
     };
@@ -886,7 +809,7 @@ fn redispatch_entry(
     let keep = entry.keep;
     // Prefer an untried survivor; failing that, any placeable node (the
     // idempotency key makes a same-node retry safe).
-    let target = match policy.place(&st.members, job_bytes, keep) {
+    let target = match place(&st.members, cfg.replicate_under, job_bytes, keep) {
         Placement::None => None,
         Placement::One(n) | Placement::Two(n, _) if !tried.contains(&n) => Some(n),
         _ => st
@@ -946,40 +869,6 @@ fn resolve_locked(st: &mut RState, id: u64, outcome: Outcome) {
     }
 }
 
-fn remember_idem(st: &mut RState, cap: usize, client_idem: u64, id: u64) {
-    if client_idem == 0 {
-        return;
-    }
-    if st.idem_order.len() >= cap.max(1) {
-        if let Some(old) = st.idem_order.pop_front() {
-            st.idem.remove(&old);
-        }
-    }
-    st.idem.insert(client_idem, id);
-    st.idem_order.push_back(client_idem);
-}
-
-fn validate_job(a: &Matrix, opts: &QrOptions) -> Result<(), String> {
-    if a.nrows() == 0 || a.ncols() == 0 {
-        return Err("matrix must be non-empty".into());
-    }
-    if opts.nb == 0 || opts.ib == 0 || opts.ib > opts.nb {
-        return Err(format!(
-            "need 0 < ib <= nb, got nb={} ib={}",
-            opts.nb, opts.ib
-        ));
-    }
-    if !a.nrows().is_multiple_of(opts.nb) || !a.ncols().is_multiple_of(opts.nb) {
-        return Err(format!(
-            "matrix {}x{} is not tiled by nb={}",
-            a.nrows(),
-            a.ncols(),
-            opts.nb
-        ));
-    }
-    Ok(())
-}
-
 /// Run one dispatch against a worker: submit under the ledger's idem key
 /// (unless the remote id is already known), then long-poll the result.
 /// `Ok` carries the semantic outcome; `Err` is a transport failure the
@@ -1036,18 +925,13 @@ fn dispatch_remote(
     }
 }
 
-// --- TCP front end ------------------------------------------------------
-
-/// Serve the router on `listener` until a client sends [`Msg::Drain`].
-/// Speaks the worker protocol verbatim (plus join/leave/ping), spawns the
-/// health prober, and cascades the final drain to every member node.
+/// Serve the router on `listener` until a client sends a drain: the
+/// worker front end ([`serve_node`]) over a [`Router`], plus the health
+/// prober. The final drain cascades to every member node.
 pub fn route(listener: TcpListener, router: Arc<Router>) -> std::io::Result<()> {
-    let local = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let prober_stop = Arc::new(AtomicBool::new(false));
+    let stop = Arc::new(AtomicBool::new(false));
     let prober = {
-        let router = router.clone();
-        let stop = prober_stop.clone();
+        let (router, stop) = (router.clone(), stop.clone());
         let beat = Duration::from_millis(router.cfg.heartbeat_ms.max(5));
         std::thread::Builder::new()
             .name("qr-route-prober".into())
@@ -1059,199 +943,10 @@ pub fn route(listener: TcpListener, router: Arc<Router>) -> std::io::Result<()> 
             })
             .expect("failed to spawn router prober")
     };
-    let conns: Mutex<Vec<TcpStream>> = Mutex::new(Vec::new());
-    let mut handlers = Vec::new();
-    loop {
-        let (stream, _) = listener.accept()?;
-        if shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        if let Ok(dup) = stream.try_clone() {
-            conns.lock().push(dup);
-        }
-        let router = router.clone();
-        let shutdown = shutdown.clone();
-        handlers.push(
-            std::thread::Builder::new()
-                .name("qr-route-conn".into())
-                .spawn(move || handle_route_conn(stream, &router, &shutdown, local))
-                .expect("failed to spawn router connection handler"),
-        );
-    }
-    // Mirror the worker's drain choreography: a short grace so clients
-    // mid-flight between ACK and result-poll still get their reply.
-    std::thread::sleep(router.cfg.drain_grace);
-    prober_stop.store(true, Ordering::Release);
-    for conn in conns.lock().drain(..) {
-        let _ = conn.shutdown(Shutdown::Read);
-    }
-    for h in handlers {
-        let _ = h.join();
-    }
+    let served = serve_node(listener, router, None);
+    stop.store(true, Ordering::Release);
     let _ = prober.join();
-    Ok(())
-}
-
-fn handle_route_conn(
-    mut stream: TcpStream,
-    router: &Arc<Router>,
-    shutdown: &AtomicBool,
-    local: SocketAddr,
-) {
-    loop {
-        let (msg, seq) = match proto::read_msg(&mut stream) {
-            Ok(x) => x,
-            Err(e) if e.kind() == ErrorKind::InvalidData => {
-                let reply = Msg::Error {
-                    job: 0,
-                    code: ErrCode::Invalid,
-                    msg: e.to_string(),
-                };
-                let _ = proto::write_msg(&mut stream, &reply, 0);
-                return;
-            }
-            Err(_) => return,
-        };
-        let draining = matches!(msg, Msg::Drain);
-        let reply = dispatch_route(router, msg);
-        let frame = proto::encode_msg(&reply, seq);
-        let delivered = stream.write_all(&frame).is_ok();
-        if draining {
-            shutdown.store(true, Ordering::Release);
-            let _ = TcpStream::connect_timeout(&local, Duration::from_secs(5));
-            return;
-        }
-        if !delivered {
-            return;
-        }
-    }
-}
-
-fn typed_err(job: u64, (code, msg): (ErrCode, String)) -> Msg {
-    Msg::Error { job, code, msg }
-}
-
-fn dispatch_route(router: &Arc<Router>, msg: Msg) -> Msg {
-    match msg {
-        Msg::Submit {
-            nb,
-            ib,
-            deadline_ms,
-            keep,
-            idem,
-            tree,
-            a,
-        } => {
-            let tree: pulsar_core::Tree = match tree.parse() {
-                Ok(t) => t,
-                Err(e) => {
-                    return Msg::Error {
-                        job: 0,
-                        code: ErrCode::Invalid,
-                        msg: e,
-                    }
-                }
-            };
-            if nb == 0 || ib == 0 {
-                return Msg::Error {
-                    job: 0,
-                    code: ErrCode::Invalid,
-                    msg: "nb and ib must be positive".into(),
-                };
-            }
-            let opts = QrOptions::new(nb as usize, ib as usize, tree);
-            match router.submit(a, opts, deadline_ms, keep, idem) {
-                Ok(job) => Msg::SubmitOk { job },
-                Err(RouteError::Backpressure {
-                    retry_after_ms,
-                    queued,
-                    draining,
-                }) => Msg::Reject {
-                    draining,
-                    retry_after_ms,
-                    queued,
-                },
-                Err(RouteError::Typed(code, msg)) => Msg::Error { job: 0, code, msg },
-            }
-        }
-        Msg::Status { job } => match router.status(job) {
-            Some((state, queue_pos)) => Msg::State {
-                job,
-                state,
-                queue_pos,
-            },
-            None => Msg::Error {
-                job,
-                code: ErrCode::UnknownJob,
-                msg: format!("unknown job {job}"),
-            },
-        },
-        Msg::Result { job } => match router.wait_result(job) {
-            Ok(r) => Msg::RFactor { job, r },
-            Err((code, msg)) => Msg::Error { job, code, msg },
-        },
-        Msg::Cancel { job } => Msg::CancelOk {
-            job,
-            cancelled: router.cancel(job),
-        },
-        Msg::Solve { handle, b } => {
-            match router.with_owner(handle, |c, remote| c.solve(remote, &b)) {
-                Ok(x) => Msg::Solution { handle, x },
-                Err(e) => typed_err(handle, e),
-            }
-        }
-        Msg::ApplyQ {
-            handle,
-            transpose,
-            b,
-        } => match router.with_owner(handle, |c, remote| c.apply_q(remote, &b, transpose)) {
-            Ok(c) => Msg::QApplied { handle, c },
-            Err(e) => typed_err(handle, e),
-        },
-        Msg::Update { handle, e } => {
-            match router.with_owner(handle, |c, remote| c.update(remote, &e)) {
-                Ok(rows) => Msg::Updated { handle, rows },
-                Err(err) => typed_err(handle, err),
-            }
-        }
-        Msg::Release { handle } => match router.with_owner(handle, |c, remote| c.release(remote)) {
-            Ok(released) => Msg::Released { handle, released },
-            Err(e) => typed_err(handle, e),
-        },
-        Msg::Join {
-            addr,
-            threads,
-            store_bytes,
-            gemm_tier,
-        } => {
-            let caps = Caps {
-                threads,
-                store_bytes,
-                gemm_tier,
-            };
-            match router.join(&addr, caps) {
-                Ok(node_id) => Msg::JoinOk { node_id },
-                Err(e) => typed_err(0, e),
-            }
-        }
-        Msg::Leave { node_id } => Msg::LeaveOk {
-            node_id,
-            left: router.leave(node_id),
-        },
-        Msg::Ping { nonce } => Msg::Pong {
-            nonce,
-            queued: router.inflight() as u32,
-            running: 0,
-        },
-        Msg::Drain => Msg::Drained {
-            stats: router.drain(),
-        },
-        other => Msg::Error {
-            job: 0,
-            code: ErrCode::Invalid,
-            msg: format!("verb {} is a reply, not a request", other.verb()),
-        },
-    }
+    served
 }
 
 #[cfg(test)]

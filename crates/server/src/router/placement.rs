@@ -1,6 +1,6 @@
-//! Pluggable job placement.
+//! Job placement.
 //!
-//! The shipped policy is least-loaded with size-aware replication, after
+//! The policy is least-loaded with size-aware replication, after
 //! the 3D-QR paper's observation that small/tall panels are cheap enough
 //! to replicate while big partitions are not: fire-and-forget jobs under
 //! a byte threshold are dual-dispatched to the two least-loaded nodes
@@ -21,35 +21,27 @@ pub enum Placement {
     Two(u32, u32),
 }
 
-/// A placement policy. Implementations see the whole membership table
-/// and the job's size/keep so they can trade load for replication.
-pub trait PlacementPolicy: Send + Sync {
-    /// Choose the node(s) for a job of `job_bytes` matrix payload.
-    fn place(&self, members: &Membership, job_bytes: usize, keep: bool) -> Placement;
-}
-
-/// Least-loaded placement with size-aware replication.
-pub struct LeastLoaded {
-    /// Fire-and-forget jobs strictly smaller than this many matrix bytes
-    /// are dual-dispatched when two candidates exist.
-    pub replicate_under: usize,
-}
-
-impl PlacementPolicy for LeastLoaded {
-    fn place(&self, members: &Membership, job_bytes: usize, keep: bool) -> Placement {
-        let candidates = members.placeable();
-        let Some(first) = candidates.first() else {
-            return Placement::None;
-        };
-        // Keep jobs pin a factor to one node's store: replication would
-        // mint two handles for one logical factor, so they never fan out.
-        if !keep && job_bytes < self.replicate_under {
-            if let Some(second) = candidates.get(1) {
-                return Placement::Two(first.id, second.id);
-            }
+/// Least-loaded placement with size-aware replication: fire-and-forget
+/// jobs strictly smaller than `replicate_under` matrix bytes are
+/// dual-dispatched when two candidates exist.
+pub fn place(
+    members: &Membership,
+    replicate_under: usize,
+    job_bytes: usize,
+    keep: bool,
+) -> Placement {
+    let candidates = members.placeable();
+    let Some(first) = candidates.first() else {
+        return Placement::None;
+    };
+    // Keep jobs pin a factor to one node's store: replication would
+    // mint two handles for one logical factor, so they never fan out.
+    if !keep && job_bytes < replicate_under {
+        if let Some(second) = candidates.get(1) {
+            return Placement::Two(first.id, second.id);
         }
-        Placement::One(first.id)
     }
+    Placement::One(first.id)
 }
 
 #[cfg(test)]
@@ -74,37 +66,30 @@ mod tests {
 
     #[test]
     fn small_jobs_replicate_large_and_keep_do_not() {
-        let policy = LeastLoaded {
-            replicate_under: 1024,
-        };
         let m = members(3);
-        assert!(matches!(policy.place(&m, 512, false), Placement::Two(a, b) if a != b));
-        assert!(matches!(policy.place(&m, 4096, false), Placement::One(_)));
-        assert!(matches!(policy.place(&m, 512, true), Placement::One(_)));
+        assert!(matches!(place(&m, 1024, 512, false), Placement::Two(a, b) if a != b));
+        assert!(matches!(place(&m, 1024, 4096, false), Placement::One(_)));
+        assert!(matches!(place(&m, 1024, 512, true), Placement::One(_)));
     }
 
     #[test]
     fn degenerate_fleets() {
-        let policy = LeastLoaded {
-            replicate_under: 1024,
-        };
-        assert_eq!(policy.place(&members(0), 512, false), Placement::None);
+        assert_eq!(place(&members(0), 1024, 512, false), Placement::None);
         assert!(matches!(
-            policy.place(&members(1), 512, false),
+            place(&members(1), 1024, 512, false),
             Placement::One(_)
         ));
     }
 
     #[test]
     fn ties_round_robin_by_total_placed() {
-        let policy = LeastLoaded { replicate_under: 0 };
         let mut m = members(2);
-        let first = match policy.place(&m, 4096, false) {
+        let first = match place(&m, 0, 4096, false) {
             Placement::One(id) => id,
             other => panic!("{other:?}"),
         };
         m.get_mut(first).unwrap().placed += 1;
-        let second = match policy.place(&m, 4096, false) {
+        let second = match place(&m, 0, 4096, false) {
             Placement::One(id) => id,
             other => panic!("{other:?}"),
         };

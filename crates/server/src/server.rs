@@ -1,47 +1,209 @@
-//! TCP front end of the QR service: accept loop, one handler thread per
-//! connection, and the request → [`Service`] dispatch table.
+//! The one request path of the service tier: the [`Node`] interface a
+//! worker ([`Service`]) and a fleet ([`Router`](crate::router::Router))
+//! both implement, the shared admission helpers, and [`serve_node`] — the
+//! only accept loop, connection handler and `Msg` → reply table.
 
 use crate::fault::{ConnFaults, ReplyFate, ServeFaultPlan};
-use crate::proto::{self, ErrCode, Msg};
+use crate::proto::{self, ErrCode, JobState, Msg};
+use crate::router::membership::Caps;
 use crate::service::{JobError, Service, SubmitError};
 use parking_lot::Mutex;
 use pulsar_core::{QrOptions, Tree};
+use pulsar_linalg::Matrix;
+use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-impl JobError {
-    fn code(&self) -> ErrCode {
-        match self {
-            JobError::Failed(_) => ErrCode::Failed,
-            JobError::DeadlineExpired => ErrCode::DeadlineExpired,
-            JobError::Cancelled => ErrCode::Cancelled,
-            JobError::Unknown => ErrCode::UnknownJob,
-            JobError::HandleExpired(_) => ErrCode::HandleExpired,
-            JobError::StoreFull { .. } => ErrCode::StoreFull,
-            JobError::Invalid(_) => ErrCode::Invalid,
-            JobError::Panicked(_) => ErrCode::Panicked,
-        }
+/// A verb's failure in its wire form: the code and detail of the
+/// [`Msg::Error`] reply.
+pub type NodeResult<T> = Result<T, (ErrCode, String)>;
+
+/// What the front end serves: one method per request verb, failures
+/// already reduced to their wire form. A single worker and a router over
+/// many are both a `Node`, so every client works against either.
+pub trait Node: Send + Sync + 'static {
+    /// Admit a factorization; the id is what status/result/cancel take
+    /// (and, with `keep`, the factor handle).
+    fn submit(
+        self: &Arc<Self>,
+        a: Matrix,
+        opts: QrOptions,
+        deadline_ms: u32,
+        keep: bool,
+        idem: u64,
+    ) -> Result<u64, SubmitError>;
+    /// A job's lifecycle state and queue position; `None` when unknown.
+    fn status(&self, job: u64) -> Option<(JobState, u32)>;
+    /// Block until the job reaches a terminal state and return its R.
+    fn wait_result(&self, job: u64) -> NodeResult<Matrix>;
+    /// Cancel a job that has not started.
+    fn cancel(&self, job: u64) -> bool;
+    /// Least-squares solve against a kept factorization.
+    fn solve(&self, handle: u64, b: &Matrix) -> NodeResult<Matrix>;
+    /// Apply `Q` (or `Q^T`) from a kept factorization.
+    fn apply_q(&self, handle: u64, b: &Matrix, transpose: bool) -> NodeResult<Matrix>;
+    /// Append rows to a kept factorization; returns its new row count.
+    fn update(&self, handle: u64, e: &Matrix) -> NodeResult<u64>;
+    /// Drop a kept factorization; `Ok(false)` when it was already gone.
+    fn release(&self, handle: u64) -> NodeResult<bool>;
+    /// `(queued, running)` load snapshot for the ping reply.
+    fn load(&self) -> (u32, u32);
+    /// Stop admitting, finish what was admitted, return the stats JSON.
+    fn drain(&self) -> String;
+    /// After a drain, before the front end hangs up: wait, bounded by the
+    /// node's drain grace, for clients still on their way to collect an
+    /// outcome they were promised.
+    fn linger(&self);
+    /// Register a member node. Only a router has members.
+    fn join(&self, _addr: &str, _caps: Caps) -> NodeResult<u32> {
+        Err((ErrCode::Invalid, "join: this node is not a router".into()))
+    }
+    /// Stop placing on a member node. Only a router has members.
+    fn leave(&self, _node_id: u32) -> NodeResult<bool> {
+        Err((ErrCode::Invalid, "leave: this node is not a router".into()))
     }
 }
 
-/// Shared trigger for the `die=N` chaos directive: one reply counter
-/// across every connection, firing exactly once.
-struct DieSwitch {
-    after: u64,
-    replies: AtomicU64,
-    fired: AtomicBool,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+// --- admission, shared by the worker and the router ---------------------
+
+/// Shape and tile-size checks every submit passes before admission.
+pub(crate) fn validate_job(a: &Matrix, opts: &QrOptions) -> Result<(), String> {
+    if a.nrows() == 0 || a.ncols() == 0 {
+        return Err("matrix must be non-empty".into());
+    }
+    if opts.nb == 0 || opts.ib == 0 || opts.ib > opts.nb {
+        return Err(format!(
+            "need 0 < ib <= nb, got nb={} ib={}",
+            opts.nb, opts.ib
+        ));
+    }
+    if !a.nrows().is_multiple_of(opts.nb) || !a.ncols().is_multiple_of(opts.nb) {
+        return Err(format!(
+            "matrix {}x{} is not tiled by nb={}",
+            a.nrows(),
+            a.ncols(),
+            opts.nb
+        ));
+    }
+    Ok(())
 }
 
-/// Typed error reply for a handle-verb failure.
-fn handle_err(handle: u64, e: &JobError) -> Msg {
-    Msg::Error {
-        job: handle,
-        code: e.code(),
-        msg: e.to_string(),
+/// Client idempotency key → job id, bounded FIFO. A retried submit whose
+/// key is remembered — the original ACK was lost — gets the original id
+/// back instead of a second admission.
+pub(crate) struct IdemMap {
+    cap: usize,
+    ids: HashMap<u64, u64>,
+    order: VecDeque<u64>,
+    /// Retried submits answered from the map.
+    pub hits: u64,
+    /// Keys dropped by the capacity bound.
+    pub evictions: u64,
+}
+
+impl IdemMap {
+    pub fn new(cap: usize) -> Self {
+        IdemMap {
+            cap: cap.max(1),
+            ids: HashMap::new(),
+            order: VecDeque::new(),
+            hits: 0,
+            evictions: 0,
+        }
+    }
+
+    /// The id `key` was admitted under, counting the hit. Key 0 ("no
+    /// key") is never remembered, so it never matches.
+    pub fn lookup(&mut self, key: u64) -> Option<u64> {
+        let id = *self.ids.get(&key)?;
+        self.hits += 1;
+        Some(id)
+    }
+
+    /// Remember `key -> id` (nothing for key 0), evicting the oldest key
+    /// at capacity.
+    pub fn remember(&mut self, key: u64, id: u64) {
+        if key == 0 {
+            return;
+        }
+        if self.order.len() >= self.cap {
+            if let Some(old) = self.order.pop_front() {
+                self.ids.remove(&old);
+                self.evictions += 1;
+            }
+        }
+        self.ids.insert(key, id);
+        self.order.push_back(key);
+    }
+}
+
+// --- the worker as a node -----------------------------------------------
+
+/// A job failure in its wire form.
+fn wire(e: JobError) -> (ErrCode, String) {
+    let code = match e {
+        JobError::Failed(_) => ErrCode::Failed,
+        JobError::DeadlineExpired => ErrCode::DeadlineExpired,
+        JobError::Cancelled => ErrCode::Cancelled,
+        JobError::Unknown => ErrCode::UnknownJob,
+        JobError::HandleExpired(_) => ErrCode::HandleExpired,
+        JobError::StoreFull { .. } => ErrCode::StoreFull,
+        JobError::Invalid(_) => ErrCode::Invalid,
+        JobError::Panicked(_) => ErrCode::Panicked,
+    };
+    (code, e.to_string())
+}
+
+// Handle verbs run inline on the connection thread: they are pure reads
+// of stored factors (plus a short store commit for update), so they never
+// queue behind factorization batches.
+impl Node for Service {
+    fn submit(
+        self: &Arc<Self>,
+        a: Matrix,
+        opts: QrOptions,
+        deadline_ms: u32,
+        keep: bool,
+        idem: u64,
+    ) -> Result<u64, SubmitError> {
+        let deadline = (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
+        self.submit_idem(a, opts, deadline, keep, idem)
+    }
+    fn status(&self, job: u64) -> Option<(JobState, u32)> {
+        Service::status(self, job)
+    }
+    fn wait_result(&self, job: u64) -> NodeResult<Matrix> {
+        Service::wait_result(self, job).map_err(wire)
+    }
+    fn cancel(&self, job: u64) -> bool {
+        Service::cancel(self, job)
+    }
+    fn solve(&self, handle: u64, b: &Matrix) -> NodeResult<Matrix> {
+        Service::solve(self, handle, b).map_err(wire)
+    }
+    fn apply_q(&self, handle: u64, b: &Matrix, transpose: bool) -> NodeResult<Matrix> {
+        Service::apply_q(self, handle, b, transpose).map_err(wire)
+    }
+    fn update(&self, handle: u64, e: &Matrix) -> NodeResult<u64> {
+        Service::update(self, handle, e).map_err(wire)
+    }
+    fn release(&self, handle: u64) -> NodeResult<bool> {
+        Ok(Service::release(self, handle))
+    }
+    fn load(&self) -> (u32, u32) {
+        Service::load(self)
+    }
+    fn drain(&self) -> String {
+        Service::drain(self)
+    }
+    fn linger(&self) {
+        let grace = Instant::now();
+        while self.unclaimed_outcomes() > 0 && grace.elapsed() < self.config().drain_grace {
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 }
 
@@ -53,7 +215,7 @@ fn handle_err(handle: u64, e: &JobError) -> Msg {
 /// returns after a drain completed: the queue was run dry, the drained
 /// reply was sent, and every handler thread was joined.
 pub fn serve(listener: TcpListener, service: Arc<Service>) -> std::io::Result<()> {
-    serve_with_faults(listener, service, None)
+    serve_node(listener, service, None)
 }
 
 /// [`serve`] under a seeded [`ServeFaultPlan`]: every reply frame rolls
@@ -73,96 +235,117 @@ pub fn serve_with_faults(
     if let Some(ms) = faults.as_ref().and_then(|f| f.sched_delay_ms) {
         service.inject_sched_delay(Duration::from_millis(ms));
     }
-    let local = listener.local_addr()?;
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-    let die = faults.as_ref().and_then(|f| f.die).map(|after| {
-        Arc::new(DieSwitch {
-            after,
-            replies: AtomicU64::new(0),
-            fired: AtomicBool::new(false),
-            conns: conns.clone(),
-        })
+    serve_node(listener, service, faults)
+}
+
+// --- the front end ------------------------------------------------------
+
+/// What one connection handler shares with the acceptor.
+struct FrontEnd {
+    /// Where the acceptor listens; a handler self-connects to wake it.
+    local: SocketAddr,
+    /// Set once a drain was answered or the `die=N` switch fired.
+    shutdown: AtomicBool,
+    /// A duplicate handle per connection, so the acceptor (or the die
+    /// switch) can unblock handlers parked in a read.
+    conns: Mutex<Vec<TcpStream>>,
+    /// The `die=N` chaos directive: crash after this many replies...
+    die_after: Option<u64>,
+    /// ...counted across every connection...
+    replies: AtomicU64,
+    /// ...exactly once.
+    died: AtomicBool,
+}
+
+impl FrontEnd {
+    /// Stop accepting: the self-connection is accepted and discarded.
+    fn wake_acceptor(&self) {
+        self.shutdown.store(true, Ordering::Release);
+        let _ = TcpStream::connect_timeout(&self.local, Duration::from_secs(5));
+    }
+}
+
+/// Serve any [`Node`] on `listener` until a client sends [`Msg::Drain`]
+/// (`Ok`) or the plan's `die=N` directive severs the node (`Err`). The
+/// reply-path directives of `faults` apply per connection; its service
+/// directives are [`serve_with_faults`]'s business.
+pub fn serve_node<N: Node>(
+    listener: TcpListener,
+    node: Arc<N>,
+    faults: Option<ServeFaultPlan>,
+) -> std::io::Result<()> {
+    let front = Arc::new(FrontEnd {
+        local: listener.local_addr()?,
+        shutdown: AtomicBool::new(false),
+        conns: Mutex::new(Vec::new()),
+        die_after: faults.as_ref().and_then(|f| f.die),
+        replies: AtomicU64::new(0),
+        died: AtomicBool::new(false),
     });
     let mut handlers = Vec::new();
     let mut conn_index = 0u64;
     loop {
         let (stream, _) = listener.accept()?;
-        if shutdown.load(Ordering::Acquire) {
+        if front.shutdown.load(Ordering::Acquire) {
             break;
         }
-        // Keep a duplicate handle so the drain path can unblock handlers
-        // that sit in a read on a connection the client left open.
         if let Ok(dup) = stream.try_clone() {
-            conns.lock().push(dup);
+            front.conns.lock().push(dup);
         }
-        let service = service.clone();
-        let shutdown = shutdown.clone();
+        let (node, front) = (node.clone(), front.clone());
         let conn_faults = faults.as_ref().map(|p| ConnFaults::new(p, conn_index));
-        let die = die.clone();
         conn_index += 1;
         handlers.push(
             std::thread::Builder::new()
                 .name("qr-conn".into())
-                .spawn(move || handle_conn(stream, &service, &shutdown, local, conn_faults, die))
+                .spawn(move || handle_conn(stream, &node, &front, conn_faults))
                 .expect("failed to spawn connection handler"),
         );
     }
     // A fired die directive is a crash, not a drain: connections are
     // already severed, so skip the grace window and surface an error.
-    if die
-        .as_ref()
-        .is_some_and(|d| d.fired.load(Ordering::Acquire))
-    {
-        for h in handlers {
-            let _ = h.join();
+    let died = front.died.load(Ordering::Acquire);
+    if !died {
+        // Drained: every admitted job has resolved, but a result posted
+        // moments ago may not have been *collected* yet — a client can be
+        // mid-flight between its submit ACK and its result call. Give
+        // those outcomes a short grace window before hanging up, so drain
+        // never races result collection. Only then close the read half of
+        // each connection (dead ones error, which is fine) so handlers
+        // blocked in a read see EOF and return, while in-flight replies
+        // still flush.
+        node.linger();
+        for conn in front.conns.lock().drain(..) {
+            let _ = conn.shutdown(Shutdown::Read);
         }
-        return Err(std::io::Error::other(
-            "chaos: die directive severed the node",
-        ));
-    }
-    // Drained: every queued job has resolved, but a result delivered to
-    // the service moments ago may not have been *collected* yet — a
-    // client can be mid-flight between its submit ACK and its result
-    // call. Give those outcomes a short grace window before hanging up,
-    // so drain never races result collection. Only then close the read
-    // half of each connection (dead ones error, which is fine) so
-    // handlers blocked in a read see EOF and return, while in-flight
-    // replies still flush.
-    let grace = Instant::now();
-    let drain_grace = service.config().drain_grace;
-    while service.unclaimed_outcomes() > 0 && grace.elapsed() < drain_grace {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    for conn in conns.lock().drain(..) {
-        let _ = conn.shutdown(Shutdown::Read);
     }
     for h in handlers {
         let _ = h.join();
     }
+    if died {
+        return Err(std::io::Error::other(
+            "chaos: die directive severed the node",
+        ));
+    }
     Ok(())
 }
 
-fn handle_conn(
+fn handle_conn<N: Node>(
     mut stream: TcpStream,
-    service: &Service,
-    shutdown: &AtomicBool,
-    local: SocketAddr,
+    node: &Arc<N>,
+    front: &FrontEnd,
     mut faults: Option<ConnFaults>,
-    die: Option<Arc<DieSwitch>>,
 ) {
     loop {
         let (msg, seq) = match proto::read_msg(&mut stream) {
             Ok(x) => x,
             Err(e) if e.kind() == ErrorKind::InvalidData => {
                 // Garbage on the wire: after a bad frame the stream offset
-                // is unreliable, so reply once and hang up.
-                let reply = Msg::Error {
-                    job: 0,
-                    code: ErrCode::Invalid,
-                    msg: e.to_string(),
-                };
+                // is unreliable, so reply once and hang up (explicitly: the
+                // acceptor's duplicate handle keeps the socket open).
+                let reply = invalid(e.to_string());
                 let _ = proto::write_msg(&mut stream, &reply, 0);
+                let _ = stream.shutdown(Shutdown::Both);
                 return;
             }
             // Clean disconnect (or any other io failure): drop the
@@ -170,7 +353,7 @@ fn handle_conn(
             Err(_) => return,
         };
         let draining = matches!(msg, Msg::Drain);
-        let reply = dispatch(service, msg);
+        let reply = dispatch(node, msg);
         let mut frame = proto::encode_msg(&reply, seq);
         let fate = faults
             .as_mut()
@@ -192,27 +375,28 @@ fn handle_conn(
         // Probe replies don't advance the die counter: a router's prober
         // pings continuously, and `die=N` must mean "after N *job*
         // replies", deterministic regardless of heartbeat cadence.
-        let counts_toward_die = !matches!(reply, Msg::Pong { .. });
-        if let Some(d) = die.as_ref().filter(|_| counts_toward_die) {
+        if let Some(after) = front
+            .die_after
+            .filter(|_| !matches!(reply, Msg::Pong { .. }))
+        {
             // The crash lands *after* this reply went out: the client saw
             // the ACK, then the node vanished mid-conversation.
-            if d.replies.fetch_add(1, Ordering::AcqRel) + 1 >= d.after
-                && !d.fired.swap(true, Ordering::AcqRel)
+            if front.replies.fetch_add(1, Ordering::AcqRel) + 1 >= after
+                && !front.died.swap(true, Ordering::AcqRel)
             {
-                shutdown.store(true, Ordering::Release);
-                for conn in d.conns.lock().drain(..) {
+                // Refuse new connections before severing the live ones.
+                front.shutdown.store(true, Ordering::Release);
+                for conn in front.conns.lock().drain(..) {
                     let _ = conn.shutdown(Shutdown::Both);
                 }
-                let _ = TcpStream::connect_timeout(&local, Duration::from_secs(5));
+                front.wake_acceptor();
                 return;
             }
         }
         if draining {
             // The drained reply is out (or chaos ate it — the drain still
-            // happened); wake the acceptor so `serve` returns. The
-            // self-connection is accepted and discarded.
-            shutdown.store(true, Ordering::Release);
-            let _ = TcpStream::connect_timeout(&local, Duration::from_secs(5));
+            // happened); wake the acceptor so the front end returns.
+            front.wake_acceptor();
             return;
         }
         if !delivered {
@@ -221,7 +405,23 @@ fn handle_conn(
     }
 }
 
-fn dispatch(service: &Service, msg: Msg) -> Msg {
+fn invalid(msg: String) -> Msg {
+    Msg::Error {
+        job: 0,
+        code: ErrCode::Invalid,
+        msg,
+    }
+}
+
+/// The verb table: one request in, one reply out. `id` is the job or
+/// handle a typed failure is reported against.
+fn dispatch<N: Node>(node: &Arc<N>, msg: Msg) -> Msg {
+    fn reply<T>(id: u64, r: NodeResult<T>, ok: impl FnOnce(T) -> Msg) -> Msg {
+        match r {
+            Ok(t) => ok(t),
+            Err((code, msg)) => Msg::Error { job: id, code, msg },
+        }
+    }
     match msg {
         Msg::Submit {
             nb,
@@ -234,24 +434,13 @@ fn dispatch(service: &Service, msg: Msg) -> Msg {
         } => {
             let tree: Tree = match tree.parse() {
                 Ok(t) => t,
-                Err(e) => {
-                    return Msg::Error {
-                        job: 0,
-                        code: ErrCode::Invalid,
-                        msg: e,
-                    }
-                }
+                Err(e) => return invalid(e),
             };
             if nb == 0 || ib == 0 {
-                return Msg::Error {
-                    job: 0,
-                    code: ErrCode::Invalid,
-                    msg: "nb and ib must be positive".into(),
-                };
+                return invalid("nb and ib must be positive".into());
             }
             let opts = QrOptions::new(nb as usize, ib as usize, tree);
-            let deadline = (deadline_ms > 0).then(|| Duration::from_millis(u64::from(deadline_ms)));
-            match service.submit_idem(a, opts, deadline, keep, idem) {
+            match node.submit(a, opts, deadline_ms, keep, idem) {
                 Ok(job) => Msg::SubmitOk { job },
                 Err(SubmitError::Backpressure {
                     retry_after_ms,
@@ -262,78 +451,75 @@ fn dispatch(service: &Service, msg: Msg) -> Msg {
                     retry_after_ms,
                     queued,
                 },
-                Err(SubmitError::Invalid(m)) => Msg::Error {
-                    job: 0,
-                    code: ErrCode::Invalid,
-                    msg: m,
-                },
+                Err(SubmitError::Invalid(msg)) => invalid(msg),
+                Err(SubmitError::Node(code, msg)) => Msg::Error { job: 0, code, msg },
             }
         }
-        Msg::Status { job } => match service.status(job) {
-            Some((state, queue_pos)) => Msg::State {
+        Msg::Status { job } => {
+            let known = node
+                .status(job)
+                .ok_or_else(|| (ErrCode::UnknownJob, format!("unknown job {job}")));
+            reply(job, known, |(state, queue_pos)| Msg::State {
                 job,
                 state,
                 queue_pos,
-            },
-            None => Msg::Error {
-                job,
-                code: ErrCode::UnknownJob,
-                msg: format!("unknown job {job}"),
-            },
-        },
-        Msg::Result { job } => match service.wait_result(job) {
-            Ok(r) => Msg::RFactor { job, r },
-            Err(e) => Msg::Error {
-                job,
-                code: e.code(),
-                msg: e.to_string(),
-            },
-        },
+            })
+        }
+        Msg::Result { job } => reply(job, node.wait_result(job), |r| Msg::RFactor { job, r }),
         Msg::Cancel { job } => Msg::CancelOk {
             job,
-            cancelled: service.cancel(job),
+            cancelled: node.cancel(job),
         },
-        Msg::Drain => Msg::Drained {
-            stats: service.drain(),
-        },
-        // Handle verbs run inline on this connection thread: they are
-        // pure reads of stored factors (plus a short store commit for
-        // update), so they never queue behind factorization batches.
-        Msg::Solve { handle, b } => match service.solve(handle, &b) {
-            Ok(x) => Msg::Solution { handle, x },
-            Err(e) => handle_err(handle, &e),
-        },
+        Msg::Solve { handle, b } => reply(handle, node.solve(handle, &b), |x| Msg::Solution {
+            handle,
+            x,
+        }),
         Msg::ApplyQ {
             handle,
             transpose,
             b,
-        } => match service.apply_q(handle, &b, transpose) {
-            Ok(c) => Msg::QApplied { handle, c },
-            Err(e) => handle_err(handle, &e),
-        },
-        Msg::Update { handle, e } => match service.update(handle, &e) {
-            Ok(rows) => Msg::Updated { handle, rows },
-            Err(err) => handle_err(handle, &err),
-        },
-        Msg::Release { handle } => Msg::Released {
+        } => reply(handle, node.apply_q(handle, &b, transpose), |c| {
+            Msg::QApplied { handle, c }
+        }),
+        Msg::Update { handle, e } => reply(handle, node.update(handle, &e), |rows| Msg::Updated {
             handle,
-            released: service.release(handle),
-        },
-        // Liveness probe from a router's health prober: answer with the
-        // queue/pool load snapshot placement feeds on.
+            rows,
+        }),
+        Msg::Release { handle } => reply(handle, node.release(handle), |released| Msg::Released {
+            handle,
+            released,
+        }),
+        Msg::Join {
+            addr,
+            threads,
+            store_bytes,
+            gemm_tier,
+        } => {
+            let caps = Caps {
+                threads,
+                store_bytes,
+                gemm_tier,
+            };
+            reply(0, node.join(&addr, caps), |node_id| Msg::JoinOk { node_id })
+        }
+        Msg::Leave { node_id } => reply(0, node.leave(node_id), |left| Msg::LeaveOk {
+            node_id,
+            left,
+        }),
+        // Liveness probe (a router's health prober, or any client): the
+        // load snapshot placement feeds on.
         Msg::Ping { nonce } => {
-            let (queued, running) = service.load();
+            let (queued, running) = node.load();
             Msg::Pong {
                 nonce,
                 queued,
                 running,
             }
         }
-        // A client sending reply verbs is confused; tell it so.
-        other => Msg::Error {
-            job: 0,
-            code: ErrCode::Invalid,
-            msg: format!("verb {} is a reply, not a request", other.verb()),
+        Msg::Drain => Msg::Drained {
+            stats: node.drain(),
         },
+        // A client sending reply verbs is confused; tell it so.
+        other => invalid(format!("verb {} is a reply, not a request", other.verb())),
     }
 }

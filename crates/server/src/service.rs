@@ -10,7 +10,8 @@
 //! rejected — not stalled — when the queue is full, with a retry hint
 //! derived from the observed batch rate.
 
-use crate::proto::JobState;
+use crate::proto::{ErrCode, JobState};
+use crate::server::{validate_job, IdemMap};
 use crate::store::{FactorHandle, FactorStore, StoreError, WalError};
 use parking_lot::{Condvar, Mutex};
 use pulsar_core::update::append_rows;
@@ -19,6 +20,7 @@ use pulsar_core::{grid_aspect, tile_qr_tsqr, QrOptions, TileQrFactors};
 use pulsar_linalg::Matrix;
 use pulsar_runtime::trace::{TaskSpan, Trace};
 use pulsar_runtime::{RunConfig, RunError, Tuple, VsaPool};
+use pulsar_tuner::json::{obj, Json};
 use pulsar_tuner::{qr_flops, PlanKey, ProfileTable, Refiner};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -109,6 +111,9 @@ pub enum SubmitError {
     },
     /// The job parameters are invalid (bad shape, tile sizes, ...).
     Invalid(String),
+    /// A router's refusal: no live node to place the job on, or the node
+    /// it was placed on refused it or died mid-dispatch.
+    Node(ErrCode, String),
 }
 
 impl std::fmt::Display for SubmitError {
@@ -124,6 +129,7 @@ impl std::fmt::Display for SubmitError {
                  retry after {retry_after_ms} ms"
             ),
             SubmitError::Invalid(m) => write!(f, "invalid job: {m}"),
+            SubmitError::Node(code, m) => write!(f, "not placed ({code:?}): {m}"),
         }
     }
 }
@@ -228,10 +234,6 @@ struct Counters {
     panicked: u64,
     /// Innocent jobs re-queued after a poisoned batch.
     redispatched: u64,
-    /// Retried submits answered from the idempotency map (no re-admission).
-    idem_hits: u64,
-    /// Idempotency keys dropped by the FIFO capacity bound.
-    idem_evictions: u64,
 }
 
 struct State {
@@ -249,11 +251,8 @@ struct State {
     busy: Duration,
     /// Accumulated spans from every batch, shifted to service time.
     spans: Vec<TaskSpan>,
-    /// Idempotency-key → job id, bounded FIFO (`idem_order` is the
-    /// eviction queue). A retried submit with a remembered key gets the
-    /// original id back instead of a second admission.
-    idem: HashMap<u64, u64>,
-    idem_order: VecDeque<u64>,
+    /// Client idempotency keys of admitted jobs.
+    idem: IdemMap,
     /// Chaos directive: panic the factor VDP of this job's next batch
     /// (consumed one-shot, so a re-dispatch runs clean).
     chaos_panic_job: Option<u64>,
@@ -361,8 +360,7 @@ impl Service {
                 queue_peak: 0,
                 busy: Duration::ZERO,
                 spans: Vec::new(),
-                idem: HashMap::new(),
-                idem_order: VecDeque::new(),
+                idem: IdemMap::new(cfg.idem_cap),
                 chaos_panic_job: None,
                 chaos_sched_delay: None,
             }),
@@ -418,31 +416,12 @@ impl Service {
         keep: bool,
         idem: u64,
     ) -> Result<u64, SubmitError> {
-        if a.nrows() == 0 || a.ncols() == 0 {
-            return Err(SubmitError::Invalid("matrix must be non-empty".into()));
-        }
-        if opts.nb == 0 || opts.ib == 0 || opts.ib > opts.nb {
-            return Err(SubmitError::Invalid(format!(
-                "need 0 < ib <= nb, got nb={} ib={}",
-                opts.nb, opts.ib
-            )));
-        }
-        if !a.nrows().is_multiple_of(opts.nb) || !a.ncols().is_multiple_of(opts.nb) {
-            return Err(SubmitError::Invalid(format!(
-                "matrix {}x{} is not tiled by nb={}",
-                a.nrows(),
-                a.ncols(),
-                opts.nb
-            )));
-        }
+        validate_job(&a, &opts).map_err(SubmitError::Invalid)?;
         let mut st = self.state.lock();
         // A remembered key wins over every other admission outcome — the
         // job already exists, so not even draining turns the retry away.
-        if idem != 0 {
-            if let Some(&id) = st.idem.get(&idem) {
-                st.counters.idem_hits += 1;
-                return Ok(id);
-            }
+        if let Some(id) = st.idem.lookup(idem) {
+            return Ok(id);
         }
         if st.draining {
             st.counters.rejected += 1;
@@ -463,16 +442,7 @@ impl Service {
         }
         let id = st.next_id;
         st.next_id += 1;
-        if idem != 0 {
-            if st.idem_order.len() >= self.cfg.idem_cap.max(1) {
-                if let Some(old) = st.idem_order.pop_front() {
-                    st.idem.remove(&old);
-                    st.counters.idem_evictions += 1;
-                }
-            }
-            st.idem.insert(idem, id);
-            st.idem_order.push_back(idem);
-        }
+        st.idem.remember(idem, id);
         st.jobs.insert(
             id,
             Job {
@@ -718,67 +688,56 @@ impl Service {
     /// throughput, queue depth, pool utilization, verb counters, and the
     /// nested factor-store section.
     pub fn stats_json(&self) -> String {
-        // The tuner section is built first so no two service locks are
-        // ever held together here.
-        let tuner_json = match &self.tuner {
-            Some(t) => {
-                let t = t.lock();
-                format!(
-                    "{{\"enabled\":true,\"profile_cells\":{},\"profile_hits\":{},\
-                     \"profile_misses\":{},\"refinements\":{},\"tsqr_jobs\":{}}}",
-                    t.table.cells().len(),
-                    t.hits,
-                    t.misses,
-                    t.refiner.refinements(),
-                    t.tsqr_jobs,
-                )
-            }
-            None => "{\"enabled\":false,\"profile_cells\":0,\"profile_hits\":0,\
-                     \"profile_misses\":0,\"refinements\":0,\"tsqr_jobs\":0}"
-                .to_string(),
-        };
+        // The tuner and store sections are built first so no two service
+        // locks are ever held together here.
+        let tuner = self.tuner.as_ref().map(|t| t.lock());
+        let of = |f: fn(&TunerState) -> u64| tuner.as_deref().map_or(0, f).into();
+        let tuner_json = obj([
+            ("enabled", Json::Bool(tuner.is_some())),
+            ("profile_cells", of(|t| t.table.cells().len() as u64)),
+            ("profile_hits", of(|t| t.hits)),
+            ("profile_misses", of(|t| t.misses)),
+            ("refinements", of(|t| t.refiner.refinements())),
+            ("tsqr_jobs", of(|t| t.tsqr_jobs)),
+        ]);
+        drop(tuner);
         let store_json = self.store.lock().stats_json();
         let st = self.state.lock();
         let uptime = self.started.elapsed().as_secs_f64().max(1e-9);
         let [p50, p90, p99] = latency_percentiles(&st.latencies_ms);
         let c = &st.counters;
-        format!(
-            "{{\"jobs_done\":{},\"jobs_failed\":{},\"jobs_cancelled\":{},\
-             \"jobs_expired\":{},\"jobs_rejected\":{},\"batches\":{},\
-             \"jobs_panicked\":{},\"jobs_redispatched\":{},\"pool_respawns\":{},\
-             \"p50_ms\":{:.3},\"p90_ms\":{:.3},\"p99_ms\":{:.3},\
-             \"jobs_per_s\":{:.3},\"queue_depth\":{},\"queue_peak\":{},\
-             \"running\":{},\"pool_utilization\":{:.4},\"uptime_s\":{:.3},\
-             \"solves\":{},\"applies\":{},\"updates\":{},\"update_rows\":{},\
-             \"idem_hits\":{},\"idem_evictions\":{},\
-             \"tuner\":{},\"store\":{}}}",
-            c.done,
-            c.failed,
-            c.cancelled,
-            c.expired,
-            c.rejected,
-            c.batches,
-            c.panicked,
-            c.redispatched,
-            self.pool.respawns(),
-            p50,
-            p90,
-            p99,
-            c.done as f64 / uptime,
-            st.queue.len(),
-            st.queue_peak,
-            st.running,
-            (st.busy.as_secs_f64() / uptime).min(1.0),
-            uptime,
-            c.solves,
-            c.applies,
-            c.updates,
-            c.update_rows,
-            c.idem_hits,
-            c.idem_evictions,
-            tuner_json,
-            store_json,
-        )
+        obj([
+            ("jobs_done", c.done.into()),
+            ("jobs_failed", c.failed.into()),
+            ("jobs_cancelled", c.cancelled.into()),
+            ("jobs_expired", c.expired.into()),
+            ("jobs_rejected", c.rejected.into()),
+            ("batches", c.batches.into()),
+            ("jobs_panicked", c.panicked.into()),
+            ("jobs_redispatched", c.redispatched.into()),
+            ("pool_respawns", self.pool.respawns().into()),
+            ("p50_ms", p50),
+            ("p90_ms", p90),
+            ("p99_ms", p99),
+            ("jobs_per_s", milli(c.done as f64 / uptime)),
+            ("queue_depth", st.queue.len().into()),
+            ("queue_peak", st.queue_peak.into()),
+            ("running", st.running.into()),
+            (
+                "pool_utilization",
+                milli((st.busy.as_secs_f64() / uptime).min(1.0)),
+            ),
+            ("uptime_s", milli(uptime)),
+            ("solves", c.solves.into()),
+            ("applies", c.applies.into()),
+            ("updates", c.updates.into()),
+            ("update_rows", c.update_rows.into()),
+            ("idem_hits", st.idem.hits.into()),
+            ("idem_evictions", st.idem.evictions.into()),
+            ("tuner", tuner_json),
+            ("store", store_json),
+        ])
+        .write()
     }
 
     /// Resolve one successfully factored job. Keeping jobs park their
@@ -848,29 +807,15 @@ impl Service {
                 }
             }
         }
-        for (id, a, opts) in routed {
+        for job in routed {
+            let (id, a, opts) = (job.0, &job.1, &job.2);
             let t0 = Instant::now();
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                tile_qr_tsqr(&a, &opts, threads)
+                tile_qr_tsqr(a, opts, threads)
             }));
             let wall = t0.elapsed();
             if result.is_ok() {
-                let secs = wall.as_secs_f64().max(1e-9);
-                let gflops = qr_flops(a.nrows(), a.ncols()) / secs / 1e9;
-                let mut t = tuner.lock();
-                let TunerState { table, refiner, .. } = &mut *t;
-                let key = PlanKey {
-                    tree: opts.tree.clone(),
-                    nb: opts.nb,
-                    backend: pulsar_core::Backend::Tsqr,
-                };
-                refiner.observe(
-                    table,
-                    (a.nrows(), a.ncols(), threads),
-                    &key,
-                    opts.ib,
-                    gflops,
-                );
+                self.observe(std::slice::from_ref(&job), pulsar_core::Backend::Tsqr, wall);
             }
             let mut st = self.state.lock();
             st.counters.batches += 1;
@@ -892,6 +837,35 @@ impl Service {
             self.done.notify_all();
         }
         rest
+    }
+
+    /// Feed the online refiner (a no-op without a tuner): every job of a
+    /// successful run is one throughput observation of the plan it
+    /// actually ran. Wall time is attributed by flop share, which reduces
+    /// to the run's aggregate throughput for every member.
+    fn observe(
+        &self,
+        jobs: &[(u64, Matrix, QrOptions)],
+        backend: pulsar_core::Backend,
+        wall: Duration,
+    ) {
+        let Some(tuner) = &self.tuner else { return };
+        let total: f64 = jobs
+            .iter()
+            .map(|(_, a, _)| qr_flops(a.nrows(), a.ncols()))
+            .sum();
+        let gflops = total / wall.as_secs_f64().max(1e-9) / 1e9;
+        let mut t = tuner.lock();
+        let TunerState { table, refiner, .. } = &mut *t;
+        for (_, a, o) in jobs {
+            let key = PlanKey {
+                tree: o.tree.clone(),
+                nb: o.nb,
+                backend,
+            };
+            let shape = (a.nrows(), a.ncols(), self.cfg.threads);
+            refiner.observe(table, shape, &key, o.ib, gflops);
+        }
     }
 
     /// Scheduler body: pull → batch → route → run on the pool → distribute.
@@ -944,34 +918,8 @@ impl Service {
                 pool.respawn_all();
             }
 
-            // Feed the online refiner: every job in a successful batch is
-            // one throughput observation of the plan it actually ran
-            // (batch wall time attributed by flop share, which reduces to
-            // the batch's aggregate throughput for every member).
             if result.is_ok() {
-                if let Some(tuner) = &self.tuner {
-                    let total: f64 = batch
-                        .iter()
-                        .map(|(_, a, _)| qr_flops(a.nrows(), a.ncols()))
-                        .sum();
-                    let gflops = total / wall.as_secs_f64().max(1e-9) / 1e9;
-                    let mut t = tuner.lock();
-                    let TunerState { table, refiner, .. } = &mut *t;
-                    for (_, a, o) in &batch {
-                        let key = PlanKey {
-                            tree: o.tree.clone(),
-                            nb: o.nb,
-                            backend: pulsar_core::Backend::Vsa3d,
-                        };
-                        refiner.observe(
-                            table,
-                            (a.nrows(), a.ncols(), self.cfg.threads),
-                            &key,
-                            o.ib,
-                            gflops,
-                        );
-                    }
-                }
+                self.observe(&batch, pulsar_core::Backend::Vsa3d, wall);
             }
 
             let mut st = self.state.lock();
@@ -1128,15 +1076,20 @@ impl Drop for Service {
     }
 }
 
+/// A stats number to three decimals (milliseconds to the microsecond).
+pub(crate) fn milli(x: f64) -> Json {
+    Json::Num((x * 1e3).round() / 1e3)
+}
+
 /// Nearest-rank p50/p90/p99 of a latency sample (all zero when empty) —
 /// the percentiles both the service's and the router's stats rollups
 /// report.
-pub(crate) fn latency_percentiles(latencies_ms: &[f64]) -> [f64; 3] {
+pub(crate) fn latency_percentiles(latencies_ms: &[f64]) -> [Json; 3] {
     let mut lat = latencies_ms.to_vec();
     lat.sort_by(|a, b| a.total_cmp(b));
     [0.50, 0.90, 0.99].map(|p| match lat.len() {
-        0 => 0.0,
-        n => lat[((n - 1) as f64 * p).round() as usize],
+        0 => milli(0.0),
+        n => milli(lat[((n - 1) as f64 * p).round() as usize]),
     })
 }
 
@@ -1365,7 +1318,7 @@ mod tests {
         }
         let stats = svc.drain();
         assert!(
-            stats.contains("\"entries\":0,\"bytes\":0"),
+            stats.contains("\"bytes\":0,") && stats.contains("\"entries\":0,"),
             "store must be empty: {stats}"
         );
     }

@@ -33,8 +33,9 @@
 use parking_lot::Mutex;
 use pulsar_core::{Reflectors, TileQrFactors};
 use pulsar_fabric::fnv1a;
-use pulsar_linalg::Matrix;
-use pulsar_runtime::packet::{decode_matrix_body, encode_matrix_body, PacketCodec};
+use pulsar_fabric::frame::{put_u64, Cursor, Truncated};
+use pulsar_runtime::packet::{encode_matrix_body, read_matrix, PacketCodec};
+use pulsar_tuner::json::{obj, Json};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -352,22 +353,19 @@ impl FactorStore {
     }
 
     /// Store section of the service STATS-JSON.
-    pub fn stats_json(&self) -> String {
+    pub fn stats_json(&self) -> Json {
         let s = &self.stats;
-        format!(
-            "{{\"entries\":{},\"bytes\":{},\"budget_bytes\":{},\"hits\":{},\
-             \"misses\":{},\"inserts\":{},\"evictions\":{},\"rejected\":{},\
-             \"released\":{}}}",
-            self.entries.len(),
-            self.bytes,
-            self.budget,
-            s.hits,
-            s.misses,
-            s.inserts,
-            s.evictions,
-            s.rejected,
-            s.released,
-        )
+        obj([
+            ("entries", self.entries.len().into()),
+            ("bytes", self.bytes.into()),
+            ("budget_bytes", self.budget.into()),
+            ("hits", s.hits.into()),
+            ("misses", s.misses.into()),
+            ("inserts", s.inserts.into()),
+            ("evictions", s.evictions.into()),
+            ("rejected", s.rejected.into()),
+            ("released", s.released.into()),
+        ])
     }
 
     fn tick(&mut self) -> u64 {
@@ -451,46 +449,17 @@ fn record_crc(kind: u8, handle: u64, body: &[u8]) -> u32 {
         ^ ((handle >> 32) as u32)
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+impl From<Truncated> for WalError {
+    fn from(_: Truncated) -> Self {
+        WalError::Malformed("truncated body")
+    }
 }
 
-/// Bounds-checked reader over a decoded body; never panics on corrupt
-/// input, mirroring the checkpoint decoder's `Reader`.
-struct SliceReader<'a>(&'a [u8]);
-
-impl<'a> SliceReader<'a> {
-    fn u64(&mut self) -> Result<u64, WalError> {
-        if self.0.len() < 8 {
-            return Err(WalError::Malformed("truncated u64"));
-        }
-        let (head, rest) = self.0.split_at(8);
-        self.0 = rest;
-        Ok(u64::from_le_bytes(head.try_into().unwrap()))
-    }
-
-    fn bytes(&mut self, len: usize) -> Result<&'a [u8], WalError> {
-        if self.0.len() < len {
-            return Err(WalError::Malformed("truncated byte run"));
-        }
-        let (head, rest) = self.0.split_at(len);
-        self.0 = rest;
-        Ok(head)
-    }
-
-    fn matrix(&mut self) -> Result<Matrix, WalError> {
-        let (m, rest) =
-            decode_matrix_body(self.0).map_err(|_| WalError::Malformed("bad matrix body"))?;
-        self.0 = rest;
-        Ok(m)
-    }
-
-    fn finish(self) -> Result<(), WalError> {
-        if self.0.is_empty() {
-            Ok(())
-        } else {
-            Err(WalError::Malformed("trailing bytes"))
-        }
+fn finish(r: &Cursor<'_>) -> Result<(), WalError> {
+    if r.rest().is_empty() {
+        Ok(())
+    } else {
+        Err(WalError::Malformed("trailing bytes"))
     }
 }
 
@@ -515,12 +484,12 @@ fn encode_factors(f: &TileQrFactors, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_factors(r: &mut SliceReader<'_>) -> Result<TileQrFactors, WalError> {
+fn decode_factors(r: &mut Cursor<'_>) -> Result<TileQrFactors, WalError> {
     let m = r.u64()? as usize;
     let n = r.u64()? as usize;
     let nb = r.u64()? as usize;
     let ib = r.u64()? as usize;
-    let rm = r.matrix()?;
+    let rm = read_matrix(r).map_err(|_| WalError::Malformed("bad matrix body"))?;
     let npanels = r.u64()?;
     if npanels > MAX_RECORD_BODY {
         return Err(WalError::Malformed("absurd panel count"));
@@ -731,29 +700,26 @@ impl DurableLog {
 fn replay_wal(bytes: &[u8]) -> (Vec<WalOp>, usize) {
     let mut ops = Vec::new();
     let mut off = 0usize;
-    while bytes.len() - off >= RECORD_HEADER_LEN {
-        let kind = bytes[off];
-        let handle = u64::from_le_bytes(bytes[off + 1..off + 9].try_into().unwrap());
-        let body_len = u64::from_le_bytes(bytes[off + 9..off + 17].try_into().unwrap());
-        let crc = u32::from_le_bytes(bytes[off + 17..off + 21].try_into().unwrap());
+    loop {
+        let mut rec = Cursor::new(&bytes[off..]);
+        let (Ok(kind), Ok(handle), Ok(body_len), Ok(crc)) =
+            (rec.u8(), rec.u64(), rec.u64(), rec.u32())
+        else {
+            break; // torn tail: not even a whole record header
+        };
         if body_len > MAX_RECORD_BODY {
             break;
         }
-        let body_start = off + RECORD_HEADER_LEN;
-        let Some(body_end) = body_start.checked_add(body_len as usize) else {
-            break;
-        };
-        if body_end > bytes.len() {
+        let Ok(body) = rec.bytes(body_len as usize) else {
             break; // torn tail: the record never finished hitting disk
-        }
-        let body = &bytes[body_start..body_end];
+        };
         if record_crc(kind, handle, body) != crc {
             break; // bit flip: never trust the record or anything after it
         }
         let op = match kind {
             REC_INSERT => {
-                let mut r = SliceReader(body);
-                match decode_factors(&mut r).and_then(|f| r.finish().map(|()| f)) {
+                let mut r = Cursor::new(body);
+                match decode_factors(&mut r).and_then(|f| finish(&r).map(|()| f)) {
                     Ok(f) => WalOp::Insert(handle, f),
                     Err(_) => break, // checksum passed but shape is nonsense
                 }
@@ -762,7 +728,7 @@ fn replay_wal(bytes: &[u8]) -> (Vec<WalOp>, usize) {
             _ => break,
         };
         ops.push(op);
-        off = body_end;
+        off = bytes.len() - rec.rest().len();
     }
     (ops, off)
 }
@@ -783,23 +749,22 @@ fn read_snapshot(path: &Path) -> Result<Vec<(u64, TileQrFactors)>, WalError> {
     if bytes.len() < 20 {
         return Err(WalError::Malformed("snapshot shorter than its header"));
     }
-    if bytes[..4] != SNAP_MAGIC {
+    let mut head = Cursor::new(&bytes);
+    if head.bytes(4)? != SNAP_MAGIC {
         return Err(WalError::BadMagic);
     }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+    let version = head.u32()?;
     if version != DURABLE_VERSION {
         return Err(WalError::Version(version));
     }
-    let body_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(bytes[16..20].try_into().unwrap());
-    let body = &bytes[20..];
+    let (body_len, crc, body) = (head.u64()? as usize, head.u32()?, head.rest());
     if body.len() != body_len {
         return Err(WalError::Malformed("snapshot length mismatch"));
     }
     if fnv1a(body) != crc {
         return Err(WalError::Checksum);
     }
-    let mut r = SliceReader(body);
+    let mut r = Cursor::new(body);
     let count = r.u64()?;
     if count > MAX_RECORD_BODY {
         return Err(WalError::Malformed("absurd entry count"));
@@ -809,7 +774,7 @@ fn read_snapshot(path: &Path) -> Result<Vec<(u64, TileQrFactors)>, WalError> {
         let h = r.u64()?;
         entries.push((h, decode_factors(&mut r)?));
     }
-    r.finish()?;
+    finish(&r)?;
     Ok(entries)
 }
 
@@ -920,7 +885,7 @@ mod tests {
         store.insert(h(1), factors(16, 1)).unwrap();
         store.get(h(1)).unwrap();
         let _ = store.get(h(9));
-        let json = store.stats_json();
+        let json = store.stats_json().write();
         for key in [
             "\"entries\":1",
             "\"budget_bytes\":1048576",

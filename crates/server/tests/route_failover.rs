@@ -45,31 +45,18 @@ fn problem() -> (Matrix, QrOptions) {
     (a, QrOptions::new(4, 2, Tree::Greedy))
 }
 
-/// Pull an integer counter out of the router's one-line stats JSON.
-fn json_u64(stats: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\":");
-    let at = stats
-        .find(&pat)
-        .unwrap_or_else(|| panic!("{key} in {stats}"));
-    stats[at + pat.len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect::<String>()
-        .parse()
-        .unwrap()
+/// A top-level number of the router's one-line stats JSON (the rollup's
+/// own counter, never a same-named one inside a per-node section).
+fn json_f64(stats: &str, key: &str) -> f64 {
+    pulsar_tuner::json::Json::parse(stats)
+        .expect("stats are JSON")
+        .get(key)
+        .and_then(|v| v.as_f64())
+        .unwrap_or_else(|| panic!("{key} in {stats}"))
 }
 
-fn json_f64(stats: &str, key: &str) -> f64 {
-    let pat = format!("\"{key}\":");
-    let at = stats
-        .find(&pat)
-        .unwrap_or_else(|| panic!("{key} in {stats}"));
-    stats[at + pat.len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect::<String>()
-        .parse()
-        .unwrap()
+fn json_u64(stats: &str, key: &str) -> u64 {
+    json_f64(stats, key) as u64
 }
 
 fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
@@ -136,7 +123,8 @@ fn fleet_round_trip_join_submit_keep_solve_leave_drain() {
     // Drain cascades: router stats embed each worker's final stats.
     let stats = c.drain().unwrap();
     assert!(stats.contains("\"router\":true"), "{stats}");
-    assert!(stats.contains("\"nodes\":[{\"node\":1"), "{stats}");
+    assert!(stats.contains("\"nodes\":[{"), "{stats}");
+    assert!(stats.contains("\"node\":1,"), "{stats}");
     assert!(stats.contains("\"jobs_done\":"), "{stats}");
     assert!(
         stats.contains("\"health\":\"healthy\""),
@@ -198,7 +186,7 @@ fn node_death_mid_job_redispatches_to_survivor_bit_identical() {
     wait_for(
         || {
             router.stats_json_standalone().contains(&format!(
-                "\"node\":{n1},\"addr\":\"{w1}\",\"health\":\"dead\""
+                "\"addr\":\"{w1}\",\"health\":\"dead\",\"node\":{n1},"
             ))
         },
         "prober declaring the killed node dead",

@@ -285,7 +285,20 @@ fn write_value(v: &Json, out: &mut String) {
     }
 }
 
-/// Build an object from key/value pairs (test and table-writer helper).
+/// Counters enter a document as numbers: `("jobs_done", done.into())`.
+macro_rules! json_from_count {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(v: $t) -> Json {
+                Json::Num(v as f64)
+            }
+        }
+    )*};
+}
+json_from_count!(u32, u64, usize);
+
+/// Build an object from key/value pairs (the table writer and every stats
+/// surface of the service tier).
 pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }

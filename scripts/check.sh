@@ -9,9 +9,12 @@ cargo fmt --all --check
 
 # Re-duplication guard (grep only, always on). The six tile kernels are
 # called from one file, so bit-identity across executors holds by
-# construction; the FNV-1a checksum and the fault injectors' SplitMix64
-# each exist once, so wire/disk formats and seed->fault sequences cannot
-# drift apart between layers. Prints the offending file:line.
+# construction; the FNV-1a checksum, the little-endian writer, the fault
+# injectors' SplitMix64 and the submit validator each exist once, so
+# wire/disk formats, seed->fault sequences and admission rules cannot
+# drift apart between layers; the service tier has one accept loop and
+# one verb table under both `serve` and `route`, and builds its JSON with
+# the one writer. Prints the offending file:line.
 dup=0
 hits=$(grep -nE '\b(geqrt|unmqr|tsqrt|tsmqr|ttqrt|ttmqr)(_ws)?\(' crates/core/src/*.rs \
     | grep -v '^crates/core/src/ops\.rs:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
@@ -20,7 +23,7 @@ if [ -n "$hits" ]; then
     echo "$hits" >&2
     dup=1
 fi
-for pat in '0x811c_9dc5' 'struct SplitMix64'; do
+for pat in '0x811c_9dc5' 'struct SplitMix64' 'fn put_u64' 'fn validate_job'; do
     hits=$(grep -rn --include='*.rs' -F "$pat" src crates/*/src || true)
     if [ "$(printf '%s\n' "$hits" | cut -d: -f1 | sort -u | grep -c .)" -ne 1 ]; then
         echo "guard: \`$pat\` must appear in exactly one non-test source file:" >&2
@@ -28,6 +31,22 @@ for pat in '0x811c_9dc5' 'struct SplitMix64'; do
         dup=1
     fi
 done
+one_front() { # <what> <grep hits>: the hits must all be in one file
+    if [ "$(printf '%s\n' "$2" | cut -d: -f1 | sort -u | grep -c .)" -ne 1 ]; then
+        echo "guard: $1 must appear in exactly one file under crates/server/src:" >&2
+        echo "$2" >&2
+        dup=1
+    fi
+}
+one_front '`Msg::Submit {` (outside proto.rs and client.rs)' "$(grep -rn -F 'Msg::Submit {' \
+    crates/server/src | grep -vE '^crates/server/src/(proto|client)\.rs:' || true)"
+one_front '`listener.accept()`' "$(grep -rn -F 'listener.accept()' crates/server/src || true)"
+hits=$(grep -rn -F '{{\"' crates/server/src crates/cli/src || true)
+if [ -n "$hits" ]; then
+    echo "guard: hand-assembled JSON; build it with pulsar_tuner::json::obj:" >&2
+    echo "$hits" >&2
+    dup=1
+fi
 [ "$dup" -eq 0 ] || exit 1
 
 cargo clippy --offline --workspace --all-targets -- -D warnings
