@@ -31,7 +31,8 @@ COMMANDS
             [--engine vsa3d|compact|domino|seq|tsqr]
             [--seed 42] [--net seastar] [--trace-out trace.json]
             [--profile table.json] (plan defaults from the tuned policy;
-            prints the chosen `PLAN ...`)
+            prints the chosen `PLAN ...`) [--stats true] (adds the
+            build / prepare / run / collect split of the call)
   ls        solve a random least-squares problem, report residuals/cond
             --rows N --cols N [--rhs 1] [--nb 64] [--ib nb/4]
             [--tree hier:4] [--threads 4] [--seed 42]
@@ -164,10 +165,12 @@ fn factor(args: &Args) -> Result<String, String> {
         "net",
         "trace-out",
         "profile",
+        "stats",
     ])?;
     let m: usize = args.req("rows")?;
     let n: usize = args.req("cols")?;
     let threads: usize = args.opt("threads", 4)?;
+    let want_stats: bool = args.opt("stats", false)?;
 
     // With a profile table, the plan defaults come from the tuned policy
     // for this shape; explicit --nb/--ib/--tree/--engine still win
@@ -238,15 +241,15 @@ fn factor(args: &Args) -> Result<String, String> {
         "vsa3d" => {
             let r = pulsar_core::vsa3d::tile_qr_vsa(&a, &opts, &config);
             trace = r.trace;
-            (r.factors, Some(r.stats))
+            (r.factors, Some((r.stats, r.build)))
         }
         "compact" => {
             let r = pulsar_core::vsa_compact::tile_qr_compact(&a, &opts, &config);
-            (r.factors, Some(r.stats))
+            (r.factors, Some((r.stats, r.build)))
         }
         "domino" => {
             let r = pulsar_core::domino::tile_qr_domino(&a, &opts, &config);
-            (r.factors, Some(r.stats))
+            (r.factors, Some((r.stats, r.build)))
         }
         "seq" => (pulsar_core::tile_qr_seq(&a, &opts), None),
         "tsqr" => (pulsar_core::tile_qr_tsqr(&a, &opts, threads), None),
@@ -271,7 +274,7 @@ fn factor(args: &Args) -> Result<String, String> {
         flops::qr_flops(m, n) / dt * 1e-9
     )
     .unwrap();
-    if let Some(s) = stats {
+    if let Some((s, build)) = stats {
         writeln!(
             out,
             "firings {}   remote msgs {}   load imbalance {:.2}",
@@ -280,6 +283,21 @@ fn factor(args: &Args) -> Result<String, String> {
             s.imbalance()
         )
         .unwrap();
+        if want_stats {
+            // The call's phases: describing the array, wiring it into the
+            // run's arenas, the workers, and draining exits into factors.
+            let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
+            writeln!(
+                out,
+                "build_ms {:.2}   prepare_ms {:.2}   run_ms {:.2}   collect_ms {:.2}   peak channel depth {}",
+                ms(build),
+                ms(s.prepare),
+                ms(s.wall - s.prepare),
+                dt * 1e3 - ms(build) - ms(s.wall),
+                s.peak_channel_depth
+            )
+            .unwrap();
+        }
     }
     if let Some(path) = trace_out {
         let trace = trace.ok_or("engine produced no trace")?;

@@ -126,7 +126,7 @@ impl VdpLogic for CholVdp {
                 let mut tile = ctx.pop(0).into_tile();
                 ctx.kernel("potrf", || potrf_lower(&mut tile))
                     .unwrap_or_else(|c| panic!("matrix not SPD at tile ({k},{k}) column {c}"));
-                ctx.set_label(format!("potrf{:?}", ctx.tuple()));
+                ctx.set_label(|c| format!("potrf{:?}", c.tuple()));
                 let pkt = Packet::tile(tile);
                 if ctx.output_connected(1) {
                     ctx.push(1, pkt.clone()); // L(k,k) to the trsm chain
@@ -142,7 +142,7 @@ impl VdpLogic for CholVdp {
                 ctx.kernel("trsm", || {
                     trsm_right_lower_trans(lkk.as_tile().unwrap(), &mut tile)
                 });
-                ctx.set_label(format!("trsm{:?}", ctx.tuple()));
+                ctx.set_label(|c| format!("trsm{:?}", c.tuple()));
                 let pkt = Packet::tile(tile);
                 if ctx.output_connected(2) {
                     ctx.push(2, pkt.clone()); // L(i,k) to its consumer chain
@@ -158,7 +158,7 @@ impl VdpLogic for CholVdp {
             let mut tile = ctx.pop(0).into_tile();
             if i == j {
                 ctx.kernel("syrk", || syrk_lower(lik.as_tile().unwrap(), &mut tile));
-                ctx.set_label(format!("syrk{:?}", ctx.tuple()));
+                ctx.set_label(|c| format!("syrk{:?}", c.tuple()));
             } else {
                 let ljk = ctx.pop(2);
                 if ctx.output_connected(2) {
@@ -175,7 +175,7 @@ impl VdpLogic for CholVdp {
                         &mut tile,
                     )
                 });
-                ctx.set_label(format!("gemm{:?}", ctx.tuple()));
+                ctx.set_label(|c| format!("gemm{:?}", c.tuple()));
             }
             ctx.push(0, Packet::tile(tile));
         }

@@ -49,7 +49,7 @@ impl VdpLogic for FactorVdp {
         let refl = ctx.kernel(op.factor_kernel(), || {
             scratch.with(|ws: &mut Workspace| factor_op(op, r, tile, ib, ws))
         });
-        ctx.set_label(format!("{}{:?}", op.factor_kernel(), ctx.tuple()));
+        ctx.set_label(|c| format!("{}{:?}", op.factor_kernel(), c.tuple()));
         // Figure 9 wiring: V and T travel on separate channels.
         if ctx.output_connected(1) {
             ctx.push(1, Packet::tile(refl.v.clone()));
@@ -102,7 +102,7 @@ impl VdpLogic for UpdateVdp {
                 apply_op(op, v, t, ApplyTrans::Trans, c1, tile.as_mut(), ib, ws)
             })
         });
-        ctx.set_label(format!("{}{:?}", op.update_kernel(), ctx.tuple()));
+        ctx.set_label(|c| format!("{}{:?}", op.update_kernel(), c.tuple()));
         if let Some(tile) = tile {
             ctx.push(0, Packet::tile(tile)); // stream the updated row down
         }
@@ -127,6 +127,7 @@ impl VdpLogic for UpdateVdp {
 /// `opts.tree`/`opts.boundary` are ignored — the domino array *is* the flat
 /// tree. Requires exact row tiling (`m % nb == 0`).
 pub fn tile_qr_domino(a: &Matrix, opts: &QrOptions, config: &RunConfig) -> VsaQrResult {
+    let t0 = std::time::Instant::now();
     assert_eq!(
         a.nrows() % opts.nb,
         0,
@@ -205,6 +206,7 @@ pub fn tile_qr_domino(a: &Matrix, opts: &QrOptions, config: &RunConfig) -> VsaQr
         }
     }
 
+    let build = t0.elapsed();
     let mut out = vsa
         .run(config)
         .unwrap_or_else(|e| panic!("tile_qr_domino: {e}"));
@@ -214,6 +216,7 @@ pub fn tile_qr_domino(a: &Matrix, opts: &QrOptions, config: &RunConfig) -> VsaQr
         factors,
         stats: out.stats,
         trace: out.trace,
+        build,
     }
 }
 

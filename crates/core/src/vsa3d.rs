@@ -31,6 +31,7 @@ use pulsar_runtime::{
     ChannelSpec, Packet, RunConfig, RunError, RunOutput, RunStats, Trace, Tuple, VdpContext,
     VdpSpec, Vsa, VsaPool,
 };
+use std::time::{Duration, Instant};
 
 /// Result of a VSA-executed factorization.
 pub struct VsaQrResult {
@@ -40,6 +41,9 @@ pub struct VsaQrResult {
     pub stats: RunStats,
     /// Execution trace, when the config requested one.
     pub trace: Option<Trace>,
+    /// Time spent describing the array (VDPs, channels, seeds) before
+    /// handing it to the runtime.
+    pub build: Duration,
 }
 
 /// Tuple namespace for one job's sub-array. `None` keeps the legacy
@@ -83,41 +87,72 @@ impl Ns {
     }
 }
 
-/// Where row `row`'s tile at column `l` goes after op `after_q` of stage
-/// `j` (or after arriving fresh when `after_q` is `None`), as
-/// `(destination, input slot)`: the next op touching the row, the `R` exit
-/// once the row is finished, or `None` when the tile's content is spent
-/// (its reflectors travel separately).
-fn next_hop(
-    stage_ops: &[Vec<PanelOp>],
-    j: usize,
-    after_q: Option<usize>,
-    row: usize,
-    l: usize,
-    ns: Ns,
-) -> Option<(Tuple, usize)> {
-    let start = after_q.map_or(0, |q| q + 1);
-    if let Some((q2, op)) = stage_ops[j]
-        .iter()
-        .enumerate()
-        .skip(start)
-        .find(|(_, op)| op.touches(row))
-    {
-        return Some((ns.vdp(j, q2, l), op.role_slot(row)));
-    }
-    if row == j {
-        return Some((ns.exit_r(row, l), 0));
-    }
-    if j + 1 < stage_ops.len() {
-        debug_assert!(l > j, "panel-column tiles of eliminated rows are spent");
-        return next_hop(stage_ops, j + 1, None, row, l, ns);
-    }
-    None
+/// Where a row's tile goes next: `(op index, input slot)` within a stage.
+type Touch = Option<(u32, u8)>;
+
+/// The tile routing of the whole plan, built in one backward pass per
+/// stage: for every op, the next op of its stage touching each of its two
+/// rows, and for every row, the first op of the stage touching it.
+struct Hops {
+    ops: Vec<Vec<PanelOp>>,
+    /// `next[j][q][side]`: the hop after op `q` for its primary (side 0)
+    /// and secondary (side 1) row.
+    next: Vec<Vec<[Touch; 2]>>,
+    /// `first[j][row]`.
+    first: Vec<Vec<Touch>>,
 }
 
-/// Every stage's elimination list.
-fn stage_ops(plan: &QrPlan) -> Vec<Vec<PanelOp>> {
-    (0..plan.panels()).map(|j| plan.panel_ops(j)).collect()
+impl Hops {
+    fn new(plan: &QrPlan) -> Self {
+        let ops: Vec<Vec<PanelOp>> = (0..plan.panels()).map(|j| plan.panel_ops(j)).collect();
+        let mut next = Vec::with_capacity(ops.len());
+        let mut first = Vec::with_capacity(ops.len());
+        for stage in &ops {
+            // Walking backwards, `seen[row]` is the nearest later op
+            // touching `row`; what is left at the end is the first.
+            let mut seen: Vec<Touch> = vec![None; plan.mt];
+            let mut stage_next = vec![[None; 2]; stage.len()];
+            for (q, op) in stage.iter().enumerate().rev() {
+                let (prim, sec) = op.rows();
+                for (side, row) in [Some(prim), sec].into_iter().enumerate() {
+                    if let Some(row) = row {
+                        stage_next[q][side] = seen[row].replace((q as u32, side as u8));
+                    }
+                }
+            }
+            next.push(stage_next);
+            first.push(seen);
+        }
+        Hops { ops, next, first }
+    }
+
+    /// Where row `row`'s tile at column `l` goes once `hop` (the rest of
+    /// stage `j`) is exhausted, as `(destination, input slot)`: the next op
+    /// touching the row, the `R` exit once the row is finished, or `None`
+    /// when the tile's content is spent (its reflectors travel separately).
+    fn resolve(
+        &self,
+        mut hop: Touch,
+        mut j: usize,
+        row: usize,
+        l: usize,
+        ns: Ns,
+    ) -> Option<(Tuple, usize)> {
+        loop {
+            if let Some((q, slot)) = hop {
+                return Some((ns.vdp(j, q as usize, l), slot as usize));
+            }
+            if row == j {
+                return Some((ns.exit_r(row, l), 0));
+            }
+            j += 1;
+            if j == self.ops.len() {
+                return None;
+            }
+            debug_assert!(l >= j, "panel-column tiles of eliminated rows are spent");
+            hop = self.first[j][row];
+        }
+    }
 }
 
 /// Enumerate every channel of the array, in creation order. The builder
@@ -128,7 +163,7 @@ fn stage_ops(plan: &QrPlan) -> Vec<Vec<PanelOp>> {
 /// C1/C2, in 2 = transform; out 0/1 = tiles onward, out 2 = transform
 /// chain.
 fn for_each_channel(
-    stage_ops: &[Vec<PanelOp>],
+    hops: &Hops,
     nt: usize,
     nb: usize,
     ib: usize,
@@ -137,7 +172,10 @@ fn for_each_channel(
 ) {
     let tile_bytes = 8 * nb * nb;
     let trans_bytes = 8 * nb * nb + 8 * ib * nb;
-    for (j, ops) in stage_ops.iter().enumerate() {
+    let mut chan = |bytes, src: &Tuple, out, (dst, slot)| {
+        emit(ChannelSpec::new(bytes, src.clone(), out, dst, slot))
+    };
+    for (j, ops) in hops.ops.iter().enumerate() {
         for (q, &op) in ops.iter().enumerate() {
             for l in j..nt {
                 let src = ns.vdp(j, q, l);
@@ -146,38 +184,20 @@ fn for_each_channel(
                 let (prim, sec) = op.rows();
                 let rows = [Some(prim), sec.filter(|_| l > j)];
                 for (slot, row) in rows.into_iter().enumerate() {
-                    let hop = row.and_then(|row| next_hop(stage_ops, j, Some(q), row, l, ns));
-                    if let Some((dst, dst_slot)) = hop {
-                        emit(ChannelSpec::new(
-                            tile_bytes,
-                            src.clone(),
-                            slot,
-                            dst,
-                            dst_slot,
-                        ));
+                    let hop =
+                        row.and_then(|row| hops.resolve(hops.next[j][q][slot], j, row, l, ns));
+                    if let Some(hop) = hop {
+                        chan(tile_bytes, &src, slot, hop);
                     }
                 }
                 // Transformation channels: down the vertical chain, and
                 // from the factor to the exit store.
                 if l + 1 < nt {
                     let chain_out = if l == j { 1 } else { 2 };
-                    let next = ns.vdp(j, q, l + 1);
-                    emit(ChannelSpec::new(
-                        trans_bytes,
-                        src.clone(),
-                        chain_out,
-                        next,
-                        2,
-                    ));
+                    chan(trans_bytes, &src, chain_out, (ns.vdp(j, q, l + 1), 2));
                 }
                 if l == j {
-                    emit(ChannelSpec::new(
-                        trans_bytes,
-                        src,
-                        2,
-                        ns.exit_trans(j, q),
-                        0,
-                    ));
+                    chan(trans_bytes, &src, 2, (ns.exit_trans(j, q), 0));
                 }
             }
         }
@@ -197,9 +217,9 @@ fn build_qr_array_into(vsa: &mut Vsa, a: &Matrix, opts: &QrOptions, ns: Ns) {
     );
     let mut tiles = TileMatrix::from_matrix(a, opts.nb);
     let (mt, nt, ib) = (tiles.mt(), tiles.nt(), opts.ib);
-    let stage_ops = stage_ops(&opts.plan(mt, nt));
+    let hops = Hops::new(&opts.plan(mt, nt));
 
-    for (j, ops) in stage_ops.iter().enumerate() {
+    for (j, ops) in hops.ops.iter().enumerate() {
         for (q, &op) in ops.iter().enumerate() {
             for l in j..nt {
                 let logic = QrVdp {
@@ -212,18 +232,14 @@ fn build_qr_array_into(vsa: &mut Vsa, a: &Matrix, opts: &QrOptions, ns: Ns) {
             }
         }
     }
-    for_each_channel(&stage_ops, nt, opts.nb, ib, ns, |c| vsa.add_channel(c));
+    for_each_channel(&hops, nt, opts.nb, ib, ns, |c| vsa.add_channel(c));
 
     // Seed every tile into the first stage-0 op that touches its row.
     for i in 0..mt {
-        let (q0, op0) = stage_ops[0]
-            .iter()
-            .enumerate()
-            .find(|(_, op)| op.touches(i))
-            .expect("every row is touched in stage 0");
+        let (q0, slot) = hops.first[0][i].expect("every row is touched in stage 0");
         for l in 0..nt {
             let tile = Packet::tile(tiles.take_tile(i, l));
-            vsa.seed(ns.vdp(0, q0, l), op0.role_slot(i), tile);
+            vsa.seed(ns.vdp(0, q0 as usize, l), slot as usize, tile);
         }
     }
 }
@@ -238,8 +254,10 @@ fn build_qr_array_into(vsa: &mut Vsa, a: &Matrix, opts: &QrOptions, ns: Ns) {
 /// [`pulsar_runtime::Backend::InProcess`]; distributed ranks use
 /// [`tile_qr_vsa_partial`].
 pub fn tile_qr_vsa(a: &Matrix, opts: &QrOptions, config: &RunConfig) -> VsaQrResult {
+    let t0 = Instant::now();
     let mut vsa = Vsa::new();
     build_qr_array_into(&mut vsa, a, opts, Ns::default());
+    let build = t0.elapsed();
     let mut out = vsa
         .run(config)
         .unwrap_or_else(|e| panic!("tile_qr_vsa: {e}"));
@@ -247,6 +265,7 @@ pub fn tile_qr_vsa(a: &Matrix, opts: &QrOptions, config: &RunConfig) -> VsaQrRes
         factors: Ns::default().collect(&mut out, a, opts),
         stats: out.stats,
         trace: out.trace,
+        build,
     }
 }
 
@@ -259,6 +278,8 @@ pub struct BatchQrResult {
     pub stats: RunStats,
     /// Execution trace of the whole batch, when requested.
     pub trace: Option<Trace>,
+    /// Time spent describing every job's sub-array before the launch.
+    pub build: Duration,
 }
 
 /// Factor several matrices in ONE VSA launch on a persistent [`VsaPool`]
@@ -279,10 +300,12 @@ pub fn tile_qr_vsa_batch_pooled(
     let ns = |b: usize| Ns {
         job: Some(b as i32),
     };
+    let t0 = Instant::now();
     let mut vsa = Vsa::new();
     for (b, (a, opts)) in jobs.iter().enumerate() {
         build_qr_array_into(&mut vsa, a, opts, ns(b));
     }
+    let build = t0.elapsed();
     let mut out = vsa.run_pooled(config, pool)?;
     let factors = jobs
         .iter()
@@ -293,6 +316,7 @@ pub fn tile_qr_vsa_batch_pooled(
         factors,
         stats: out.stats,
         trace: out.trace,
+        build,
     })
 }
 
@@ -367,7 +391,7 @@ pub(crate) fn pop_transform(ctx: &mut VdpContext<'_>, chain_out: usize) -> Packe
 /// down the chain on output 1 first (bypass), then to the record on
 /// output 2. Shared with the compact array, which wires the same slots.
 pub(crate) fn emit_transform(ctx: &mut VdpContext<'_>, refl: Reflectors) {
-    ctx.set_label(format!("{}{:?}", refl.op.factor_kernel(), ctx.tuple()));
+    ctx.set_label(|c| format!("{}{:?}", refl.op.factor_kernel(), c.tuple()));
     let pkt = Packet::wire(refl);
     if ctx.output_connected(1) {
         ctx.push(1, pkt.clone());
@@ -407,7 +431,7 @@ impl pulsar_runtime::VdpLogic for QrVdp {
             if let Some(c2) = c2 {
                 ctx.push(1, Packet::tile(c2));
             }
-            ctx.set_label(format!("{}{:?}", op.update_kernel(), ctx.tuple()));
+            ctx.set_label(|c| format!("{}{:?}", op.update_kernel(), c.tuple()));
         }
     }
 
@@ -435,15 +459,16 @@ pub struct ArrayShape {
 
 /// Compute the array shape without running it.
 pub fn array_shape(plan: &QrPlan) -> ArrayShape {
-    let stage_ops = stage_ops(plan);
-    let per_stage: Vec<usize> = stage_ops
+    let hops = Hops::new(plan);
+    let per_stage: Vec<usize> = hops
+        .ops
         .iter()
         .enumerate()
         .map(|(j, ops)| ops.len() * (plan.nt - j))
         .collect();
     // Tile and transform sizes do not change which channels exist.
     let mut channels = 0usize;
-    for_each_channel(&stage_ops, plan.nt, 1, 1, Ns::default(), |_| channels += 1);
+    for_each_channel(&hops, plan.nt, 1, 1, Ns::default(), |_| channels += 1);
     ArrayShape {
         vdps: per_stage.iter().sum(),
         channels,
@@ -601,5 +626,40 @@ mod tests {
         assert_eq!(shape.per_stage.len(), 3);
         assert_eq!(shape.per_stage[0], 7 * 3); // 7 ops x 3 columns
         assert!(shape.vdps > 0 && shape.channels > 0);
+    }
+
+    /// The benchmark's `tall_fine` plan (8192x128, nb 16, h = 4): the
+    /// next-hop tables enumerate exactly the channels the per-channel
+    /// rescan of the op list used to.
+    #[test]
+    fn tall_fine_array_shape_is_pinned() {
+        let plan = QrPlan::new(512, 8, Tree::BinaryOnFlat { h: 4 }, Boundary::Shifted);
+        let shape = array_shape(&plan);
+        assert_eq!((shape.vdps, shape.channels), (22_910, 60_072));
+    }
+
+    /// The tables against the definition they replace: for every op and
+    /// row, the next op of the stage touching that row, found by scanning.
+    #[test]
+    fn hops_agree_with_a_scan_of_the_op_list() {
+        for tree in [Tree::Greedy, Tree::Binary, Tree::BinaryOnFlat { h: 3 }] {
+            let plan = QrPlan::new(11, 4, tree, Boundary::Shifted);
+            let hops = Hops::new(&plan);
+            for (j, ops) in hops.ops.iter().enumerate() {
+                let scan = |from: usize, row: usize| {
+                    (from..ops.len())
+                        .find(|&q| ops[q].touches(row))
+                        .map(|q| (q as u32, ops[q].role_slot(row) as u8))
+                };
+                for row in 0..plan.mt {
+                    assert_eq!(hops.first[j][row], scan(0, row));
+                }
+                for (q, op) in ops.iter().enumerate() {
+                    let (prim, sec) = op.rows();
+                    assert_eq!(hops.next[j][q][0], scan(q + 1, prim));
+                    assert_eq!(hops.next[j][q][1], sec.and_then(|r| scan(q + 1, r)));
+                }
+            }
+        }
     }
 }

@@ -94,7 +94,7 @@ impl VdpLogic for FlatDomainVdp {
                     apply_op(op, &refl.v, &refl.t, ApplyTrans::Trans, c1, c2, ib, ws)
                 })
             });
-            ctx.set_label(format!("{}{:?}", op.update_kernel(), ctx.tuple()));
+            ctx.set_label(|c| format!("{}{:?}", op.update_kernel(), c.tuple()));
             if let Some(tile) = tile.filter(|_| ctx.output_connected(0)) {
                 ctx.push(0, Packet::tile(tile)); // stream the row down
             }
@@ -161,7 +161,7 @@ impl VdpLogic for BinaryVdp {
                     apply_op(op, &refl.v, &refl.t, ApplyTrans::Trans, &mut a1, c2, ib, ws)
                 })
             });
-            ctx.set_label(format!("{}{:?}", op.update_kernel(), ctx.tuple()));
+            ctx.set_label(|c| format!("{}{:?}", op.update_kernel(), c.tuple()));
             // The paper: "after each binary-reduction of two top tiles, the
             // second tile is passed right to the flat-tree" of the next
             // stage (it is that domain's last tile).
@@ -178,6 +178,7 @@ impl VdpLogic for BinaryVdp {
 /// Requires `m % nb == 0`, shifted boundaries, and a flat or
 /// binary-on-flat tree.
 pub fn tile_qr_compact(a: &Matrix, opts: &QrOptions, config: &RunConfig) -> VsaQrResult {
+    let t0 = std::time::Instant::now();
     assert_eq!(
         a.nrows() % opts.nb,
         0,
@@ -337,6 +338,7 @@ pub fn tile_qr_compact(a: &Matrix, opts: &QrOptions, config: &RunConfig) -> VsaQ
     }
 
     // --- Run and collect. --------------------------------------------------
+    let build = t0.elapsed();
     let mut out = vsa
         .run(config)
         .unwrap_or_else(|e| panic!("tile_qr_vsa_compact: {e}"));
@@ -358,6 +360,7 @@ pub fn tile_qr_compact(a: &Matrix, opts: &QrOptions, config: &RunConfig) -> VsaQ
         factors: collect_factors(&mut out, a, opts, exit_r, panel_exits),
         stats: out.stats,
         trace: out.trace,
+        build,
     }
 }
 

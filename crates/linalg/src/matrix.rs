@@ -140,7 +140,11 @@ impl Matrix {
     /// Copy of the sub-matrix `rows x cols` starting at `(i0, j0)`.
     pub fn submatrix(&self, i0: usize, j0: usize, rows: usize, cols: usize) -> Matrix {
         assert!(i0 + rows <= self.m && j0 + cols <= self.n);
-        Matrix::from_fn(rows, cols, |i, j| self[(i0 + i, j0 + j)])
+        let mut data = Vec::with_capacity(rows * cols);
+        for j in j0..j0 + cols {
+            data.extend_from_slice(&self.col(j)[i0..i0 + rows]);
+        }
+        Matrix::from_col_major(rows, cols, data)
     }
 
     /// Overwrite the block at `(i0, j0)` with `b`.

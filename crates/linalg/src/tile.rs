@@ -27,14 +27,16 @@ impl TileMatrix {
         let n = a.ncols();
         let mt = m.div_ceil(nb);
         let nt = n.div_ceil(nb);
-        let mut tiles = Vec::with_capacity(mt * nt);
-        for i in 0..mt {
-            for j in 0..nt {
+        // Cut one block column at a time: that walks `a` (column-major)
+        // front to back instead of striding across it once per block row.
+        let mut tiles = vec![Matrix::zeros(0, 0); mt * nt];
+        for j in 0..nt {
+            for i in 0..mt {
                 let r0 = i * nb;
                 let c0 = j * nb;
                 let rows = nb.min(m - r0);
                 let cols = nb.min(n - c0);
-                tiles.push(a.submatrix(r0, c0, rows, cols));
+                tiles[i * nt + j] = a.submatrix(r0, c0, rows, cols);
             }
         }
         TileMatrix {

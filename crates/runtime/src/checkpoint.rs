@@ -18,7 +18,7 @@
 //! in their [`Packet::encode_wire`] form (`[tag][crc][body]`), so each
 //! payload additionally carries its own checksum.
 
-use crate::channel::ChannelState;
+use crate::channel::{ChannelQueue, ChannelState};
 use crate::packet::{Packet, PacketRegistry, WireError};
 use crate::tuple::Tuple;
 use pulsar_fabric::fnv1a;
@@ -164,7 +164,11 @@ pub struct RankCheckpoint {
 /// `Vsa::run` and the per-worker serialize phase of a periodic round).
 /// Destroyed VDPs are included — their `fired == counter` is what tells a
 /// restore not to resurrect them.
-pub(crate) fn entry_of(v: &crate::vdp::VdpState) -> VdpEntry {
+///
+/// # Safety
+/// Every queue in `v.inputs` must be quiescent (see
+/// [`ChannelQueue::snapshot`]).
+pub(crate) unsafe fn entry_of(v: &crate::vdp::VdpState, queues: &[ChannelQueue]) -> VdpEntry {
     let mut logic = Vec::new();
     if let Some(l) = &v.logic {
         l.snapshot(&mut logic);
@@ -174,15 +178,10 @@ pub(crate) fn entry_of(v: &crate::vdp::VdpState) -> VdpEntry {
         counter: v.counter,
         fired: v.fired,
         logic,
-        slots: v
-            .inputs
+        slots: queues[crate::vdp::span(&v.inputs)]
             .iter()
-            .map(|q| {
-                q.as_ref().map(|q| {
-                    let (state, packets) = q.snapshot();
-                    SlotEntry { state, packets }
-                })
-            })
+            // SAFETY: quiescence is this function's own contract.
+            .map(|q| unsafe { q.snapshot() }.map(|(state, packets)| SlotEntry { state, packets }))
             .collect(),
     }
 }
@@ -219,7 +218,7 @@ fn read_tuple(r: &mut Cursor<'_>) -> Result<Tuple, CheckpointError> {
     for _ in 0..arity {
         ids.push(r.i32()?);
     }
-    Ok(Tuple::new(ids))
+    Ok(Tuple::new(&ids))
 }
 
 fn read_packets(r: &mut Cursor<'_>, reg: &PacketRegistry) -> Result<Vec<Packet>, CheckpointError> {
@@ -230,14 +229,6 @@ fn read_packets(r: &mut Cursor<'_>, reg: &PacketRegistry) -> Result<Vec<Packet>,
         packets.push(reg.decode(r.bytes(len)?)?);
     }
     Ok(packets)
-}
-
-fn channel_state_byte(s: ChannelState) -> u8 {
-    match s {
-        ChannelState::Enabled => 0,
-        ChannelState::Disabled => 1,
-        ChannelState::Destroyed => 2,
-    }
 }
 
 fn channel_state_from(b: u8) -> Result<ChannelState, CheckpointError> {
@@ -268,7 +259,7 @@ pub fn encode(ck: &RankCheckpoint) -> Result<Vec<u8>, CheckpointError> {
                 None => body.push(0),
                 Some(s) => {
                     body.push(1);
-                    body.push(channel_state_byte(s.state));
+                    body.push(s.state as u8);
                     put_packets(&mut body, &s.packets)?;
                 }
             }

@@ -20,9 +20,8 @@ use crate::packet::{Packet, WireError};
 use crate::vsa::{CkptControl, Shared, CKPT_PARK, CKPT_RUN, CKPT_SERIALIZE};
 use pulsar_fabric::{Completion, Fabric, FabricError, Op};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Alpha-beta interconnect model: a message of `b` bytes takes
@@ -59,9 +58,6 @@ pub(crate) struct WireMsg {
     pub packet: Packet,
 }
 
-/// Per-node routing table: wire id -> (destination queue, owner thread).
-pub(crate) type RouteTable = HashMap<u32, (Arc<crate::channel::ChannelQueue>, usize)>;
-
 /// Reserved wire id for checkpoint-round announcements (rank 0 → peers).
 /// Plans allocate wire ids from 0 upward, so the top value never collides.
 pub(crate) const CKPT_WIRE: u32 = u32::MAX;
@@ -94,6 +90,7 @@ impl Ord for Held {
 /// What one proxy measured; folded into [`Shared`] when it exits.
 #[derive(Default)]
 struct ProxyStats {
+    sent: usize,
     deferred: usize,
     idle_spins: usize,
 }
@@ -129,7 +126,6 @@ impl From<FabricError> for ProxyFail {
 pub(crate) fn proxy_loop<F, E, D>(
     node: usize,
     mut fabric: F,
-    routes: RouteTable,
     outgoing: &[crate::sched::OutgoingQueue],
     shared: &Shared,
     encode: E,
@@ -143,7 +139,6 @@ pub(crate) fn proxy_loop<F, E, D>(
     if let Err(fail) = proxy_run(
         node,
         &mut fabric,
-        routes,
         outgoing,
         shared,
         encode,
@@ -174,7 +169,6 @@ pub(crate) fn proxy_loop<F, E, D>(
 fn proxy_run<F, E, D>(
     node: usize,
     fabric: &mut F,
-    routes: RouteTable,
     outgoing: &[crate::sched::OutgoingQueue],
     shared: &Shared,
     encode: E,
@@ -189,7 +183,7 @@ where
     let mut held: BinaryHeap<Reverse<Held>> = BinaryHeap::new();
     let mut held_seq = 0u64;
     // Per-wire FIFO floor: the model must not reorder messages on one wire.
-    let mut wire_floor: HashMap<u32, Instant> = HashMap::new();
+    let mut wire_floor: Vec<Option<Instant>> = vec![None; shared.routes.len()];
     let mut pending_sends: Vec<Op> = Vec::new();
     let mut recv_op = fabric.post_recv()?;
 
@@ -234,7 +228,7 @@ where
                 };
                 let (payload, nbytes) = encode(&msg.packet);
                 pending_sends.push(fabric.post_send(msg.dst_node, msg.wire_id, payload, nbytes)?);
-                shared.sent.fetch_add(1, Ordering::AcqRel);
+                stats.sent += 1;
                 swept_any = true;
                 progressed = true;
             }
@@ -279,11 +273,14 @@ where
                     match shared.net {
                         Some(net) => {
                             // Receiver-side hold; clamp to the wire's FIFO floor.
+                            let floor = wire_floor
+                                .get_mut(wire_id as usize)
+                                .ok_or(ProxyFail::Route(wire_id))?;
                             let mut at = Instant::now() + net.delay(bytes);
-                            if let Some(&floor) = wire_floor.get(&wire_id) {
+                            if let Some(floor) = *floor {
                                 at = at.max(floor);
                             }
-                            wire_floor.insert(wire_id, at);
+                            *floor = Some(at);
                             stats.deferred += 1;
                             held.push(Reverse(Held {
                                 at,
@@ -293,7 +290,7 @@ where
                             }));
                             held_seq += 1;
                         }
-                        None => route_packet(&routes, shared, wire_id, packet)?,
+                        None => route_packet(shared, node, wire_id, packet)?,
                     }
                 }
             }
@@ -307,7 +304,7 @@ where
                 break;
             }
             let Reverse(h) = held.pop().unwrap();
-            route_packet(&routes, shared, h.wire_id, h.packet)?;
+            route_packet(shared, node, h.wire_id, h.packet)?;
             progressed = true;
         }
 
@@ -329,7 +326,6 @@ where
                     false,
                     fabric,
                     ctl,
-                    &routes,
                     outgoing,
                     &mut pending_sends,
                     &mut recv_op,
@@ -389,7 +385,7 @@ where
                         if wire_id == CKPT_WIRE {
                             announced = Some(ckpt_epoch_of(&packet)?);
                         } else {
-                            route_packet(&routes, shared, wire_id, packet)?;
+                            route_packet(shared, node, wire_id, packet)?;
                         }
                     }
                     // A peer that closed after our exit barrier has itself
@@ -409,7 +405,6 @@ where
                         true,
                         fabric,
                         ctl,
-                        &routes,
                         outgoing,
                         &mut pending_sends,
                         &mut recv_op,
@@ -445,17 +440,25 @@ where
     }
 }
 
-/// Route one arrival into its destination channel and wake the owner.
+/// Route one arrival into its destination channel and wake the owner. A
+/// wire id this node's proxy does not serve is a protocol violation.
 fn route_packet(
-    routes: &RouteTable,
     shared: &Shared,
+    node: usize,
     wire_id: u32,
     packet: Packet,
 ) -> Result<(), ProxyFail> {
-    let (queue, owner) = routes.get(&wire_id).ok_or(ProxyFail::Route(wire_id))?;
-    queue.push(packet);
-    shared.mark_progress();
-    shared.notifiers[*owner].notify();
+    let route = shared
+        .routes
+        .get(wire_id as usize)
+        .copied()
+        .flatten()
+        .filter(|r| r.owner as usize / shared.threads_per_node == node)
+        .ok_or(ProxyFail::Route(wire_id))?;
+    // SAFETY: an inter-node channel's only producer is its destination
+    // node's proxy thread — this one, as the owner check above confirms.
+    unsafe { shared.queues[route.queue as usize].push(packet) };
+    shared.notifiers[route.owner as usize].notify();
     Ok(())
 }
 
@@ -494,7 +497,6 @@ fn checkpoint_round<F, E, D>(
     already_barriered: bool,
     fabric: &mut F,
     ctl: &CkptControl,
-    routes: &RouteTable,
     outgoing: &[crate::sched::OutgoingQueue],
     pending_sends: &mut Vec<Op>,
     recv_op: &mut Op,
@@ -531,7 +533,7 @@ where
         while let Some(msg) = q.lock().pop_front() {
             let (payload, nbytes) = encode(&msg.packet);
             pending_sends.push(fabric.post_send(msg.dst_node, msg.wire_id, payload, nbytes)?);
-            shared.sent.fetch_add(1, Ordering::AcqRel);
+            shared.stats.lock().remote_msgs += 1;
         }
     }
     while !pending_sends.is_empty() {
@@ -575,12 +577,12 @@ where
                 let packet = decode(payload).map_err(ProxyFail::Decode)?;
                 // A nested announcement is impossible mid-round (single
                 // initiator, one barrier per round) — treat as data.
-                route_packet(routes, shared, wire_id, packet)?;
+                route_packet(shared, node, wire_id, packet)?;
             }
         }
     }
     while let Some(Reverse(h)) = held.pop() {
-        route_packet(routes, shared, h.wire_id, h.packet)?;
+        route_packet(shared, node, h.wire_id, h.packet)?;
     }
 
     // 5. Serialize.
@@ -593,22 +595,22 @@ where
     }
 
     // 6. Collect, write, resume.
-    let mut vdps = Vec::new();
-    for local in 0..tpn {
-        let buf = ctl.buffers[shared.global_thread(node, local)]
-            .lock()
-            .take()
-            .expect("parked worker serialized its buffer");
-        vdps.extend(buf);
-    }
+    let threads = shared.global_thread(node, 0)..shared.global_thread(node, tpn);
+    let vdps = threads
+        .clone()
+        .flat_map(|t| {
+            let buf = ctl.buffers[t].lock().take();
+            buf.expect("parked worker serialized its buffer")
+        })
+        .collect();
+    let collected = threads.flat_map(|t| shared.exits[t].lock().clone());
     let exits: Vec<ExitEntry> = shared
-        .exits
-        .lock()
-        .iter()
+        .merge_exits(shared.restored_exits.clone(), collected)
+        .into_iter()
         .map(|((tuple, slot), packets)| ExitEntry {
-            tuple: tuple.clone(),
-            slot: *slot,
-            packets: packets.clone(),
+            tuple,
+            slot,
+            packets,
         })
         .collect();
     let ck = RankCheckpoint {
@@ -624,47 +626,31 @@ where
     shared.notify_node(node);
     match written {
         Ok(bytes) => {
-            shared.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-            shared.checkpoint_bytes.fetch_add(bytes, Ordering::Relaxed);
+            let mut s = shared.stats.lock();
+            s.checkpoints_written += 1;
+            s.checkpoint_bytes += bytes;
             Ok(())
         }
         Err(e) => Err(ProxyFail::Checkpoint(e)),
     }
 }
 
-fn fold_stats<F: Fabric>(fabric: &F, stats: &ProxyStats, shared: &Shared) {
-    shared
-        .wire_bytes_sent
-        .fetch_add(fabric.bytes_sent(), Ordering::Relaxed);
-    shared
-        .wire_bytes_recv
-        .fetch_add(fabric.bytes_received(), Ordering::Relaxed);
-    shared.deferred.fetch_add(stats.deferred, Ordering::Relaxed);
-    shared
-        .idle_spins
-        .fetch_add(stats.idle_spins, Ordering::Relaxed);
+fn fold_stats<F: Fabric>(fabric: &F, proxy: &ProxyStats, shared: &Shared) {
     let h = fabric.health();
-    shared
-        .heartbeats_sent
-        .fetch_add(h.heartbeats_sent, Ordering::Relaxed);
-    shared
-        .heartbeats_missed
-        .fetch_add(h.heartbeats_missed, Ordering::Relaxed);
-    shared
-        .reconnect_attempts
-        .fetch_add(h.reconnect_attempts, Ordering::Relaxed);
-    shared
-        .retried_sends
-        .fetch_add(h.retried_sends, Ordering::Relaxed);
-    shared
-        .frames_replayed
-        .fetch_add(h.frames_replayed, Ordering::Relaxed);
-    shared
-        .retries_healed
-        .fetch_add(h.retries_healed, Ordering::Relaxed);
+    let mut s = shared.stats.lock();
+    s.remote_msgs += proxy.sent;
+    s.deferred_msgs += proxy.deferred;
+    s.proxy_idle_spins += proxy.idle_spins;
+    s.wire_bytes_sent += fabric.bytes_sent();
+    s.wire_bytes_recv += fabric.bytes_received();
+    s.heartbeats_sent += h.heartbeats_sent;
+    s.heartbeats_missed += h.heartbeats_missed;
+    s.reconnect_attempts += h.reconnect_attempts;
+    s.retried_sends += h.retried_sends;
+    s.frames_replayed += h.frames_replayed;
+    s.retries_healed += h.retries_healed;
     if let Some(log) = fabric.fault_log() {
-        let mut slot = shared.fault_log.lock();
-        let merged = match slot.take() {
+        s.fault_log = Some(match s.fault_log {
             None => log,
             Some(prev) => pulsar_fabric::FaultLog {
                 dropped: prev.dropped + log.dropped,
@@ -675,8 +661,7 @@ fn fold_stats<F: Fabric>(fabric: &F, stats: &ProxyStats, shared: &Shared) {
                 killed: prev.killed || log.killed,
                 disconnected: prev.disconnected || log.disconnected,
             },
-        };
-        *slot = Some(merged);
+        });
     }
 }
 

@@ -1,52 +1,77 @@
-//! Worker-thread scheduling: each worker sweeps its list of VDPs and fires
-//! the ready ones (lazy or aggressive), parking when nothing is ready.
+//! Worker-thread scheduling: each worker sweeps its list of live VDPs and
+//! fires the ready ones (lazy or aggressive), parking when nothing is ready.
 
-use crate::channel::ChannelQueue;
 use crate::error::{RunError, StuckVdp};
 use crate::packet::Packet;
 use crate::trace::TaskSpan;
 use crate::tuple::Tuple;
-use crate::vdp::{RuntimeServices, VdpContext, VdpState, WorkerScratch};
+use crate::vdp::{span, VdpContext, VdpState, WorkerScratch};
 use crate::vsa::{CkptControl, NodeShared, SchedScheme, Shared, CKPT_RUN, CKPT_SERIALIZE};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
-/// Wakes a parked worker (or proxy) when new work may be available.
+/// Wakes a parked worker when new work may be available.
+///
+/// The owner announces that it is about to sleep ([`arm`](Self::arm)),
+/// looks for work once more, and only then parks; a producer publishes its
+/// packet and then reads the flag. All four accesses are `SeqCst` (the flag
+/// here, the queue word in `ChannelQueue::{push, satisfied}`), so at least
+/// one side sees the other: the owner's second look finds the packet, or
+/// the producer finds the flag and unparks. A push to a running worker
+/// therefore costs one load.
 pub(crate) struct ThreadNotifier {
-    epoch: Mutex<u64>,
-    cv: Condvar,
+    parked: AtomicBool,
+    thread: OnceLock<Thread>,
 }
 
 impl ThreadNotifier {
-    pub fn new() -> Arc<Self> {
-        Arc::new(ThreadNotifier {
-            epoch: Mutex::new(0),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// Signal that state changed.
-    pub fn notify(&self) {
-        let mut e = self.epoch.lock();
-        *e += 1;
-        self.cv.notify_all();
-    }
-
-    /// Current epoch.
-    pub fn current(&self) -> u64 {
-        *self.epoch.lock()
-    }
-
-    /// Block until the epoch moves past `seen` or `timeout` elapses;
-    /// returns the epoch observed on wake-up.
-    pub fn wait_past(&self, seen: u64, timeout: Duration) -> u64 {
-        let mut e = self.epoch.lock();
-        if *e == seen {
-            let _ = self.cv.wait_for(&mut e, timeout);
+    pub fn new() -> Self {
+        ThreadNotifier {
+            parked: AtomicBool::new(false),
+            thread: OnceLock::new(),
         }
-        *e
+    }
+
+    /// Bind the notifier to the calling thread (the worker that parks on it).
+    pub fn register(&self) {
+        let _ = self.thread.set(std::thread::current());
+    }
+
+    /// Signal that state changed; wakes the owner only if it is (about to
+    /// be) parked.
+    pub fn notify(&self) {
+        if self.parked.load(Ordering::SeqCst) {
+            if let Some(t) = self.thread.get() {
+                t.unpark();
+            }
+        }
+    }
+
+    /// Owner: announce the intent to sleep. Look for work again before
+    /// calling [`park`](Self::park).
+    pub fn arm(&self) {
+        self.parked.store(true, Ordering::SeqCst);
+    }
+
+    /// Owner: withdraw the announcement (work turned up).
+    pub fn disarm(&self) {
+        self.parked.store(false, Ordering::Relaxed);
+    }
+
+    /// Owner: sleep until notified or `timeout` elapses.
+    pub fn park(&self, timeout: Duration) {
+        std::thread::park_timeout(timeout);
+        self.disarm();
+    }
+
+    /// Owner: a timed wait with no work to re-check (checkpoint phases).
+    pub fn nap(&self, timeout: Duration) {
+        self.arm();
+        self.park(timeout);
     }
 }
 
@@ -54,49 +79,57 @@ impl ThreadNotifier {
 pub(crate) struct WorkerServices<'a> {
     pub shared: &'a Shared,
     pub node_shared: &'a NodeShared,
+    pub node: usize,
     pub local_thread: usize,
+    /// This worker's global thread index.
+    pub global: usize,
+    pub scratch: &'a WorkerScratch,
 }
 
-impl RuntimeServices for WorkerServices<'_> {
-    fn deliver_local(&self, queue: &Arc<ChannelQueue>, owner: usize, p: Packet) {
-        queue.push(p);
-        self.shared.mark_progress();
-        self.shared.notifiers[owner].notify();
+impl WorkerServices<'_> {
+    pub fn deliver_local(&self, queue: u32, owner: u32, p: Packet) {
+        // SAFETY: an output slot is wired to at most one channel and a VDP
+        // fires on one thread, so this worker is the queue's only producer.
+        unsafe { self.shared.queues[queue as usize].push(p) };
+        self.shared.notifiers[owner as usize].notify();
     }
 
-    fn deliver_remote(&self, wire_id: u32, dst_node: usize, p: Packet) {
+    pub fn deliver_remote(&self, wire_id: u32, dst_node: u32, p: Packet) {
         self.node_shared.outgoing[self.local_thread]
             .lock()
             .push_back(crate::net::WireMsg {
                 wire_id,
-                dst_node,
+                dst_node: dst_node as usize,
                 packet: p,
             });
     }
 
-    fn deliver_exit(&self, key: &(Tuple, usize), p: Packet) {
-        self.shared
-            .exits
-            .lock()
-            .entry(key.clone())
-            .or_default()
-            .push(p);
+    /// Exit packets go on this worker's own list (its lock is only ever
+    /// contended by a checkpoint cut), in firing order.
+    pub fn deliver_exit(&self, id: u32, p: Packet) {
+        self.shared.exits[self.global].lock().push((id, p));
     }
 
-    fn kernel_span_begin(&self) -> f64 {
+    pub fn tracing(&self) -> bool {
+        self.shared.trace.is_some()
+    }
+
+    /// Trace clock, or 0 when the run records no trace.
+    pub fn now_us(&self) -> f64 {
         self.shared.trace.as_ref().map_or(0.0, |t| t.now_us())
     }
 
-    fn kernel_span_end(&self, node: usize, thread: usize, tuple: &Tuple, label: &str, t0: f64) {
+    /// Record a span of `tuple` on this worker from `start_us` to now;
+    /// `label` is built only when the run records a trace.
+    pub fn record_span(&self, tuple: &Tuple, label: impl FnOnce() -> String, start_us: f64) {
         if let Some(t) = &self.shared.trace {
-            let end = t.now_us();
             t.record(TaskSpan {
-                node,
-                thread: self.shared.global_thread(node, thread),
+                node: self.node,
+                thread: self.global,
                 tuple: tuple.to_string(),
-                label: label.to_string(),
-                start_us: t0,
-                end_us: end,
+                label: label(),
+                start_us,
+                end_us: t.now_us(),
             });
         }
     }
@@ -114,43 +147,33 @@ fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Fire one VDP once.
-fn fire_vdp(
-    vdp: &mut VdpState,
-    node: usize,
-    local_thread: usize,
-    services: &WorkerServices<'_>,
-    scratch: &WorkerScratch,
-) {
+fn fire_vdp(vdp: &mut VdpState, services: &WorkerServices<'_>) {
+    let shared = services.shared;
     let mut logic = vdp.logic.take().expect("firing a destroyed VDP");
-    let trace_t0 = services.shared.trace.as_ref().map(|t| t.now_us());
-    let label = {
-        let mut ctx = VdpContext {
-            tuple: &vdp.tuple,
-            remaining: vdp.counter - vdp.fired - 1,
-            firing: vdp.fired,
-            node,
-            local_thread,
-            inputs: &vdp.inputs,
-            outputs: &vdp.outputs,
-            services,
-            scratch,
-            label: None,
-        };
-        logic.fire(&mut ctx);
-        ctx.label
+    let t0 = services.now_us();
+    let mut ctx = VdpContext {
+        tuple: &vdp.tuple,
+        remaining: vdp.counter - vdp.fired - 1,
+        firing: vdp.fired,
+        inputs: &shared.queues[span(&vdp.inputs)],
+        outputs: &shared.outputs[span(&vdp.outputs)],
+        services,
+        label: None,
     };
+    logic.fire(&mut ctx);
+    let label = ctx.label;
     vdp.logic = Some(logic);
     vdp.fired += 1;
-    if let (Some(t0), Some(tr)) = (trace_t0, services.shared.trace.as_ref()) {
-        tr.record(TaskSpan {
-            node,
-            thread: services.shared.global_thread(node, local_thread),
-            tuple: vdp.tuple.to_string(),
-            label: label.unwrap_or_else(|| format!("fire{}", vdp.tuple)),
-            start_us: t0,
-            end_us: tr.now_us(),
-        });
-    }
+    let default_label = || format!("fire{}", vdp.tuple);
+    services.record_span(&vdp.tuple, || label.unwrap_or_else(default_label), t0);
+}
+
+/// Ready when every *connected, active* input channel holds a packet: one
+/// load per input slot, no lock.
+fn is_ready(vdp: &VdpState, shared: &Shared) -> bool {
+    shared.queues[span(&vdp.inputs)]
+        .iter()
+        .all(|q| q.satisfied())
 }
 
 /// Main loop of one worker thread.
@@ -159,6 +182,10 @@ fn fire_vdp(
 /// across every VDP firing this worker executes. Scoped runs hand each
 /// spawned thread a fresh store; pooled runs ([`crate::VsaPool`]) pass the
 /// pool thread's persistent store so arenas survive from job to job.
+///
+/// The sweep visits `live`, the indices of this worker's not-yet-destroyed
+/// VDPs in their original order; a VDP leaves the list in the sweep that
+/// destroys it.
 pub(crate) fn worker_loop(
     node: usize,
     local_thread: usize,
@@ -180,46 +207,56 @@ pub(crate) fn worker_loop(
     }
     let _guard = AbortOnPanic(shared);
 
+    let global = shared.global_thread(node, local_thread);
     let services = WorkerServices {
         shared,
         node_shared,
+        node,
         local_thread,
+        global,
+        scratch,
     };
-    let global = shared.global_thread(node, local_thread);
-    let notifier = shared.notifiers[global].clone();
+    let notifier = &shared.notifiers[global];
+    notifier.register();
     // A restore may hand this worker already-destroyed VDPs.
-    let mut alive = vdps.iter().filter(|v| v.logic.is_some()).count();
+    let mut live: Vec<u32> = (0..vdps.len() as u32)
+        .filter(|&i| vdps[i as usize].logic.is_some())
+        .collect();
+    // `shared.live[node]` counts this node's workers that still own a live
+    // VDP; one that starts with none was never counted.
+    let mut counted = !live.is_empty();
+    let mut fired = 0usize;
+    // Stall watchdog: the run-wide firing count this worker last saw, and
+    // when. Sampled on the idle path only.
+    let mut watch = (0usize, Instant::now());
 
     loop {
         if shared.is_aborted() {
-            return;
+            break;
         }
         if let Some(ctl) = &shared.ckpt {
-            if ctl.phase.load(std::sync::atomic::Ordering::Acquire) != CKPT_RUN {
-                serve_checkpoint(ctl, &vdps, global, shared, &notifier);
+            if ctl.phase.load(Ordering::Acquire) != CKPT_RUN {
+                serve_checkpoint(ctl, &vdps, shared, global);
                 continue;
             }
-            if alive == 0 {
+            if live.is_empty() {
                 // Linger: this node's proxy may still run checkpoint
                 // rounds on behalf of busier ranks; stay available for
                 // the park/serialize handshake until it says shutdown.
-                if ctl.shutdown.load(std::sync::atomic::Ordering::Acquire) {
-                    return;
+                if ctl.shutdown.load(Ordering::Acquire) {
+                    break;
                 }
-                let epoch = notifier.current();
-                notifier.wait_past(epoch, Duration::from_micros(200));
+                notifier.nap(Duration::from_micros(200));
                 continue;
             }
-        } else if alive == 0 {
-            return;
+        } else if live.is_empty() {
+            break;
         }
-        let epoch = notifier.current();
         let mut progressed = false;
-        for vdp in vdps.iter_mut() {
-            if vdp.logic.is_none() {
-                continue;
-            }
-            while vdp.is_ready() {
+        let mut kept = 0;
+        for at in 0..live.len() {
+            let vdp = &mut vdps[live[at] as usize];
+            while is_ready(vdp, shared) {
                 let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     // Chaos hook: a configured panic target detonates here,
                     // inside the same catch_unwind that guards real kernel
@@ -227,17 +264,13 @@ pub(crate) fn worker_loop(
                     if shared.chaos_panic.as_ref() == Some(&vdp.tuple) {
                         panic!("chaos: injected panic at VDP {}", vdp.tuple);
                     }
-                    fire_vdp(vdp, node, local_thread, &services, scratch)
+                    fire_vdp(vdp, &services)
                 }));
                 if let Err(e) = r {
                     // Quarantine: the panicking firing already left
                     // `logic` taken, so the VDP can never fire again.
                     // Record the typed error and tear the run down.
-                    vdp.logic = None;
-                    shared.live[node].fetch_sub(1, std::sync::atomic::Ordering::AcqRel);
-                    shared
-                        .quarantined
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    shared.stats.lock().quarantined_vdps += 1;
                     shared.fail(RunError::VdpPanicked {
                         tuple: vdp.tuple.clone(),
                         payload: panic_message(&*e),
@@ -245,47 +278,62 @@ pub(crate) fn worker_loop(
                     return;
                 }
                 progressed = true;
-                shared
-                    .fired
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                shared.fired_per_thread[global].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                shared.mark_progress();
+                fired += 1;
+                // A plain store to this worker's own cache line; only an
+                // idle worker's watchdog reads it before the run ends.
+                shared.fired[global].0.store(fired, Ordering::Relaxed);
                 if vdp.fired == vdp.counter {
-                    // Destroy the VDP. The AcqRel decrement orders this
-                    // VDP's final output pushes before the proxy's
-                    // observation of `live[node] == 0`.
                     vdp.logic = None;
-                    alive -= 1;
-                    shared.live[node].fetch_sub(1, std::sync::atomic::Ordering::AcqRel);
                     break;
                 }
                 if scheme == SchedScheme::Lazy {
                     break;
                 }
             }
+            if vdp.logic.is_some() {
+                live[kept] = live[at];
+                kept += 1;
+            }
         }
-        if alive == 0 {
-            // Back to the top: exit outright, or linger for checkpoints.
+        live.truncate(kept);
+        if progressed {
+            if live.is_empty() && counted {
+                // The AcqRel decrement orders this worker's final output
+                // pushes before the proxy's observation of `live == 0`.
+                shared.live[node].fetch_sub(1, Ordering::AcqRel);
+                counted = false;
+            }
             continue;
         }
-        if !progressed {
-            notifier.wait_past(epoch, Duration::from_micros(500));
-            if let Some(limit) = shared.deadlock_timeout {
-                if shared.since_progress() > limit {
-                    // Stall watchdog: report which VDPs this worker still
-                    // owns and which input channels they starve on, then
-                    // tear the run down with a typed error.
-                    let stuck: Vec<StuckVdp> = vdps
-                        .iter()
-                        .filter(|v| v.logic.is_some())
-                        .map(describe_stuck)
-                        .collect();
-                    shared.fail(RunError::Stalled {
-                        waited: limit,
-                        stuck,
-                    });
-                    return;
-                }
+        // Nothing fired: say so, then look once more before sleeping (see
+        // `ThreadNotifier`).
+        notifier.arm();
+        if live.iter().any(|&i| is_ready(&vdps[i as usize], shared)) {
+            notifier.disarm();
+            continue;
+        }
+        notifier.park(Duration::from_micros(500));
+        if let Some(limit) = shared.deadlock_timeout {
+            let total: usize = shared
+                .fired
+                .iter()
+                .map(|f| f.0.load(Ordering::Relaxed))
+                .sum();
+            if total != watch.0 {
+                watch = (total, Instant::now());
+            } else if watch.1.elapsed() > limit {
+                // Stall watchdog: report which VDPs this worker still
+                // owns and which input channels they starve on, then
+                // tear the run down with a typed error.
+                let stuck: Vec<StuckVdp> = live
+                    .iter()
+                    .map(|&i| describe_stuck(&vdps[i as usize], shared))
+                    .collect();
+                shared.fail(RunError::Stalled {
+                    waited: limit,
+                    stuck,
+                });
+                break;
             }
         }
     }
@@ -295,14 +343,8 @@ pub(crate) fn worker_loop(
 /// wait for the proxy to seal the epoch, serialize every owned VDP
 /// (destroyed ones included — their firing counters matter to the
 /// restore), then wait to be resumed. An abort anywhere unblocks it.
-fn serve_checkpoint(
-    ctl: &CkptControl,
-    vdps: &[VdpState],
-    global: usize,
-    shared: &Shared,
-    notifier: &ThreadNotifier,
-) {
-    use std::sync::atomic::Ordering;
+fn serve_checkpoint(ctl: &CkptControl, vdps: &[VdpState], shared: &Shared, global: usize) {
+    let notifier = &shared.notifiers[global];
     ctl.parked.fetch_add(1, Ordering::AcqRel);
     loop {
         if shared.is_aborted() {
@@ -312,38 +354,35 @@ fn serve_checkpoint(
             CKPT_SERIALIZE => break,
             // The round was unwound before sealing; resume running.
             CKPT_RUN => return,
-            _ => {
-                let e = notifier.current();
-                notifier.wait_past(e, Duration::from_micros(200));
-            }
+            _ => notifier.nap(Duration::from_micros(200)),
         }
     }
-    let entries: Vec<crate::checkpoint::VdpEntry> =
-        vdps.iter().map(crate::checkpoint::entry_of).collect();
+    // SAFETY: CKPT_SERIALIZE is published after every worker of this node
+    // parked and the proxy drained its arrivals, and the proxy routes
+    // nothing until the round ends — every queue is quiescent.
+    let entries = vdps
+        .iter()
+        .map(|v| unsafe { crate::checkpoint::entry_of(v, &shared.queues) })
+        .collect();
     *ctl.buffers[global].lock() = Some(entries);
     ctl.done.fetch_add(1, Ordering::AcqRel);
     while ctl.phase.load(Ordering::Acquire) == CKPT_SERIALIZE {
         if shared.is_aborted() {
             return;
         }
-        let e = notifier.current();
-        notifier.wait_past(e, Duration::from_micros(200));
+        notifier.nap(Duration::from_micros(200));
     }
 }
 
-fn describe_stuck(v: &VdpState) -> StuckVdp {
+fn describe_stuck(v: &VdpState, shared: &Shared) -> StuckVdp {
     StuckVdp {
         tuple: v.tuple.clone(),
         fired: v.fired,
         counter: v.counter,
-        empty_inputs: v
-            .inputs
+        empty_inputs: shared.queues[span(&v.inputs)]
             .iter()
             .enumerate()
-            .filter_map(|(slot, q)| {
-                q.as_ref()
-                    .and_then(|q| if q.satisfied() { None } else { Some(slot) })
-            })
+            .filter_map(|(slot, q)| (!q.satisfied()).then_some(slot))
             .collect(),
     }
 }

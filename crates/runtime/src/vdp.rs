@@ -2,11 +2,11 @@
 
 use crate::channel::ChannelQueue;
 use crate::packet::{Packet, WireError};
+use crate::sched::WorkerServices;
 use crate::tuple::Tuple;
 use std::any::{Any, TypeId};
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::ops::Range;
 
 /// Per-worker scratch storage VDP logic can use across firings.
 ///
@@ -17,8 +17,12 @@ use std::sync::Arc;
 /// nothing.
 #[derive(Default)]
 pub struct WorkerScratch {
-    slots: RefCell<HashMap<TypeId, Box<dyn Any + Send>>>,
+    /// A handful of types at most, so a linear scan beats hashing.
+    slots: RefCell<Vec<ScratchSlot>>,
 }
+
+/// One type's value; `None` while a `with` call has it out.
+type ScratchSlot = (TypeId, Option<Box<dyn Any + Send>>);
 
 impl WorkerScratch {
     /// Create an empty scratch store.
@@ -31,12 +35,22 @@ impl WorkerScratch {
     /// so nested `with` calls for *different* types are fine; a nested call
     /// for the same type would see a fresh default.
     pub fn with<T: Default + Send + 'static, R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        let mut value: Box<T> = match self.slots.borrow_mut().remove(&TypeId::of::<T>()) {
+        let id = TypeId::of::<T>();
+        let (idx, taken) = {
+            let mut slots = self.slots.borrow_mut();
+            let idx = slots.iter().position(|(t, _)| *t == id).unwrap_or_else(|| {
+                slots.push((id, None));
+                slots.len() - 1
+            });
+            (idx, slots[idx].1.take())
+        };
+        let mut value: Box<T> = match taken {
             Some(boxed) => boxed.downcast().expect("scratch slot type mismatch"),
             None => Box::default(),
         };
         let r = f(&mut value);
-        self.slots.borrow_mut().insert(TypeId::of::<T>(), value);
+        // Slots are only ever appended, so `idx` is still this type's.
+        self.slots.borrow_mut()[idx].1 = Some(value);
         r
     }
 }
@@ -118,33 +132,36 @@ impl VdpSpec {
 
 /// Where an output slot delivers its packets (resolved at launch).
 pub(crate) enum OutputTarget {
+    /// No channel attached.
+    Unwired,
     /// Same-node destination: push straight into the channel queue.
     Local {
-        queue: Arc<ChannelQueue>,
+        /// Index of the destination slot's queue in the run's arena.
+        queue: u32,
         /// Global thread index of the destination VDP's owner (to wake).
-        owner: usize,
+        owner: u32,
     },
     /// Different node: hand to this node's proxy for transmission.
-    Remote { wire_id: u32, dst_node: usize },
-    /// No destination VDP: packets accumulate in the run's exit store.
-    Exit { key: (Tuple, usize) },
+    Remote { wire_id: u32, dst_node: u32 },
+    /// No destination VDP: packets accumulate in the worker's exit list
+    /// under this dense id (the `(tuple, slot)` key lives in the run).
+    Exit { id: u32 },
 }
 
-/// Runtime state of one VDP (owned exclusively by its worker thread).
+/// Runtime state of one VDP (owned exclusively by its worker thread). Its
+/// slot tables are ranges into the run's flat queue and output arenas.
 pub(crate) struct VdpState {
     pub tuple: Tuple,
     pub counter: u32,
     pub fired: u32,
-    pub inputs: Vec<Option<Arc<ChannelQueue>>>,
-    pub outputs: Vec<Option<OutputTarget>>,
+    pub inputs: Range<u32>,
+    pub outputs: Range<u32>,
     pub logic: Option<Box<dyn VdpLogic>>,
 }
 
-impl VdpState {
-    /// Ready when every *connected, active* input channel holds a packet.
-    pub fn is_ready(&self) -> bool {
-        self.inputs.iter().flatten().all(|q| q.satisfied())
-    }
+/// A `u32` arena range as slice bounds.
+pub(crate) fn span(r: &Range<u32>) -> Range<usize> {
+    r.start as usize..r.end as usize
 }
 
 /// The environment a VDP sees while firing: its channels, identity, and the
@@ -153,22 +170,10 @@ pub struct VdpContext<'a> {
     pub(crate) tuple: &'a Tuple,
     pub(crate) remaining: u32,
     pub(crate) firing: u32,
-    pub(crate) node: usize,
-    pub(crate) local_thread: usize,
-    pub(crate) inputs: &'a [Option<Arc<ChannelQueue>>],
-    pub(crate) outputs: &'a [Option<OutputTarget>],
-    pub(crate) services: &'a dyn RuntimeServices,
-    pub(crate) scratch: &'a WorkerScratch,
+    pub(crate) inputs: &'a [ChannelQueue],
+    pub(crate) outputs: &'a [OutputTarget],
+    pub(crate) services: &'a WorkerServices<'a>,
     pub(crate) label: Option<String>,
-}
-
-/// Delivery and tracing services the scheduler provides to firing VDPs.
-pub(crate) trait RuntimeServices {
-    fn deliver_local(&self, queue: &Arc<ChannelQueue>, owner: usize, p: Packet);
-    fn deliver_remote(&self, wire_id: u32, dst_node: usize, p: Packet);
-    fn deliver_exit(&self, key: &(Tuple, usize), p: Packet);
-    fn kernel_span_begin(&self) -> f64;
-    fn kernel_span_end(&self, node: usize, thread: usize, tuple: &Tuple, label: &str, t0: f64);
 }
 
 impl<'a> VdpContext<'a> {
@@ -189,19 +194,19 @@ impl<'a> VdpContext<'a> {
 
     /// Node executing this firing.
     pub fn node(&self) -> usize {
-        self.node
+        self.services.node
     }
 
     /// Node-local worker thread executing this firing.
     pub fn thread(&self) -> usize {
-        self.local_thread
+        self.services.local_thread
     }
 
     /// This worker thread's persistent scratch store. The returned
     /// reference borrows the context's lifetime, so it can be captured
     /// before entering a [`VdpContext::kernel`] closure.
     pub fn scratch(&self) -> &'a WorkerScratch {
-        self.scratch
+        self.services.scratch
     }
 
     /// Pop a packet from an input slot, panicking when none is queued
@@ -213,26 +218,26 @@ impl<'a> VdpContext<'a> {
 
     /// Pop a packet from an input slot, if one is queued.
     pub fn try_pop(&mut self, slot: usize) -> Option<Packet> {
-        self.inputs[slot].as_ref()?.pop()
+        // SAFETY: a context exposes only the firing VDP's own input slots,
+        // and a VDP fires on exactly one worker thread — the one consumer.
+        unsafe { self.inputs[slot].pop() }
     }
 
     /// Number of packets waiting on an input slot.
     pub fn input_len(&self, slot: usize) -> usize {
-        self.inputs[slot].as_ref().map_or(0, |q| q.len())
+        self.inputs[slot].len()
     }
 
     /// Push a packet to an output slot. Pushing to an unconnected slot is an
     /// error (wire the channel or drop the data explicitly).
     pub fn push(&mut self, slot: usize, p: Packet) {
-        match self.outputs[slot].as_ref() {
-            Some(OutputTarget::Local { queue, owner }) => {
-                self.services.deliver_local(queue, *owner, p)
+        match self.outputs[slot] {
+            OutputTarget::Local { queue, owner } => self.services.deliver_local(queue, owner, p),
+            OutputTarget::Remote { wire_id, dst_node } => {
+                self.services.deliver_remote(wire_id, dst_node, p)
             }
-            Some(OutputTarget::Remote { wire_id, dst_node }) => {
-                self.services.deliver_remote(*wire_id, *dst_node, p)
-            }
-            Some(OutputTarget::Exit { key }) => self.services.deliver_exit(key, p),
-            None => panic!(
+            OutputTarget::Exit { id } => self.services.deliver_exit(id, p),
+            OutputTarget::Unwired => panic!(
                 "VDP {} pushed to unconnected output slot {}",
                 self.tuple, slot
             ),
@@ -241,45 +246,71 @@ impl<'a> VdpContext<'a> {
 
     /// Whether an output slot has a channel attached.
     pub fn output_connected(&self, slot: usize) -> bool {
-        self.outputs[slot].is_some()
+        !matches!(self.outputs[slot], OutputTarget::Unwired)
     }
 
     /// Enable this VDP's input channel at `slot` (paper Section V-C: the
     /// binary→flat channel starts disabled and is enabled mid-run).
     pub fn enable_input(&self, slot: usize) {
-        if let Some(q) = &self.inputs[slot] {
-            q.enable();
-        }
+        self.inputs[slot].enable();
     }
 
     /// Disable this VDP's input channel at `slot`.
     pub fn disable_input(&self, slot: usize) {
-        if let Some(q) = &self.inputs[slot] {
-            q.disable();
-        }
+        self.inputs[slot].disable();
     }
 
     /// Permanently remove this VDP's input channel at `slot` from its
     /// readiness condition.
     pub fn destroy_input(&self, slot: usize) {
-        if let Some(q) = &self.inputs[slot] {
-            q.destroy();
-        }
+        self.inputs[slot].destroy();
     }
 
-    /// Label the current firing in the execution trace (defaults to the
-    /// VDP tuple).
-    pub fn set_label(&mut self, label: impl Into<String>) {
-        self.label = Some(label.into());
+    /// Label the current firing in the execution trace (defaults to
+    /// `fire<tuple>`). `label` runs only when the run records a trace, so
+    /// an untraced firing builds no string.
+    pub fn set_label(&mut self, label: impl FnOnce(&Self) -> String) {
+        if self.services.tracing() {
+            self.label = Some(label(self));
+        }
     }
 
     /// Run a computational kernel and record it as a separate span in the
     /// execution trace (used to paint Figure-7-style traces).
     pub fn kernel<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
-        let t0 = self.services.kernel_span_begin();
+        let t0 = self.services.now_us();
         let r = f();
         self.services
-            .kernel_span_end(self.node, self.local_thread, self.tuple, name, t0);
+            .record_span(self.tuple, || name.to_string(), t0);
         r
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scratch_keeps_values_in_place_and_nests_across_types() {
+        let s = WorkerScratch::new();
+        s.with(|v: &mut Vec<u32>| v.push(1));
+        // A nested `with` of a different type appends a slot (possibly
+        // moving the table) while the outer value is out; both survive.
+        let outer = s.with(|v: &mut Vec<u32>| {
+            s.with(|t: &mut String| t.push('x'));
+            v.push(2);
+            v.len()
+        });
+        assert_eq!(outer, 2);
+        assert_eq!(s.with(|t: &mut String| t.clone()), "x");
+        assert_eq!(s.with(|v: &mut Vec<u32>| v.clone()), vec![1, 2]);
+        // Same type nested: the inner call sees a fresh default, and the
+        // outer value is what stays.
+        s.with(|v: &mut Vec<u32>| {
+            assert!(s.with(|inner: &mut Vec<u32>| inner.is_empty()));
+            v.push(3);
+        });
+        assert_eq!(s.with(|v: &mut Vec<u32>| v.clone()), vec![1, 2, 3]);
+        assert_eq!(s.slots.borrow().len(), 2);
     }
 }

@@ -3,13 +3,13 @@
 use crate::channel::{ChannelQueue, ChannelSpec};
 use crate::checkpoint::{self, CheckpointError, RankCheckpoint, VdpEntry};
 use crate::error::RunError;
-use crate::net::{NetModel, RouteTable};
+use crate::net::NetModel;
 use crate::packet::{Packet, PacketRegistry, WireError};
 use crate::pool::{PoolJob, VsaPool};
 use crate::sched::{worker_loop, OutgoingQueue, ThreadNotifier};
 use crate::trace::{Trace, TraceCollector};
 use crate::tuple::Tuple;
-use crate::vdp::{OutputTarget, VdpSpec, VdpState, WorkerScratch};
+use crate::vdp::{span, OutputTarget, VdpSpec, VdpState, WorkerScratch};
 use parking_lot::Mutex;
 use pulsar_fabric::{
     Fabric, FaultLog, FaultPlan, FaultyFabric, InProcFabric, RetryPolicy, TcpFabric,
@@ -151,33 +151,17 @@ impl RunConfig {
     /// Single-node configuration with a deterministic default mapping that
     /// spreads tuples over `threads` by hashing.
     pub fn smp(threads: usize) -> Self {
-        RunConfig {
-            nodes: 1,
-            threads_per_node: threads,
-            scheme: SchedScheme::Lazy,
-            mapping: Arc::new(move |t: &Tuple| {
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for &v in t.ids() {
-                    h = (h ^ v as u64).wrapping_mul(0x1000_0000_01b3);
-                }
-                Place {
-                    node: 0,
-                    thread: (h % threads as u64) as usize,
-                }
-            }),
-            trace: false,
-            net: None,
-            deadlock_timeout: Some(Duration::from_secs(30)),
-            backend: Backend::InProcess,
-            fault: None,
-            chaos_registry: None,
-            heartbeat: None,
-            checkpoint_dir: None,
-            checkpoint_every: None,
-            resume: false,
-            retry: RetryPolicy::none(),
-            chaos_panic: None,
-        }
+        let mapping = move |t: &Tuple| {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for &v in t.ids() {
+                h = (h ^ v as u64).wrapping_mul(0x1000_0000_01b3);
+            }
+            Place {
+                node: 0,
+                thread: (h % threads as u64) as usize,
+            }
+        };
+        Self::cluster(1, threads, Arc::new(mapping))
     }
 
     /// Multi-node configuration with an explicit mapping.
@@ -285,8 +269,11 @@ pub struct RunStats {
     pub fired: usize,
     /// Inter-node messages posted to the fabric.
     pub remote_msgs: usize,
-    /// Wall-clock duration of the run.
+    /// Wall-clock duration of the run, wiring included.
     pub wall: Duration,
+    /// The part of `wall` spent before any worker started: placing VDPs,
+    /// wiring channels into the arena, queueing seeds.
+    pub prepare: Duration,
     /// Firings per global worker thread (load-balance diagnostics).
     pub fired_per_thread: Vec<usize>,
     /// Deepest any channel queue ever got — the memory high-water mark of
@@ -297,7 +284,10 @@ pub struct RunStats {
     pub wire_bytes_sent: u64,
     /// Payload bytes received from the fabric.
     pub wire_bytes_recv: u64,
-    /// Arrivals the [`NetModel`] held back before delivery.
+    /// Arrivals the [`NetModel`] held back before delivery. With a model
+    /// attached ([`RunConfig::with_net`]) every arrival is held for its
+    /// modeled flight time, so this equals `remote_msgs` by construction;
+    /// without one it is 0. It does not count a proxy "slow path".
     pub deferred_msgs: usize,
     /// Proxy loop iterations that found no work and napped.
     pub proxy_idle_spins: usize,
@@ -384,31 +374,41 @@ pub(crate) struct CkptControl {
     pub start_epoch: AtomicU64,
 }
 
-/// Global state shared by all workers and proxies of a run.
+/// A value alone on its cache line (per-worker counters hit every firing).
+#[repr(align(64))]
+pub(crate) struct Padded<T>(pub T);
+
+/// Where an inter-node channel lands: queue index and owning global thread.
+#[derive(Copy, Clone)]
+pub(crate) struct Route {
+    pub queue: u32,
+    pub owner: u32,
+}
+
+/// Global state shared by all workers and proxies of a run, including the
+/// flat array itself: every slot's queue or target, addressed by index.
 pub(crate) struct Shared {
-    pub notifiers: Vec<Arc<ThreadNotifier>>,
-    pub exits: Mutex<HashMap<(Tuple, usize), Vec<Packet>>>,
-    /// Per-node count of not-yet-destroyed VDPs; a node's proxy may enter
-    /// the shutdown barrier once its entry reaches zero.
+    /// One queue per input slot of every local VDP.
+    pub queues: Vec<ChannelQueue>,
+    /// One target per output slot of every local VDP.
+    pub outputs: Vec<OutputTarget>,
+    /// Inter-node channels by wire id (`None`: destination not local).
+    pub routes: Vec<Option<Route>>,
+    /// `(tuple, slot)` key of each dense exit id.
+    pub exit_keys: Vec<(Tuple, usize)>,
+    /// Exit packets a resumed run inherited from its checkpoint.
+    pub restored_exits: HashMap<(Tuple, usize), Vec<Packet>>,
+    /// Each worker's exit packets under their dense ids, in firing order.
+    pub exits: Vec<Mutex<Vec<(u32, Packet)>>>,
+    pub notifiers: Vec<ThreadNotifier>,
+    /// Per-node count of workers that still own a live VDP; at zero the
+    /// node's proxy may enter the shutdown barrier.
     pub live: Vec<AtomicUsize>,
-    pub sent: AtomicUsize,
-    pub fired: AtomicUsize,
-    pub fired_per_thread: Vec<AtomicUsize>,
-    pub wire_bytes_sent: AtomicU64,
-    pub wire_bytes_recv: AtomicU64,
-    pub deferred: AtomicUsize,
-    pub idle_spins: AtomicUsize,
-    pub heartbeats_sent: AtomicU64,
-    pub heartbeats_missed: AtomicU64,
-    pub reconnect_attempts: AtomicU64,
-    pub retried_sends: AtomicU64,
-    pub quarantined: AtomicUsize,
-    pub checkpoints_written: AtomicU64,
-    pub checkpoint_bytes: AtomicU64,
-    pub frames_replayed: AtomicU64,
-    pub retries_healed: AtomicU64,
-    /// Folded from every local fault-injecting fabric endpoint.
-    pub fault_log: Mutex<Option<FaultLog>>,
+    /// Firings per global worker thread, stored by its owner; read by an
+    /// idle worker's stall watchdog and at run end.
+    pub fired: Vec<Padded<AtomicUsize>>,
+    /// Every other counter: proxies fold theirs in as they exit.
+    pub stats: Mutex<RunStats>,
     /// Present when periodic coordinated checkpoints are enabled.
     pub ckpt: Option<CkptControl>,
     pub trace: Option<TraceCollector>,
@@ -419,8 +419,6 @@ pub(crate) struct Shared {
     pub chaos_panic: Option<Tuple>,
     /// First run error observed; later reports are discarded.
     error: Mutex<Option<RunError>>,
-    t0: Instant,
-    last_progress_us: AtomicU64,
     aborted: AtomicBool,
 }
 
@@ -437,26 +435,15 @@ impl Shared {
         }
     }
 
-    pub fn mark_progress(&self) {
-        let us = self.t0.elapsed().as_micros() as u64;
-        self.last_progress_us.store(us, Ordering::Relaxed);
-    }
-
-    pub fn since_progress(&self) -> Duration {
-        let last = self.last_progress_us.load(Ordering::Relaxed);
-        let now = self.t0.elapsed().as_micros() as u64;
-        Duration::from_micros(now.saturating_sub(last))
-    }
-
     pub fn abort(&self) {
-        self.aborted.store(true, Ordering::Release);
+        self.aborted.store(true, Ordering::SeqCst);
         for n in &self.notifiers {
             n.notify();
         }
     }
 
     pub fn is_aborted(&self) -> bool {
-        self.aborted.load(Ordering::Acquire)
+        self.aborted.load(Ordering::SeqCst)
     }
 
     /// Record a run error (first one wins) and tear the run down.
@@ -474,6 +461,22 @@ impl Shared {
     pub fn take_error(&self) -> Option<RunError> {
         self.error.lock().take()
     }
+
+    /// Exit packets by `(tuple, slot)` key: the restored ones, then the
+    /// collected ones in the order given.
+    pub fn merge_exits(
+        &self,
+        restored: HashMap<(Tuple, usize), Vec<Packet>>,
+        collected: impl IntoIterator<Item = (u32, Packet)>,
+    ) -> HashMap<(Tuple, usize), Vec<Packet>> {
+        let mut exits = restored;
+        exits.reserve(self.exit_keys.len());
+        for (id, p) in collected {
+            let key = self.exit_keys[id as usize].clone();
+            exits.entry(key).or_default().push(p);
+        }
+        exits
+    }
 }
 
 /// Per-node state shared between the node's workers and its proxy.
@@ -481,14 +484,39 @@ pub(crate) struct NodeShared {
     pub outgoing: Vec<OutgoingQueue>,
 }
 
+/// One end of a channel or seed, resolved when it is added: a VDP index,
+/// or — tagged [`End::OPEN`] — an index into the builder's table of tuples
+/// that named no VDP (yet). An end that stays open makes an exit or entry.
+#[derive(Copy, Clone)]
+struct End(u32);
+
+impl End {
+    const OPEN: u32 = 1 << 31;
+}
+
+/// A channel as the builder stores it.
+struct Wire {
+    max_bytes: usize,
+    src: End,
+    dst: End,
+    src_slot: u32,
+    dst_slot: u32,
+    enabled: bool,
+}
+
 /// A Virtual Systolic Array under construction: VDPs + channels + seeds
 /// (`prt_vsa_new` / `prt_vsa_vdp_insert` analogue).
 #[derive(Default)]
 pub struct Vsa {
     vdps: Vec<VdpSpec>,
-    by_tuple: HashMap<Tuple, usize>,
-    channels: Vec<ChannelSpec>,
-    seeds: Vec<(Tuple, usize, Packet)>,
+    by_tuple: HashMap<Tuple, u32>,
+    channels: Vec<Wire>,
+    seeds: Vec<(End, usize, Packet)>,
+    /// Tuples of the open ends.
+    open: Vec<Tuple>,
+    /// A VDP was added after an end was left open: open ends get one more
+    /// lookup at launch (arrays that add their VDPs first never pay).
+    late_vdps: bool,
 }
 
 impl Vsa {
@@ -500,22 +528,75 @@ impl Vsa {
     /// Insert a VDP. Tuples must be unique and counters positive.
     pub fn add_vdp(&mut self, spec: VdpSpec) {
         assert!(spec.counter > 0, "VDP {} has zero counter", spec.tuple);
-        let prev = self.by_tuple.insert(spec.tuple.clone(), self.vdps.len());
+        let idx = self.vdps.len() as u32;
+        assert!(idx < End::OPEN, "too many VDPs");
+        let prev = self.by_tuple.insert(spec.tuple.clone(), idx);
         assert!(prev.is_none(), "duplicate VDP tuple {}", spec.tuple);
+        self.late_vdps |= !self.open.is_empty();
         self.vdps.push(spec);
+    }
+
+    fn end(&mut self, tuple: Tuple) -> End {
+        match self.by_tuple.get(&tuple) {
+            Some(&idx) => End(idx),
+            None => {
+                self.open.push(tuple);
+                End(End::OPEN | (self.open.len() - 1) as u32)
+            }
+        }
+    }
+
+    /// The VDP an end names, if any.
+    fn vdp_of(&self, end: End) -> Option<usize> {
+        if end.0 & End::OPEN == 0 {
+            Some(end.0 as usize)
+        } else if self.late_vdps {
+            self.by_tuple.get(self.tuple_of(end)).map(|&i| i as usize)
+        } else {
+            None
+        }
+    }
+
+    fn tuple_of(&self, end: End) -> &Tuple {
+        if end.0 & End::OPEN == 0 {
+            &self.vdps[end.0 as usize].tuple
+        } else {
+            &self.open[(end.0 & !End::OPEN) as usize]
+        }
+    }
+
+    /// `src:slot -> dst:slot`, for diagnostics.
+    fn describe(&self, ch: &Wire) -> String {
+        format!(
+            "{}:{} -> {}:{}",
+            self.tuple_of(ch.src),
+            ch.src_slot,
+            self.tuple_of(ch.dst),
+            ch.dst_slot
+        )
     }
 
     /// Insert a channel. A channel whose destination tuple has no VDP is an
     /// *exit* channel: its packets are collected into [`RunOutput::exits`].
     pub fn add_channel(&mut self, spec: ChannelSpec) {
-        self.channels.push(spec);
+        let slot = |s: usize| u32::try_from(s).expect("slot index exceeds u32");
+        let wire = Wire {
+            max_bytes: spec.max_bytes,
+            src: self.end(spec.src),
+            dst: self.end(spec.dst),
+            src_slot: slot(spec.src_slot),
+            dst_slot: slot(spec.dst_slot),
+            enabled: spec.enabled,
+        };
+        self.channels.push(wire);
     }
 
     /// Queue an initial packet on input `slot` of `dst` before the run
     /// starts (this is how the matrix tiles enter the array). If no channel
     /// feeds that slot, an implicit one is created.
     pub fn seed(&mut self, dst: impl Into<Tuple>, slot: usize, p: Packet) {
-        self.seeds.push((dst.into(), slot, p));
+        let dst = self.end(dst.into());
+        self.seeds.push((dst, slot, p));
     }
 
     /// Number of VDPs currently in the array.
@@ -538,49 +619,54 @@ impl Vsa {
         let mut out_used: HashMap<(usize, usize), usize> = HashMap::new();
 
         for (ci, ch) in self.channels.iter().enumerate() {
-            let src = self.by_tuple.get(&ch.src);
-            let dst = self.by_tuple.get(&ch.dst);
+            let src = self.vdp_of(ch.src);
+            let dst = self.vdp_of(ch.dst);
+            let (src_slot, dst_slot) = (ch.src_slot as usize, ch.dst_slot as usize);
             if src.is_none() && dst.is_none() {
                 errors.push(format!(
-                    "channel #{ci} {}:{} -> {}:{} connects two nonexistent VDPs",
-                    ch.src, ch.src_slot, ch.dst, ch.dst_slot
+                    "channel #{ci} {} connects two nonexistent VDPs",
+                    self.describe(ch)
                 ));
                 continue;
             }
-            if let Some(&s) = src {
-                if ch.src_slot >= self.vdps[s].n_out {
+            if let Some(s) = src {
+                if src_slot >= self.vdps[s].n_out {
                     errors.push(format!(
                         "channel #{ci}: output slot {} out of range for VDP {} ({} outputs)",
-                        ch.src_slot, ch.src, self.vdps[s].n_out
+                        src_slot, self.vdps[s].tuple, self.vdps[s].n_out
                     ));
-                } else if let Some(prev) = out_used.insert((s, ch.src_slot), ci) {
+                } else if let Some(prev) = out_used.insert((s, src_slot), ci) {
                     errors.push(format!(
                         "VDP {} output slot {} wired by channels #{prev} and #{ci}",
-                        ch.src, ch.src_slot
+                        self.vdps[s].tuple, src_slot
                     ));
                 }
             }
-            if let Some(&d) = dst {
-                if ch.dst_slot >= self.vdps[d].n_in {
+            if let Some(d) = dst {
+                if dst_slot >= self.vdps[d].n_in {
                     errors.push(format!(
                         "channel #{ci}: input slot {} out of range for VDP {} ({} inputs)",
-                        ch.dst_slot, ch.dst, self.vdps[d].n_in
+                        dst_slot, self.vdps[d].tuple, self.vdps[d].n_in
                     ));
-                } else if let Some(prev) = in_used.insert((d, ch.dst_slot), ci) {
+                } else if let Some(prev) = in_used.insert((d, dst_slot), ci) {
                     errors.push(format!(
                         "VDP {} input slot {} wired by channels #{prev} and #{ci}",
-                        ch.dst, ch.dst_slot
+                        self.vdps[d].tuple, dst_slot
                     ));
                 }
             }
         }
-        for (dst, slot, _) in &self.seeds {
-            match self.by_tuple.get(dst) {
-                None => errors.push(format!("seed targets nonexistent VDP {dst}")),
-                Some(&d) => {
-                    if *slot >= self.vdps[d].n_in {
+        for &(dst, slot, _) in &self.seeds {
+            match self.vdp_of(dst) {
+                None => errors.push(format!(
+                    "seed targets nonexistent VDP {}",
+                    self.tuple_of(dst)
+                )),
+                Some(d) => {
+                    if slot >= self.vdps[d].n_in {
                         errors.push(format!(
-                            "seed targets out-of-range input slot {slot} of VDP {dst}"
+                            "seed targets out-of-range input slot {slot} of VDP {}",
+                            self.vdps[d].tuple
                         ));
                     }
                 }
@@ -603,16 +689,12 @@ impl Vsa {
     }
 
     /// Build everything a run needs short of spawning threads: placement,
-    /// VDP states, the [`Shared`] block, channel wiring, seeds, checkpoint
-    /// base/restore, and the per-thread work partition. Shared by
-    /// [`Vsa::run`] (scoped threads) and [`Vsa::run_pooled`] (warm pool).
-    fn prepare(self, config: &RunConfig) -> Result<Prepared, RunError> {
-        let Vsa {
-            vdps,
-            by_tuple,
-            channels,
-            seeds,
-        } = self;
+    /// the queue and output arenas with every channel wired in by index
+    /// (ends were resolved as they were added, so no tuple is hashed),
+    /// seeds, the [`Shared`] block, checkpoint base/restore, and the
+    /// per-thread partition. Shared by [`Vsa::run`] and [`Vsa::run_pooled`].
+    fn prepare(mut self, config: &RunConfig) -> Result<Prepared, RunError> {
+        let t0 = Instant::now();
         let nodes = config.nodes;
         let tpn = config.threads_per_node;
         assert!(nodes > 0 && tpn > 0);
@@ -629,8 +711,10 @@ impl Vsa {
             }
         };
 
-        // Resolve VDP placements.
-        let places: Vec<Place> = vdps
+        // Place every VDP and give the local ones their slot ranges.
+        let (mut n_queues, mut n_outputs) = (0u32, 0u32);
+        let homes: Vec<Home> = self
+            .vdps
             .iter()
             .map(|v| {
                 let p = (config.mapping)(&v.tuple);
@@ -640,31 +724,125 @@ impl Vsa {
                     v.tuple,
                     p
                 );
-                p
+                let home = Home {
+                    thread: (p.node * tpn + p.thread) as u32,
+                    local: local_nodes.contains(&p.node),
+                    in_base: n_queues,
+                    out_base: n_outputs,
+                };
+                if home.local {
+                    n_queues += v.n_in as u32;
+                    n_outputs += v.n_out as u32;
+                }
+                home
             })
             .collect();
-        let mut live_per_node = vec![0usize; nodes];
-        for p in &places {
-            live_per_node[p.node] += 1;
+        let node_of = |h: &Home| h.thread as usize / tpn;
+        let mut queues: Vec<ChannelQueue> = (0..n_queues).map(|_| ChannelQueue::absent()).collect();
+        let mut outputs: Vec<OutputTarget> =
+            (0..n_outputs).map(|_| OutputTarget::Unwired).collect();
+
+        // Wire channels. Wire ids advance for every cross-node channel
+        // whether or not an endpoint is local, keeping the SPMD ranks'
+        // tables aligned.
+        let mut routes: Vec<Option<Route>> = Vec::new();
+        let mut exit_keys: Vec<(Tuple, usize)> = Vec::new();
+        for ch in std::mem::take(&mut self.channels) {
+            let (src, dst) = (self.vdp_of(ch.src), self.vdp_of(ch.dst));
+            let (src_slot, dst_slot) = (ch.src_slot as usize, ch.dst_slot as usize);
+            if let Some(d) = dst.filter(|&d| homes[d].local) {
+                assert!(
+                    dst_slot < self.vdps[d].n_in,
+                    "channel {}: input slot out of range",
+                    self.describe(&ch)
+                );
+                assert!(
+                    queues[homes[d].in_base as usize + dst_slot].wire(ch.max_bytes, ch.enabled),
+                    "VDP {} input slot {dst_slot} already connected",
+                    self.vdps[d].tuple
+                );
+            }
+            let Some(s) = src else {
+                // Entry channel: only seeds feed it.
+                assert!(
+                    dst.is_some(),
+                    "channel {} connects two nonexistent VDPs",
+                    self.describe(&ch)
+                );
+                continue;
+            };
+            let target = match dst {
+                None => OutputTarget::Exit {
+                    id: exit_keys.len() as u32,
+                },
+                Some(d) => {
+                    let dh = &homes[d];
+                    let (queue, owner) = (dh.in_base + ch.dst_slot, dh.thread);
+                    if node_of(&homes[s]) == node_of(dh) {
+                        OutputTarget::Local { queue, owner }
+                    } else {
+                        routes.push(dh.local.then_some(Route { queue, owner }));
+                        OutputTarget::Remote {
+                            wire_id: routes.len() as u32 - 1,
+                            dst_node: node_of(dh) as u32,
+                        }
+                    }
+                }
+            };
+            if !homes[s].local {
+                continue;
+            }
+            assert!(
+                src_slot < self.vdps[s].n_out,
+                "channel {}: output slot out of range",
+                self.describe(&ch)
+            );
+            let out = &mut outputs[homes[s].out_base as usize + src_slot];
+            assert!(
+                matches!(out, OutputTarget::Unwired),
+                "VDP {} output slot {src_slot} already connected",
+                self.vdps[s].tuple
+            );
+            if let OutputTarget::Exit { .. } = target {
+                exit_keys.push((self.tuple_of(ch.dst).clone(), dst_slot));
+            }
+            *out = target;
+        }
+
+        // Seeds (each rank keeps only those aimed at its own VDPs).
+        for (dst, slot, p) in std::mem::take(&mut self.seeds) {
+            let d = self.vdp_of(dst).unwrap_or_else(|| {
+                panic!("seed destination VDP {} does not exist", self.tuple_of(dst))
+            });
+            if homes[d].local {
+                assert!(
+                    slot < self.vdps[d].n_in,
+                    "seed targets out-of-range input slot {slot} of VDP {}",
+                    self.vdps[d].tuple
+                );
+                let queue = &mut queues[homes[d].in_base as usize + slot];
+                queue.wire(usize::MAX, true);
+                queue.seed(p);
+            }
         }
 
         // Materialize VDP states — only the ones that live on this process.
+        let Vsa { vdps, by_tuple, .. } = self;
         let mut states: Vec<Option<VdpState>> = vdps
             .into_iter()
-            .zip(&places)
-            .map(|(spec, place)| {
-                local_nodes.contains(&place.node).then(|| VdpState {
+            .zip(&homes)
+            .map(|(spec, home)| {
+                home.local.then(|| VdpState {
                     tuple: spec.tuple,
                     counter: spec.counter,
                     fired: 0,
-                    inputs: (0..spec.n_in).map(|_| None).collect(),
-                    outputs: (0..spec.n_out).map(|_| None).collect(),
+                    inputs: home.in_base..home.in_base + spec.n_in as u32,
+                    outputs: home.out_base..home.out_base + spec.n_out as u32,
                     logic: Some(spec.logic),
                 })
             })
             .collect();
 
-        let t0 = Instant::now();
         // Periodic coordinated checkpoints need a real inter-process
         // transport (the quiescence barrier seals an epoch across ranks);
         // other backends still get the epoch-0 snapshot below.
@@ -683,27 +861,19 @@ impl Vsa {
             }
             _ => None,
         };
-        let shared = Shared {
+        let mut shared = Shared {
+            queues,
+            outputs,
+            routes,
+            exit_keys,
+            restored_exits: HashMap::new(),
+            exits: (0..nodes * tpn).map(|_| Mutex::new(Vec::new())).collect(),
             notifiers: (0..nodes * tpn).map(|_| ThreadNotifier::new()).collect(),
-            exits: Mutex::new(HashMap::new()),
-            live: live_per_node.into_iter().map(AtomicUsize::new).collect(),
-            sent: AtomicUsize::new(0),
-            fired: AtomicUsize::new(0),
-            fired_per_thread: (0..nodes * tpn).map(|_| AtomicUsize::new(0)).collect(),
-            wire_bytes_sent: AtomicU64::new(0),
-            wire_bytes_recv: AtomicU64::new(0),
-            deferred: AtomicUsize::new(0),
-            idle_spins: AtomicUsize::new(0),
-            heartbeats_sent: AtomicU64::new(0),
-            heartbeats_missed: AtomicU64::new(0),
-            reconnect_attempts: AtomicU64::new(0),
-            retried_sends: AtomicU64::new(0),
-            quarantined: AtomicUsize::new(0),
-            checkpoints_written: AtomicU64::new(0),
-            checkpoint_bytes: AtomicU64::new(0),
-            frames_replayed: AtomicU64::new(0),
-            retries_healed: AtomicU64::new(0),
-            fault_log: Mutex::new(None),
+            live: (0..nodes).map(|_| AtomicUsize::new(0)).collect(),
+            fired: (0..nodes * tpn)
+                .map(|_| Padded(AtomicUsize::new(0)))
+                .collect(),
+            stats: Mutex::new(RunStats::default()),
             ckpt,
             trace: config.trace.then(|| TraceCollector::new(t0, nodes * tpn)),
             net: config.net,
@@ -711,98 +881,8 @@ impl Vsa {
             threads_per_node: tpn,
             chaos_panic: config.chaos_panic.clone(),
             error: Mutex::new(None),
-            t0,
-            last_progress_us: AtomicU64::new(0),
             aborted: AtomicBool::new(false),
         };
-
-        // Wire channels (keep a registry to report queue high-water marks).
-        // Wire ids advance for every cross-node channel whether or not an
-        // endpoint is local, keeping the SPMD ranks' tables aligned.
-        let mut all_queues: Vec<Arc<ChannelQueue>> = Vec::new();
-        let mut routes: Vec<RouteTable> = (0..nodes).map(|_| RouteTable::new()).collect();
-        let mut next_wire: u32 = 0;
-        for ch in channels {
-            let dst_idx = by_tuple.get(&ch.dst).copied();
-            let src_idx = by_tuple.get(&ch.src).copied();
-            match (src_idx, dst_idx) {
-                (Some(s), Some(d)) => {
-                    let (sp, dp) = (places[s], places[d]);
-                    let wire_id = (sp.node != dp.node).then(|| {
-                        let w = next_wire;
-                        next_wire += 1;
-                        w
-                    });
-                    let owner = shared.global_thread(dp.node, dp.thread);
-                    let queue = local_nodes.contains(&dp.node).then(|| {
-                        let queue = ChannelQueue::new(ch.max_bytes, ch.enabled);
-                        all_queues.push(queue.clone());
-                        attach_input(states[d].as_mut().unwrap(), ch.dst_slot, queue.clone(), &ch);
-                        if let Some(w) = wire_id {
-                            routes[dp.node].insert(w, (queue.clone(), owner));
-                        }
-                        queue
-                    });
-                    if local_nodes.contains(&sp.node) {
-                        let target = match wire_id {
-                            None => OutputTarget::Local {
-                                queue: queue.expect("same-node channel has a queue"),
-                                owner,
-                            },
-                            Some(w) => OutputTarget::Remote {
-                                wire_id: w,
-                                dst_node: dp.node,
-                            },
-                        };
-                        attach_output(states[s].as_mut().unwrap(), ch.src_slot, target, &ch);
-                    }
-                }
-                (Some(s), None) => {
-                    // Exit channel.
-                    if local_nodes.contains(&places[s].node) {
-                        attach_output(
-                            states[s].as_mut().unwrap(),
-                            ch.src_slot,
-                            OutputTarget::Exit {
-                                key: (ch.dst.clone(), ch.dst_slot),
-                            },
-                            &ch,
-                        );
-                    }
-                }
-                (None, Some(d)) => {
-                    // Entry channel: only seeds feed it.
-                    if local_nodes.contains(&places[d].node) {
-                        let queue = ChannelQueue::new(ch.max_bytes, ch.enabled);
-                        all_queues.push(queue.clone());
-                        attach_input(states[d].as_mut().unwrap(), ch.dst_slot, queue, &ch);
-                    }
-                }
-                (None, None) => {
-                    panic!(
-                        "channel {}:{} -> {}:{} connects two nonexistent VDPs",
-                        ch.src, ch.src_slot, ch.dst, ch.dst_slot
-                    );
-                }
-            }
-        }
-
-        // Seeds (each rank keeps only those aimed at its own VDPs).
-        for (dst, slot, p) in seeds {
-            let idx = *by_tuple
-                .get(&dst)
-                .unwrap_or_else(|| panic!("seed destination VDP {dst} does not exist"));
-            let Some(state) = states[idx].as_mut() else {
-                continue;
-            };
-            if state.inputs[slot].is_none() {
-                let queue = ChannelQueue::new(usize::MAX, true);
-                all_queues.push(queue.clone());
-                state.inputs[slot] = Some(queue);
-            }
-            state.inputs[slot].as_ref().unwrap().push(p);
-        }
-        shared.mark_progress();
 
         // Checkpoint base / restore. A fresh run with a checkpoint dir
         // writes the epoch-0 snapshot synchronously (initial state, seeds
@@ -828,15 +908,8 @@ impl Vsa {
                 for node in local_nodes.clone() {
                     checkpoint::load_rank(dir, node, epoch, &registry)
                         .and_then(|ck| {
-                            apply_restore(
-                                &ck,
-                                node,
-                                nodes,
-                                &by_tuple,
-                                &places,
-                                &mut states,
-                                &shared,
-                            )
+                            let mine = |i: usize| homes[i].thread as usize / tpn == node;
+                            apply_restore(&ck, nodes, &by_tuple, mine, &mut states, &mut shared)
                         })
                         .map_err(|error| RunError::Checkpoint { node, error })?;
                 }
@@ -851,25 +924,34 @@ impl Vsa {
                         epoch: 0,
                         vdps: states
                             .iter()
-                            .zip(&places)
-                            .filter(|(s, p)| p.node == node && s.is_some())
-                            .map(|(s, _)| checkpoint::entry_of(s.as_ref().unwrap()))
+                            .zip(&homes)
+                            .filter(|(_, h)| node_of(h) == node)
+                            .filter_map(|(s, _)| s.as_ref())
+                            // SAFETY: no worker or proxy thread exists yet.
+                            .map(|v| unsafe { checkpoint::entry_of(v, &shared.queues) })
                             .collect(),
                         exits: Vec::new(),
                     };
                     let bytes = checkpoint::write_rank_checkpoint(dir, &ck)
                         .map_err(|error| RunError::Checkpoint { node, error })?;
-                    shared.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-                    shared.checkpoint_bytes.fetch_add(bytes, Ordering::Relaxed);
+                    let mut stats = shared.stats.lock();
+                    stats.checkpoints_written += 1;
+                    stats.checkpoint_bytes += bytes;
                 }
             }
         }
 
-        // Partition local VDPs per worker thread.
+        // Partition local VDPs per worker thread; a node's `live` counts
+        // its workers that own a live VDP.
         let mut per_thread: Vec<Vec<VdpState>> = (0..nodes * tpn).map(|_| Vec::new()).collect();
-        for (state, place) in states.into_iter().zip(&places) {
+        for (state, home) in states.into_iter().zip(&homes) {
             if let Some(state) = state {
-                per_thread[shared.global_thread(place.node, place.thread)].push(state);
+                per_thread[home.thread as usize].push(state);
+            }
+        }
+        for (thread, vdps) in per_thread.iter().enumerate() {
+            if vdps.iter().any(|v| v.logic.is_some()) {
+                *shared.live[thread / tpn].get_mut() += 1;
             }
         }
 
@@ -884,10 +966,9 @@ impl Vsa {
             shared: Arc::new(shared),
             per_thread,
             node_shared: Arc::new(node_shared),
-            all_queues,
-            routes,
             local_nodes,
             t0,
+            prepare: t0.elapsed(),
         })
     }
 
@@ -913,10 +994,9 @@ impl Vsa {
             shared: shared_arc,
             mut per_thread,
             node_shared: node_shared_arc,
-            all_queues,
-            routes,
             local_nodes,
             t0,
+            prepare,
         } = self.prepare(config)?;
         let shared: &Shared = &shared_arc;
         let node_shared: &[NodeShared] = &node_shared_arc;
@@ -955,11 +1035,10 @@ impl Vsa {
             }
             // Proxies (one per local node, matching the paper's PRT layout).
             if nodes > 1 {
-                let mut proxies = Proxies {
+                let proxies = Proxies {
                     scope,
                     shared,
                     node_shared,
-                    routes,
                     capture: &capture,
                 };
                 // A byte fabric's codec pair: packets cross as wire bytes.
@@ -1042,7 +1121,7 @@ impl Vsa {
         if let Some(p) = first_panic.into_inner() {
             std::panic::resume_unwind(p);
         }
-        finish_run(shared_arc, &all_queues, t0)
+        finish_run(shared_arc, t0, prepare)
     }
 
     /// Run the array on a persistent [`VsaPool`] instead of spawning one
@@ -1084,10 +1163,9 @@ impl Vsa {
             shared,
             mut per_thread,
             node_shared,
-            all_queues,
-            routes: _,
             local_nodes: _,
             t0,
+            prepare,
         } = self.prepare(config)?;
         let jobs: Vec<PoolJob> = (0..tpn)
             .map(|local| {
@@ -1103,8 +1181,17 @@ impl Vsa {
         if let Some(p) = pool.run_jobs(jobs) {
             std::panic::resume_unwind(p);
         }
-        finish_run(shared, &all_queues, t0)
+        finish_run(shared, t0, prepare)
     }
+}
+
+/// Where [`Vsa::prepare`] put one VDP: its worker (global thread index)
+/// and, for a VDP local to this process, where its slot ranges start.
+struct Home {
+    thread: u32,
+    local: bool,
+    in_base: u32,
+    out_base: u32,
 }
 
 /// Everything [`Vsa::prepare`] builds for the execution step.
@@ -1112,24 +1199,19 @@ struct Prepared {
     shared: Arc<Shared>,
     per_thread: Vec<Vec<VdpState>>,
     node_shared: Arc<Vec<NodeShared>>,
-    all_queues: Vec<Arc<ChannelQueue>>,
-    routes: Vec<RouteTable>,
     local_nodes: Range<usize>,
     t0: Instant,
+    prepare: Duration,
 }
 
 /// Tear down after every worker has stopped: reclaim the shared block,
 /// surface the first typed error, and assemble stats + output.
-fn finish_run(
-    shared: Arc<Shared>,
-    all_queues: &[Arc<ChannelQueue>],
-    t0: Instant,
-) -> Result<RunOutput, RunError> {
+fn finish_run(shared: Arc<Shared>, t0: Instant, prepare: Duration) -> Result<RunOutput, RunError> {
     // Scoped runs reach here holding the only reference; pooled runs can
     // momentarily race a pool thread that has signalled completion but not
     // yet dropped its clone.
     let mut shared = shared;
-    let shared = loop {
+    let mut shared = loop {
         match Arc::try_unwrap(shared) {
             Ok(s) => break s,
             Err(again) => {
@@ -1142,118 +1224,92 @@ fn finish_run(
         return Err(e);
     }
 
-    let stats = RunStats {
-        fired: shared.fired.load(Ordering::Relaxed),
-        remote_msgs: shared.sent.load(Ordering::Relaxed),
-        wall: t0.elapsed(),
-        fired_per_thread: shared
-            .fired_per_thread
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect(),
-        peak_channel_depth: all_queues.iter().map(|q| q.high_water()).max().unwrap_or(0),
-        wire_bytes_sent: shared.wire_bytes_sent.load(Ordering::Relaxed),
-        wire_bytes_recv: shared.wire_bytes_recv.load(Ordering::Relaxed),
-        deferred_msgs: shared.deferred.load(Ordering::Relaxed),
-        proxy_idle_spins: shared.idle_spins.load(Ordering::Relaxed),
-        heartbeats_sent: shared.heartbeats_sent.load(Ordering::Relaxed),
-        heartbeats_missed: shared.heartbeats_missed.load(Ordering::Relaxed),
-        reconnect_attempts: shared.reconnect_attempts.load(Ordering::Relaxed),
-        retried_sends: shared.retried_sends.load(Ordering::Relaxed),
-        quarantined_vdps: shared.quarantined.load(Ordering::Relaxed),
-        checkpoints_written: shared.checkpoints_written.load(Ordering::Relaxed),
-        checkpoint_bytes: shared.checkpoint_bytes.load(Ordering::Relaxed),
-        frames_replayed: shared.frames_replayed.load(Ordering::Relaxed),
-        retries_healed: shared.retries_healed.load(Ordering::Relaxed),
-        fault_log: *shared.fault_log.lock(),
-    };
+    let mut stats = std::mem::take(&mut *shared.stats.lock());
+    stats.fired_per_thread = shared
+        .fired
+        .iter()
+        .map(|c| c.0.load(Ordering::Relaxed))
+        .collect();
+    stats.fired = stats.fired_per_thread.iter().sum();
+    stats.peak_channel_depth = shared
+        .queues
+        .iter()
+        .map(|q| q.high_water())
+        .max()
+        .unwrap_or(0);
+    stats.prepare = prepare;
+    stats.wall = t0.elapsed();
+    let collected = std::mem::take(&mut shared.exits)
+        .into_iter()
+        .flat_map(Mutex::into_inner);
+    let restored = std::mem::take(&mut shared.restored_exits);
     Ok(RunOutput {
-        exits: shared.exits.into_inner(),
+        exits: shared.merge_exits(restored, collected),
         trace: shared.trace.map(|t| t.finish()),
         stats,
     })
 }
 
 /// Overwrite one local node's fresh build with a checkpoint: firing
-/// counters, local stores, channel FIFOs and life-cycle states, the live
-/// count, and accumulated exits. Every mismatch between the checkpoint and
-/// the identically-rebuilt plan is a typed error, never a wrong resume.
+/// counters, local stores, channel FIFOs and life-cycle states, and
+/// accumulated exits. `mine(i)` says whether VDP `i` belongs to the
+/// checkpoint's rank. Every mismatch between the checkpoint and the
+/// identically-rebuilt plan is a typed error, never a wrong resume.
 fn apply_restore(
     ck: &RankCheckpoint,
-    rank: usize,
     nodes: usize,
-    by_tuple: &HashMap<Tuple, usize>,
-    places: &[Place],
+    by_tuple: &HashMap<Tuple, u32>,
+    mine: impl Fn(usize) -> bool,
     states: &mut [Option<VdpState>],
-    shared: &Shared,
+    shared: &mut Shared,
 ) -> Result<(), CheckpointError> {
-    if ck.nodes != nodes || ck.rank != rank {
-        return Err(CheckpointError::Malformed(
-            "checkpoint rank/node count does not match this run",
-        ));
+    let malformed = |why| Err(CheckpointError::Malformed(why));
+    if ck.nodes != nodes {
+        return malformed("checkpoint node count does not match this run");
     }
-    let local_total = places
-        .iter()
-        .enumerate()
-        .filter(|&(i, p)| p.node == rank && states[i].is_some())
+    let local_total = (0..states.len())
+        .filter(|&i| mine(i) && states[i].is_some())
         .count();
     if ck.vdps.len() != local_total {
-        return Err(CheckpointError::Malformed(
-            "checkpoint VDP count does not match the plan",
-        ));
+        return malformed("checkpoint VDP count does not match the plan");
     }
-    let mut live = 0usize;
     for entry in &ck.vdps {
-        let &idx = by_tuple
+        let state = by_tuple
             .get(&entry.tuple)
-            .ok_or(CheckpointError::Malformed(
-                "checkpointed VDP tuple not in the plan",
-            ))?;
-        if places[idx].node != rank {
-            return Err(CheckpointError::Malformed(
-                "checkpointed VDP mapped to a different rank",
-            ));
-        }
-        let state = states[idx].as_mut().ok_or(CheckpointError::Malformed(
-            "checkpointed VDP not materialized locally",
-        ))?;
+            .map(|&i| i as usize)
+            .filter(|&i| mine(i))
+            .and_then(|i| states[i].as_mut());
+        let Some(state) = state else {
+            return malformed("checkpointed VDP is not one of this rank's in the plan");
+        };
         if entry.counter != state.counter {
-            return Err(CheckpointError::Malformed(
-                "checkpointed firing counter does not match the plan",
-            ));
+            return malformed("checkpointed firing counter does not match the plan");
         }
-        if entry.slots.len() != state.inputs.len() {
-            return Err(CheckpointError::Malformed(
-                "checkpointed slot count does not match the plan",
-            ));
+        let inputs = &mut shared.queues[span(&state.inputs)];
+        if entry.slots.len() != inputs.len() {
+            return malformed("checkpointed slot count does not match the plan");
         }
         state.fired = entry.fired;
         if entry.fired >= state.counter {
             state.logic = None;
         } else {
-            live += 1;
             state
                 .logic
                 .as_mut()
                 .expect("freshly built VDP has logic")
                 .restore(&entry.logic)?;
         }
-        for (se, q) in entry.slots.iter().zip(state.inputs.iter_mut()) {
-            match (se, q) {
-                (Some(se), Some(q)) => q.restore(se.state, se.packets.clone()),
+        for (se, q) in entry.slots.iter().zip(inputs) {
+            match (se, q.state()) {
+                (Some(se), Some(_)) => q.restore(se.state, se.packets.clone()),
                 (None, None) => {}
-                _ => {
-                    return Err(CheckpointError::Malformed(
-                        "checkpointed channel wiring does not match the plan",
-                    ))
-                }
+                _ => return malformed("checkpointed channel wiring does not match the plan"),
             }
         }
     }
-    shared.live[rank].store(live, Ordering::Release);
-    let mut exits = shared.exits.lock();
     for e in &ck.exits {
-        exits
+        shared
+            .restored_exits
             .entry((e.tuple.clone(), e.slot))
             .or_default()
             .extend(e.packets.iter().cloned());
@@ -1266,7 +1322,6 @@ struct Proxies<'scope, 'env, C> {
     scope: &'scope std::thread::Scope<'scope, 'env>,
     shared: &'scope Shared,
     node_shared: &'scope [NodeShared],
-    routes: Vec<RouteTable>,
     capture: &'scope C,
 }
 
@@ -1276,7 +1331,7 @@ impl<'scope, C: Fn(Box<dyn std::any::Any + Send>) + Sync> Proxies<'scope, '_, C>
     /// [`proxy_loop`](crate::net::proxy_loop) over it with the `(encode,
     /// decode)` codec pair, and hand a panic payload to `capture`.
     fn spawn<F, E, D>(
-        &mut self,
+        &self,
         node: usize,
         make: impl FnOnce() -> Option<F> + Send + 'scope,
         (encode, decode): (E, D),
@@ -1287,11 +1342,10 @@ impl<'scope, C: Fn(Box<dyn std::any::Any + Send>) + Sync> Proxies<'scope, '_, C>
     {
         let (shared, capture) = (self.shared, self.capture);
         let outgoing = &self.node_shared[node].outgoing;
-        let routes = std::mem::take(&mut self.routes[node]);
         self.scope.spawn(move || {
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if let Some(fabric) = make() {
-                    crate::net::proxy_loop(node, fabric, routes, outgoing, shared, encode, decode)
+                    crate::net::proxy_loop(node, fabric, outgoing, shared, encode, decode)
                 }
             }));
             if let Err(e) = r {
@@ -1310,40 +1364,4 @@ fn wire_encode(p: &Packet) -> (Vec<u8>, usize) {
     });
     let n = buf.len();
     (buf, n)
-}
-
-fn attach_input(state: &mut VdpState, slot: usize, q: Arc<ChannelQueue>, ch: &ChannelSpec) {
-    assert!(
-        slot < state.inputs.len(),
-        "channel {}:{} -> {}:{}: input slot out of range",
-        ch.src,
-        ch.src_slot,
-        ch.dst,
-        ch.dst_slot
-    );
-    assert!(
-        state.inputs[slot].is_none(),
-        "VDP {} input slot {} already connected",
-        state.tuple,
-        slot
-    );
-    state.inputs[slot] = Some(q);
-}
-
-fn attach_output(state: &mut VdpState, slot: usize, t: OutputTarget, ch: &ChannelSpec) {
-    assert!(
-        slot < state.outputs.len(),
-        "channel {}:{} -> {}:{}: output slot out of range",
-        ch.src,
-        ch.src_slot,
-        ch.dst,
-        ch.dst_slot
-    );
-    assert!(
-        state.outputs[slot].is_none(),
-        "VDP {} output slot {} already connected",
-        state.tuple,
-        slot
-    );
-    state.outputs[slot] = Some(t);
 }

@@ -221,3 +221,80 @@ fn unencodable_payload_is_typed() {
         CheckpointError::NotEncodable
     );
 }
+
+/// A live queue survives snapshot -> file -> restore with its FIFO intact
+/// when it holds more than the one packet that fits its inline slot: the
+/// epoch-0 snapshot of a four-fire VDP seeded with four packets records
+/// all four in order (and its unwired slot as absent); a resume from a
+/// checkpoint whose queue was rewritten to other contents — again one
+/// inline plus a spill — plays exactly those back, after the exit packets
+/// the checkpoint already carried.
+#[test]
+fn queue_with_spilled_packets_survives_snapshot_and_restore() {
+    use pulsar_runtime::{ChannelSpec, RunConfig, VdpContext, VdpSpec, Vsa};
+
+    let dir = std::env::temp_dir().join(format!("pulsar-ckpt-spill-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let build = || {
+        let mut vsa = Vsa::new();
+        vsa.add_vdp(VdpSpec::new(
+            Tuple::new1(0),
+            4,
+            2,
+            1,
+            |ctx: &mut VdpContext| {
+                let x: i64 = ctx.pop(0).take();
+                ctx.push(0, Packet::wire(x + 1));
+            },
+        ));
+        vsa.add_channel(ChannelSpec::new(8, Tuple::new1(0), 0, Tuple::new1(9), 0));
+        for x in [10i64, 20, 30, 40] {
+            vsa.seed(Tuple::new1(0), 0, Packet::wire(x));
+        }
+        vsa
+    };
+    let exits = |out: &mut pulsar_runtime::RunOutput| -> Vec<i64> {
+        out.take_exit(Tuple::new1(9), 0)
+            .into_iter()
+            .map(|p| p.take::<i64>())
+            .collect()
+    };
+    let config = RunConfig::smp(1).with_checkpoints(&dir, None);
+
+    let mut out = build().run(&config).expect("fresh run");
+    assert_eq!(exits(&mut out), vec![11, 21, 31, 41]);
+    assert_eq!(out.stats.checkpoints_written, 1);
+
+    let reg = PacketRegistry::standard();
+    let mut ck = checkpoint::load_rank(&dir, 0, 0, &reg).expect("epoch-0 snapshot");
+    assert_eq!(ck.vdps.len(), 1);
+    let slots = &mut ck.vdps[0].slots;
+    assert!(slots[1].is_none(), "nothing feeds slot 1");
+    let queued = slots[0].as_mut().expect("seeded slot");
+    assert_eq!(queued.state, ChannelState::Enabled);
+    let values: Vec<i64> = queued.packets.iter().map(|p| *p.get().unwrap()).collect();
+    assert_eq!(values, vec![10, 20, 30, 40]);
+
+    // Rewrite the cut: one firing done (its result already exited), three
+    // other packets queued.
+    queued.packets = [7i64, 8, 9].map(Packet::wire).to_vec();
+    ck.vdps[0].fired = 1;
+    ck.exits.push(ExitEntry {
+        tuple: Tuple::new1(9),
+        slot: 0,
+        packets: vec![Packet::wire(-1i64)],
+    });
+    ck.epoch = 1;
+    checkpoint::write_rank_checkpoint(&dir, &ck).expect("rewritten cut");
+
+    let mut out = build()
+        .run(&config.clone().resuming())
+        .expect("resumed run");
+    assert_eq!(exits(&mut out), vec![-1, 8, 9, 10]);
+    assert_eq!(out.stats.fired, 3);
+    assert_eq!(
+        out.stats.peak_channel_depth, 4,
+        "the seeds, before the restore"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

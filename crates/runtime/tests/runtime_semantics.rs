@@ -406,7 +406,7 @@ fn trace_records_firings() {
         1,
         1,
         |ctx: &mut VdpContext| {
-            ctx.set_label(format!("step{}", ctx.firing()));
+            ctx.set_label(|c| format!("step{}", c.firing()));
             let x: i64 = ctx.pop(0).take();
             let y = ctx.kernel("double", || x * 2);
             ctx.push(0, Packet::new(y, 8));
@@ -582,5 +582,144 @@ fn stress_many_vdps_multinode() {
     for i in 0..n {
         let got = exit_values_i64(&mut out, Tuple::new2(2, i), 0);
         assert_eq!(got, vec![(i as i64 + 1) * 2]);
+    }
+}
+
+/// A queue fed faster than it drains: the producer pushes five packets and
+/// then five "go" tokens in one firing; the five-fire consumer, on another
+/// thread, is gated on a token, so its data queue holds all five (one in
+/// the inline slot, four spilled) before it first fires. Order survives,
+/// the high-water mark is exact, and both schemes exit the same packets.
+#[test]
+fn burst_spills_past_the_inline_slot_in_order() {
+    let mut per_scheme = Vec::new();
+    for scheme in [SchedScheme::Lazy, SchedScheme::Aggressive] {
+        let mut vsa = Vsa::new();
+        vsa.add_vdp(VdpSpec::new(
+            Tuple::new1(0),
+            1,
+            1,
+            2,
+            |ctx: &mut VdpContext| {
+                let base: i64 = ctx.pop(0).take();
+                for k in 0..5 {
+                    ctx.push(0, Packet::new(base + k, 8));
+                }
+                for _ in 0..5 {
+                    ctx.push(1, Packet::new((), 0));
+                }
+            },
+        ));
+        vsa.add_vdp(VdpSpec::new(
+            Tuple::new1(1),
+            5,
+            2,
+            1,
+            |ctx: &mut VdpContext| {
+                // The burst is fully queued behind the first token.
+                assert_eq!(ctx.input_len(0), 5 - ctx.firing() as usize);
+                let _ = ctx.pop(1);
+                let x: i64 = ctx.pop(0).take();
+                ctx.push(0, Packet::new(x * 10, 8));
+            },
+        ));
+        vsa.add_channel(ChannelSpec::new(8, Tuple::new1(0), 0, Tuple::new1(1), 0));
+        vsa.add_channel(ChannelSpec::new(8, Tuple::new1(0), 1, Tuple::new1(1), 1));
+        vsa.add_channel(ChannelSpec::new(8, Tuple::new1(1), 0, Tuple::new1(9), 0));
+        vsa.seed(Tuple::new1(0), 0, Packet::new(100i64, 8));
+        let mapping: MappingFn = Arc::new(|t: &Tuple| Place {
+            node: 0,
+            thread: t.id(0) as usize,
+        });
+        let config = RunConfig::cluster(1, 2, mapping).with_scheme(scheme);
+        let mut out = vsa.run(&config).expect("run failed");
+        assert_eq!(out.stats.peak_channel_depth, 5, "{scheme:?}");
+        assert_eq!(out.stats.fired_per_thread, vec![1, 5], "{scheme:?}");
+        per_scheme.push(exit_values_i64(&mut out, Tuple::new1(9), 0));
+    }
+    assert_eq!(per_scheme[0], vec![1000, 1010, 1020, 1030, 1040]);
+    assert_eq!(per_scheme[0], per_scheme[1]);
+}
+
+/// `destroy_input` removes a channel from the readiness rule for good and
+/// `disable_input` until further notice: slots 1 and 2 feed the first
+/// firing only, and the other two firings must not wait on them (the run
+/// would stall, and the watchdog would say so).
+#[test]
+fn destroyed_and_disabled_inputs_stop_gating() {
+    let mut vsa = Vsa::new();
+    vsa.add_vdp(VdpSpec::new(
+        Tuple::new1(0),
+        3,
+        3,
+        1,
+        |ctx: &mut VdpContext| {
+            let x: i64 = ctx.pop(0).take();
+            let y = if ctx.firing() == 0 {
+                let y = ctx.pop(1).take::<i64>() + ctx.pop(2).take::<i64>();
+                ctx.destroy_input(1);
+                ctx.enable_input(1); // must not resurrect it
+                ctx.disable_input(2);
+                y
+            } else {
+                assert_eq!((ctx.input_len(1), ctx.input_len(2)), (0, 0));
+                0
+            };
+            ctx.push(0, Packet::new(x + y, 8));
+        },
+    ));
+    vsa.add_channel(ChannelSpec::new(8, Tuple::new1(0), 0, Tuple::new1(9), 0));
+    for x in [1i64, 2, 3] {
+        vsa.seed(Tuple::new1(0), 0, Packet::new(x, 8));
+    }
+    vsa.seed(Tuple::new1(0), 1, Packet::new(40i64, 8));
+    vsa.seed(Tuple::new1(0), 2, Packet::new(500i64, 8));
+    let mut config = RunConfig::smp(1);
+    config.deadlock_timeout = Some(Duration::from_millis(500));
+    let mut out = vsa.run(&config).expect("run failed");
+    assert_eq!(
+        exit_values_i64(&mut out, Tuple::new1(9), 0),
+        vec![541, 2, 3]
+    );
+}
+
+/// A firing's label is only built when someone will read it: the closure
+/// given to `set_label` runs under `with_trace()` and not otherwise.
+#[test]
+fn label_closure_runs_only_when_tracing() {
+    for traced in [false, true] {
+        let labelled = Arc::new(AtomicUsize::new(0));
+        let seen = labelled.clone();
+        let mut vsa = Vsa::new();
+        vsa.add_vdp(VdpSpec::new(
+            Tuple::new2(3, 4),
+            2,
+            1,
+            0,
+            move |ctx: &mut VdpContext| {
+                let _ = ctx.pop(0);
+                ctx.set_label(|c| {
+                    seen.fetch_add(1, Ordering::SeqCst);
+                    format!("work{:?}#{}", c.tuple(), c.firing())
+                });
+            },
+        ));
+        for _ in 0..2 {
+            vsa.seed(Tuple::new2(3, 4), 0, Packet::new((), 0));
+        }
+        let mut config = RunConfig::smp(1);
+        config.trace = traced;
+        let out = vsa.run(&config).expect("run failed");
+        assert_eq!(labelled.load(Ordering::SeqCst), if traced { 2 } else { 0 });
+        let labels: Vec<String> = out
+            .trace
+            .map(|t| t.spans.into_iter().map(|s| s.label).collect())
+            .unwrap_or_default();
+        let want: &[&str] = if traced {
+            &["work(3,4)#0", "work(3,4)#1"]
+        } else {
+            &[]
+        };
+        assert_eq!(labels, want);
     }
 }

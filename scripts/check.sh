@@ -47,6 +47,23 @@ if [ -n "$hits" ]; then
     echo "$hits" >&2
     dup=1
 fi
+# The flat array stays flat (grep only, always on): firing labels are
+# closures the runtime evaluates only when tracing, a channel queue is never
+# a mutex-guarded deque again, and queues are addressed by arena index, not
+# held through an `Arc` each.
+forbid() { # <pattern> <why> <dir>...: no hit anywhere under the dirs
+    pat=$1; why=$2; shift 2
+    hits=$(grep -rn --include='*.rs' -F "$pat" "$@" || true)
+    if [ -n "$hits" ]; then
+        echo "guard: \`$pat\` $why:" >&2
+        echo "$hits" >&2
+        dup=1
+    fi
+}
+forbid 'set_label(format!' 'formats a label on every firing; pass a closure' \
+    crates/*/src examples
+forbid 'Mutex<VecDeque<Packet>>' 'puts a lock back on the readiness path' crates/runtime/src
+forbid 'Arc<ChannelQueue>' 'holds a queue outside the run arena' crates/runtime/src
 [ "$dup" -eq 0 ] || exit 1
 
 cargo clippy --offline --workspace --all-targets -- -D warnings
