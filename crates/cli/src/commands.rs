@@ -6,6 +6,7 @@ use crate::error::CliError;
 use pulsar_core::mapping::{qr_mapping, RowDist};
 use pulsar_core::plan::Tree;
 use pulsar_core::policy::PlanPolicy;
+use pulsar_core::vsa3d::VsaQrResult;
 use pulsar_core::QrOptions;
 use pulsar_linalg::{flops, Matrix};
 use pulsar_runtime::{NetModel, RunConfig};
@@ -28,7 +29,7 @@ COMMANDS
   factor    factorize a random tall-skinny matrix on the runtime and verify
             --rows N --cols N [--nb 64] [--ib nb/4] [--tree hier:4]
             [--threads 4] [--nodes 1]
-            [--engine vsa3d|compact|domino|seq|tsqr]
+            [--engine vsa3d|compact|seq|tsqr]
             [--seed 42] [--net seastar] [--trace-out trace.json]
             [--profile table.json] (plan defaults from the tuned policy;
             prints the chosen `PLAN ...`) [--stats true] (adds the
@@ -229,30 +230,22 @@ fn factor(args: &Args) -> Result<String, String> {
     }
     let trace_out = args.get("trace-out").map(str::to_string);
     if trace_out.is_some() {
-        if engine != "vsa3d" {
-            return Err("--trace-out needs --engine vsa3d".into());
+        if matches!(engine.as_str(), "seq" | "tsqr") {
+            return Err("--trace-out needs a runtime engine (vsa3d or compact)".into());
         }
         config = config.with_trace();
     }
 
     let t0 = Instant::now();
-    let mut trace = None;
-    let (factors, stats) = match engine.as_str() {
-        "vsa3d" => {
-            let r = pulsar_core::vsa3d::tile_qr_vsa(&a, &opts, &config);
-            trace = r.trace;
-            (r.factors, Some((r.stats, r.build)))
-        }
-        "compact" => {
-            let r = pulsar_core::vsa_compact::tile_qr_compact(&a, &opts, &config);
-            (r.factors, Some((r.stats, r.build)))
-        }
-        "domino" => {
-            let r = pulsar_core::domino::tile_qr_domino(&a, &opts, &config);
-            (r.factors, Some((r.stats, r.build)))
-        }
-        "seq" => (pulsar_core::tile_qr_seq(&a, &opts), None),
-        "tsqr" => (pulsar_core::tile_qr_tsqr(&a, &opts, threads), None),
+    // The runtime engines also report their run; the others only factor.
+    let on_runtime = |r: VsaQrResult| (r.factors, Some((r.stats, r.build)), r.trace);
+    let (factors, stats, trace) = match engine.as_str() {
+        "vsa3d" => on_runtime(pulsar_core::vsa3d::tile_qr_vsa(&a, &opts, &config)),
+        "compact" => on_runtime(pulsar_core::vsa_compact::tile_qr_compact(
+            &a, &opts, &config,
+        )),
+        "seq" => (pulsar_core::tile_qr_seq(&a, &opts), None, None),
+        "tsqr" => (pulsar_core::tile_qr_tsqr(&a, &opts, threads), None, None),
         other => return Err(format!("unknown engine `{other}`")),
     };
     let dt = t0.elapsed().as_secs_f64();
@@ -639,25 +632,30 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pulsar-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.json");
-        let out = run_line(&[
-            "factor",
-            "--rows",
-            "16",
-            "--cols",
-            "8",
-            "--nb",
-            "4",
-            "--threads",
-            "2",
-            "--trace-out",
-            path.to_str().unwrap(),
-        ])
-        .unwrap();
-        assert!(out.contains("trace:"), "{out}");
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.trim_start().starts_with('['), "{json}");
-        assert!(json.contains("\"ph\":\"X\""), "complete events: {json}");
-        assert!(json.contains("\"pid\":"), "{json}");
+        // Every engine on the runtime traces.
+        for engine in ["vsa3d", "compact"] {
+            let out = run_line(&[
+                "factor",
+                "--rows",
+                "16",
+                "--cols",
+                "8",
+                "--nb",
+                "4",
+                "--threads",
+                "2",
+                "--engine",
+                engine,
+                "--trace-out",
+                path.to_str().unwrap(),
+            ])
+            .unwrap();
+            assert!(out.contains("trace:"), "{engine}: {out}");
+            let json = std::fs::read_to_string(&path).unwrap();
+            assert!(json.trim_start().starts_with('['), "{json}");
+            assert!(json.contains("\"ph\":\"X\""), "complete events: {json}");
+            assert!(json.contains("\"pid\":"), "{json}");
+        }
         std::fs::remove_dir_all(&dir).ok();
         // Engines without a tracing runtime refuse the flag.
         let err = run_line(&[
@@ -679,12 +677,11 @@ mod tests {
 
     #[test]
     fn factor_all_engines_agree_on_ok() {
-        for engine in ["vsa3d", "compact", "domino", "seq"] {
-            let tree = if engine == "domino" || engine == "compact" {
-                "flat"
-            } else {
-                "hier:2"
-            };
+        let engines = ["vsa3d", "compact", "seq", "tsqr"];
+        for (engine, tree) in engines
+            .iter()
+            .flat_map(|e| ["flat", "hier:2", "greedy", "domains:3,2"].map(|t| (e, t)))
+        {
             let out = run_line(&[
                 "factor",
                 "--rows",
@@ -700,7 +697,27 @@ mod tests {
                 "--threads",
                 "2",
             ])
-            .unwrap_or_else(|e| panic!("{engine}: {e}"));
+            .unwrap_or_else(|e| panic!("{engine} {tree}: {e}"));
+            assert!(out.contains("verification OK"), "{engine} {tree}: {out}");
+        }
+        // Both runtime engines place their VDPs with `qr_mapping`.
+        for engine in ["vsa3d", "compact"] {
+            let out = run_line(&[
+                "factor",
+                "--rows",
+                "24",
+                "--cols",
+                "8",
+                "--nb",
+                "4",
+                "--engine",
+                engine,
+                "--nodes",
+                "2",
+                "--threads",
+                "2",
+            ])
+            .unwrap_or_else(|e| panic!("{engine} on 2 nodes: {e}"));
             assert!(out.contains("verification OK"), "{engine}: {out}");
         }
     }

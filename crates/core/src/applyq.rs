@@ -10,6 +10,7 @@
 
 use crate::factors::{Reflectors, TileQrFactors};
 use crate::ops::apply_op;
+use crate::vsa3d::{Hops, Stages};
 use pulsar_linalg::kernels::ApplyTrans;
 use pulsar_linalg::{Matrix, Workspace};
 use pulsar_runtime::{ChannelSpec, Packet, RunConfig, Tuple, VdpContext, VdpSpec, Vsa};
@@ -38,9 +39,7 @@ impl pulsar_runtime::VdpLogic for ApplyVdp {
         let mut c1 = ctx.pop(0).into_tile();
         let mut c2 = r.op.rows().1.map(|_| ctx.pop(1).into_tile());
         ctx.kernel(r.op.update_kernel(), || {
-            scratch.with(|ws: &mut Workspace| {
-                apply_op(r.op, &r.v, &r.t, trans, &mut c1, c2.as_mut(), ib, ws)
-            })
+            scratch.with(|ws: &mut Workspace| apply_op(r, trans, &mut c1, c2.as_mut(), ib, ws))
         });
         ctx.push(0, Packet::tile(c1));
         if let Some(c2) = c2 {
@@ -86,11 +85,9 @@ pub fn apply_q_vsa(
         seq.reverse();
     }
 
-    // For each block row, the chain of op indices touching it.
-    let next_in_seq = |after: Option<usize>, row: usize| -> Option<usize> {
-        let start = after.map_or(0, |k| k + 1);
-        (start..seq.len()).find(|&k| seq[k].op.touches(row))
-    };
+    // Each block row's chain of ops: the sequence, routed as one stage.
+    let ops = vec![seq.iter().map(|r| r.op).collect()];
+    let hops = Hops::new(Stages { ops, mt });
 
     let tile_bytes = 8 * nb * b.ncols().max(1);
     let mut vsa = Vsa::new();
@@ -109,8 +106,8 @@ pub fn apply_q_vsa(
         // Wire each touched row's outgoing hop.
         let (prim, sec) = refl.op.rows();
         for (slot, row) in std::iter::once(prim).chain(sec).enumerate() {
-            let (dst, dst_slot) = match next_in_seq(Some(k), row) {
-                Some(k2) => (vdp_tuple(k2), seq[k2].op.role_slot(row)),
+            let (dst, dst_slot) = match hops.next[0][k][slot] {
+                Some((k2, s)) => (vdp_tuple(k2 as usize), s as usize),
                 None => (exit_tuple(row), 0),
             };
             vsa.add_channel(ChannelSpec::new(
@@ -128,11 +125,8 @@ pub fn apply_q_vsa(
     let mut passthrough: Vec<Option<Matrix>> = vec![None; mt];
     for (i, pass) in passthrough.iter_mut().enumerate() {
         let tile = b.submatrix(i * nb, 0, nb, b.ncols());
-        match next_in_seq(None, i) {
-            Some(k0) => {
-                let slot = seq[k0].op.role_slot(i);
-                vsa.seed(vdp_tuple(k0), slot, Packet::tile(tile));
-            }
+        match hops.first[0][i] {
+            Some((k0, slot)) => vsa.seed(vdp_tuple(k0 as usize), slot as usize, Packet::tile(tile)),
             None => *pass = Some(tile),
         }
     }

@@ -1,7 +1,8 @@
 //! The output of a tile tree-QR factorization: `R` plus the tree of
 //! Householder transformations, with `Q` application and least-squares
-//! solving. Shared by the sequential executor, the 3D VSA, and the domino
-//! baseline, so all of them are verified by the same machinery.
+//! solving. Shared by every executor (the sequential walker, TSQR, the
+//! unrolled 3D VSA and the compact array), so all of them are verified by
+//! the same machinery.
 
 use crate::ops::apply_op;
 use crate::plan::PanelOp;
@@ -114,7 +115,7 @@ impl TileQrFactors {
                         (&mut lo[p], Some(&mut hi[0]))
                     }
                 };
-                apply_op(r.op, &r.v, &r.t, trans, c1, c2, self.ib, ws);
+                apply_op(r, trans, c1, c2, self.ib, ws);
             };
             match trans {
                 ApplyTrans::Trans => self.panels.iter().flatten().for_each(&mut step),

@@ -22,10 +22,11 @@
 //!   tiles flowing horizontally between panel stages (the paper's Section
 //!   V-C / Figure 8), batching of many jobs into one launch, and the SPMD
 //!   partial collector for distributed ranks.
-//! - [`vsa_compact`] — the literal Figure 8 geometry: adds multi-fire VDPs
-//!   with a persistent local tile and the dashed channel enabled mid-run.
-//! - [`domino`] — the IPDPS'13 2D domino QR baseline (Figure 9): adds
-//!   multi-fire VDPs with `V` and `T` travelling on separate channels.
+//! - [`vsa_compact`] — the literal Figure 8 geometry, wired from the same
+//!   plan and named with the same `(j, q, l)` tuples: adds one multi-fire
+//!   VDP per domain flat chain (a persistent local tile) and the dashed
+//!   channel enabled mid-run; its merges are `vsa3d`'s VDPs. On the flat
+//!   tree it is the IPDPS'13 2D domino QR (Figure 9).
 //! - [`applyq`] — `Q`/`Q^T` application as a VSA: one VDP per recorded
 //!   transformation, row tiles streaming through them.
 //! - [`factors`] — the factorization output: `R`, the transformation tree,
@@ -44,7 +45,6 @@
 
 pub mod applyq;
 pub mod cholesky;
-pub mod domino;
 pub mod factors;
 pub mod lsqr;
 pub mod mapping;

@@ -33,9 +33,11 @@ impl RowDist {
     }
 }
 
-/// The paper's mapping for the 3D QR array: each op VDP is placed by its
+/// The paper's mapping for both QR arrays: each op VDP is placed by its
 /// *owner row* (the eliminated row for TS, the top child for TT, the head
-/// for GEQRT) and spread over threads cyclically by `(row + column)`.
+/// for GEQRT — so a compact array's flat chain, named after its `Geqrt`,
+/// sits with its head) and spread over threads cyclically by
+/// `(row + column)`.
 pub fn qr_mapping(plan: &QrPlan, dist: RowDist, nodes: usize, tpn: usize) -> MappingFn {
     // Precompute owner rows: owner[j][q].
     let owners: Vec<Vec<usize>> = (0..plan.panels())
@@ -51,20 +53,6 @@ pub fn qr_mapping(plan: &QrPlan, dist: RowDist, nodes: usize, tpn: usize) -> Map
         Place {
             node: dist.node_of(row, mt, nodes),
             thread: (row + l) % tpn,
-        }
-    })
-}
-
-/// Mapping for the 2D domino array (tuples `(i, j)` = stage, column):
-/// stages cycle over nodes, columns over threads.
-pub fn domino_mapping(nodes: usize, tpn: usize) -> MappingFn {
-    Arc::new(move |t: &Tuple| {
-        assert_eq!(t.len(), 2, "domino VDP tuples are (i, j)");
-        let i = t.id(0) as usize;
-        let j = t.id(1) as usize;
-        Place {
-            node: i % nodes,
-            thread: j % tpn,
         }
     })
 }

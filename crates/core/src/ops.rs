@@ -52,24 +52,20 @@ pub(crate) fn factor_op(
     Reflectors { op, v, t }
 }
 
-/// Apply the transformation `(v, t)` recorded for `op` to the tile(s) of
-/// another column: the trailing update of a factorization
-/// (`ApplyTrans::Trans`) or one step of a `Q`/`Q^T` application. `c2` is
-/// present exactly when `op` has a secondary row. `v`/`t` are passed
-/// apart from their [`Reflectors`] because the domino array ships them on
-/// separate channels.
-#[allow(clippy::too_many_arguments)]
+/// Apply a recorded transformation to the tile(s) of another column: the
+/// trailing update of a factorization (`ApplyTrans::Trans`) or one step of
+/// a `Q`/`Q^T` application. `c2` is present exactly when `refl.op` has a
+/// secondary row.
 pub(crate) fn apply_op(
-    op: PanelOp,
-    v: &Matrix,
-    t: &Matrix,
+    refl: &Reflectors,
     trans: ApplyTrans,
     c1: &mut Matrix,
     c2: Option<&mut Matrix>,
     ib: usize,
     ws: &mut Workspace,
 ) {
-    match (op, c2) {
+    let (v, t) = (&refl.v, &refl.t);
+    match (refl.op, c2) {
         (PanelOp::Geqrt { .. }, None) => unmqr_ws(v, t, trans, c1, ib, ws),
         (PanelOp::Tsqrt { .. }, Some(c2)) => tsmqr_ws(c1, c2, v, t, trans, ib, ws),
         (PanelOp::Ttqrt { .. }, Some(c2)) => ttmqr_ws(c1, c2, v, t, trans, ib, ws),

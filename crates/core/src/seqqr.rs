@@ -91,16 +91,7 @@ pub(crate) fn run_op(
     let refl = factor_op(op, &mut prim[j], a2, ib, ws);
     for l in j + 1..nt {
         let c2 = sec.as_mut().map(|row| &mut row[l]);
-        apply_op(
-            op,
-            &refl.v,
-            &refl.t,
-            ApplyTrans::Trans,
-            &mut prim[l],
-            c2,
-            ib,
-            ws,
-        );
+        apply_op(&refl, ApplyTrans::Trans, &mut prim[l], c2, ib, ws);
     }
     refl
 }

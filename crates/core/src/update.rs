@@ -134,16 +134,7 @@ pub fn append_rows(f: &TileQrFactors, e: &Matrix) -> Result<TileQrFactors, Updat
                 for l in j + 1..kt {
                     let mut rjl = r.submatrix(j * nb, l * nb, w, nb.min(n - l * nb));
                     let eil = etiles.tile_mut(i, l);
-                    apply_op(
-                        op,
-                        &refl.v,
-                        &refl.t,
-                        ApplyTrans::Trans,
-                        &mut rjl,
-                        Some(eil),
-                        f.ib,
-                        ws,
-                    );
+                    apply_op(&refl, ApplyTrans::Trans, &mut rjl, Some(eil), f.ib, ws);
                     r.set_submatrix(j * nb, l * nb, &rjl);
                 }
                 recorded.push(refl);

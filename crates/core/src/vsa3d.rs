@@ -46,12 +46,13 @@ pub struct VsaQrResult {
     pub build: Duration,
 }
 
-/// Tuple namespace for one job's sub-array. `None` keeps the legacy
-/// 3-tuple ids (bit-compatible with single-job arrays); `Some(b)` prefixes
-/// every tuple — VDPs and exits alike — with batch job id `b`, so many
-/// independent QR arrays coexist disjointly in one VSA launch.
+/// Tuple namespace for one job's sub-array — the names of every QR array's
+/// VDPs and exits. `None` keeps the legacy 3-tuple ids (bit-compatible
+/// with single-job arrays); `Some(b)` prefixes every tuple — VDPs and
+/// exits alike — with batch job id `b`, so many independent QR arrays
+/// coexist disjointly in one VSA launch.
 #[derive(Copy, Clone, Default)]
-struct Ns {
+pub(crate) struct Ns {
     job: Option<i32>,
 }
 
@@ -63,11 +64,13 @@ impl Ns {
         }
     }
 
-    fn vdp(self, j: usize, q: usize, l: usize) -> Tuple {
+    /// The VDP of op `q` of panel `j` at block column `l`.
+    pub(crate) fn vdp(self, j: usize, q: usize, l: usize) -> Tuple {
         self.tuple(j as i32, q as i32, l as i32)
     }
 
-    fn exit_r(self, i: usize, l: usize) -> Tuple {
+    /// The exit receiving the finished `R` block `(i, l)`.
+    pub(crate) fn exit_r(self, i: usize, l: usize) -> Tuple {
         self.tuple(-1, i as i32, l as i32)
     }
 
@@ -75,8 +78,32 @@ impl Ns {
         self.tuple(-2, j as i32, q as i32)
     }
 
-    /// Drain this job's exits from a finished run into its factorization.
-    fn collect(self, out: &mut RunOutput, a: &Matrix, opts: &QrOptions) -> TileQrFactors {
+    /// The transformation channels out of VDP `(j, q, l)`, as `(output,
+    /// destination, input)`: down the chain to the same op one column
+    /// right (a factor VDP sends on output 1, an update VDP on 2), and from
+    /// the factor VDP to op `q`'s record exit.
+    pub(crate) fn transform_hops(
+        self,
+        j: usize,
+        q: usize,
+        l: usize,
+        nt: usize,
+    ) -> impl Iterator<Item = (usize, Tuple, usize)> {
+        let chain_out = if l == j { 1 } else { 2 };
+        let chain = (l + 1 < nt).then(|| (chain_out, self.vdp(j, q, l + 1), 2));
+        let record = (l == j).then(|| (2, self.exit_trans(j, q), 0));
+        chain.into_iter().chain(record)
+    }
+
+    /// Drain this job's exits from a finished run into its factorization:
+    /// each op's record exit in plan order (an op whose records travel on
+    /// another op's exit has an empty one).
+    pub(crate) fn collect(
+        self,
+        out: &mut RunOutput,
+        a: &Matrix,
+        opts: &QrOptions,
+    ) -> TileQrFactors {
         collect_factors(
             out,
             a,
@@ -90,27 +117,41 @@ impl Ns {
 /// Where a row's tile goes next: `(op index, input slot)` within a stage.
 type Touch = Option<(u32, u8)>;
 
-/// The tile routing of the whole plan, built in one backward pass per
-/// stage: for every op, the next op of its stage touching each of its two
-/// rows, and for every row, the first op of the stage touching it.
-struct Hops {
+/// Op lists over `mt` block rows, each routed on its own by [`Hops`]: a
+/// plan's panels, or one flattened sequence of recorded transformations.
+pub(crate) struct Stages {
+    pub(crate) ops: Vec<Vec<PanelOp>>,
+    pub(crate) mt: usize,
+}
+
+impl From<&QrPlan> for Stages {
+    fn from(plan: &QrPlan) -> Self {
+        let ops = (0..plan.panels()).map(|j| plan.panel_ops(j)).collect();
+        Stages { ops, mt: plan.mt }
+    }
+}
+
+/// The tile routing of every stage, built in one backward pass each: for
+/// every op, the next op of its stage touching each of its two rows, and
+/// for every row, the first op of the stage touching it.
+pub(crate) struct Hops {
     ops: Vec<Vec<PanelOp>>,
     /// `next[j][q][side]`: the hop after op `q` for its primary (side 0)
     /// and secondary (side 1) row.
-    next: Vec<Vec<[Touch; 2]>>,
+    pub(crate) next: Vec<Vec<[Touch; 2]>>,
     /// `first[j][row]`.
-    first: Vec<Vec<Touch>>,
+    pub(crate) first: Vec<Vec<Touch>>,
 }
 
 impl Hops {
-    fn new(plan: &QrPlan) -> Self {
-        let ops: Vec<Vec<PanelOp>> = (0..plan.panels()).map(|j| plan.panel_ops(j)).collect();
+    pub(crate) fn new(stages: impl Into<Stages>) -> Self {
+        let Stages { ops, mt } = stages.into();
         let mut next = Vec::with_capacity(ops.len());
         let mut first = Vec::with_capacity(ops.len());
         for stage in &ops {
             // Walking backwards, `seen[row]` is the nearest later op
             // touching `row`; what is left at the end is the first.
-            let mut seen: Vec<Touch> = vec![None; plan.mt];
+            let mut seen: Vec<Touch> = vec![None; mt];
             let mut stage_next = vec![[None; 2]; stage.len()];
             for (q, op) in stage.iter().enumerate().rev() {
                 let (prim, sec) = op.rows();
@@ -192,12 +233,8 @@ fn for_each_channel(
                 }
                 // Transformation channels: down the vertical chain, and
                 // from the factor to the exit store.
-                if l + 1 < nt {
-                    let chain_out = if l == j { 1 } else { 2 };
-                    chan(trans_bytes, &src, chain_out, (ns.vdp(j, q, l + 1), 2));
-                }
-                if l == j {
-                    chan(trans_bytes, &src, 2, (ns.exit_trans(j, q), 0));
+                for (out, dst, slot) in ns.transform_hops(j, q, l, nt) {
+                    chan(trans_bytes, &src, out, (dst, slot));
                 }
             }
         }
@@ -222,13 +259,7 @@ fn build_qr_array_into(vsa: &mut Vsa, a: &Matrix, opts: &QrOptions, ns: Ns) {
     for (j, ops) in hops.ops.iter().enumerate() {
         for (q, &op) in ops.iter().enumerate() {
             for l in j..nt {
-                let logic = QrVdp {
-                    op,
-                    ib,
-                    factor: l == j,
-                };
-                let n_in = if l == j { 2 } else { 3 };
-                vsa.add_vdp(VdpSpec::new(ns.vdp(j, q, l), 1, n_in, 3, logic));
+                vsa.add_vdp(QrVdp::spec(ns.vdp(j, q, l), op, ib, l == j));
             }
         }
     }
@@ -367,22 +398,31 @@ pub fn tile_qr_vsa_partial(
     })
 }
 
-/// The logic of one 3D-VSA VDP (factor when `l == j`, update when `l > j`
-/// — recorded at build time so the role is independent of the tuple arity
-/// a batch namespace gives the VDP).
-struct QrVdp {
+/// The logic of one single-fire op VDP (factor when `l == j`, update when
+/// `l > j` — recorded at build time so the role is independent of the
+/// tuple arity a batch namespace gives the VDP). Every op of the 3D array,
+/// and every merge of the compact one.
+pub(crate) struct QrVdp {
     op: PanelOp,
     ib: usize,
     factor: bool,
 }
 
+impl QrVdp {
+    /// The VDP running `op` as `tuple`, a factor or an update.
+    pub(crate) fn spec(tuple: Tuple, op: PanelOp, ib: usize, factor: bool) -> VdpSpec {
+        let n_in = if factor { 2 } else { 3 };
+        VdpSpec::new(tuple, 1, n_in, 3, QrVdp { op, ib, factor })
+    }
+}
+
 /// Pop an update VDP's transformation (input 2) and forward it down the
-/// chain on output `chain_out` *before* it is used — the paper's bypass,
-/// overlapping the broadcast with compute. Shared with the compact array.
-pub(crate) fn pop_transform(ctx: &mut VdpContext<'_>, chain_out: usize) -> Packet {
+/// chain on output 2 *before* it is used — the paper's bypass, overlapping
+/// the broadcast with compute. Shared with the compact array.
+pub(crate) fn pop_transform(ctx: &mut VdpContext<'_>) -> Packet {
     let trans = ctx.pop(2);
-    if ctx.output_connected(chain_out) {
-        ctx.push(chain_out, trans.clone());
+    if ctx.output_connected(2) {
+        ctx.push(2, trans.clone());
     }
     trans
 }
@@ -415,7 +455,7 @@ impl pulsar_runtime::VdpLogic for QrVdp {
                 ctx.push(0, Packet::tile(a1));
             }
         } else {
-            let trans = pop_transform(ctx, 2);
+            let trans = pop_transform(ctx);
             let refl = trans
                 .get::<Reflectors>()
                 .expect("transform channel carries Reflectors");
@@ -423,8 +463,7 @@ impl pulsar_runtime::VdpLogic for QrVdp {
             let mut c2 = op.rows().1.map(|_| ctx.pop(1).into_tile());
             ctx.kernel(op.update_kernel(), || {
                 scratch.with(|ws: &mut Workspace| {
-                    let c2 = c2.as_mut();
-                    apply_op(op, &refl.v, &refl.t, ApplyTrans::Trans, &mut c1, c2, ib, ws)
+                    apply_op(refl, ApplyTrans::Trans, &mut c1, c2.as_mut(), ib, ws)
                 })
             });
             ctx.push(0, Packet::tile(c1));

@@ -1,73 +1,60 @@
-//! The **compact** hierarchical QR array — the paper's literal Figure 8
-//! geometry (Section V-C), with one *multi-fire* VDP per circle:
+//! The **compact** QR array — the paper's literal Figure 8 geometry
+//! (Section V-C), wired from the same [`QrPlan`](crate::plan::QrPlan) as
+//! the unrolled array:
 //!
-//! - a red VDP per (stage, domain) performs the whole flat-tree reduction
-//!   of its domain (`geqrt` then a chain of `tsqrt`s against a locally
-//!   held `R`);
-//! - an orange VDP per (stage, domain, trailing column) applies the
-//!   corresponding updates, holding the domain-top tile `C1` locally and
-//!   streaming the updated tiles down to the next stage;
-//! - blue VDPs perform the binary reduction of the domain tops
-//!   (`ttqrt`/`ttmqr`, single-fire);
-//! - after each binary merge, the *second* tile is passed right to the
-//!   next stage's flat VDP, where it is that domain's **last** tile. The
-//!   channel carrying it — the paper's dashed channel — is created
-//!   **disabled**; the flat VDP enables it (and retires its exhausted
-//!   stream channel) only once it has processed every other tile, so the
-//!   flat and binary reductions of consecutive panels overlap.
+//! - each domain's flat reduction at each column is *one multi-fire* VDP,
+//!   named after the domain's `Geqrt` op: it fires once per row of the
+//!   domain (`geqrt`/`unmqr`, then a chain of `tsqrt`s/`tsmqr`s) against a
+//!   locally held tile — `R` under construction, or the update's `C1` —
+//!   and streams each updated row down to the next panel's flat VDP;
+//! - every merge (`Ttqrt`) of the domain tops is the unrolled array's
+//!   single-fire [`QrVdp`];
+//! - after a merge, the merged-away tile is passed right to the next
+//!   panel, where it is the **last** row of a domain. The channel carrying
+//!   it — the paper's dashed channel — is created **disabled**; the flat
+//!   VDP enables it (and retires its exhausted stream) only once it has
+//!   processed every other row, so the flat and tree reductions of
+//!   consecutive panels overlap.
 //!
-//! Functionally equivalent to [`crate::vsa3d`] (same schedule, same
-//! numbers); structurally it exercises the runtime features the unrolled
-//! array does not need: firing counters > 1, persistent local stores, and
-//! mid-run channel enable/disable.
+//! Under [`Tree::Flat`](crate::plan::Tree::Flat) there are no merges: one
+//! flat VDP per (panel, column), which is the IPDPS'13 domino QR of the
+//! paper's Figure 9.
 //!
-//! Supports the paper's configuration: [`Tree::Flat`] or
-//! [`Tree::BinaryOnFlat`] with [`Boundary::Shifted`].
+//! VDPs and exits carry the unrolled array's `(j, q, l)` names, so
+//! [`crate::mapping::qr_mapping`] places them (a flat chain on its head's
+//! thread, a merge with its first child) and the one collector drains
+//! them. Same schedule, same op core: the factors are bit-identical to
+//! [`crate::tile_qr_seq`]'s. Structurally the array exercises what the
+//! unrolled one does not need: firing counters > 1, persistent local
+//! stores, and mid-run channel enable/disable.
+//!
+//! Runs every tree under [`Boundary::Shifted`], the one rule the dashed
+//! channel needs: panel `j + 1`'s domains are panel `j`'s shifted down one
+//! row, so a merged-away top is always the last row of a next-panel domain.
 
 use crate::factors::Reflectors;
-use crate::ops::{apply_op, collect_factors, factor_op};
-use crate::plan::{Boundary, PanelOp, Tree};
+use crate::ops::{apply_op, factor_op};
+use crate::plan::{Boundary, PanelOp};
 use crate::store::stream_operands;
-use crate::vsa3d::{emit_transform, pop_transform, VsaQrResult};
+use crate::vsa3d::{emit_transform, pop_transform, Ns, QrVdp, VsaQrResult};
 use crate::QrOptions;
 use pulsar_linalg::kernels::ApplyTrans;
 use pulsar_linalg::{Matrix, TileMatrix, Workspace};
 use pulsar_runtime::{ChannelSpec, Packet, RunConfig, Tuple, VdpContext, VdpLogic, VdpSpec, Vsa};
 
-fn flat_tuple(j: usize, d: usize, l: usize) -> Tuple {
-    Tuple::new4(0, j as i32, d as i32, l as i32)
-}
-
-fn binary_tuple(j: usize, lvl: usize, pair: usize, l: usize) -> Tuple {
-    assert!(pair < 10_000);
-    Tuple::new4(1, j as i32, (lvl * 10_000 + pair) as i32, l as i32)
-}
-
-fn exit_r(j: usize, l: usize) -> Tuple {
-    Tuple::new3(-1, j as i32, l as i32)
-}
-
-fn exit_refl_flat(j: usize, d: usize) -> Tuple {
-    Tuple::new3(-2, j as i32, d as i32)
-}
-
-fn exit_refl_binary(j: usize, lvl: usize, pair: usize) -> Tuple {
-    Tuple::new3(-3, j as i32, (lvl * 10_000 + pair) as i32)
-}
-
-/// Red (factor) or orange (update) VDP of one (stage, domain) at column `l`.
+/// One domain's flat reduction at one column (factor when `l == j`).
 ///
-/// Inputs: 0 = tile stream, 1 = the dashed last-tile channel (optional),
-/// 2 = transformations (updates only). Outputs: 0 = C2 stream to the next
-/// stage, 1 = transformation chain, 2 = transformation record (factor
-/// only), 3 = final local tile (R exit or binary-tree input).
+/// Slots as [`QrVdp`]'s: in 0 = the row stream, 1 = the dashed last row,
+/// 2 = transformation (updates); out 0 = the head's finished tile (last
+/// firing), 1 = transformation chain (factor) / each eliminated row's
+/// updated tile, down to the next panel (update), 2 = transformation
+/// record (factor) / chain (update).
 struct FlatDomainVdp {
-    j: usize,
-    l: usize,
-    head_row: usize,
-    has_dashed: bool,
+    head: usize,
+    factor: bool,
+    dashed: bool,
     ib: usize,
-    c1: Option<Matrix>, // persistent local store: R (factor) or C1 (update)
+    held: Option<Matrix>, // persistent local store: R (factor) or C1 (update)
 }
 
 impl VdpLogic for FlatDomainVdp {
@@ -75,108 +62,56 @@ impl VdpLogic for FlatDomainVdp {
         let ib = self.ib;
         let k = ctx.firing() as usize;
         let last = ctx.remaining() == 0;
-        let slot = if last && self.has_dashed { 1 } else { 0 };
-        let op = PanelOp::flat_step(self.head_row, k);
-        let (c1, mut tile) = stream_operands(&mut self.c1, ctx.pop(slot).into_tile(), k == 0);
+        let slot = usize::from(last && self.dashed);
+        let op = PanelOp::flat_step(self.head, k);
+        let (c1, mut tile) = stream_operands(&mut self.held, ctx.pop(slot).into_tile(), k == 0);
 
         let scratch = ctx.scratch();
-        if self.l == self.j {
+        if self.factor {
             let refl = ctx.kernel(op.factor_kernel(), || {
                 scratch.with(|ws: &mut Workspace| factor_op(op, c1, tile, ib, ws))
             });
             emit_transform(ctx, refl);
         } else {
-            let trans = pop_transform(ctx, 1);
+            let trans = pop_transform(ctx);
             let refl = trans.get::<Reflectors>().expect("transformation packet");
             ctx.kernel(op.update_kernel(), || {
                 scratch.with(|ws: &mut Workspace| {
-                    let c2 = tile.as_mut();
-                    apply_op(op, &refl.v, &refl.t, ApplyTrans::Trans, c1, c2, ib, ws)
+                    apply_op(refl, ApplyTrans::Trans, c1, tile.as_mut(), ib, ws)
                 })
             });
             ctx.set_label(|c| format!("{}{:?}", op.update_kernel(), c.tuple()));
-            if let Some(tile) = tile.filter(|_| ctx.output_connected(0)) {
-                ctx.push(0, Packet::tile(tile)); // stream the row down
+            if let Some(tile) = tile {
+                ctx.push(1, Packet::tile(tile)); // stream the row down
             }
         }
 
         // The Section V-C channel switch: the stream is exhausted after the
         // next-to-last firing; activate the dashed channel and retire the
-        // stream so readiness is gated by the binary reduction's delivery.
-        if self.has_dashed && ctx.remaining() == 1 {
+        // stream so readiness is gated by the tree reduction's delivery.
+        if self.dashed && ctx.remaining() == 1 {
             ctx.disable_input(0);
             ctx.enable_input(1);
         }
         if last {
             // The locally held tile is final: R(j, l) or a domain top.
-            ctx.push(3, Packet::tile(self.c1.take().expect("local tile")));
+            ctx.push(0, Packet::tile(self.held.take().expect("local tile")));
         }
     }
 
     fn snapshot(&self, out: &mut Vec<u8>) {
-        crate::store::snapshot_tile(&self.c1, out);
+        crate::store::snapshot_tile(&self.held, out);
     }
 
     fn restore(&mut self, bytes: &[u8]) -> Result<(), pulsar_runtime::WireError> {
-        self.c1 = crate::store::restore_tile(bytes)?;
+        self.held = crate::store::restore_tile(bytes)?;
         Ok(())
     }
 }
 
-/// Blue (binary) VDP: one `ttqrt`/`ttmqr` merge of two domain tops.
+/// Factor `a` with the compact (Figure 8) array.
 ///
-/// Inputs: 0 = surviving top, 1 = merged-away top, 2 = transformation
-/// (updates only). Outputs: 0 = surviving tile onward, 1 = transformation
-/// chain, 2 = transformation record (factor) / second tile to the next
-/// stage's flat VDP (update).
-struct BinaryVdp {
-    j: usize,
-    l: usize,
-    top: usize,
-    bot: usize,
-    ib: usize,
-}
-
-impl VdpLogic for BinaryVdp {
-    fn fire(&mut self, ctx: &mut VdpContext<'_>) {
-        let ib = self.ib;
-        let op = PanelOp::Ttqrt {
-            top: self.top,
-            bot: self.bot,
-        };
-        let mut a1 = ctx.pop(0).into_tile();
-        let mut a2 = ctx.pop(1).into_tile();
-        let scratch = ctx.scratch();
-        if self.l == self.j {
-            let refl = ctx.kernel(op.factor_kernel(), || {
-                scratch.with(|ws: &mut Workspace| factor_op(op, &mut a1, Some(a2), ib, ws))
-            });
-            emit_transform(ctx, refl);
-        } else {
-            let trans = pop_transform(ctx, 1);
-            let refl = trans.get::<Reflectors>().expect("transformation packet");
-            ctx.kernel(op.update_kernel(), || {
-                scratch.with(|ws: &mut Workspace| {
-                    let c2 = Some(&mut a2);
-                    apply_op(op, &refl.v, &refl.t, ApplyTrans::Trans, &mut a1, c2, ib, ws)
-                })
-            });
-            ctx.set_label(|c| format!("{}{:?}", op.update_kernel(), c.tuple()));
-            // The paper: "after each binary-reduction of two top tiles, the
-            // second tile is passed right to the flat-tree" of the next
-            // stage (it is that domain's last tile).
-            if ctx.output_connected(2) {
-                ctx.push(2, Packet::tile(a2));
-            }
-        }
-        ctx.push(0, Packet::tile(a1));
-    }
-}
-
-/// Factor `a` with the compact (Figure 8) hierarchical array.
-///
-/// Requires `m % nb == 0`, shifted boundaries, and a flat or
-/// binary-on-flat tree.
+/// Requires `m % nb == 0` and shifted boundaries; runs any tree.
 pub fn tile_qr_compact(a: &Matrix, opts: &QrOptions, config: &RunConfig) -> VsaQrResult {
     let t0 = std::time::Instant::now();
     assert_eq!(
@@ -187,177 +122,124 @@ pub fn tile_qr_compact(a: &Matrix, opts: &QrOptions, config: &RunConfig) -> VsaQ
     assert_eq!(
         opts.boundary,
         Boundary::Shifted,
-        "the compact array implements the paper's shifted boundaries"
+        "the compact array needs shifted boundaries: its dashed channel \
+         delivers each merged-away domain top as the last row of a \
+         next-panel domain"
     );
-    let h = match &opts.tree {
-        Tree::Flat => usize::MAX,
-        Tree::BinaryOnFlat { h } => *h,
-        other => panic!("compact array supports Flat/BinaryOnFlat, not {other:?}"),
-    };
-
     let mut tiles = TileMatrix::from_matrix(a, opts.nb);
-    let (mt, nt, nb, ib) = (tiles.mt(), tiles.nt(), opts.nb, opts.ib);
-    let kt = mt.min(nt);
-    let tile_bytes = 8 * nb * nb;
-    let trans_bytes = 8 * nb * nb + 8 * ib * nb;
-    let heads_of = |j: usize| -> Vec<usize> { (j..mt).step_by(h.min(mt.max(1))).collect() };
-    let size_of =
-        |heads: &[usize], d: usize| -> usize { heads.get(d + 1).copied().unwrap_or(mt) - heads[d] };
-    // Transformation outputs of a VDP: out 1 down the chain to the same VDP
-    // one column right (its in 2), and, on a factor VDP, out 2 to a record.
-    let wire_transforms =
-        |vsa: &mut Vsa, src: &Tuple, right: Option<Tuple>, record: Option<Tuple>| {
-            for (out, dst, slot) in [(1, right, 2), (2, record, 0)] {
-                if let Some(dst) = dst {
+    let (mt, nt, ib) = (tiles.mt(), tiles.nt(), opts.ib);
+    let plan = opts.plan(mt, nt);
+    let ns = Ns::default();
+    let heads: Vec<Vec<usize>> = (0..plan.panels()).map(|j| plan.domain_heads(j)).collect();
+    // Panel `j`'s domain holding row `i` as `(flat VDP at column l, head,
+    // end)`. The VDP is op `head - j`, the domain's `Geqrt`: the plan lists
+    // every domain's flat steps first, in row order.
+    let domain = |j: usize, i: usize, l: usize| {
+        let d = heads[j].partition_point(|&h| h <= i) - 1;
+        let (head, end) = (heads[j][d], heads[j].get(d + 1).copied().unwrap_or(mt));
+        (ns.vdp(j, head - j, l), head, end)
+    };
+    let stages: Vec<Vec<PanelOp>> = (0..plan.panels()).map(|j| plan.panel_ops(j)).collect();
+
+    let mut vsa = Vsa::new();
+    for (j, ops) in stages.iter().enumerate() {
+        for (q, &op) in ops.iter().enumerate() {
+            for l in j..nt {
+                let (factor, tuple) = (l == j, ns.vdp(j, q, l));
+                vsa.add_vdp(match op {
+                    PanelOp::Geqrt { row: head } => {
+                        let (_, _, end) = domain(j, head, l);
+                        // The last row arrives on the dashed channel when it
+                        // was a domain top of the previous panel.
+                        let dashed = j > 0 && heads[j - 1].binary_search(&(end - 1)).is_ok();
+                        let logic = FlatDomainVdp {
+                            head,
+                            factor,
+                            dashed,
+                            ib,
+                            held: None,
+                        };
+                        VdpSpec::new(tuple, (end - head) as u32, 3, 3, logic)
+                    }
+                    PanelOp::Ttqrt { .. } => QrVdp::spec(tuple, op, ib, factor),
+                    PanelOp::Tsqrt { .. } => continue, // a firing of its domain's VDP
+                });
+            }
+        }
+    }
+
+    // Channels, panel by panel. Walking the ops in plan order, `holder`
+    // names the VDP holding each domain top's tile on its out 0: first the
+    // domain's flat VDP, then each merge the top survives.
+    let tile_bytes = 8 * opts.nb * opts.nb;
+    let trans_bytes = tile_bytes + 8 * ib * opts.nb;
+    let tile =
+        |src: Tuple, out, dst: Tuple, slot| ChannelSpec::new(tile_bytes, src, out, dst, slot);
+    let mut holder = vec![0usize; mt];
+    for (j, ops) in stages.iter().enumerate() {
+        for (q, &op) in ops.iter().enumerate() {
+            if let PanelOp::Tsqrt { .. } = op {
+                continue;
+            }
+            let (top, bot) = op.rows();
+            for l in j..nt {
+                let src = ns.vdp(j, q, l);
+                match bot {
+                    Some(bot) => {
+                        let held = |row: usize| ns.vdp(j, holder[row], l);
+                        vsa.add_channel(tile(held(top), 0, src.clone(), 0));
+                        vsa.add_channel(tile(held(bot), 0, src.clone(), 1));
+                        if l > j {
+                            // The dashed channel, disabled until the flat VDP
+                            // has drained its stream (Section V-C); enabled
+                            // at creation when there is no stream to wait for.
+                            let (dst, head, end) = domain(j + 1, bot, l);
+                            debug_assert_eq!(end, bot + 1, "the dashed row ends its domain");
+                            let dashed = tile(src.clone(), 1, dst, 1);
+                            vsa.add_channel(if head < bot {
+                                dashed.disabled()
+                            } else {
+                                dashed
+                            });
+                        }
+                    }
+                    // Updated rows stream down to the next panel, whose
+                    // domain starts one row lower.
+                    None if l > j && domain(j, top, l).2 > top + 1 => {
+                        vsa.add_channel(tile(src.clone(), 1, domain(j + 1, top + 1, l).0, 0));
+                    }
+                    None => {}
+                }
+                for (out, dst, slot) in ns.transform_hops(j, q, l, nt) {
                     vsa.add_channel(ChannelSpec::new(trans_bytes, src.clone(), out, dst, slot));
                 }
             }
-        };
-
-    let mut vsa = Vsa::new();
-
-    // --- Create all flat-domain VDPs with their counters. -----------------
-    for j in 0..kt {
-        let heads = heads_of(j);
-        for (d, &head) in heads.iter().enumerate() {
-            let size = size_of(&heads, d);
-            // A stage-j>0 domain receives `prev_size - 1` tiles from the
-            // previous stage's stream; the remainder (0 or 1) arrives on
-            // the dashed channel from the binary tree.
-            let has_dashed = j > 0 && {
-                let stream_in = size_of(&heads_of(j - 1), d) - 1;
-                debug_assert!(size == stream_in || size == stream_in + 1);
-                size == stream_in + 1
-            };
-            for l in j..nt {
-                let src = flat_tuple(j, d, l);
-                let logic = FlatDomainVdp {
-                    j,
-                    l,
-                    head_row: head,
-                    has_dashed,
-                    ib,
-                    c1: None,
-                };
-                vsa.add_vdp(VdpSpec::new(src.clone(), size as u32, 3, 4, logic));
-                wire_transforms(
-                    &mut vsa,
-                    &src,
-                    (l + 1 < nt).then(|| flat_tuple(j, d, l + 1)),
-                    (l == j).then(|| exit_refl_flat(j, d)),
-                );
-                // Stream to the next stage's same-domain flat VDP.
-                if size > 1 && l > j && j + 1 < kt {
-                    let next = flat_tuple(j + 1, d, l);
-                    vsa.add_channel(ChannelSpec::new(tile_bytes, src, 0, next, 0));
-                }
-            }
+            holder[top] = q;
         }
-    }
-
-    // --- Binary reductions and final-tile routing, stage by stage. --------
-    for j in 0..kt {
-        let heads = heads_of(j);
-        let next_domains = if j + 1 < kt { heads_of(j + 1).len() } else { 0 };
+        // The survivor of the panel is the finished R(j, l).
         for l in j..nt {
-            // Producers of each domain-top tile: (tuple, out_slot, top_row,
-            // head index in `heads`).
-            let mut producers: Vec<(Tuple, usize, usize, usize)> = heads
-                .iter()
-                .enumerate()
-                .map(|(d, &row)| (flat_tuple(j, d, l), 3, row, d))
-                .collect();
-            let mut lvl = 0usize;
-            while producers.len() > 1 {
-                let mut next = Vec::with_capacity(producers.len().div_ceil(2));
-                for (pair, chunk) in producers.chunks(2).enumerate() {
-                    let [aa, bb] = chunk else {
-                        next.push(chunk[0].clone());
-                        continue;
-                    };
-                    let bt = binary_tuple(j, lvl, pair, l);
-                    let logic = BinaryVdp {
-                        j,
-                        l,
-                        top: aa.2,
-                        bot: bb.2,
-                        ib,
-                    };
-                    vsa.add_vdp(VdpSpec::new(bt.clone(), 1, 3, 3, logic));
-                    for (slot, from) in [aa, bb].into_iter().enumerate() {
-                        let src = from.0.clone();
-                        vsa.add_channel(ChannelSpec::new(
-                            tile_bytes,
-                            src,
-                            from.1,
-                            bt.clone(),
-                            slot,
-                        ));
-                    }
-                    wire_transforms(
-                        &mut vsa,
-                        &bt,
-                        (l + 1 < nt).then(|| binary_tuple(j, lvl, pair, l + 1)),
-                        (l == j).then(|| exit_refl_binary(j, lvl, pair)),
-                    );
-                    // The dashed channel: the merged-away top is the last
-                    // tile of next stage's domain (d_b - 1).
-                    let d_next = bb.3 - 1;
-                    if l > j && d_next < next_domains {
-                        let dashed = flat_tuple(j + 1, d_next, l);
-                        let mut ch = ChannelSpec::new(tile_bytes, bt.clone(), 2, dashed, 1);
-                        // Disabled until the flat VDP has drained its
-                        // stream (Section V-C); enabled at creation when
-                        // there is no stream to wait for.
-                        if size_of(&heads, d_next) > 1 {
-                            ch = ch.disabled();
-                        }
-                        vsa.add_channel(ch);
-                    }
-                    next.push((bt, 0, aa.2, aa.3));
-                }
-                producers = next;
-                lvl += 1;
-            }
-            // The surviving tile is the finished R(j, l).
-            let (tuple, slot, row, _) = producers.pop().unwrap();
-            debug_assert_eq!(row, j);
-            vsa.add_channel(ChannelSpec::new(tile_bytes, tuple, slot, exit_r(j, l), 0));
+            vsa.add_channel(tile(ns.vdp(j, holder[j], l), 0, ns.exit_r(j, l), 0));
         }
     }
 
-    // --- Seeds: stage-0 streams carry whole domains in row order. ---------
-    let heads = heads_of(0);
-    for (d, &head) in heads.iter().enumerate() {
+    // Seeds: panel 0's streams carry whole domains in row order.
+    for &head in &heads[0] {
         for l in 0..nt {
-            for i in head..head + size_of(&heads, d) {
-                let t = tiles.take_tile(i, l);
-                vsa.seed(flat_tuple(0, d, l), 0, Packet::tile(t));
+            let (dst, _, end) = domain(0, head, l);
+            for i in head..end {
+                vsa.seed(dst.clone(), 0, Packet::tile(tiles.take_tile(i, l)));
             }
         }
     }
 
-    // --- Run and collect. --------------------------------------------------
     let build = t0.elapsed();
     let mut out = vsa
         .run(config)
-        .unwrap_or_else(|e| panic!("tile_qr_vsa_compact: {e}"));
-    // The transformation tree in plan order: each domain's flat record,
-    // then the binary records level by level (an odd top out passes up
-    // unpaired, so level `lvl` of `width` tops has `width / 2` merges).
-    let panel_exits = |j: usize, _: &[PanelOp]| {
-        let mut width = heads_of(j).len();
-        let mut exits: Vec<Tuple> = (0..width).map(|d| exit_refl_flat(j, d)).collect();
-        let mut lvl = 0usize;
-        while width > 1 {
-            exits.extend((0..width / 2).map(|pair| exit_refl_binary(j, lvl, pair)));
-            width = width.div_ceil(2);
-            lvl += 1;
-        }
-        exits
-    };
+        .unwrap_or_else(|e| panic!("tile_qr_compact: {e}"));
+    // A flat VDP records all its firings on its `Geqrt`'s exit, in firing
+    // order, so draining the exits in plan order yields the plan's ops.
     VsaQrResult {
-        factors: collect_factors(&mut out, a, opts, exit_r, panel_exits),
+        factors: ns.collect(&mut out, a, opts),
         stats: out.stats,
         trace: out.trace,
         build,
@@ -367,6 +249,7 @@ pub fn tile_qr_compact(a: &Matrix, opts: &QrOptions, config: &RunConfig) -> VsaQ
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::Tree;
     use crate::seqqr::tile_qr_seq;
     use pulsar_linalg::verify::r_factor_distance;
 
@@ -399,8 +282,17 @@ mod tests {
     }
 
     #[test]
-    fn compact_flat_is_domino_like() {
+    fn compact_flat_is_the_domino_array() {
         check(20, 8, 4, 2, Tree::Flat, 3);
+        check(16, 6, 4, 2, Tree::Flat, 2); // ragged columns
+        check(4, 4, 4, 2, Tree::Flat, 1); // one tile
+                                          // Figure 9's multi-fire count, mt = 5, nt = 2: factor (0, 0) fires
+                                          // 5x, update (0, 1) 5x, factor (1, 1) 4x — one VDP each.
+        let mut rng = rand::rng();
+        let a = Matrix::random(20, 8, &mut rng);
+        let opts = QrOptions::new(4, 2, Tree::Flat);
+        let res = tile_qr_compact(&a, &opts, &RunConfig::smp(2));
+        assert_eq!(res.stats.fired, 5 + 5 + 4);
     }
 
     #[test]
@@ -416,6 +308,19 @@ mod tests {
     #[test]
     fn compact_h_one_pure_binary() {
         check(16, 8, 4, 2, Tree::BinaryOnFlat { h: 1 }, 4);
+    }
+
+    #[test]
+    fn compact_runs_every_tree() {
+        for tree in [
+            Tree::Binary,
+            Tree::Greedy,
+            Tree::custom([3, 2]),
+            Tree::custom([1, 4]),
+        ] {
+            check(36, 12, 4, 2, tree.clone(), 3);
+            check(8, 14, 4, 2, tree, 2); // wide: mt < nt
+        }
     }
 
     #[test]

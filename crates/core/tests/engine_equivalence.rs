@@ -1,11 +1,10 @@
 //! Engine-equivalence suite: the sequential oracle, TSQR, the unrolled 3D
-//! VSA, the compact Figure-8 array, and the 2D domino baseline run the
-//! same schedule through the same op core, so they must produce the
-//! *same* factorization — bit for bit, in `R` and in every recorded
-//! `op`/`V`/`T`, not merely within a tolerance.
+//! VSA and the compact Figure-8 array (on the flat tree, the 2D domino
+//! array) run the same schedule through the same op core, so they must
+//! produce the *same* factorization — bit for bit, in `R` and in every
+//! recorded `op`/`V`/`T`, not merely within a tolerance.
 
 use pulsar_core::applyq::apply_q_vsa;
-use pulsar_core::domino::tile_qr_domino;
 use pulsar_core::plan::Tree;
 use pulsar_core::vsa3d::tile_qr_vsa;
 use pulsar_core::vsa_compact::tile_qr_compact;
@@ -51,10 +50,9 @@ fn assert_identical(want: &TileQrFactors, got: &TileQrFactors, what: &str) {
     );
 }
 
-/// Factor `a` with every engine that supports `opts` and require each to
-/// be identical to the sequential oracle: TSQR on 1 and 3 threads and the
-/// 3D VSA always; the compact array on flat / binary-on-flat trees; the
-/// domino array on flat trees.
+/// Factor `a` with every engine and require each to be identical to the
+/// sequential oracle: TSQR on 1 and 3 threads, the 3D VSA and the compact
+/// array.
 fn all_engines_identical(a: &Matrix, opts: &QrOptions, threads: usize) {
     let cfg = RunConfig::smp(threads);
     let what = |engine: &str| format!("{engine} vs seq, {}x{} {}", a.nrows(), a.ncols(), opts.tree);
@@ -63,14 +61,8 @@ fn all_engines_identical(a: &Matrix, opts: &QrOptions, threads: usize) {
     assert_identical(&seq, &tile_qr_tsqr(a, opts, 1), &what("tsqr(1)"));
     assert_identical(&seq, &tile_qr_tsqr(a, opts, 3), &what("tsqr(3)"));
     assert_identical(&seq, &tile_qr_vsa(a, opts, &cfg).factors, &what("vsa3d"));
-    if matches!(opts.tree, Tree::Flat | Tree::BinaryOnFlat { .. }) {
-        let compact = tile_qr_compact(a, opts, &cfg).factors;
-        assert_identical(&seq, &compact, &what("compact"));
-    }
-    if opts.tree == Tree::Flat {
-        let domino = tile_qr_domino(a, opts, &cfg).factors;
-        assert_identical(&seq, &domino, &what("domino"));
-    }
+    let compact = tile_qr_compact(a, opts, &cfg).factors;
+    assert_identical(&seq, &compact, &what("compact"));
 }
 
 #[test]
@@ -84,7 +76,7 @@ fn four_engines_agree_hierarchical() {
 }
 
 #[test]
-fn three_engines_agree_flat_plus_domino() {
+fn four_engines_agree_flat() {
     let mut rng = StdRng::seed_from_u64(7);
     let opts = QrOptions::new(4, 2, Tree::Flat);
     for (m, n) in [(40, 16), (40, 13), (8, 14)] {
@@ -94,8 +86,8 @@ fn three_engines_agree_flat_plus_domino() {
 
 #[test]
 fn transforms_are_identical_not_just_r() {
-    // Beyond R: the recorded V/T trees must match op for op, on the trees
-    // only the plan-driven engines run too.
+    // Beyond R: the recorded V/T trees must match op for op, on every
+    // tree.
     let mut rng = StdRng::seed_from_u64(99);
     let a = Matrix::random(24, 8, &mut rng);
     for tree in [

@@ -97,9 +97,25 @@ fn fires_only_when_all_inputs_ready() {
 }
 
 /// The paper's disabled-channel pattern: a VDP ignores a disabled input, and
-/// only after enabling it does that channel gate (and feed) the firing.
+/// only after enabling it does that channel gate (and feed) the firing —
+/// also when the feeder sits on another node and its packet arrives
+/// through the proxies (the compact QR array's dashed channel often does).
 #[test]
 fn disabled_channel_is_ignored_until_enabled() {
+    let feeder_remote: MappingFn = Arc::new(|t: &Tuple| Place {
+        node: usize::from(t.id(0) == 7),
+        thread: 0,
+    });
+    for config in [RunConfig::smp(1), RunConfig::cluster(2, 1, feeder_remote)] {
+        let mut out = disabled_channel_array().run(&config).expect("run failed");
+        assert_eq!(
+            exit_values_i64(&mut out, Tuple::new1(9), 0),
+            vec![1, 2, 105]
+        );
+    }
+}
+
+fn disabled_channel_array() -> Vsa {
     // VDP 0 fires 3 times. Firings 0 and 1 consume slot 0 only (slot 1 is
     // disabled). At the end of firing 1 it enables slot 1, so firing 2
     // requires and consumes the packet waiting there.
@@ -146,15 +162,9 @@ fn disabled_channel_is_ignored_until_enabled() {
     vsa.seed(Tuple::new1(7), 0, Packet::new(5i64, 8));
     vsa.seed(Tuple::new1(0), 0, Packet::new(1i64, 8));
     vsa.seed(Tuple::new1(0), 0, Packet::new(2i64, 8));
-
-    // Single worker thread: without the disable, VDP 0 could not fire twice
-    // on slot 0 alone. The assertion inside firing 0/1 additionally pins the
-    // arrival of the slot-1 packet before enablement.
-    let mut out = vsa.run(&RunConfig::smp(1)).expect("run failed");
-    assert_eq!(
-        exit_values_i64(&mut out, Tuple::new1(9), 0),
-        vec![1, 2, 105]
-    );
+    // One worker thread per node: without the disable, VDP 0 could not fire
+    // twice on slot 0 alone.
+    vsa
 }
 
 /// Multi-node ring: a token visits every node twice (tests proxy routing,

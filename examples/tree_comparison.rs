@@ -1,14 +1,15 @@
 //! Compare the reduction trees of Section V-B on the real runtime:
-//! flat, binary, binary-on-flat (the paper's hierarchical tree), the 2D
-//! domino baseline, and the sequential oracle — same matrix, same tiles.
+//! flat, binary, binary-on-flat (the paper's hierarchical tree) on the
+//! unrolled and the compact array (whose flat tree is the 2D domino
+//! baseline), and the sequential oracle — same matrix, same tiles.
 //!
 //! ```sh
 //! cargo run --release --example tree_comparison [threads]
 //! ```
 
-use pulsar::core::domino::tile_qr_domino;
 use pulsar::core::plan::Tree;
 use pulsar::core::vsa3d::tile_qr_vsa;
+use pulsar::core::vsa_compact::tile_qr_compact;
 use pulsar::core::{tile_qr_seq, QrOptions};
 use pulsar::linalg::{flops, Matrix};
 use pulsar::runtime::RunConfig;
@@ -55,22 +56,13 @@ fn main() {
 
     for (name, tree) in [
         ("compact fig-8 array h=6", Tree::BinaryOnFlat { h: 6 }),
-        ("compact fig-8 array flat", Tree::Flat),
+        ("compact flat (domino 2D)", Tree::Flat),
     ] {
         let opts = QrOptions::new(nb, ib, tree);
         let t0 = Instant::now();
-        let res = pulsar::core::vsa_compact::tile_qr_compact(&a, &opts, &RunConfig::smp(threads));
+        let res = tile_qr_compact(&a, &opts, &RunConfig::smp(threads));
         report(name, t0.elapsed().as_secs_f64(), res.factors.residual(&a));
     }
-
-    let flat = QrOptions::new(nb, ib, Tree::Flat);
-    let t0 = Instant::now();
-    let dom = tile_qr_domino(&a, &flat, &RunConfig::smp(threads));
-    report(
-        "domino 2D (IPDPS'13)",
-        t0.elapsed().as_secs_f64(),
-        dom.factors.residual(&a),
-    );
 
     let t0 = Instant::now();
     let seq = tile_qr_seq(&a, &QrOptions::new(nb, ib, Tree::BinaryOnFlat { h: 6 }));

@@ -12,7 +12,8 @@ cargo fmt --all --check
 # construction; the FNV-1a checksum, the little-endian writer, the fault
 # injectors' SplitMix64 and the submit validator each exist once, so
 # wire/disk formats, seed->fault sequences and admission rules cannot
-# drift apart between layers; the service tier has one accept loop and
+# drift apart between layers; every QR array names its `R` exits through
+# vsa3d's one tuple namespace, so one collector drains them all; the service tier has one accept loop and
 # one verb table under both `serve` and `route`, and builds its JSON with
 # the one writer. Prints the offending file:line.
 dup=0
@@ -23,7 +24,7 @@ if [ -n "$hits" ]; then
     echo "$hits" >&2
     dup=1
 fi
-for pat in '0x811c_9dc5' 'struct SplitMix64' 'fn put_u64' 'fn validate_job'; do
+for pat in '0x811c_9dc5' 'struct SplitMix64' 'fn put_u64' 'fn validate_job' 'fn exit_r'; do
     hits=$(grep -rn --include='*.rs' -F "$pat" src crates/*/src || true)
     if [ "$(printf '%s\n' "$hits" | cut -d: -f1 | sort -u | grep -c .)" -ne 1 ]; then
         echo "guard: \`$pat\` must appear in exactly one non-test source file:" >&2

@@ -1,10 +1,10 @@
 //! Cross-crate end-to-end tests: every execution engine (sequential, 3D
-//! VSA, 2D domino), every tree, against the dense reference QR — plus the
+//! VSA, compact array), every tree, against the dense reference QR — plus the
 //! invariant tying the runtime to the plan and the simulator.
 
-use pulsar::core::domino::tile_qr_domino;
 use pulsar::core::plan::{Boundary, Tree};
 use pulsar::core::vsa3d::tile_qr_vsa;
+use pulsar::core::vsa_compact::tile_qr_compact;
 use pulsar::core::{tile_qr_seq, QrOptions};
 use pulsar::linalg::reference::geqrf;
 use pulsar::linalg::verify::r_factor_distance;
@@ -47,10 +47,15 @@ fn every_engine_matches_reference_r() {
                 r_factor_distance(&vsa.factors.r, &r_ref) < 1e-11,
                 "vsa {tree:?}/{boundary:?}"
             );
+            if boundary == Boundary::Shifted {
+                let compact = tile_qr_compact(&a, &o, &RunConfig::smp(3));
+                assert!(
+                    r_factor_distance(&compact.factors.r, &r_ref) < 1e-11,
+                    "compact {tree:?}"
+                );
+            }
         }
     }
-    let dom = tile_qr_domino(&a, &opts(Tree::Flat, Boundary::Shifted), &RunConfig::smp(3));
-    assert!(r_factor_distance(&dom.factors.r, &r_ref) < 1e-11, "domino");
 }
 
 #[test]

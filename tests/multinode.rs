@@ -2,10 +2,11 @@
 //! nodes with proxy threads, different row distributions, and the network
 //! model — results must be identical to single-node execution.
 
-use pulsar::core::mapping::{domino_mapping, qr_mapping, RowDist};
+use pulsar::core::mapping::{qr_mapping, RowDist};
 use pulsar::core::plan::Tree;
 use pulsar::core::vsa3d::tile_qr_vsa;
-use pulsar::core::{domino::tile_qr_domino, QrOptions};
+use pulsar::core::vsa_compact::tile_qr_compact;
+use pulsar::core::QrOptions;
 use pulsar::linalg::verify::r_factor_distance;
 use pulsar::linalg::Matrix;
 use pulsar::runtime::{NetModel, RunConfig};
@@ -74,24 +75,40 @@ fn network_model_does_not_change_results() {
     assert!(res.factors.residual(&a) < 1e-13);
 }
 
+/// Runs the compact array across 3 nodes under the paper's mapping (cyclic
+/// and block rows) and checks `R` bit for bit against the unrolled array on
+/// one node. Four panels, so that even block rows put flat chains on two
+/// nodes.
+fn assert_compact_across_nodes(tree: Tree) {
+    let (a, _) = fixture(9, 4, 8);
+    let opts = QrOptions::new(8, 4, tree.clone());
+    let smp = tile_qr_vsa(&a, &opts, &RunConfig::smp(2));
+    for dist in [RowDist::Cyclic, RowDist::Block] {
+        let mapping = qr_mapping(&opts.plan(9, 4), dist, 3, 2);
+        let res = tile_qr_compact(&a, &opts, &RunConfig::cluster(3, 2, mapping));
+        let same = (res.factors.r.data().iter().zip(smp.factors.r.data()))
+            .all(|(x, y)| x.to_bits() == y.to_bits());
+        assert!(
+            same,
+            "{tree:?} {dist:?}: R differs from the SMP unrolled array"
+        );
+        assert!(res.stats.remote_msgs > 0, "{tree:?} {dist:?}: no traffic?");
+    }
+}
+
 #[test]
 fn compact_array_across_nodes() {
     // The Figure-8 compact array, with its mid-run channel enable/disable,
     // must also survive distribution (the dashed channel often crosses
-    // nodes) and match the unrolled array bit-for-bit.
-    let (a, opts) = fixture(12, 3, 8);
-    let smp = tile_qr_vsa(&a, &opts, &RunConfig::smp(2));
-    let mapping: pulsar::runtime::MappingFn = std::sync::Arc::new(|t: &pulsar::runtime::Tuple| {
-        // Spread by the domain/op coordinate and column.
-        pulsar::runtime::Place {
-            node: (t.id(1).unsigned_abs() as usize) % 3,
-            thread: (t.id(3).unsigned_abs() as usize) % 2,
-        }
-    });
-    let cfg = RunConfig::cluster(3, 2, mapping);
-    let res = pulsar::core::vsa_compact::tile_qr_compact(&a, &opts, &cfg);
-    assert!(r_factor_distance(&res.factors.r, &smp.factors.r) < 1e-12);
-    assert!(res.stats.remote_msgs > 0);
+    // nodes).
+    assert_compact_across_nodes(Tree::BinaryOnFlat { h: 3 });
+}
+
+#[test]
+fn domino_across_nodes() {
+    // The Figure-9 domino array is the compact array on the flat tree:
+    // multi-fire flat chains whose persistent tiles sit on several nodes.
+    assert_compact_across_nodes(Tree::Flat);
 }
 
 #[test]
@@ -223,15 +240,4 @@ fn qr_over_tcp_backend_matches_smp() {
     let sent: u64 = parts.iter().map(|p| p.stats.wire_bytes_sent).sum();
     let recv: u64 = parts.iter().map(|p| p.stats.wire_bytes_recv).sum();
     assert_eq!(sent, recv, "all sent frames must be received");
-}
-
-#[test]
-fn domino_across_nodes() {
-    let (a, _) = fixture(10, 3, 8);
-    let opts = QrOptions::new(8, 4, Tree::Flat);
-    let smp = tile_qr_domino(&a, &opts, &RunConfig::smp(2));
-    let cfg = RunConfig::cluster(3, 2, domino_mapping(3, 2));
-    let res = tile_qr_domino(&a, &opts, &cfg);
-    assert!(r_factor_distance(&res.factors.r, &smp.factors.r) < 1e-12);
-    assert!(res.stats.remote_msgs > 0);
 }
