@@ -15,9 +15,9 @@
 //! reconnect). Control kinds (heartbeat, ack, abort) carry whatever `seq`
 //! the sender stamps but do not advance the receiver's expected sequence.
 
-/// 32-bit FNV-1a: the one body checksum of the stack. The runtime's packet
-/// codec and checkpoint files, the server's WAL/snapshot records and its
-/// service frames all hash their bytes with this and mix their own
+/// 32-bit FNV-1a: the body checksum of the runtime's packet codec and
+/// checkpoint files, the server's WAL/snapshot records and v1 service
+/// frames; each hashes its bytes with this and mixes its own
 /// tag/verb/handle on top, so it lives at the bottom of the crate graph.
 pub fn fnv1a(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
@@ -25,6 +25,53 @@ pub fn fnv1a(bytes: &[u8]) -> u32 {
         h = (h ^ u32::from(b)).wrapping_mul(0x0100_0193);
     }
     h
+}
+
+/// CRC32C (Castagnoli), the body checksum of v2 service frames: it catches
+/// every single-bit error and every burst up to 32 bits, like FNV-1a there,
+/// at memory speed — SSE4.2 `crc32` 8 bytes a step where the CPU has it.
+pub fn crc32c(bytes: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: SSE4.2 is present, the one feature the callee enables.
+        return unsafe { crc32c_sse42(bytes) };
+    }
+    crc32c_portable(bytes)
+}
+
+/// The reflected CRC32C table: entry `i` is byte `i` after 8 shift steps.
+const CRC32C_TABLE: [u32; 256] = {
+    let (mut table, mut i) = ([0u32; 256], 0);
+    while i < 256 {
+        let (mut c, mut k) = (i as u32, 0);
+        while k < 8 {
+            c = (c >> 1) ^ (0x82f6_3b78 & (c & 1).wrapping_neg());
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
+fn crc32c_portable(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(!0u32, |c, &b| {
+        CRC32C_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8)
+    })
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+fn crc32c_sse42(bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut words = bytes.chunks_exact(8);
+    let mut c = u64::from(!0u32);
+    for w in &mut words {
+        let w = w.try_into().expect("chunks_exact(8) yields 8 bytes");
+        c = _mm_crc32_u64(c, u64::from_le_bytes(w));
+    }
+    let tail = words.remainder();
+    !tail.iter().fold(c as u32, |c, &b| _mm_crc32_u8(c, b))
 }
 
 /// Append `v` little-endian. With [`put_u64`], [`put_str`] and [`Cursor`]
@@ -116,6 +163,9 @@ const KIND_BARRIER: u8 = 1;
 const KIND_HEARTBEAT: u8 = 2;
 const KIND_ABORT: u8 = 3;
 const KIND_ACK: u8 = 4;
+/// Two bits away from `KIND_DATA`: no single flipped bit turns one data
+/// kind into the other, so none can switch which checksum verifies a body.
+pub(crate) const KIND_DATA_CRC32C: u8 = 5;
 
 /// What a frame carries.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -123,6 +173,11 @@ pub enum FrameKind {
     /// A runtime packet for the channel identified by `wire_id`.
     Data {
         /// Destination wire id (the MPI-tag analogue).
+        wire_id: u32,
+    },
+    /// A data frame checked with [`crc32c`]: a v2 service frame, never fabric traffic.
+    DataCrc32c {
+        /// The service verb.
         wire_id: u32,
     },
     /// Barrier-entry announcement; the 8-byte body is the barrier epoch.
@@ -225,6 +280,7 @@ pub fn encode_header(h: &FrameHeader) -> [u8; HEADER_LEN] {
     out[0..4].copy_from_slice(&MAGIC);
     let (kind, wire_id) = match h.kind {
         FrameKind::Data { wire_id } => (KIND_DATA, wire_id),
+        FrameKind::DataCrc32c { wire_id } => (KIND_DATA_CRC32C, wire_id),
         FrameKind::Barrier => (KIND_BARRIER, 0),
         FrameKind::Heartbeat => (KIND_HEARTBEAT, 0),
         FrameKind::Abort => (KIND_ABORT, 0),
@@ -263,6 +319,7 @@ pub fn decode_header(buf: &[u8]) -> Result<FrameHeader, FrameError> {
     }
     let kind = match buf[4] {
         KIND_DATA => FrameKind::Data { wire_id },
+        KIND_DATA_CRC32C => FrameKind::DataCrc32c { wire_id },
         KIND_BARRIER => {
             if len != 8 {
                 return Err(FrameError::BadBarrierLen(len));
@@ -313,6 +370,25 @@ mod tests {
         assert_eq!(short.u32(), Err(Truncated));
         assert_eq!(short.rest().len(), 3);
         assert_eq!(short.bytes(usize::MAX), Err(Truncated));
+    }
+
+    #[test]
+    fn crc32c_paths_agree_on_every_length_and_alignment() {
+        assert_eq!(crc32c_portable(b"123456789"), 0xe306_9283);
+        let buf: Vec<u8> = (0..1032u32)
+            .map(|i| (i.wrapping_mul(0x9e37_79b9) >> 24) as u8)
+            .collect();
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("sse4.2") {
+            for off in 0..8 {
+                for len in 0..=1024 {
+                    let s = &buf[off..off + len];
+                    // SAFETY: SSE4.2 was just detected.
+                    let fast = unsafe { crc32c_sse42(s) };
+                    assert_eq!(fast, crc32c_portable(s), "offset {off}, length {len}");
+                }
+            }
+        }
     }
 
     #[test]

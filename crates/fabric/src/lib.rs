@@ -35,7 +35,7 @@ mod inproc;
 mod tcp;
 
 pub use fault::{FaultLog, FaultPlan, FaultyFabric, KillSpec};
-pub use frame::fnv1a;
+pub use frame::{crc32c, fnv1a};
 pub use inproc::InProcFabric;
 pub use tcp::TcpFabric;
 

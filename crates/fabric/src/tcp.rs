@@ -788,6 +788,16 @@ impl TcpFabric {
                     FrameKind::Abort => {
                         peer.aborted = true;
                     }
+                    // Service frames only: packets carry their own FNV-1a.
+                    FrameKind::DataCrc32c { .. } => {
+                        peer.eof = true;
+                        let reason = FrameError::BadKind(crate::frame::KIND_DATA_CRC32C);
+                        fatal = Some(FabricError::MalformedFrame {
+                            peer: peer_rank,
+                            reason,
+                        });
+                        break 'peers;
+                    }
                 }
             }
             if consumed > 0 {
@@ -1157,16 +1167,21 @@ mod tests {
             l1.local_addr().unwrap().to_string(),
         ];
         let a1 = addrs.clone();
+        let (sent, hang_up) = std::sync::mpsc::channel::<()>();
         let t = std::thread::spawn(move || {
             // A "rank 1" that handshakes, waits for our first frame, and
             // hangs up without reading it: the kernel answers the unread
-            // bytes with a reset, so our next write fails outright.
+            // bytes with a reset, so our next write fails outright. It
+            // waits for the first send to return, so the hang-up cannot
+            // race that send's own pump.
             let mut s = TcpStream::connect(&a1[0]).unwrap();
             s.write_all(&1u32.to_le_bytes()).unwrap();
             s.peek(&mut [0u8; 1]).unwrap();
+            hang_up.recv().unwrap();
         });
         let mut f0 = TcpFabric::connect(0, l0, &addrs, Duration::from_secs(5)).unwrap();
         f0.post_send(1, 0, vec![1], 1).unwrap();
+        sent.send(()).unwrap();
         t.join().unwrap();
         // Wait for the reset on the raw socket, not through the fabric: a
         // pump would notice it on the read side first.

@@ -13,9 +13,14 @@ fn header_strategy() -> BoxedStrategy<FrameHeader> {
         any::<u64>(),
         any::<u64>(),
         0u64..=MAX_BODY as u64,
+        any::<bool>(),
     )
-        .prop_map(|(wire_id, seq, ack, len)| FrameHeader {
-            kind: FrameKind::Data { wire_id },
+        .prop_map(|(wire_id, seq, ack, len, crc32c)| FrameHeader {
+            kind: if crc32c {
+                FrameKind::DataCrc32c { wire_id }
+            } else {
+                FrameKind::Data { wire_id }
+            },
             seq,
             ack,
             len,
@@ -51,7 +56,7 @@ proptest! {
     }
 
     #[test]
-    fn unknown_kind_is_rejected(h in header_strategy(), kind in 5u8..=255) {
+    fn unknown_kind_is_rejected(h in header_strategy(), kind in 6u8..=255) {
         let mut b = encode_header(&h);
         b[4] = kind;
         prop_assert_eq!(decode_header(&b), Err(FrameError::BadKind(kind)));

@@ -197,7 +197,7 @@ impl Client {
         let seq = self.next_seq;
         self.next_seq += 1;
         proto::write_msg(&mut self.stream, msg, seq)?;
-        let (reply, rseq) = proto::read_msg(&mut self.stream)?;
+        let (reply, rseq, _) = proto::read_msg(&mut self.stream)?;
         if rseq != seq {
             return Err(ClientError::Unexpected("reply with a foreign request id"));
         }

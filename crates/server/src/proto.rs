@@ -1,18 +1,18 @@
 //! Wire protocol of the QR service.
 //!
 //! Framing reuses the fabric codec verbatim: every message is exactly one
-//! length-prefixed frame whose header is a [`FrameKind::Data`] with the
-//! service *verb* as `wire_id` and the caller-chosen request id as `seq`
-//! (echoed unchanged in the reply). The body is `[crc u32 LE][payload]`
-//! where the checksum is FNV-1a over the payload, mixed with the verb and
+//! length-prefixed data frame with the service *verb* as `wire_id` and the
+//! caller-chosen request id as `seq` (echoed unchanged in the reply). The
+//! body is `[crc u32 LE][payload]`, the checksum mixed with the verb and
 //! the request id — a frame cannot be replayed as a different verb, and a
-//! single flipped bit anywhere (header or body) is detected. Matrices ride
-//! inside payloads in the runtime's packet layout
+//! single flipped bit anywhere (header or body) is detected. The frame kind
+//! names the checksum ([`Version`]); a server answers in the version asked.
+//! Matrices ride inside payloads in the runtime's packet layout
 //! ([`encode_matrix_body`]/[`read_matrix`]): `[nrows u64][ncols
 //! u64][column-major f64]`, all little-endian.
 
 use pulsar_fabric::frame::{
-    decode_header, encode_header, fnv1a, put_str, put_u32, put_u64, Cursor, FrameError,
+    crc32c, decode_header, encode_header, fnv1a, put_str, put_u32, put_u64, Cursor, FrameError,
     FrameHeader, FrameKind, Truncated, HEADER_LEN,
 };
 use pulsar_linalg::Matrix;
@@ -81,6 +81,7 @@ pub mod verb {
 
 /// Lifecycle of a job inside the service, as seen over the wire.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[repr(u8)]
 pub enum JobState {
     /// Waiting in the admission queue.
     Queued,
@@ -137,6 +138,7 @@ impl std::fmt::Display for JobState {
 
 /// Failure class carried by [`Msg::Error`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[repr(u8)]
 pub enum ErrCode {
     /// The factorization itself failed (runtime error).
     Failed,
@@ -446,35 +448,62 @@ impl std::fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
-/// FNV-1a over the payload, mixed with the verb and request id so a frame
-/// cannot be replayed as a different verb or request. Same constants as
-/// the runtime packet codec.
-fn service_crc(verb: u32, seq: u64, payload: &[u8]) -> u32 {
-    fnv1a(payload) ^ verb.wrapping_mul(0x9e37_79b9) ^ (seq as u32) ^ ((seq >> 32) as u32)
+/// Which body checksum a service frame carries. The frame kind says which,
+/// so a decoder never tries both.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Version {
+    /// FNV-1a in a [`FrameKind::Data`] frame: what older peers send.
+    V1,
+    /// CRC32C in a [`FrameKind::DataCrc32c`] frame: what this crate sends.
+    V2,
 }
 
-/// Encode one message as a complete wire frame (header + body).
-pub fn encode_msg(msg: &Msg, seq: u64) -> Vec<u8> {
-    let mut payload = Vec::new();
-    msg.put_payload(&mut payload);
+impl Version {
+    /// The body checksum over the payload, mixed with the verb and request
+    /// id so a frame cannot be replayed as a different verb or request
+    /// (the runtime packet codec's mixing constant).
+    fn crc(self, verb: u32, seq: u64, payload: &[u8]) -> u32 {
+        let hash = match self {
+            Version::V1 => fnv1a(payload),
+            Version::V2 => crc32c(payload),
+        };
+        hash ^ verb.wrapping_mul(0x9e37_79b9) ^ (seq as u32) ^ ((seq >> 32) as u32)
+    }
+}
+
+/// Encode one message as a complete `version` frame in one buffer sized
+/// exactly, refusing a body over [`MAX_SERVICE_BODY`] before encoding it.
+/// [`write_msg`] and the server's replies both encode through here.
+pub(crate) fn encode_frame(msg: &Msg, seq: u64, version: Version) -> Result<Vec<u8>, ProtoError> {
+    let body_len = 4 + msg.payload_len();
+    if body_len > MAX_SERVICE_BODY {
+        return Err(ProtoError::Oversized(body_len as u64));
+    }
     let verb = msg.verb();
-    let crc = service_crc(verb, seq, &payload);
-    let body_len = 4 + payload.len();
-    assert!(
-        body_len <= MAX_SERVICE_BODY,
-        "service message of {body_len} bytes exceeds MAX_SERVICE_BODY"
-    );
+    let kind = match version {
+        Version::V1 => FrameKind::Data { wire_id: verb },
+        Version::V2 => FrameKind::DataCrc32c { wire_id: verb },
+    };
     let header = FrameHeader {
-        kind: FrameKind::Data { wire_id: verb },
+        kind,
         seq,
         ack: 0,
         len: body_len as u64,
     };
     let mut out = Vec::with_capacity(HEADER_LEN + body_len);
     out.extend_from_slice(&encode_header(&header));
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    out.extend_from_slice(&[0; 4]); // the crc, patched below
+    msg.put_payload(&mut out);
+    debug_assert_eq!(out.len(), HEADER_LEN + body_len);
+    let crc = version.crc(verb, seq, &out[HEADER_LEN + 4..]);
+    out[HEADER_LEN..HEADER_LEN + 4].copy_from_slice(&crc.to_le_bytes());
+    Ok(out)
+}
+
+/// Encode one message as a complete v2 wire frame. Panics on a body over
+/// [`MAX_SERVICE_BODY`]; [`write_msg`] returns that as a typed error.
+pub fn encode_msg(msg: &Msg, seq: u64) -> Vec<u8> {
+    encode_frame(msg, seq, Version::V2).unwrap_or_else(|e| panic!("{e}"))
 }
 
 impl From<Truncated> for ProtoError {
@@ -483,8 +512,12 @@ impl From<Truncated> for ProtoError {
     }
 }
 
-/// A payload field type: how it is appended and how it is read back.
+/// A payload field type: its size, how it is appended and read back.
 trait Field: Sized {
+    /// Bytes [`Field::put`] appends (the type's size unless overridden).
+    fn wire_len(&self) -> usize {
+        std::mem::size_of::<Self>()
+    }
     fn put(&self, out: &mut Vec<u8>);
     fn get(c: &mut Cursor<'_>) -> Result<Self, ProtoError>;
 }
@@ -517,6 +550,9 @@ impl Field for bool {
 }
 
 impl Field for String {
+    fn wire_len(&self) -> usize {
+        4 + self.len()
+    }
     fn put(&self, out: &mut Vec<u8>) {
         put_str(out, self);
     }
@@ -528,6 +564,9 @@ impl Field for String {
 }
 
 impl Field for Matrix {
+    fn wire_len(&self) -> usize {
+        16 + 8 * self.data().len()
+    }
     fn put(&self, out: &mut Vec<u8>) {
         encode_matrix_body(self, out);
     }
@@ -565,6 +604,12 @@ macro_rules! wire_table {
             pub fn verb(&self) -> u32 {
                 match self {
                     $(Msg::$name { .. } => verb::$verb,)*
+                }
+            }
+
+            fn payload_len(&self) -> usize {
+                match self {
+                    $(Msg::$name { $($field),* } => 0 $(+ $field.wire_len())*,)*
                 }
             }
 
@@ -615,12 +660,13 @@ wire_table! {
     Pong = PONG { nonce, queued, running },
 }
 
-/// Decode a frame body that has already been separated from its header.
-/// Used by stream readers that pull the header and body off a socket
-/// independently; [`decode_msg`] wraps it for contiguous buffers.
-pub fn decode_body(header: &FrameHeader, body: &[u8]) -> Result<(Msg, u64), ProtoError> {
-    let verb = match header.kind {
-        FrameKind::Data { wire_id } => wire_id,
+/// Decode a frame body that has already been separated from its header,
+/// with the checksum its kind names. Used by stream readers that pull the
+/// header and body off a socket independently; [`decode_msg`] wraps it.
+pub fn decode_body(header: &FrameHeader, body: &[u8]) -> Result<(Msg, u64, Version), ProtoError> {
+    let (version, verb) = match header.kind {
+        FrameKind::Data { wire_id } => (Version::V1, wire_id),
+        FrameKind::DataCrc32c { wire_id } => (Version::V2, wire_id),
         _ => return Err(ProtoError::NotData),
     };
     if header.ack != 0 {
@@ -634,7 +680,7 @@ pub fn decode_body(header: &FrameHeader, body: &[u8]) -> Result<(Msg, u64), Prot
     }
     let got = u32::from_le_bytes(body[..4].try_into().unwrap());
     let payload = &body[4..];
-    let expected = service_crc(verb, header.seq, payload);
+    let expected = version.crc(verb, header.seq, payload);
     if got != expected {
         return Err(ProtoError::Checksum { expected, got });
     }
@@ -643,13 +689,13 @@ pub fn decode_body(header: &FrameHeader, body: &[u8]) -> Result<(Msg, u64), Prot
     if !c.rest().is_empty() {
         return Err(ProtoError::Malformed("payload has trailing bytes"));
     }
-    Ok((msg, header.seq))
+    Ok((msg, header.seq, version))
 }
 
-/// Decode exactly one message from a contiguous buffer. The buffer must
-/// hold the frame and nothing else: a strict prefix is
-/// [`ProtoError::Truncated`] (or a truncated [`FrameError`] inside the
-/// header), extra bytes are [`ProtoError::Trailing`].
+/// Decode exactly one message, of either version, from a contiguous
+/// buffer. The buffer must hold the frame and nothing else: a strict
+/// prefix is [`ProtoError::Truncated`] (or a truncated [`FrameError`]
+/// inside the header), extra bytes are [`ProtoError::Trailing`].
 pub fn decode_msg(buf: &[u8]) -> Result<(Msg, u64), ProtoError> {
     let header = decode_header(buf).map_err(ProtoError::Frame)?;
     if header.len as usize > MAX_SERVICE_BODY {
@@ -662,17 +708,20 @@ pub fn decode_msg(buf: &[u8]) -> Result<(Msg, u64), ProtoError> {
     if buf.len() > need {
         return Err(ProtoError::Trailing(buf.len() - need));
     }
-    decode_body(&header, &buf[HEADER_LEN..])
+    decode_body(&header, &buf[HEADER_LEN..]).map(|(msg, seq, _)| (msg, seq))
 }
 
-/// Write one message to a stream.
+/// Write one message to a stream as a v2 frame; one over the body cap is
+/// refused unwritten, as `InvalidData` carrying [`ProtoError::Oversized`].
 pub fn write_msg<W: std::io::Write>(w: &mut W, msg: &Msg, seq: u64) -> std::io::Result<()> {
-    w.write_all(&encode_msg(msg, seq))
+    let bad = |e: ProtoError| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
+    w.write_all(&encode_frame(msg, seq, Version::V2).map_err(bad)?)
 }
 
-/// Read exactly one message from a stream. Protocol-level failures are
-/// surfaced as `InvalidData` io errors carrying the [`ProtoError`].
-pub fn read_msg<R: std::io::Read>(r: &mut R) -> std::io::Result<(Msg, u64)> {
+/// Read exactly one message, of either version, from a stream, and say
+/// which version it came in. Protocol-level failures are surfaced as
+/// `InvalidData` io errors carrying the [`ProtoError`].
+pub fn read_msg<R: std::io::Read>(r: &mut R) -> std::io::Result<(Msg, u64, Version)> {
     let bad = |e: ProtoError| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
     let mut hdr = [0u8; HEADER_LEN];
     r.read_exact(&mut hdr)?;
@@ -799,10 +848,17 @@ mod tests {
         ];
         for (i, m) in msgs.into_iter().enumerate() {
             let seq = 1000 + i as u64;
-            let wire = encode_msg(&m, seq);
-            let (back, rseq) = decode_msg(&wire).expect("round trip");
-            assert_eq!(back, m);
-            assert_eq!(rseq, seq);
+            for (version, kind) in [(Version::V1, 0), (Version::V2, 5)] {
+                let wire = encode_frame(&m, seq, version).unwrap();
+                assert_eq!(wire[4], kind, "{version:?} kind byte");
+                let header = decode_header(&wire).unwrap();
+                let back = decode_body(&header, &wire[HEADER_LEN..]).expect("round trip");
+                assert_eq!(back, (m.clone(), seq, version));
+            }
+            assert_eq!(
+                encode_msg(&m, seq),
+                encode_frame(&m, seq, Version::V2).unwrap()
+            );
         }
     }
 
@@ -839,9 +895,17 @@ mod tests {
         let mut buf = Vec::new();
         write_msg(&mut buf, &Msg::Drain, 42).unwrap();
         write_msg(&mut buf, &Msg::SubmitOk { job: 5 }, 43).unwrap();
+        buf.extend_from_slice(&encode_frame(&Msg::Status { job: 6 }, 44, Version::V1).unwrap());
         let mut r = &buf[..];
-        assert_eq!(read_msg(&mut r).unwrap(), (Msg::Drain, 42));
-        assert_eq!(read_msg(&mut r).unwrap(), (Msg::SubmitOk { job: 5 }, 43));
+        assert_eq!(read_msg(&mut r).unwrap(), (Msg::Drain, 42, Version::V2));
+        assert_eq!(
+            read_msg(&mut r).unwrap(),
+            (Msg::SubmitOk { job: 5 }, 43, Version::V2)
+        );
+        assert_eq!(
+            read_msg(&mut r).unwrap(),
+            (Msg::Status { job: 6 }, 44, Version::V1)
+        );
         assert!(read_msg(&mut r).is_err(), "stream exhausted");
     }
 }

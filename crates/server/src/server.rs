@@ -337,7 +337,7 @@ fn handle_conn<N: Node>(
     mut faults: Option<ConnFaults>,
 ) {
     loop {
-        let (msg, seq) = match proto::read_msg(&mut stream) {
+        let (msg, seq, version) = match proto::read_msg(&mut stream) {
             Ok(x) => x,
             Err(e) if e.kind() == ErrorKind::InvalidData => {
                 // Garbage on the wire: after a bad frame the stream offset
@@ -354,7 +354,11 @@ fn handle_conn<N: Node>(
         };
         let draining = matches!(msg, Msg::Drain);
         let reply = dispatch(node, msg);
-        let mut frame = proto::encode_msg(&reply, seq);
+        // Answered in the version asked; an oversized reply is a typed error.
+        let mut frame = proto::encode_frame(&reply, seq, version).unwrap_or_else(|e| {
+            proto::encode_frame(&invalid(e.to_string()), seq, version)
+                .expect("a typed error fits the body cap")
+        });
         let fate = faults
             .as_mut()
             .map_or(ReplyFate::Deliver, |f| f.apply(&mut frame));

@@ -1,16 +1,18 @@
-//! Golden vectors for the four checksummed byte formats built on the one
+//! Golden vectors for the checksummed byte formats built on the one
 //! FNV-1a (`pulsar_fabric::fnv1a`): runtime packets, checkpoint files, the
-//! factor store's WAL records and snapshot, and service frames. Each
+//! factor store's WAL records and snapshot, and v1 service frames — and on
+//! the one CRC32C (`pulsar_fabric::crc32c`): v2 service frames. Each
 //! format mixes its own tag/verb/handle on top of the shared hash; the
-//! pinned values were produced by the four hand-written copies this hash
+//! FNV-1a values were produced by the four hand-written copies that hash
 //! replaced, so a change here is a wire or disk format break.
 
 use pulsar_core::{PanelOp, Reflectors, TileQrFactors};
-use pulsar_fabric::fnv1a;
+use pulsar_fabric::frame::{encode_header, FrameHeader, FrameKind};
+use pulsar_fabric::{crc32c, fnv1a};
 use pulsar_linalg::Matrix;
 use pulsar_runtime::checkpoint::{self, RankCheckpoint, SlotEntry, VdpEntry};
 use pulsar_runtime::{ChannelState, Packet, Tuple};
-use pulsar_server::{encode_msg, FactorHandle, FactorStore, Msg};
+use pulsar_server::{decode_msg, encode_msg, FactorHandle, FactorStore, Msg};
 use std::sync::Arc;
 
 fn tile() -> Matrix {
@@ -92,8 +94,35 @@ fn the_four_checksums_are_pinned() {
     assert_eq!(crc_at(&snap, 16), 0x0ea0_9a36, "snapshot checksum");
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Service frame: 33-byte fabric header, then `[crc u32][payload]`, crc
-    // mixed with the verb and the request id.
-    let frame = encode_msg(&Msg::Cancel { job: 42 }, 0x0000_0001_0000_0007);
-    assert_eq!(crc_at(&frame, 33), 0x1c60_c101, "service frame checksum");
+    // v1 service frame, built by hand as older peers write it: 33-byte
+    // fabric header of kind `Data`, then `[crc u32][payload]`, crc mixed
+    // with the verb and the request id. It must still decode.
+    let (msg, seq) = (Msg::Cancel { job: 42 }, 0x0000_0001_0000_0007);
+    let payload = 42u64.to_le_bytes();
+    let crc = fnv1a(&payload) ^ msg.verb().wrapping_mul(0x9e37_79b9) ^ 7 ^ 1;
+    let mut v1 = encode_header(&FrameHeader {
+        kind: FrameKind::Data {
+            wire_id: msg.verb(),
+        },
+        seq,
+        ack: 0,
+        len: 12,
+    })
+    .to_vec();
+    v1.extend_from_slice(&crc.to_le_bytes());
+    v1.extend_from_slice(&payload);
+    assert_eq!(crc_at(&v1, 33), 0x1c60_c101, "v1 service frame checksum");
+    assert_eq!(decode_msg(&v1), Ok((msg.clone(), seq)));
+
+    // v2 service frame: the same layout under kind 5, checked with CRC32C.
+    let v2 = encode_msg(&msg, seq);
+    assert_eq!(v2[4], 5, "v2 frame kind");
+    assert_eq!(v2[33 + 4..], payload, "same payload as v1");
+    assert_eq!(crc_at(&v2, 33), 0xa0d0_e449, "v2 service frame checksum");
+}
+
+#[test]
+fn the_crc32c_check_value_is_pinned() {
+    assert_eq!(crc32c(b""), 0);
+    assert_eq!(crc32c(b"123456789"), 0xe306_9283);
 }

@@ -1,13 +1,41 @@
-//! Property tests for the service protocol codec: arbitrary messages
-//! round-trip exactly, strict prefixes and oversized bodies are rejected
-//! with typed errors, and any single flipped bit anywhere in a frame —
-//! header or body — is detected, never misparsed.
+//! Property tests for the service protocol codec, over both frame
+//! versions: arbitrary messages round-trip exactly, strict prefixes and
+//! oversized bodies are rejected with typed errors, and any single flipped
+//! bit anywhere in a frame — header or body — is detected, never misparsed.
 
 use proptest::prelude::*;
+use pulsar_fabric::fnv1a;
+use pulsar_fabric::frame::{encode_header, FrameHeader, FrameKind, HEADER_LEN};
 use pulsar_linalg::Matrix;
 use pulsar_server::proto::{
-    decode_msg, encode_msg, ErrCode, JobState, Msg, ProtoError, MAX_SERVICE_BODY,
+    decode_msg, encode_msg, read_msg, ErrCode, JobState, Msg, ProtoError, Version, MAX_SERVICE_BODY,
 };
+
+/// A v1 frame of `msg`, built by hand the way older peers write it: the
+/// same payload under a `Data` header, checked with FNV-1a mixed with the
+/// verb and request id. Mirrors the codec rather than calling it, so a
+/// change to the v1 layout fails here.
+fn encode_v1(msg: &Msg, seq: u64) -> Vec<u8> {
+    let payload = &encode_msg(msg, seq)[HEADER_LEN + 4..];
+    let verb = msg.verb();
+    let crc = fnv1a(payload) ^ verb.wrapping_mul(0x9e37_79b9) ^ (seq as u32) ^ ((seq >> 32) as u32);
+    let header = FrameHeader {
+        kind: FrameKind::Data { wire_id: verb },
+        seq,
+        ack: 0,
+        len: 4 + payload.len() as u64,
+    };
+    [&encode_header(&header)[..], &crc.to_le_bytes(), payload].concat()
+}
+
+/// `msg` framed as v1 or as v2 (what this crate sends).
+fn encode(msg: &Msg, seq: u64, v1: bool) -> Vec<u8> {
+    if v1 {
+        encode_v1(msg, seq)
+    } else {
+        encode_msg(msg, seq)
+    }
+}
 
 /// Finite doubles only: the round-trip property compares with `==`, and
 /// NaN would make a faithfully-decoded matrix compare unequal.
@@ -176,8 +204,10 @@ fn msg_strategy() -> BoxedStrategy<Msg> {
 
 proptest! {
     #[test]
-    fn messages_round_trip(msg in msg_strategy(), seq in any::<u64>()) {
-        let wire = encode_msg(&msg, seq);
+    fn messages_round_trip(msg in msg_strategy(), seq in any::<u64>(), v1 in any::<bool>()) {
+        let wire = encode(&msg, seq, v1);
+        let version = if v1 { Version::V1 } else { Version::V2 };
+        prop_assert_eq!(read_msg(&mut &wire[..]).ok(), Some((msg.clone(), seq, version)));
         let (back, rseq) = decode_msg(&wire).expect("encoded frame decodes");
         prop_assert_eq!(back, msg);
         prop_assert_eq!(rseq, seq);
@@ -187,9 +217,10 @@ proptest! {
     fn strict_prefixes_are_typed_truncations(
         msg in msg_strategy(),
         seq in any::<u64>(),
+        v1 in any::<bool>(),
         cut in any::<usize>(),
     ) {
-        let wire = encode_msg(&msg, seq);
+        let wire = encode(&msg, seq, v1);
         let cut = cut % wire.len(); // 0..len, strictly short of the end
         match decode_msg(&wire[..cut]) {
             Err(ProtoError::Truncated) => {}
@@ -207,13 +238,14 @@ proptest! {
     fn any_single_bit_flip_is_detected(
         msg in msg_strategy(),
         seq in any::<u64>(),
+        v1 in any::<bool>(),
         pos in any::<usize>(),
         bit in 0u8..8,
     ) {
         // Every byte is covered: magic, kind, verb, request id (bound into
         // the checksum), the unused ack (required to be zero), the length,
         // the checksum itself, and the payload.
-        let mut wire = encode_msg(&msg, seq);
+        let mut wire = encode(&msg, seq, v1);
         let pos = pos % wire.len();
         wire[pos] ^= 1 << bit;
         prop_assert!(
@@ -226,9 +258,10 @@ proptest! {
     fn trailing_garbage_is_rejected(
         msg in msg_strategy(),
         seq in any::<u64>(),
+        v1 in any::<bool>(),
         extra in proptest::collection::vec(any::<u8>(), 1..32),
     ) {
-        let mut wire = encode_msg(&msg, seq);
+        let mut wire = encode(&msg, seq, v1);
         wire.extend_from_slice(&extra);
         prop_assert_eq!(decode_msg(&wire), Err(ProtoError::Trailing(extra.len())));
     }
@@ -254,5 +287,30 @@ proptest! {
         // on random bytes would require forging the magic, a valid verb,
         // and a matching checksum.
         let _ = decode_msg(&bytes);
+    }
+}
+
+#[test]
+fn every_kind_byte_flip_is_a_typed_error() {
+    // Neither data kind is one bit away from the other, so no flip can
+    // change which checksum verifies the body. `Leave` has the 8-byte body
+    // a barrier header accepts, `Drain` the shortest body there is.
+    let a = Matrix::from_col_major(2, 1, vec![1.5, -2.0]);
+    let msgs = [
+        Msg::Leave { node_id: 3 },
+        Msg::Drain,
+        Msg::Solve { handle: 9, b: a },
+    ];
+    for msg in &msgs {
+        for v1 in [true, false] {
+            for bit in 0..8 {
+                let mut wire = encode(msg, 77, v1);
+                wire[4] ^= 1 << bit;
+                assert!(
+                    decode_msg(&wire).is_err(),
+                    "{msg:?} (v1: {v1}) survived a flip of kind bit {bit}"
+                );
+            }
+        }
     }
 }

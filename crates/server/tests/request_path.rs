@@ -1,15 +1,19 @@
 //! The one request path under `serve` and `route`: the front end over a
 //! fake node (no pool, no sockets behind it), worker and router answering
-//! bad submits identically, the idempotency bound counted on both, and
-//! the full key set of every stats surface.
+//! bad submits identically, each request answered in the frame version it
+//! came in, oversized messages refused on the client, the idempotency
+//! bound counted on both, and the full key set of every stats surface.
 
 use pulsar_core::{QrOptions, Tree};
+use pulsar_fabric::fnv1a;
+use pulsar_fabric::frame::{encode_header, FrameHeader, FrameKind, HEADER_LEN};
 use pulsar_linalg::Matrix;
-use pulsar_server::proto::{read_msg, write_msg};
+use pulsar_server::proto::{read_msg, write_msg, Version};
 use pulsar_server::router::membership::Caps;
 use pulsar_server::{
-    route, serve, serve_node, Client, ErrCode, JobState, Msg, Node, NodeResult, RouteConfig,
-    Router, ServeConfig, Service, SubmitError,
+    encode_msg, route, serve, serve_node, Client, ClientError, ErrCode, JobState, Msg, Node,
+    NodeResult, ProtoError, RouteConfig, Router, ServeConfig, Service, SubmitError,
+    MAX_SERVICE_BODY,
 };
 use pulsar_tuner::json::Json;
 use rand::rngs::StdRng;
@@ -118,6 +122,67 @@ fn garbage_frame_gets_one_typed_invalid_then_eof() {
     assert!(rest.is_empty(), "exactly one reply, then the hang-up");
 
     Client::connect(&addr).unwrap().drain().unwrap();
+    front.join().unwrap().unwrap();
+}
+
+/// A v1 frame of `msg` as an older client writes it: the payload under a
+/// `Data` header, checked with FNV-1a mixed with the verb and request id.
+fn encode_v1(msg: &Msg, seq: u64) -> Vec<u8> {
+    let payload = &encode_msg(msg, seq)[HEADER_LEN + 4..];
+    let verb = msg.verb();
+    let crc = fnv1a(payload) ^ verb.wrapping_mul(0x9e37_79b9) ^ (seq as u32) ^ ((seq >> 32) as u32);
+    let header = FrameHeader {
+        kind: FrameKind::Data { wire_id: verb },
+        seq,
+        ack: 0,
+        len: 4 + payload.len() as u64,
+    };
+    [&encode_header(&header)[..], &crc.to_le_bytes(), payload].concat()
+}
+
+#[test]
+fn each_request_is_answered_in_the_version_it_came_in() {
+    let (addr, front) = spawn_fake();
+    let mut s = TcpStream::connect(&addr).unwrap();
+    let submit = Msg::Submit {
+        nb: 4,
+        ib: 2,
+        deadline_ms: 0,
+        keep: false,
+        idem: 0,
+        tree: "greedy".into(),
+        a: Matrix::zeros(8, 4),
+    };
+    s.write_all(&encode_v1(&submit, 5)).unwrap();
+    assert_eq!(
+        read_msg(&mut s).unwrap(),
+        (Msg::SubmitOk { job: 7 }, 5, Version::V1)
+    );
+    write_msg(&mut s, &submit, 6).unwrap();
+    assert_eq!(
+        read_msg(&mut s).unwrap(),
+        (Msg::SubmitOk { job: 7 }, 6, Version::V2)
+    );
+    s.write_all(&encode_v1(&Msg::Drain, 7)).unwrap();
+    assert_eq!(read_msg(&mut s).unwrap().2, Version::V1);
+    front.join().unwrap().unwrap();
+}
+
+#[test]
+fn an_oversized_submit_is_a_typed_error_and_the_client_stays_usable() {
+    let (addr, front) = spawn_fake();
+    let mut client = Client::connect(&addr).unwrap();
+    let opts = QrOptions::new(4, 2, Tree::Greedy);
+    let huge = Matrix::zeros(MAX_SERVICE_BODY / 8, 1);
+    match client.submit(&huge, &opts, 0) {
+        Err(ClientError::Proto(ProtoError::Oversized(n))) => {
+            assert!(n > MAX_SERVICE_BODY as u64, "{n}")
+        }
+        other => panic!("expected a typed Oversized, got {other:?}"),
+    }
+    drop(huge);
+    assert_eq!(client.submit(&Matrix::zeros(8, 4), &opts, 0).unwrap(), 7);
+    client.drain().unwrap();
     front.join().unwrap().unwrap();
 }
 

@@ -9,7 +9,7 @@ cargo fmt --all --check
 
 # Re-duplication guard (grep only, always on). The six tile kernels are
 # called from one file, so bit-identity across executors holds by
-# construction; the FNV-1a checksum, the little-endian writer, the fault
+# construction; the FNV-1a and CRC32C checksums, the little-endian writer, the fault
 # injectors' SplitMix64 and the submit validator each exist once, so
 # wire/disk formats, seed->fault sequences and admission rules cannot
 # drift apart between layers; every QR array names its `R` exits through
@@ -24,7 +24,7 @@ if [ -n "$hits" ]; then
     echo "$hits" >&2
     dup=1
 fi
-for pat in '0x811c_9dc5' 'struct SplitMix64' 'fn put_u64' 'fn validate_job' 'fn exit_r'; do
+for pat in '0x811c_9dc5' '0x82f6_3b78' 'struct SplitMix64' 'fn put_u64' 'fn validate_job' 'fn exit_r'; do
     hits=$(grep -rn --include='*.rs' -F "$pat" src crates/*/src || true)
     if [ "$(printf '%s\n' "$hits" | cut -d: -f1 | sort -u | grep -c .)" -ne 1 ]; then
         echo "guard: \`$pat\` must appear in exactly one non-test source file:" >&2
