@@ -1,13 +1,12 @@
 //! End-to-end QR benchmarks on the real runtime: the three reduction trees
-//! of Section VI and the compact array (whose flat tree is the domino
-//! baseline), on a laptop-scale tall-skinny matrix (the large-scale curves
+//! of Section VI (the flat tree is the domino baseline) and fixed domain
+//! boundaries, on a laptop-scale tall-skinny matrix (the large-scale curves
 //! come from `fig10_asymptotic` / `fig11_strong`, which use the calibrated
 //! simulator).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pulsar_core::plan::Tree;
 use pulsar_core::vsa3d::tile_qr_vsa;
-use pulsar_core::vsa_compact::tile_qr_compact;
 use pulsar_core::{tile_qr_seq, QrOptions};
 use pulsar_linalg::{flops, Matrix};
 use pulsar_runtime::RunConfig;
@@ -35,14 +34,11 @@ fn bench_trees(c: &mut Criterion) {
             b.iter(|| black_box(tile_qr_vsa(&a, opts, &RunConfig::smp(threads))))
         });
     }
-    let hier = QrOptions::new(nb, ib, Tree::BinaryOnFlat { h: 4 });
-    g.bench_function("compact_fig8_h4", |b| {
-        b.iter(|| black_box(tile_qr_compact(&a, &hier, &RunConfig::smp(threads))))
+    let fixed = QrOptions::new(nb, ib, Tree::BinaryOnFlat { h: 4 }).with_fixed_boundary();
+    g.bench_function("vsa3d_fixed_h4", |b| {
+        b.iter(|| black_box(tile_qr_vsa(&a, &fixed, &RunConfig::smp(threads))))
     });
     let flat = QrOptions::new(nb, ib, Tree::Flat);
-    g.bench_function("compact_flat", |b| {
-        b.iter(|| black_box(tile_qr_compact(&a, &flat, &RunConfig::smp(threads))))
-    });
     g.bench_function("sequential_oracle", |b| {
         b.iter(|| black_box(tile_qr_seq(&a, &flat)))
     });

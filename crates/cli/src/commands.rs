@@ -29,7 +29,7 @@ COMMANDS
   factor    factorize a random tall-skinny matrix on the runtime and verify
             --rows N --cols N [--nb 64] [--ib nb/4] [--tree hier:4]
             [--threads 4] [--nodes 1]
-            [--engine vsa3d|compact|seq|tsqr]
+            [--engine vsa3d|seq|tsqr]
             [--seed 42] [--net seastar] [--trace-out trace.json]
             [--profile table.json] (plan defaults from the tuned policy;
             prints the chosen `PLAN ...`) [--stats true] (adds the
@@ -139,12 +139,17 @@ pub fn run(args: &Args) -> Result<String, CliError> {
     }
 }
 
-fn opts_from(args: &Args, default_nb: usize, default_tree: Tree) -> Result<QrOptions, String> {
-    let nb: usize = args.opt("nb", default_nb)?;
-    if nb == 0 {
-        return Err("--nb must be positive".into());
+/// `value` of flag `--name`, refused when zero.
+fn positive(name: &str, value: usize) -> Result<usize, String> {
+    if value == 0 {
+        return Err(format!("--{name} must be positive"));
     }
-    let ib: usize = args.opt("ib", (nb / 4).max(1))?;
+    Ok(value)
+}
+
+fn opts_from(args: &Args, default_nb: usize, default_tree: Tree) -> Result<QrOptions, String> {
+    let nb = positive("nb", args.opt("nb", default_nb)?)?;
+    let ib = positive("ib", args.opt("ib", (nb / 4).max(1))?)?;
     let tree = match args.get("tree") {
         Some(s) => parse_tree(s)?,
         None => default_tree,
@@ -168,9 +173,9 @@ fn factor(args: &Args) -> Result<String, String> {
         "profile",
         "stats",
     ])?;
-    let m: usize = args.req("rows")?;
-    let n: usize = args.req("cols")?;
-    let threads: usize = args.opt("threads", 4)?;
+    let m = positive("rows", args.req("rows")?)?;
+    let n = positive("cols", args.req("cols")?)?;
+    let threads = positive("threads", args.opt("threads", 4)?)?;
     let want_stats: bool = args.opt("stats", false)?;
 
     // With a profile table, the plan defaults come from the tuned policy
@@ -189,11 +194,8 @@ fn factor(args: &Args) -> Result<String, String> {
         }
         None => (64, 16, Tree::BinaryOnFlat { h: 4 }, "vsa3d".to_string()),
     };
-    let nb: usize = args.opt("nb", default_nb)?;
-    if nb == 0 {
-        return Err("--nb must be positive".into());
-    }
-    let ib: usize = args.opt(
+    let nb = positive("nb", args.opt("nb", default_nb)?)?;
+    let ib = args.opt(
         "ib",
         if nb == default_nb {
             default_ib
@@ -201,6 +203,7 @@ fn factor(args: &Args) -> Result<String, String> {
             (nb / 4).max(1)
         },
     )?;
+    let ib = positive("ib", ib)?;
     let tree = match args.get("tree") {
         Some(s) => parse_tree(s)?,
         None => default_tree,
@@ -231,7 +234,7 @@ fn factor(args: &Args) -> Result<String, String> {
     let trace_out = args.get("trace-out").map(str::to_string);
     if trace_out.is_some() {
         if matches!(engine.as_str(), "seq" | "tsqr") {
-            return Err("--trace-out needs a runtime engine (vsa3d or compact)".into());
+            return Err("--trace-out needs the runtime engine (vsa3d)".into());
         }
         config = config.with_trace();
     }
@@ -241,9 +244,6 @@ fn factor(args: &Args) -> Result<String, String> {
     let on_runtime = |r: VsaQrResult| (r.factors, Some((r.stats, r.build)), r.trace);
     let (factors, stats, trace) = match engine.as_str() {
         "vsa3d" => on_runtime(pulsar_core::vsa3d::tile_qr_vsa(&a, &opts, &config)),
-        "compact" => on_runtime(pulsar_core::vsa_compact::tile_qr_compact(
-            &a, &opts, &config,
-        )),
         "seq" => (pulsar_core::tile_qr_seq(&a, &opts), None, None),
         "tsqr" => (pulsar_core::tile_qr_tsqr(&a, &opts, threads), None, None),
         other => return Err(format!("unknown engine `{other}`")),
@@ -632,30 +632,28 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("pulsar-trace-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.json");
-        // Every engine on the runtime traces.
-        for engine in ["vsa3d", "compact"] {
-            let out = run_line(&[
-                "factor",
-                "--rows",
-                "16",
-                "--cols",
-                "8",
-                "--nb",
-                "4",
-                "--threads",
-                "2",
-                "--engine",
-                engine,
-                "--trace-out",
-                path.to_str().unwrap(),
-            ])
-            .unwrap();
-            assert!(out.contains("trace:"), "{engine}: {out}");
-            let json = std::fs::read_to_string(&path).unwrap();
-            assert!(json.trim_start().starts_with('['), "{json}");
-            assert!(json.contains("\"ph\":\"X\""), "complete events: {json}");
-            assert!(json.contains("\"pid\":"), "{json}");
-        }
+        // The engine on the runtime traces.
+        let out = run_line(&[
+            "factor",
+            "--rows",
+            "16",
+            "--cols",
+            "8",
+            "--nb",
+            "4",
+            "--threads",
+            "2",
+            "--engine",
+            "vsa3d",
+            "--trace-out",
+            path.to_str().unwrap(),
+        ])
+        .unwrap();
+        assert!(out.contains("trace:"), "{out}");
+        let json = std::fs::read_to_string(&path).unwrap();
+        assert!(json.trim_start().starts_with('['), "{json}");
+        assert!(json.contains("\"ph\":\"X\""), "complete events: {json}");
+        assert!(json.contains("\"pid\":"), "{json}");
         std::fs::remove_dir_all(&dir).ok();
         // Engines without a tracing runtime refuse the flag.
         let err = run_line(&[
@@ -677,7 +675,7 @@ mod tests {
 
     #[test]
     fn factor_all_engines_agree_on_ok() {
-        let engines = ["vsa3d", "compact", "seq", "tsqr"];
+        let engines = ["vsa3d", "seq", "tsqr"];
         for (engine, tree) in engines
             .iter()
             .flat_map(|e| ["flat", "hier:2", "greedy", "domains:3,2"].map(|t| (e, t)))
@@ -700,26 +698,24 @@ mod tests {
             .unwrap_or_else(|e| panic!("{engine} {tree}: {e}"));
             assert!(out.contains("verification OK"), "{engine} {tree}: {out}");
         }
-        // Both runtime engines place their VDPs with `qr_mapping`.
-        for engine in ["vsa3d", "compact"] {
-            let out = run_line(&[
-                "factor",
-                "--rows",
-                "24",
-                "--cols",
-                "8",
-                "--nb",
-                "4",
-                "--engine",
-                engine,
-                "--nodes",
-                "2",
-                "--threads",
-                "2",
-            ])
-            .unwrap_or_else(|e| panic!("{engine} on 2 nodes: {e}"));
-            assert!(out.contains("verification OK"), "{engine}: {out}");
-        }
+        // The runtime engine places its VDPs with `qr_mapping`.
+        let out = run_line(&[
+            "factor",
+            "--rows",
+            "24",
+            "--cols",
+            "8",
+            "--nb",
+            "4",
+            "--engine",
+            "vsa3d",
+            "--nodes",
+            "2",
+            "--threads",
+            "2",
+        ])
+        .unwrap_or_else(|e| panic!("vsa3d on 2 nodes: {e}"));
+        assert!(out.contains("verification OK"), "{out}");
     }
 
     #[test]
@@ -882,6 +878,31 @@ mod tests {
                 .msg
                 .contains("multiple of nb")
         );
+        // A zero size is a typed error (exit 1), not a panic.
+        for flag in ["--rows", "--cols", "--ib", "--threads"] {
+            let mut line = [
+                "factor",
+                "--rows",
+                "8",
+                "--cols",
+                "4",
+                "--nb",
+                "4",
+                "--ib",
+                "2",
+                "--threads",
+                "2",
+            ];
+            let at = line.iter().position(|a| *a == flag).unwrap();
+            line[at + 1] = "0";
+            let err = run_line(&line).unwrap_err();
+            assert_eq!(err.code, 1, "{flag} 0: {}", err.msg);
+            assert!(
+                err.msg.contains(&format!("{flag} must be positive")),
+                "{}",
+                err.msg
+            );
+        }
         let unknown = run_line(&["nope"]).unwrap_err();
         assert!(unknown.msg.contains("unknown command"));
         assert_eq!(unknown.code, 2, "usage errors exit with code 2");

@@ -10,7 +10,7 @@
 
 use crate::factors::{Reflectors, TileQrFactors};
 use crate::ops::apply_op;
-use crate::vsa3d::{Hops, Stages};
+use crate::plan::PanelOp;
 use pulsar_linalg::kernels::ApplyTrans;
 use pulsar_linalg::{Matrix, Workspace};
 use pulsar_runtime::{ChannelSpec, Packet, RunConfig, Tuple, VdpContext, VdpSpec, Vsa};
@@ -22,6 +22,28 @@ fn vdp_tuple(k: usize) -> Tuple {
 
 fn exit_tuple(row: usize) -> Tuple {
     Tuple::new2(-1, row as i32)
+}
+
+/// Where a row's tile goes next: `(op index, input slot)`.
+type Touch = Option<(usize, usize)>;
+
+/// Every block row's chain through `ops`, built in one backward pass:
+/// `next[k][side]` is the hop after op `k` for its primary (side 0) and
+/// secondary (side 1) row, and `first[row]` the row's first op.
+fn hops(ops: &[PanelOp], mt: usize) -> (Vec<[Touch; 2]>, Vec<Touch>) {
+    // Walking backwards, `seen[row]` is the nearest later op touching
+    // `row`; what is left at the end is the first.
+    let mut seen: Vec<Touch> = vec![None; mt];
+    let mut next = vec![[None; 2]; ops.len()];
+    for (k, op) in ops.iter().enumerate().rev() {
+        let (prim, sec) = op.rows();
+        for (side, row) in [Some(prim), sec].into_iter().enumerate() {
+            if let Some(row) = row {
+                next[k][side] = seen[row].replace((k, side));
+            }
+        }
+    }
+    (next, seen)
 }
 
 /// One VDP of the apply array: applies a fixed recorded transformation to
@@ -85,9 +107,8 @@ pub fn apply_q_vsa(
         seq.reverse();
     }
 
-    // Each block row's chain of ops: the sequence, routed as one stage.
-    let ops = vec![seq.iter().map(|r| r.op).collect()];
-    let hops = Hops::new(Stages { ops, mt });
+    let ops: Vec<PanelOp> = seq.iter().map(|r| r.op).collect();
+    let (next, first) = hops(&ops, mt);
 
     let tile_bytes = 8 * nb * b.ncols().max(1);
     let mut vsa = Vsa::new();
@@ -106,8 +127,8 @@ pub fn apply_q_vsa(
         // Wire each touched row's outgoing hop.
         let (prim, sec) = refl.op.rows();
         for (slot, row) in std::iter::once(prim).chain(sec).enumerate() {
-            let (dst, dst_slot) = match hops.next[0][k][slot] {
-                Some((k2, s)) => (vdp_tuple(k2 as usize), s as usize),
+            let (dst, dst_slot) = match next[k][slot] {
+                Some((k2, s)) => (vdp_tuple(k2), s),
                 None => (exit_tuple(row), 0),
             };
             vsa.add_channel(ChannelSpec::new(
@@ -125,8 +146,8 @@ pub fn apply_q_vsa(
     let mut passthrough: Vec<Option<Matrix>> = vec![None; mt];
     for (i, pass) in passthrough.iter_mut().enumerate() {
         let tile = b.submatrix(i * nb, 0, nb, b.ncols());
-        match hops.first[0][i] {
-            Some((k0, slot)) => vsa.seed(vdp_tuple(k0 as usize), slot as usize, Packet::tile(tile)),
+        match first[i] {
+            Some((k0, slot)) => vsa.seed(vdp_tuple(k0), slot, Packet::tile(tile)),
             None => *pass = Some(tile),
         }
     }
@@ -162,6 +183,31 @@ mod tests {
         let opts = QrOptions::new(4, 2, tree);
         let f = tile_qr_vsa(&a, &opts, &RunConfig::smp(2)).factors;
         (a, f)
+    }
+
+    /// The tables against the definition they replace: for every op and
+    /// row, the next op touching that row, found by scanning.
+    #[test]
+    fn hops_agree_with_a_scan_of_the_op_list() {
+        use crate::plan::{Boundary, QrPlan};
+        for tree in [Tree::Greedy, Tree::Binary, Tree::BinaryOnFlat { h: 3 }] {
+            let plan = QrPlan::new(11, 4, tree, Boundary::Shifted);
+            let ops: Vec<PanelOp> = (0..plan.panels()).flat_map(|j| plan.panel_ops(j)).collect();
+            let (next, first) = hops(&ops, plan.mt);
+            let scan = |from: usize, row: usize| {
+                (from..ops.len())
+                    .find(|&k| ops[k].touches(row))
+                    .map(|k| (k, ops[k].role_slot(row)))
+            };
+            for (row, &f) in first.iter().enumerate() {
+                assert_eq!(f, scan(0, row));
+            }
+            for (k, op) in ops.iter().enumerate() {
+                let (prim, sec) = op.rows();
+                assert_eq!(next[k][0], scan(k + 1, prim));
+                assert_eq!(next[k][1], sec.and_then(|r| scan(k + 1, r)));
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The output of a tile tree-QR factorization: `R` plus the tree of
 //! Householder transformations, with `Q` application and least-squares
-//! solving. Shared by every executor (the sequential walker, TSQR, the
-//! unrolled 3D VSA and the compact array), so all of them are verified by
-//! the same machinery.
+//! solving. Shared by every executor (the sequential walker, TSQR and the
+//! 3D VSA), so all of them are verified by the same machinery.
 
 use crate::ops::apply_op;
 use crate::plan::PanelOp;

@@ -17,16 +17,15 @@
 //!   numerical oracle. Adds nothing to the op core but the loop.
 //! - [`tsqr`] — the same walker with each panel's domains dispatched onto
 //!   scoped threads (communication-optimal TSQR; no VSA at all).
-//! - [`vsa3d`] — the 3D VSA: adds one single-fire VDP per (panel, op,
-//!   column), transformations flowing along vertical channels with bypass,
-//!   tiles flowing horizontally between panel stages (the paper's Section
-//!   V-C / Figure 8), batching of many jobs into one launch, and the SPMD
-//!   partial collector for distributed ranks.
-//! - [`vsa_compact`] — the literal Figure 8 geometry, wired from the same
-//!   plan and named with the same `(j, q, l)` tuples: adds one multi-fire
-//!   VDP per domain flat chain (a persistent local tile) and the dashed
-//!   channel enabled mid-run; its merges are `vsa3d`'s VDPs. On the flat
-//!   tree it is the IPDPS'13 2D domino QR (Figure 9).
+//! - [`vsa3d`] — the 3D VSA of the paper's Section V-C / Figure 8, the one
+//!   QR array: one multi-fire VDP per (panel, domain, column) running the
+//!   domain's flat chain against a persistent local tile, one single-fire
+//!   VDP per binary merge, transformations flowing along vertical channels
+//!   with bypass, tiles flowing horizontally to the next panel through a
+//!   dashed channel enabled mid-run, under either boundary. On the flat
+//!   tree it is the IPDPS'13 2D domino QR (Figure 9). Adds batching of many
+//!   jobs into one launch and the SPMD partial collector for distributed
+//!   ranks.
 //! - [`applyq`] — `Q`/`Q^T` application as a VSA: one VDP per recorded
 //!   transformation, row tiles streaming through them.
 //! - [`factors`] — the factorization output: `R`, the transformation tree,
@@ -56,7 +55,6 @@ pub(crate) mod store;
 pub mod tsqr;
 pub mod update;
 pub mod vsa3d;
-pub mod vsa_compact;
 
 pub use factors::{Reflectors, TileQrFactors};
 pub use lsqr::{least_squares, LsSolution};

@@ -33,11 +33,10 @@ impl RowDist {
     }
 }
 
-/// The paper's mapping for both QR arrays: each op VDP is placed by its
-/// *owner row* (the eliminated row for TS, the top child for TT, the head
-/// for GEQRT — so a compact array's flat chain, named after its `Geqrt`,
-/// sits with its head) and spread over threads cyclically by
-/// `(row + column)`.
+/// The paper's mapping for the QR array: each op VDP is placed by its
+/// *owner row* (the top child for TT, the head for GEQRT — so a domain's
+/// flat chain, named after its `Geqrt`, sits with its head) and spread over
+/// threads cyclically by `(row + column)`.
 pub fn qr_mapping(plan: &QrPlan, dist: RowDist, nodes: usize, tpn: usize) -> MappingFn {
     // Precompute owner rows: owner[j][q].
     let owners: Vec<Vec<usize>> = (0..plan.panels())

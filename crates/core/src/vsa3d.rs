@@ -1,35 +1,50 @@
 //! The 3D Virtual Systolic Array for hierarchical QR (Section V-C, Fig. 8).
 //!
-//! The array's three dimensions map directly onto the three nested loops of
-//! the tile QR algorithm: panel `j`, elimination step `q` (which encodes the
-//! block rows the step touches), and block column `l`. VDP `(j, q, l)` with
-//! `l == j` performs the panel kernel of step `q` (`geqrt`/`tsqrt`/`ttqrt`);
-//! with `l > j` it performs the matching trailing update
-//! (`unmqr`/`tsmqr`/`ttmqr`).
+//! The array's three dimensions map onto the three nested loops of the tile
+//! QR algorithm: panel `j`, elimination step `q` of the panel's plan, and
+//! block column `l`. At `l == j` a VDP runs panel kernels
+//! (`geqrt`/`tsqrt`/`ttqrt`); at `l > j` the matching trailing updates
+//! (`unmqr`/`tsmqr`/`ttmqr`). Per panel and column there are two kinds:
+//!
+//! - one **multi-fire chain** VDP per domain, named after the domain's
+//!   `Geqrt` op, firing once per row of the domain (`geqrt`/`unmqr`, then a
+//!   `tsqrt`/`tsmqr` per further row) against a tile it holds in its local
+//!   store — `R` under construction, or the update's `C1`;
+//! - one single-fire [`QrVdp`] per binary merge (`Ttqrt`) of domain tops.
 //!
 //! Channel geometry:
-//! - **Vertical** channels carry the Householder transformation of step
-//!   `(j, q)` across columns `l = j+1, j+2, ...`; every update VDP forwards
-//!   the packet *before* applying it (the paper's bypass, overlapping the
-//!   broadcast with compute).
-//! - **Horizontal** channels carry tiles: within a stage, along each block
-//!   row's chain of ops; between stages, from the last stage-`j` op touching
-//!   a row to the first stage-`j+1` op touching it (this is where the
-//!   shifted-boundary pipelining materializes: the next panel's flat
-//!   reduction starts as soon as its tiles arrive, while the binary
-//!   reduction of the current panel is still running).
+//! - **Vertical** channels carry the transformation of step `(j, q)` across
+//!   columns `l = j+1, j+2, ...`; every update VDP forwards the packet
+//!   *before* applying it (the paper's bypass, overlapping the broadcast
+//!   with compute).
+//! - **Horizontal** channels carry tiles: a domain's held tile through the
+//!   merges it survives to the `R` exit; each eliminated row's updated tile
+//!   down the *row stream* to the next panel's chain; and a merged-away
+//!   domain top down the paper's **dashed** channel to the next panel's
+//!   chain. The dashed row is the chain's last row under shifted
+//!   boundaries and its head under fixed ones, so the chain reads it on its
+//!   last or its first firing. Whichever of the two tile inputs is not
+//!   read first is created **disabled**, and the chain switches them
+//!   mid-run; that is how the next panel's flat reduction overlaps this
+//!   panel's binary reduction (Figure 7).
 //! - **Exit** channels deliver finished `R` tiles and the recorded
 //!   transformations out of the array.
+//!
+//! Under [`Tree::Flat`](crate::plan::Tree::Flat) there are no merges: one
+//! chain per (panel, column), the IPDPS'13 domino QR of the paper's
+//! Figure 9. The factors are bit-identical to [`crate::tile_qr_seq`]'s: same
+//! schedule, same op core.
 
 use crate::factors::{Reflectors, TileQrFactors};
 use crate::ops::{apply_op, collect_factors, factor_op, r_blocks};
-use crate::plan::{PanelOp, QrPlan};
+use crate::plan::{Boundary, PanelOp, QrPlan};
+use crate::store::stream_operands;
 use crate::QrOptions;
 use pulsar_linalg::kernels::ApplyTrans;
 use pulsar_linalg::{Matrix, TileMatrix, Workspace};
 use pulsar_runtime::{
     ChannelSpec, Packet, RunConfig, RunError, RunOutput, RunStats, Trace, Tuple, VdpContext,
-    VdpSpec, Vsa, VsaPool,
+    VdpLogic, VdpSpec, Vsa, VsaPool,
 };
 use std::time::{Duration, Instant};
 
@@ -46,13 +61,13 @@ pub struct VsaQrResult {
     pub build: Duration,
 }
 
-/// Tuple namespace for one job's sub-array — the names of every QR array's
-/// VDPs and exits. `None` keeps the legacy 3-tuple ids (bit-compatible
+/// Tuple namespace for one job's sub-array — the names of its VDPs and
+/// exits. `None` keeps the legacy 3-tuple ids (bit-compatible
 /// with single-job arrays); `Some(b)` prefixes every tuple — VDPs and
 /// exits alike — with batch job id `b`, so many independent QR arrays
 /// coexist disjointly in one VSA launch.
 #[derive(Copy, Clone, Default)]
-pub(crate) struct Ns {
+struct Ns {
     job: Option<i32>,
 }
 
@@ -65,12 +80,12 @@ impl Ns {
     }
 
     /// The VDP of op `q` of panel `j` at block column `l`.
-    pub(crate) fn vdp(self, j: usize, q: usize, l: usize) -> Tuple {
+    fn vdp(self, j: usize, q: usize, l: usize) -> Tuple {
         self.tuple(j as i32, q as i32, l as i32)
     }
 
     /// The exit receiving the finished `R` block `(i, l)`.
-    pub(crate) fn exit_r(self, i: usize, l: usize) -> Tuple {
+    fn exit_r(self, i: usize, l: usize) -> Tuple {
         self.tuple(-1, i as i32, l as i32)
     }
 
@@ -82,7 +97,7 @@ impl Ns {
     /// destination, input)`: down the chain to the same op one column
     /// right (a factor VDP sends on output 1, an update VDP on 2), and from
     /// the factor VDP to op `q`'s record exit.
-    pub(crate) fn transform_hops(
+    fn transform_hops(
         self,
         j: usize,
         q: usize,
@@ -96,14 +111,9 @@ impl Ns {
     }
 
     /// Drain this job's exits from a finished run into its factorization:
-    /// each op's record exit in plan order (an op whose records travel on
-    /// another op's exit has an empty one).
-    pub(crate) fn collect(
-        self,
-        out: &mut RunOutput,
-        a: &Matrix,
-        opts: &QrOptions,
-    ) -> TileQrFactors {
+    /// each op's record exit in plan order. A chain records all its firings
+    /// on its `Geqrt`'s exit, in firing order, so its `Tsqrt`s' are empty.
+    fn collect(self, out: &mut RunOutput, a: &Matrix, opts: &QrOptions) -> TileQrFactors {
         collect_factors(
             out,
             a,
@@ -114,130 +124,72 @@ impl Ns {
     }
 }
 
-/// Where a row's tile goes next: `(op index, input slot)` within a stage.
-type Touch = Option<(u32, u8)>;
-
-/// Op lists over `mt` block rows, each routed on its own by [`Hops`]: a
-/// plan's panels, or one flattened sequence of recorded transformations.
-pub(crate) struct Stages {
-    pub(crate) ops: Vec<Vec<PanelOp>>,
-    pub(crate) mt: usize,
-}
-
-impl From<&QrPlan> for Stages {
-    fn from(plan: &QrPlan) -> Self {
-        let ops = (0..plan.panels()).map(|j| plan.panel_ops(j)).collect();
-        Stages { ops, mt: plan.mt }
-    }
-}
-
-/// The tile routing of every stage, built in one backward pass each: for
-/// every op, the next op of its stage touching each of its two rows, and
-/// for every row, the first op of the stage touching it.
-pub(crate) struct Hops {
-    ops: Vec<Vec<PanelOp>>,
-    /// `next[j][q][side]`: the hop after op `q` for its primary (side 0)
-    /// and secondary (side 1) row.
-    pub(crate) next: Vec<Vec<[Touch; 2]>>,
-    /// `first[j][row]`.
-    pub(crate) first: Vec<Vec<Touch>>,
-}
-
-impl Hops {
-    pub(crate) fn new(stages: impl Into<Stages>) -> Self {
-        let Stages { ops, mt } = stages.into();
-        let mut next = Vec::with_capacity(ops.len());
-        let mut first = Vec::with_capacity(ops.len());
-        for stage in &ops {
-            // Walking backwards, `seen[row]` is the nearest later op
-            // touching `row`; what is left at the end is the first.
-            let mut seen: Vec<Touch> = vec![None; mt];
-            let mut stage_next = vec![[None; 2]; stage.len()];
-            for (q, op) in stage.iter().enumerate().rev() {
-                let (prim, sec) = op.rows();
-                for (side, row) in [Some(prim), sec].into_iter().enumerate() {
-                    if let Some(row) = row {
-                        stage_next[q][side] = seen[row].replace((q as u32, side as u8));
-                    }
-                }
-            }
-            next.push(stage_next);
-            first.push(seen);
-        }
-        Hops { ops, next, first }
-    }
-
-    /// Where row `row`'s tile at column `l` goes once `hop` (the rest of
-    /// stage `j`) is exhausted, as `(destination, input slot)`: the next op
-    /// touching the row, the `R` exit once the row is finished, or `None`
-    /// when the tile's content is spent (its reflectors travel separately).
-    fn resolve(
-        &self,
-        mut hop: Touch,
-        mut j: usize,
-        row: usize,
-        l: usize,
-        ns: Ns,
-    ) -> Option<(Tuple, usize)> {
-        loop {
-            if let Some((q, slot)) = hop {
-                return Some((ns.vdp(j, q as usize, l), slot as usize));
-            }
-            if row == j {
-                return Some((ns.exit_r(row, l), 0));
-            }
-            j += 1;
-            if j == self.ops.len() {
-                return None;
-            }
-            debug_assert!(l >= j, "panel-column tiles of eliminated rows are spent");
-            hop = self.first[j][row];
-        }
-    }
-}
-
-/// Enumerate every channel of the array, in creation order. The builder
-/// adds them to the VSA; [`array_shape`] counts them.
+/// One domain's flat reduction at one column (factor when `l == j`): the
+/// paper's multi-fire VDP, with its persistent local store.
 ///
-/// Factor VDPs (`l == j`): in 0/1 = primary/secondary tile; out 0 = R
-/// onward, 1 = transform chain, 2 = transform exit. Update VDPs: in 0/1 =
-/// C1/C2, in 2 = transform; out 0/1 = tiles onward, out 2 = transform
-/// chain.
-fn for_each_channel(
-    hops: &Hops,
-    nt: usize,
-    nb: usize,
+/// Slots as [`QrVdp`]'s: in 0 = the row stream, 1 = the dashed row, 2 =
+/// transformation (updates); out 0 = the held tile once final (last
+/// firing), 1 = transformation chain (factor) / each eliminated row's
+/// updated tile, down the row stream (update), 2 = transformation record
+/// (factor) / chain (update).
+struct FlatDomainVdp {
+    head: usize,
+    /// The firing that reads the dashed row, if the domain has one.
+    dashed: Option<u32>,
+    factor: bool,
     ib: usize,
-    ns: Ns,
-    mut emit: impl FnMut(ChannelSpec),
-) {
-    let tile_bytes = 8 * nb * nb;
-    let trans_bytes = 8 * nb * nb + 8 * ib * nb;
-    let mut chan = |bytes, src: &Tuple, out, (dst, slot)| {
-        emit(ChannelSpec::new(bytes, src.clone(), out, dst, slot))
-    };
-    for (j, ops) in hops.ops.iter().enumerate() {
-        for (q, &op) in ops.iter().enumerate() {
-            for l in j..nt {
-                let src = ns.vdp(j, q, l);
-                // Tile channels out of this VDP (the factor's secondary
-                // tile becomes the transformation, not a tile).
-                let (prim, sec) = op.rows();
-                let rows = [Some(prim), sec.filter(|_| l > j)];
-                for (slot, row) in rows.into_iter().enumerate() {
-                    let hop =
-                        row.and_then(|row| hops.resolve(hops.next[j][q][slot], j, row, l, ns));
-                    if let Some(hop) = hop {
-                        chan(tile_bytes, &src, slot, hop);
-                    }
-                }
-                // Transformation channels: down the vertical chain, and
-                // from the factor to the exit store.
-                for (out, dst, slot) in ns.transform_hops(j, q, l, nt) {
-                    chan(trans_bytes, &src, out, (dst, slot));
-                }
+    held: Option<Matrix>, // R (factor) or C1 (update)
+}
+
+impl VdpLogic for FlatDomainVdp {
+    fn fire(&mut self, ctx: &mut VdpContext<'_>) {
+        let ib = self.ib;
+        let k = ctx.firing();
+        let slot = usize::from(self.dashed == Some(k));
+        let op = PanelOp::flat_step(self.head, k as usize);
+        let (c1, mut tile) = stream_operands(&mut self.held, ctx.pop(slot).into_tile(), k == 0);
+
+        let scratch = ctx.scratch();
+        if self.factor {
+            let refl = ctx.kernel(op.factor_kernel(), || {
+                scratch.with(|ws: &mut Workspace| factor_op(op, c1, tile, ib, ws))
+            });
+            emit_transform(ctx, refl);
+        } else {
+            let trans = pop_transform(ctx);
+            let refl = trans.get::<Reflectors>().expect("transformation packet");
+            ctx.kernel(op.update_kernel(), || {
+                scratch.with(|ws: &mut Workspace| {
+                    apply_op(refl, ApplyTrans::Trans, c1, tile.as_mut(), ib, ws)
+                })
+            });
+            ctx.set_label(|c| format!("{}{:?}", op.update_kernel(), c.tuple()));
+            if let Some(tile) = tile {
+                ctx.push(1, Packet::tile(tile)); // stream the row down
             }
         }
+
+        if ctx.remaining() == 0 {
+            // The held tile is final: R(j, l) or a domain top.
+            ctx.push(0, Packet::tile(self.held.take().expect("local tile")));
+            return;
+        }
+        // The Section V-C channel switch: readiness waits only on the input
+        // the next firing reads.
+        let next = usize::from(self.dashed == Some(k + 1));
+        if next != slot {
+            ctx.disable_input(slot);
+            ctx.enable_input(next);
+        }
+    }
+
+    fn snapshot(&self, out: &mut Vec<u8>) {
+        crate::store::snapshot_tile(&self.held, out);
+    }
+
+    fn restore(&mut self, bytes: &[u8]) -> Result<(), pulsar_runtime::WireError> {
+        self.held = crate::store::restore_tile(bytes)?;
+        Ok(())
     }
 }
 
@@ -253,24 +205,108 @@ fn build_qr_array_into(vsa: &mut Vsa, a: &Matrix, opts: &QrOptions, ns: Ns) {
         "tree QR requires exact row tiling (m % nb == 0)"
     );
     let mut tiles = TileMatrix::from_matrix(a, opts.nb);
-    let (mt, nt, ib) = (tiles.mt(), tiles.nt(), opts.ib);
-    let hops = Hops::new(&opts.plan(mt, nt));
+    let (mt, nt, nb, ib) = (tiles.mt(), tiles.nt(), opts.nb, opts.ib);
+    let plan = opts.plan(mt, nt);
+    let stages: Vec<Vec<PanelOp>> = (0..plan.panels()).map(|j| plan.panel_ops(j)).collect();
+    let heads: Vec<Vec<usize>> = (0..plan.panels()).map(|j| plan.domain_heads(j)).collect();
+    // Panel `j`'s domain holding row `i`, as `(head, end)`. Its chain is op
+    // `head - j`, the domain's `Geqrt`: the plan lists every domain's flat
+    // steps first, in row order.
+    let domain = |j: usize, i: usize| {
+        let d = heads[j].partition_point(|&h| h <= i) - 1;
+        (heads[j][d], heads[j].get(d + 1).copied().unwrap_or(mt))
+    };
 
-    for (j, ops) in hops.ops.iter().enumerate() {
+    for (j, ops) in stages.iter().enumerate() {
         for (q, &op) in ops.iter().enumerate() {
             for l in j..nt {
-                vsa.add_vdp(QrVdp::spec(ns.vdp(j, q, l), op, ib, l == j));
+                let (factor, tuple) = (l == j, ns.vdp(j, q, l));
+                vsa.add_vdp(match op {
+                    PanelOp::Geqrt { row: head } => {
+                        let end = domain(j, head).1;
+                        // A domain top merged away in panel `j - 1` arrives
+                        // on the dashed channel.
+                        let row = match plan.boundary {
+                            Boundary::Shifted => end - 1,
+                            Boundary::Fixed => head,
+                        };
+                        let dashed = (j > 0 && heads[j - 1].binary_search(&row).is_ok())
+                            .then_some((row - head) as u32);
+                        let logic = FlatDomainVdp {
+                            head,
+                            dashed,
+                            factor,
+                            ib,
+                            held: None,
+                        };
+                        VdpSpec::new(tuple, (end - head) as u32, 3, 3, logic)
+                    }
+                    PanelOp::Ttqrt { .. } => QrVdp::spec(tuple, op, ib, factor),
+                    PanelOp::Tsqrt { .. } => continue, // a firing of its domain's chain
+                });
             }
         }
     }
-    for_each_channel(&hops, nt, opts.nb, ib, ns, |c| vsa.add_channel(c));
 
-    // Seed every tile into the first stage-0 op that touches its row.
+    let tile_bytes = 8 * nb * nb;
+    let trans_bytes = tile_bytes + 8 * ib * nb;
+    let tile =
+        |src: Tuple, out, dst: Tuple, slot| ChannelSpec::new(tile_bytes, src, out, dst, slot);
+    // A tile channel from out 1 of `src` into slot `slot` of the panel-`j`
+    // chain holding `row`, the first row the channel carries: disabled at
+    // creation unless the chain's first firing reads it.
+    let to_chain = |src: Tuple, j: usize, row: usize, l: usize, slot| {
+        let head = domain(j, row).0;
+        let spec = tile(src, 1, ns.vdp(j, head - j, l), slot);
+        if head < row {
+            spec.disabled()
+        } else {
+            spec
+        }
+    };
+    // Walking the ops in plan order, `holder[row]` names the op whose VDP
+    // holds domain top `row`'s tile on its out 0: first the domain's
+    // chain, then each merge the top survives.
+    let mut holder = vec![0usize; mt];
+    for (j, ops) in stages.iter().enumerate() {
+        for (q, &op) in ops.iter().enumerate() {
+            if let PanelOp::Tsqrt { .. } = op {
+                continue;
+            }
+            let (top, bot) = op.rows();
+            for l in j..nt {
+                let src = ns.vdp(j, q, l);
+                match bot {
+                    Some(bot) => {
+                        let held = |row: usize| ns.vdp(j, holder[row], l);
+                        vsa.add_channel(tile(held(top), 0, src.clone(), 0));
+                        vsa.add_channel(tile(held(bot), 0, src.clone(), 1));
+                        if l > j {
+                            vsa.add_channel(to_chain(src.clone(), j + 1, bot, l, 1));
+                        }
+                    }
+                    None if l > j && domain(j, top).1 > top + 1 => {
+                        vsa.add_channel(to_chain(src.clone(), j + 1, top + 1, l, 0));
+                    }
+                    None => {}
+                }
+                for (out, dst, slot) in ns.transform_hops(j, q, l, nt) {
+                    vsa.add_channel(ChannelSpec::new(trans_bytes, src.clone(), out, dst, slot));
+                }
+            }
+            holder[top] = q;
+        }
+        // The survivor of the panel is the finished R(j, l).
+        for l in j..nt {
+            vsa.add_channel(tile(ns.vdp(j, holder[j], l), 0, ns.exit_r(j, l), 0));
+        }
+    }
+
+    // Panel 0's row streams carry whole domains, in row order.
     for i in 0..mt {
-        let (q0, slot) = hops.first[0][i].expect("every row is touched in stage 0");
+        let head = domain(0, i).0;
         for l in 0..nt {
-            let tile = Packet::tile(tiles.take_tile(i, l));
-            vsa.seed(ns.vdp(0, q0 as usize, l), slot as usize, tile);
+            vsa.seed(ns.vdp(0, head, l), 0, Packet::tile(tiles.take_tile(i, l)));
         }
     }
 }
@@ -398,11 +434,10 @@ pub fn tile_qr_vsa_partial(
     })
 }
 
-/// The logic of one single-fire op VDP (factor when `l == j`, update when
-/// `l > j` — recorded at build time so the role is independent of the
-/// tuple arity a batch namespace gives the VDP). Every op of the 3D array,
-/// and every merge of the compact one.
-pub(crate) struct QrVdp {
+/// The logic of one single-fire merge VDP (factor when `l == j`, update
+/// when `l > j` — recorded at build time so the role is independent of the
+/// tuple arity a batch namespace gives the VDP).
+struct QrVdp {
     op: PanelOp,
     ib: usize,
     factor: bool,
@@ -410,7 +445,7 @@ pub(crate) struct QrVdp {
 
 impl QrVdp {
     /// The VDP running `op` as `tuple`, a factor or an update.
-    pub(crate) fn spec(tuple: Tuple, op: PanelOp, ib: usize, factor: bool) -> VdpSpec {
+    fn spec(tuple: Tuple, op: PanelOp, ib: usize, factor: bool) -> VdpSpec {
         let n_in = if factor { 2 } else { 3 };
         VdpSpec::new(tuple, 1, n_in, 3, QrVdp { op, ib, factor })
     }
@@ -418,8 +453,8 @@ impl QrVdp {
 
 /// Pop an update VDP's transformation (input 2) and forward it down the
 /// chain on output 2 *before* it is used — the paper's bypass, overlapping
-/// the broadcast with compute. Shared with the compact array.
-pub(crate) fn pop_transform(ctx: &mut VdpContext<'_>) -> Packet {
+/// the broadcast with compute.
+fn pop_transform(ctx: &mut VdpContext<'_>) -> Packet {
     let trans = ctx.pop(2);
     if ctx.output_connected(2) {
         ctx.push(2, trans.clone());
@@ -429,8 +464,8 @@ pub(crate) fn pop_transform(ctx: &mut VdpContext<'_>) -> Packet {
 
 /// Label the firing, then send a factor VDP's transformation on its way:
 /// down the chain on output 1 first (bypass), then to the record on
-/// output 2. Shared with the compact array, which wires the same slots.
-pub(crate) fn emit_transform(ctx: &mut VdpContext<'_>, refl: Reflectors) {
+/// output 2.
+fn emit_transform(ctx: &mut VdpContext<'_>, refl: Reflectors) {
     ctx.set_label(|c| format!("{}{:?}", refl.op.factor_kernel(), c.tuple()));
     let pkt = Packet::wire(refl);
     if ctx.output_connected(1) {
@@ -439,7 +474,7 @@ pub(crate) fn emit_transform(ctx: &mut VdpContext<'_>, refl: Reflectors) {
     ctx.push(2, pkt);
 }
 
-impl pulsar_runtime::VdpLogic for QrVdp {
+impl VdpLogic for QrVdp {
     fn fire(&mut self, ctx: &mut VdpContext<'_>) {
         let (op, ib) = (self.op, self.ib);
         let scratch = ctx.scratch();
@@ -498,19 +533,28 @@ pub struct ArrayShape {
 
 /// Compute the array shape without running it.
 pub fn array_shape(plan: &QrPlan) -> ArrayShape {
-    let hops = Hops::new(plan);
-    let per_stage: Vec<usize> = hops
-        .ops
-        .iter()
-        .enumerate()
-        .map(|(j, ops)| ops.len() * (plan.nt - j))
+    // Tile sizes do not change which VDPs and channels exist.
+    let (tree, boundary) = (plan.tree.clone(), plan.boundary);
+    let opts = QrOptions {
+        nb: 1,
+        ib: 1,
+        tree,
+        boundary,
+    };
+    let mut vsa = Vsa::new();
+    build_qr_array_into(
+        &mut vsa,
+        &Matrix::zeros(plan.mt, plan.nt),
+        &opts,
+        Ns::default(),
+    );
+    // A chain per domain and a merge per domain but the first, per column.
+    let per_stage = (0..plan.panels())
+        .map(|j| (2 * plan.domain_heads(j).len() - 1) * (plan.nt - j))
         .collect();
-    // Tile and transform sizes do not change which channels exist.
-    let mut channels = 0usize;
-    for_each_channel(&hops, plan.nt, 1, 1, Ns::default(), |_| channels += 1);
     ArrayShape {
-        vdps: per_stage.iter().sum(),
-        channels,
+        vdps: vsa.vdp_count(),
+        channels: vsa.channel_count(),
         per_stage,
     }
 }
@@ -520,21 +564,22 @@ mod tests {
     use super::*;
     use crate::plan::{Boundary, Tree};
     use crate::seqqr::tile_qr_seq;
-    use pulsar_linalg::verify::r_factor_distance;
 
+    /// Factor an `m x n` matrix under both boundaries and require the
+    /// sequential oracle's `R` bit for bit.
     fn run_case(m: usize, n: usize, opts: &QrOptions, threads: usize) {
         let mut rng = rand::rng();
         let a = Matrix::random(m, n, &mut rng);
-        let res = tile_qr_vsa(&a, opts, &RunConfig::smp(threads));
-        let resid = res.factors.residual(&a);
-        assert!(resid < 1e-13, "residual {resid} ({m}x{n} {:?})", opts.tree);
-        // Same R as the sequential oracle (identical schedule => identical
-        // arithmetic, so this is exact equality territory; allow roundoff
-        // slack for nondeterministic summation order differences — there
-        // are none, but stay robust).
-        let seq = tile_qr_seq(&a, opts);
-        let d = r_factor_distance(&res.factors.r, &seq.r);
-        assert!(d < 1e-12, "VSA and sequential R differ by {d}");
+        for opts in [opts.clone(), opts.clone().with_fixed_boundary()] {
+            let res = tile_qr_vsa(&a, &opts, &RunConfig::smp(threads));
+            let what = format!("{m}x{n} {} {:?}", opts.tree, opts.boundary);
+            let resid = res.factors.residual(&a);
+            assert!(resid < 1e-13, "residual {resid} ({what})");
+            let seq = tile_qr_seq(&a, &opts);
+            let same = (res.factors.r.data().iter().zip(seq.r.data()))
+                .all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same, "VSA and sequential R differ ({what})");
+        }
     }
 
     #[test]
@@ -553,14 +598,19 @@ mod tests {
     }
 
     #[test]
-    fn vsa_fixed_boundary() {
-        let opts = QrOptions {
-            nb: 4,
-            ib: 2,
-            tree: Tree::BinaryOnFlat { h: 3 },
-            boundary: Boundary::Fixed,
-        };
-        run_case(24, 8, &opts, 4);
+    fn vsa_many_domains() {
+        run_case(40, 8, &QrOptions::new(4, 2, Tree::BinaryOnFlat { h: 2 }), 4);
+    }
+
+    #[test]
+    fn vsa_partial_last_domain() {
+        // 7 block rows with h=3: domains of 3, 3, 1.
+        run_case(28, 8, &QrOptions::new(4, 2, Tree::BinaryOnFlat { h: 3 }), 3);
+    }
+
+    #[test]
+    fn vsa_h_one_pure_binary() {
+        run_case(16, 8, &QrOptions::new(4, 2, Tree::BinaryOnFlat { h: 1 }), 4);
     }
 
     #[test]
@@ -599,12 +649,45 @@ mod tests {
     }
 
     #[test]
+    fn vsa_runs_every_tree_tall_and_wide() {
+        for tree in [
+            Tree::Binary,
+            Tree::Greedy,
+            Tree::custom([3, 2]),
+            Tree::custom([1, 4]),
+        ] {
+            let opts = QrOptions::new(4, 2, tree);
+            run_case(36, 12, &opts, 3);
+            run_case(8, 14, &opts, 2); // wide: mt < nt
+        }
+    }
+
+    #[test]
+    fn flat_tree_is_the_domino_array() {
+        run_case(20, 8, &QrOptions::new(4, 2, Tree::Flat), 3);
+        run_case(16, 6, &QrOptions::new(4, 2, Tree::Flat), 2); // ragged columns
+        run_case(4, 4, &QrOptions::new(4, 2, Tree::Flat), 1); // one tile
+                                                              // Figure 9's multi-fire count, mt = 5, nt = 2: factor (0, 0) fires
+                                                              // 5x, update (0, 1) 5x, factor (1, 1) 4x — one VDP each.
+        let mut rng = rand::rng();
+        let a = Matrix::random(20, 8, &mut rng);
+        let opts = QrOptions::new(4, 2, Tree::Flat);
+        let res = tile_qr_vsa(&a, &opts, &RunConfig::smp(2));
+        assert_eq!(res.stats.fired, 5 + 5 + 4);
+        assert_eq!(array_shape(&opts.plan(5, 2)).vdps, 3);
+    }
+
+    #[test]
     fn batch_matches_sequential_per_job() {
         let mut rng = rand::rng();
         let specs = [
             (16usize, 8usize, QrOptions::new(4, 2, Tree::Binary)),
             (24, 4, QrOptions::new(4, 2, Tree::BinaryOnFlat { h: 3 })),
-            (12, 12, QrOptions::new(4, 2, Tree::Flat)),
+            (
+                12,
+                12,
+                QrOptions::new(4, 2, Tree::Flat).with_fixed_boundary(),
+            ),
         ];
         let mats: Vec<Matrix> = specs
             .iter()
@@ -621,8 +704,7 @@ mod tests {
         for ((a, opts), f) in jobs.iter().zip(&out.factors) {
             let seq = tile_qr_seq(a, opts);
             // Same dataflow, same kernels, same operands: bit-identical.
-            let d = r_factor_distance(&f.r, &seq.r);
-            assert_eq!(d, 0.0, "batched job's R differs from sequential by {d}");
+            assert_eq!(f.r, seq.r, "batched job's R differs from sequential");
             let resid = f.residual(a);
             assert!(resid < 1e-13, "batch residual {resid}");
         }
@@ -639,8 +721,7 @@ mod tests {
             let out =
                 tile_qr_vsa_batch_pooled(&jobs, &RunConfig::smp(3), &pool).expect("pooled batch");
             for (a, f) in mats.iter().zip(&out.factors) {
-                let seq = tile_qr_seq(a, &opts);
-                assert_eq!(r_factor_distance(&f.r, &seq.r), 0.0);
+                assert_eq!(f.r, tile_qr_seq(a, &opts).r);
             }
         }
     }
@@ -659,46 +740,28 @@ mod tests {
 
     #[test]
     fn array_shape_matches_built_vsa() {
-        // The paper's Figure 8 example: 6x3 tiles, h = 3.
+        // The paper's Figure 8 example: 6x3 tiles, h = 3. Per stage: two
+        // chains and one merge at each of its columns.
         let plan = QrPlan::new(6, 3, Tree::BinaryOnFlat { h: 3 }, Boundary::Shifted);
         let shape = array_shape(&plan);
-        assert_eq!(shape.per_stage.len(), 3);
-        assert_eq!(shape.per_stage[0], 7 * 3); // 7 ops x 3 columns
-        assert!(shape.vdps > 0 && shape.channels > 0);
+        assert_eq!(shape.per_stage, [3 * 3, 3 * 2, 3]);
+        assert_eq!(shape.vdps, shape.per_stage.iter().sum::<usize>());
+        let mut vsa = Vsa::new();
+        let opts = QrOptions::new(2, 1, plan.tree.clone());
+        build_qr_array_into(&mut vsa, &Matrix::zeros(12, 6), &opts, Ns::default());
+        assert_eq!((vsa.vdp_count(), vsa.channel_count()), (18, shape.channels));
     }
 
-    /// The benchmark's `tall_fine` plan (8192x128, nb 16, h = 4): the
-    /// next-hop tables enumerate exactly the channels the per-channel
-    /// rescan of the op list used to.
+    /// The benchmark's `tall_fine` plan (8192x128, nb 16, h = 4): one chain
+    /// per domain and column instead of one VDP per op and column.
     #[test]
     fn tall_fine_array_shape_is_pinned() {
-        let plan = QrPlan::new(512, 8, Tree::BinaryOnFlat { h: 4 }, Boundary::Shifted);
+        let opts = QrOptions::new(16, 4, Tree::BinaryOnFlat { h: 4 });
+        let plan = opts.plan(512, 8);
         let shape = array_shape(&plan);
-        assert_eq!((shape.vdps, shape.channels), (22_910, 60_072));
-    }
-
-    /// The tables against the definition they replace: for every op and
-    /// row, the next op of the stage touching that row, found by scanning.
-    #[test]
-    fn hops_agree_with_a_scan_of_the_op_list() {
-        for tree in [Tree::Greedy, Tree::Binary, Tree::BinaryOnFlat { h: 3 }] {
-            let plan = QrPlan::new(11, 4, tree, Boundary::Shifted);
-            let hops = Hops::new(&plan);
-            for (j, ops) in hops.ops.iter().enumerate() {
-                let scan = |from: usize, row: usize| {
-                    (from..ops.len())
-                        .find(|&q| ops[q].touches(row))
-                        .map(|q| (q as u32, ops[q].role_slot(row) as u8))
-                };
-                for row in 0..plan.mt {
-                    assert_eq!(hops.first[j][row], scan(0, row));
-                }
-                for (q, op) in ops.iter().enumerate() {
-                    let (prim, sec) = op.rows();
-                    assert_eq!(hops.next[j][q][0], scan(q + 1, prim));
-                    assert_eq!(hops.next[j][q][1], sec.and_then(|r| scan(q + 1, r)));
-                }
-            }
-        }
+        assert_eq!((shape.vdps, shape.channels), (9_160, 25_444));
+        let mut vsa = Vsa::new();
+        build_qr_array_into(&mut vsa, &Matrix::zeros(8192, 128), &opts, Ns::default());
+        assert_eq!((vsa.vdp_count(), vsa.channel_count()), (9_160, 25_444));
     }
 }

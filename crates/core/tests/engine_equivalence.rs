@@ -1,13 +1,12 @@
-//! Engine-equivalence suite: the sequential oracle, TSQR, the unrolled 3D
-//! VSA and the compact Figure-8 array (on the flat tree, the 2D domino
-//! array) run the same schedule through the same op core, so they must
-//! produce the *same* factorization — bit for bit, in `R` and in every
-//! recorded `op`/`V`/`T`, not merely within a tolerance.
+//! Engine-equivalence suite: the sequential oracle, TSQR and the 3D VSA
+//! (on the flat tree, the 2D domino array) run the same schedule through
+//! the same op core, so they must produce the *same* factorization — bit
+//! for bit, in `R` and in every recorded `op`/`V`/`T`, not merely within a
+//! tolerance — under fixed and shifted boundaries alike.
 
 use pulsar_core::applyq::apply_q_vsa;
 use pulsar_core::plan::Tree;
 use pulsar_core::vsa3d::tile_qr_vsa;
-use pulsar_core::vsa_compact::tile_qr_compact;
 use pulsar_core::{tile_qr_seq, tile_qr_tsqr, QrOptions, TileQrFactors};
 use pulsar_linalg::kernels::ApplyTrans;
 use pulsar_linalg::verify::r_factor_distance;
@@ -50,23 +49,27 @@ fn assert_identical(want: &TileQrFactors, got: &TileQrFactors, what: &str) {
     );
 }
 
-/// Factor `a` with every engine and require each to be identical to the
-/// sequential oracle: TSQR on 1 and 3 threads, the 3D VSA and the compact
-/// array.
+/// Factor `a` with every engine, under shifted and fixed boundaries, and
+/// require each to be identical to the sequential oracle: TSQR on 1 and 3
+/// threads and the 3D VSA.
 fn all_engines_identical(a: &Matrix, opts: &QrOptions, threads: usize) {
     let cfg = RunConfig::smp(threads);
-    let what = |engine: &str| format!("{engine} vs seq, {}x{} {}", a.nrows(), a.ncols(), opts.tree);
-    let seq = tile_qr_seq(a, opts);
-    assert!(seq.residual(a) < 1e-13, "{}: residual", what("seq"));
-    assert_identical(&seq, &tile_qr_tsqr(a, opts, 1), &what("tsqr(1)"));
-    assert_identical(&seq, &tile_qr_tsqr(a, opts, 3), &what("tsqr(3)"));
-    assert_identical(&seq, &tile_qr_vsa(a, opts, &cfg).factors, &what("vsa3d"));
-    let compact = tile_qr_compact(a, opts, &cfg).factors;
-    assert_identical(&seq, &compact, &what("compact"));
+    for opts in [opts.clone(), opts.clone().with_fixed_boundary()] {
+        let what = |engine: &str| {
+            let (m, n) = (a.nrows(), a.ncols());
+            format!("{engine} vs seq, {m}x{n} {} {:?}", opts.tree, opts.boundary)
+        };
+        let seq = tile_qr_seq(a, &opts);
+        assert!(seq.residual(a) < 1e-13, "{}: residual", what("seq"));
+        assert_identical(&seq, &tile_qr_tsqr(a, &opts, 1), &what("tsqr(1)"));
+        assert_identical(&seq, &tile_qr_tsqr(a, &opts, 3), &what("tsqr(3)"));
+        let vsa = tile_qr_vsa(a, &opts, &cfg).factors;
+        assert_identical(&seq, &vsa, &what("vsa3d"));
+    }
 }
 
 #[test]
-fn four_engines_agree_hierarchical() {
+fn engines_agree_hierarchical() {
     let mut rng = StdRng::seed_from_u64(2014);
     let opts = QrOptions::new(4, 2, Tree::BinaryOnFlat { h: 3 });
     // Tall, ragged last column block, and a wide grid (mt < nt).
@@ -76,7 +79,7 @@ fn four_engines_agree_hierarchical() {
 }
 
 #[test]
-fn four_engines_agree_flat() {
+fn engines_agree_flat() {
     let mut rng = StdRng::seed_from_u64(7);
     let opts = QrOptions::new(4, 2, Tree::Flat);
     for (m, n) in [(40, 16), (40, 13), (8, 14)] {
@@ -91,10 +94,12 @@ fn transforms_are_identical_not_just_r() {
     let mut rng = StdRng::seed_from_u64(99);
     let a = Matrix::random(24, 8, &mut rng);
     for tree in [
+        Tree::Flat,
         Tree::BinaryOnFlat { h: 2 },
         Tree::Binary,
         Tree::Greedy,
         Tree::custom([3, 2]),
+        Tree::custom([1, 4]),
     ] {
         all_engines_identical(&a, &QrOptions::new(4, 2, tree), 3);
     }
@@ -131,7 +136,7 @@ fn q_thin_is_orthonormal_basis() {
 }
 
 #[test]
-fn many_random_shapes_compact_vs_seq() {
+fn many_random_shapes_every_engine_vs_seq() {
     let mut rng = StdRng::seed_from_u64(31415);
     for case in 0..12 {
         let nb = 3 + case % 3;

@@ -99,7 +99,7 @@ fn fires_only_when_all_inputs_ready() {
 /// The paper's disabled-channel pattern: a VDP ignores a disabled input, and
 /// only after enabling it does that channel gate (and feed) the firing —
 /// also when the feeder sits on another node and its packet arrives
-/// through the proxies (the compact QR array's dashed channel often does).
+/// through the proxies (the QR array's dashed channel often does).
 #[test]
 fn disabled_channel_is_ignored_until_enabled() {
     let feeder_remote: MappingFn = Arc::new(|t: &Tuple| Place {

@@ -1,7 +1,7 @@
 //! Compare the reduction trees of Section V-B on the real runtime:
-//! flat, binary, binary-on-flat (the paper's hierarchical tree) on the
-//! unrolled and the compact array (whose flat tree is the 2D domino
-//! baseline), and the sequential oracle — same matrix, same tiles.
+//! flat (the 2D domino baseline), binary, binary-on-flat (the paper's
+//! hierarchical tree) under shifted and fixed domain boundaries, and the
+//! sequential oracle — same matrix, same tiles.
 //!
 //! ```sh
 //! cargo run --release --example tree_comparison [threads]
@@ -9,7 +9,6 @@
 
 use pulsar::core::plan::Tree;
 use pulsar::core::vsa3d::tile_qr_vsa;
-use pulsar::core::vsa_compact::tile_qr_compact;
 use pulsar::core::{tile_qr_seq, QrOptions};
 use pulsar::linalg::{flops, Matrix};
 use pulsar::runtime::RunConfig;
@@ -42,25 +41,16 @@ fn main() {
         );
     };
 
-    for (name, tree) in [
-        ("vsa3d flat", Tree::Flat),
-        ("vsa3d binary", Tree::Binary),
-        ("vsa3d binary-on-flat h=6", Tree::BinaryOnFlat { h: 6 }),
-        ("vsa3d binary-on-flat h=12", Tree::BinaryOnFlat { h: 12 }),
+    let hier = |h| QrOptions::new(nb, ib, Tree::BinaryOnFlat { h });
+    for (name, opts) in [
+        ("vsa3d flat (domino 2D)", QrOptions::new(nb, ib, Tree::Flat)),
+        ("vsa3d binary", QrOptions::new(nb, ib, Tree::Binary)),
+        ("vsa3d binary-on-flat h=6", hier(6)),
+        ("vsa3d binary-on-flat h=12", hier(12)),
+        ("vsa3d h=6 fixed boundary", hier(6).with_fixed_boundary()),
     ] {
-        let opts = QrOptions::new(nb, ib, tree);
         let t0 = Instant::now();
         let res = tile_qr_vsa(&a, &opts, &RunConfig::smp(threads));
-        report(name, t0.elapsed().as_secs_f64(), res.factors.residual(&a));
-    }
-
-    for (name, tree) in [
-        ("compact fig-8 array h=6", Tree::BinaryOnFlat { h: 6 }),
-        ("compact flat (domino 2D)", Tree::Flat),
-    ] {
-        let opts = QrOptions::new(nb, ib, tree);
-        let t0 = Instant::now();
-        let res = tile_qr_compact(&a, &opts, &RunConfig::smp(threads));
         report(name, t0.elapsed().as_secs_f64(), res.factors.residual(&a));
     }
 

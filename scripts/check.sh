@@ -12,8 +12,9 @@ cargo fmt --all --check
 # construction; the FNV-1a and CRC32C checksums, the little-endian writer, the fault
 # injectors' SplitMix64 and the submit validator each exist once, so
 # wire/disk formats, seed->fault sequences and admission rules cannot
-# drift apart between layers; every QR array names its `R` exits through
-# vsa3d's one tuple namespace, so one collector drains them all; the service tier has one accept loop and
+# drift apart between layers; there is one QR array builder, with one
+# chain VDP and one tuple namespace for its `R` exits, so one collector
+# drains them all; the service tier has one accept loop and
 # one verb table under both `serve` and `route`, and builds its JSON with
 # the one writer. Prints the offending file:line.
 dup=0
@@ -24,7 +25,8 @@ if [ -n "$hits" ]; then
     echo "$hits" >&2
     dup=1
 fi
-for pat in '0x811c_9dc5' '0x82f6_3b78' 'struct SplitMix64' 'fn put_u64' 'fn validate_job' 'fn exit_r'; do
+for pat in '0x811c_9dc5' '0x82f6_3b78' 'struct SplitMix64' 'fn put_u64' 'fn validate_job' 'fn exit_r' \
+    'fn build_qr_array_into' 'struct FlatDomainVdp'; do
     hits=$(grep -rn --include='*.rs' -F "$pat" src crates/*/src || true)
     if [ "$(printf '%s\n' "$hits" | cut -d: -f1 | sort -u | grep -c .)" -ne 1 ]; then
         echo "guard: \`$pat\` must appear in exactly one non-test source file:" >&2

@@ -1,10 +1,9 @@
 //! Cross-crate end-to-end tests: every execution engine (sequential, 3D
-//! VSA, compact array), every tree, against the dense reference QR — plus the
+//! VSA), every tree, against the dense reference QR — plus the
 //! invariant tying the runtime to the plan and the simulator.
 
 use pulsar::core::plan::{Boundary, Tree};
 use pulsar::core::vsa3d::tile_qr_vsa;
-use pulsar::core::vsa_compact::tile_qr_compact;
 use pulsar::core::{tile_qr_seq, QrOptions};
 use pulsar::linalg::reference::geqrf;
 use pulsar::linalg::verify::r_factor_distance;
@@ -47,21 +46,15 @@ fn every_engine_matches_reference_r() {
                 r_factor_distance(&vsa.factors.r, &r_ref) < 1e-11,
                 "vsa {tree:?}/{boundary:?}"
             );
-            if boundary == Boundary::Shifted {
-                let compact = tile_qr_compact(&a, &o, &RunConfig::smp(3));
-                assert!(
-                    r_factor_distance(&compact.factors.r, &r_ref) < 1e-11,
-                    "compact {tree:?}"
-                );
-            }
         }
     }
 }
 
 #[test]
 fn vsa_firing_count_equals_plan_task_count() {
-    // The unrolled 3D VSA fires exactly once per (op, column) — the same
-    // number the plan (and therefore the simulator's task graph) counts.
+    // The 3D VSA fires exactly once per (op, column) — a chain once per
+    // row of its domain — the number the plan (and therefore the
+    // simulator's task graph) counts.
     let mut rng = rand::rng();
     let a = Matrix::random(40, 24, &mut rng);
     let o = opts(Tree::BinaryOnFlat { h: 2 }, Boundary::Shifted);

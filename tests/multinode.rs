@@ -5,7 +5,6 @@
 use pulsar::core::mapping::{qr_mapping, RowDist};
 use pulsar::core::plan::Tree;
 use pulsar::core::vsa3d::tile_qr_vsa;
-use pulsar::core::vsa_compact::tile_qr_compact;
 use pulsar::core::QrOptions;
 use pulsar::linalg::verify::r_factor_distance;
 use pulsar::linalg::Matrix;
@@ -75,40 +74,43 @@ fn network_model_does_not_change_results() {
     assert!(res.factors.residual(&a) < 1e-13);
 }
 
-/// Runs the compact array across 3 nodes under the paper's mapping (cyclic
-/// and block rows) and checks `R` bit for bit against the unrolled array on
-/// one node. Four panels, so that even block rows put flat chains on two
-/// nodes.
-fn assert_compact_across_nodes(tree: Tree) {
+/// Runs the array across 3 nodes under the paper's mapping (cyclic and
+/// block rows) and checks `R` bit for bit against one node. Four panels,
+/// so that even block rows put flat chains on two nodes.
+fn assert_array_across_nodes(opts: QrOptions) {
     let (a, _) = fixture(9, 4, 8);
-    let opts = QrOptions::new(8, 4, tree.clone());
     let smp = tile_qr_vsa(&a, &opts, &RunConfig::smp(2));
+    let what = format!("{} {:?}", opts.tree, opts.boundary);
     for dist in [RowDist::Cyclic, RowDist::Block] {
         let mapping = qr_mapping(&opts.plan(9, 4), dist, 3, 2);
-        let res = tile_qr_compact(&a, &opts, &RunConfig::cluster(3, 2, mapping));
+        let res = tile_qr_vsa(&a, &opts, &RunConfig::cluster(3, 2, mapping));
         let same = (res.factors.r.data().iter().zip(smp.factors.r.data()))
             .all(|(x, y)| x.to_bits() == y.to_bits());
-        assert!(
-            same,
-            "{tree:?} {dist:?}: R differs from the SMP unrolled array"
-        );
-        assert!(res.stats.remote_msgs > 0, "{tree:?} {dist:?}: no traffic?");
+        assert!(same, "{what} {dist:?}: R differs from the SMP run");
+        assert!(res.stats.remote_msgs > 0, "{what} {dist:?}: no traffic?");
     }
 }
 
 #[test]
 fn compact_array_across_nodes() {
-    // The Figure-8 compact array, with its mid-run channel enable/disable,
-    // must also survive distribution (the dashed channel often crosses
-    // nodes).
-    assert_compact_across_nodes(Tree::BinaryOnFlat { h: 3 });
+    // The Figure-8 array, with its mid-run channel enable/disable, must
+    // also survive distribution (the dashed channel often crosses nodes).
+    assert_array_across_nodes(QrOptions::new(8, 4, Tree::BinaryOnFlat { h: 3 }));
+}
+
+#[test]
+fn fixed_boundary_array_across_nodes() {
+    // Under fixed boundaries the dashed row is a chain's first, and its row
+    // stream is the channel enabled mid-run.
+    let opts = QrOptions::new(8, 4, Tree::BinaryOnFlat { h: 3 }).with_fixed_boundary();
+    assert_array_across_nodes(opts);
 }
 
 #[test]
 fn domino_across_nodes() {
-    // The Figure-9 domino array is the compact array on the flat tree:
-    // multi-fire flat chains whose persistent tiles sit on several nodes.
-    assert_compact_across_nodes(Tree::Flat);
+    // The Figure-9 domino array is the array on the flat tree: multi-fire
+    // flat chains whose persistent tiles sit on several nodes.
+    assert_array_across_nodes(QrOptions::new(8, 4, Tree::Flat));
 }
 
 #[test]
