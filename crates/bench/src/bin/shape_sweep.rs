@@ -25,7 +25,7 @@
 
 use pulsar_core::policy::{Backend, PaperPolicy, PlanChoice, PlanPolicy};
 use pulsar_core::vsa3d::tile_qr_vsa;
-use pulsar_core::{grid_aspect, tile_qr_tsqr, Tree};
+use pulsar_core::{grid_aspect, tile_qr_seq, tile_qr_tsqr, Tree};
 use pulsar_linalg::Matrix;
 use pulsar_runtime::RunConfig;
 use pulsar_tuner::{candidates, measure_pool_crossover, qr_flops};
@@ -57,6 +57,10 @@ fn measure(a: &Matrix, choice: &PlanChoice) -> f64 {
             Backend::Vsa3d => {
                 let r = tile_qr_vsa(a, &opts, &RunConfig::smp(THREADS));
                 std::hint::black_box(&r.factors.r);
+            }
+            Backend::Seq => {
+                let f = tile_qr_seq(a, &opts);
+                std::hint::black_box(&f.r);
             }
         }
         best = best.min(t0.elapsed().as_secs_f64());

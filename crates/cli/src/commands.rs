@@ -147,6 +147,16 @@ fn positive(name: &str, value: usize) -> Result<usize, String> {
     Ok(value)
 }
 
+/// `--cores`, refused below one Kraken node: the machine model has no
+/// partial nodes.
+fn kraken_cores(args: &Args) -> Result<(usize, Machine), String> {
+    let cores = positive("cores", args.req("cores")?)?;
+    if cores < 12 {
+        return Err("--cores must be at least 12 (one Kraken node)".into());
+    }
+    Ok((cores, Machine::kraken_cores(cores)))
+}
+
 fn opts_from(args: &Args, default_nb: usize, default_tree: Tree) -> Result<QrOptions, String> {
     let nb = positive("nb", args.opt("nb", default_nb)?)?;
     let ib = positive("ib", args.opt("ib", (nb / 4).max(1))?)?;
@@ -309,8 +319,8 @@ fn factor(args: &Args) -> Result<String, String> {
 
 fn least_squares(args: &Args) -> Result<String, String> {
     args.ensure_known(&["rows", "cols", "rhs", "nb", "ib", "tree", "threads", "seed"])?;
-    let m: usize = args.req("rows")?;
-    let n: usize = args.req("cols")?;
+    let m = positive("rows", args.req("rows")?)?;
+    let n = positive("cols", args.req("cols")?)?;
     if m < n {
         return Err("least squares needs --rows >= --cols".into());
     }
@@ -319,7 +329,7 @@ fn least_squares(args: &Args) -> Result<String, String> {
     if !m.is_multiple_of(opts.nb) {
         return Err(format!("--rows must be a multiple of nb ({})", opts.nb));
     }
-    let threads: usize = args.opt("threads", 4)?;
+    let threads = positive("threads", args.opt("threads", 4)?)?;
     let seed: u64 = args.opt("seed", 42)?;
 
     let mut rng = StdRng::seed_from_u64(seed);
@@ -353,9 +363,9 @@ fn least_squares(args: &Args) -> Result<String, String> {
 
 fn simulate(args: &Args) -> Result<String, String> {
     args.ensure_known(&["m", "n", "cores", "nb", "ib", "tree", "dist", "runtime"])?;
-    let m: usize = args.req("m")?;
-    let n: usize = args.req("n")?;
-    let cores: usize = args.req("cores")?;
+    let m = positive("m", args.req("m")?)?;
+    let n = positive("n", args.req("n")?)?;
+    let (_, mach) = kraken_cores(args)?;
     let opts = opts_from(args, 192, Tree::BinaryOnFlat { h: 6 })?;
     if !m.is_multiple_of(opts.nb) {
         return Err(format!("--m must be a multiple of nb ({})", opts.nb));
@@ -370,7 +380,6 @@ fn simulate(args: &Args) -> Result<String, String> {
         "parsec" => pulsar_sim::baselines::parsec_model(),
         other => return Err(format!("unknown runtime model `{other}`")),
     };
-    let mach = Machine::kraken_cores(cores);
     let g = pulsar_sim::build_tree_qr_graph(m, n, &opts, dist, &mach, model);
     let cp = g.critical_path_us(&mach);
     let r = pulsar_sim::simulate(&g, &mach);
@@ -414,15 +423,14 @@ fn tune(args: &Args) -> Result<String, String> {
         return tune_measured(args);
     }
     args.ensure_known(&["m", "n", "cores", "nb", "ib"])?;
-    let m: usize = args.req("m")?;
-    let n: usize = args.req("n")?;
-    let cores: usize = args.req("cores")?;
-    let nb: usize = args.opt("nb", 192)?;
-    let ib: usize = args.opt("ib", (nb / 4).max(1))?;
+    let m = positive("m", args.req("m")?)?;
+    let n = positive("n", args.req("n")?)?;
+    let (cores, mach) = kraken_cores(args)?;
+    let nb = positive("nb", args.opt("nb", 192)?)?;
+    let ib = positive("ib", args.opt("ib", (nb / 4).max(1))?)?;
     if !m.is_multiple_of(nb) {
         return Err(format!("--m must be a multiple of nb ({nb})"));
     }
-    let mach = Machine::kraken_cores(cores);
     let mt = m / nb;
     let mut hs = vec![2usize, 3, 6, 12, 24];
     hs.retain(|&h| h < mt);
@@ -554,12 +562,12 @@ fn tune_measured(args: &Args) -> Result<String, String> {
 
 fn cholesky(args: &Args) -> Result<String, String> {
     args.ensure_known(&["n", "nb", "threads", "seed"])?;
-    let n: usize = args.req("n")?;
-    let nb: usize = args.opt("nb", 64)?;
-    if nb == 0 || !n.is_multiple_of(nb) {
-        return Err(format!("--n must be a positive multiple of nb ({nb})"));
+    let n = positive("n", args.req("n")?)?;
+    let nb = positive("nb", args.opt("nb", 64)?)?;
+    if !n.is_multiple_of(nb) {
+        return Err(format!("--n must be a multiple of nb ({nb})"));
     }
-    let threads: usize = args.opt("threads", 4)?;
+    let threads = positive("threads", args.opt("threads", 4)?)?;
     let seed: u64 = args.opt("seed", 42)?;
 
     let mut rng = StdRng::seed_from_u64(seed);
@@ -867,6 +875,61 @@ mod tests {
                 "README exit-code table is missing {code} ({what})"
             );
         }
+    }
+
+    /// Run `line` and require a typed exit-1 error mentioning `want`.
+    fn refused(line: &[&str], want: &str) {
+        let err = run_line(line).unwrap_err();
+        assert_eq!(err.code, 1, "{line:?}: {}", err.msg);
+        assert!(err.msg.contains(want), "{line:?}: {}", err.msg);
+    }
+
+    #[test]
+    fn ls_refuses_zero_sizes() {
+        refused(
+            &["ls", "--rows", "64", "--cols", "16", "--threads", "0"],
+            "--threads must be positive",
+        );
+        refused(
+            &["ls", "--rows", "64", "--cols", "0"],
+            "--cols must be positive",
+        );
+    }
+
+    #[test]
+    fn simulate_refuses_zero_sizes_and_partial_nodes() {
+        refused(
+            &["simulate", "--m", "0", "--n", "192", "--cores", "12"],
+            "--m must be positive",
+        );
+        refused(
+            &["simulate", "--m", "1920", "--n", "192", "--cores", "0"],
+            "--cores must be positive",
+        );
+        refused(
+            &["simulate", "--m", "1920", "--n", "192", "--cores", "11"],
+            "--cores must be at least 12 (one Kraken node)",
+        );
+    }
+
+    #[test]
+    fn tune_refuses_zero_sizes_and_partial_nodes() {
+        let line = [
+            "tune", "--m", "1920", "--n", "192", "--cores", "12", "--ib", "0",
+        ];
+        refused(&line, "--ib must be positive");
+        refused(
+            &["tune", "--m", "1920", "--n", "192", "--cores", "1"],
+            "at least 12",
+        );
+    }
+
+    #[test]
+    fn cholesky_refuses_zero_threads() {
+        refused(
+            &["cholesky", "--n", "64", "--threads", "0"],
+            "--threads must be positive",
+        );
     }
 
     #[test]

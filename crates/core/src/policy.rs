@@ -22,6 +22,10 @@ pub enum Backend {
     /// The direct TSQR reduction ([`crate::tsqr::tile_qr_tsqr`]) — wins on
     /// tall-skinny grids where VSA construction overhead dominates.
     Tsqr,
+    /// The plan walker on one thread ([`crate::tile_qr_seq`]): what a
+    /// balanced service batch runs each of its jobs on
+    /// ([`crate::vsa3d::batch_backend`]).
+    Seq,
 }
 
 impl std::fmt::Display for Backend {
@@ -29,6 +33,7 @@ impl std::fmt::Display for Backend {
         f.write_str(match self {
             Backend::Vsa3d => "vsa3d",
             Backend::Tsqr => "tsqr",
+            Backend::Seq => "seq",
         })
     }
 }
@@ -40,7 +45,8 @@ impl std::str::FromStr for Backend {
         match s {
             "vsa3d" => Ok(Backend::Vsa3d),
             "tsqr" => Ok(Backend::Tsqr),
-            _ => Err(format!("unknown backend `{s}` (use vsa3d | tsqr)")),
+            "seq" => Ok(Backend::Seq),
+            _ => Err(format!("unknown backend `{s}` (use vsa3d | tsqr | seq)")),
         }
     }
 }
@@ -155,7 +161,7 @@ mod tests {
 
     #[test]
     fn backend_specs_round_trip() {
-        for b in [Backend::Vsa3d, Backend::Tsqr] {
+        for b in [Backend::Vsa3d, Backend::Tsqr, Backend::Seq] {
             assert_eq!(b.to_string().parse::<Backend>().unwrap(), b);
         }
         assert!("fpga".parse::<Backend>().is_err());

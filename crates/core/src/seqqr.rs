@@ -16,15 +16,20 @@ use pulsar_linalg::{Matrix, TileMatrix, Workspace};
 /// Requires `a.nrows() % nb == 0` (exact row tiling; see DESIGN.md — domain
 /// heads must be full-height tiles). Ragged column edges are fine.
 pub fn tile_qr_seq(a: &Matrix, opts: &QrOptions) -> TileQrFactors {
-    walk_plan(a, opts, 1)
+    walk_plan(a, opts, 1, &mut Workspace::new())
 }
 
 /// Walk the plan `opts` induces for `a`, panel by panel. With
 /// `threads > 1` the domain stage of each panel runs on scoped threads
 /// ([`crate::tsqr::reduce_domains`]); everything it leaves — the merge
 /// tree, or the whole panel when `threads <= 1` — runs inline in plan
-/// order.
-pub(crate) fn walk_plan(a: &Matrix, opts: &QrOptions, threads: usize) -> TileQrFactors {
+/// order, with its kernels drawing scratch from `ws`.
+pub(crate) fn walk_plan(
+    a: &Matrix,
+    opts: &QrOptions,
+    threads: usize,
+    ws: &mut Workspace,
+) -> TileQrFactors {
     assert_eq!(
         a.nrows() % opts.nb,
         0,
@@ -33,9 +38,6 @@ pub(crate) fn walk_plan(a: &Matrix, opts: &QrOptions, threads: usize) -> TileQrF
     let mut tiles = TileMatrix::from_matrix(a, opts.nb);
     let (nt, ib) = (tiles.nt(), opts.ib);
     let plan = opts.plan(tiles.mt(), nt);
-    // One scratch arena for the whole factorization: every inline kernel
-    // call reuses it, so the steady state allocates nothing per tile op.
-    let mut ws = Workspace::new();
 
     let panels = (0..plan.panels())
         .map(|j| {
@@ -46,7 +48,7 @@ pub(crate) fn walk_plan(a: &Matrix, opts: &QrOptions, threads: usize) -> TileQrF
                 crate::tsqr::reduce_domains(active, j, nt, &ops, ib, threads, &mut recorded);
             }
             for &op in &ops[recorded.len()..] {
-                recorded.push(run_op(tiles.tiles_mut(), 0, nt, j, op, ib, &mut ws));
+                recorded.push(run_op(tiles.tiles_mut(), 0, nt, j, op, ib, ws));
             }
             recorded
         })
@@ -213,6 +215,31 @@ mod tests {
         let r3 = tile_qr_seq(&a, &opts(4, 2, Tree::BinaryOnFlat { h: 2 })).r;
         assert!(r_factor_distance(&r1, &r2) < 1e-11);
         assert!(r_factor_distance(&r1, &r3) < 1e-11);
+    }
+
+    /// Entries whose squares overflow (1e160) or underflow (1e-170) still
+    /// factor: `R` stays finite, its `(0, 0)` is the first column's norm,
+    /// and the residual of the rescaled factors is as small as at scale 1.
+    #[test]
+    fn extreme_scales_factor_accurately() {
+        let mut rng = rand::rng();
+        let b = Matrix::random(64, 32, &mut rng);
+        let scaled =
+            |a: &Matrix, s: f64| Matrix::from_fn(a.nrows(), a.ncols(), |i, j| a[(i, j)] * s);
+        let col0 = b.col(0).iter().map(|x| x * x).sum::<f64>().sqrt();
+        let o = opts(16, 4, Tree::Greedy);
+        for s in [1e160, 1.0, 1e-170] {
+            let a = scaled(&b, s);
+            let mut f = tile_qr_seq(&a, &o);
+            assert!(f.r.data().iter().all(|x| x.is_finite()), "R at {s:e}");
+            assert!(
+                ((f.r[(0, 0)] / s).abs() / col0 - 1.0).abs() < 1e-13,
+                "{s:e}"
+            );
+            f.r = scaled(&f.r, 1.0 / s);
+            let resid = f.residual(&scaled(&a, 1.0 / s));
+            assert!(resid <= 1e-12, "residual {resid:e} at {s:e}");
+        }
     }
 
     #[test]

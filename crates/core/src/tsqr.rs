@@ -114,7 +114,7 @@ pub(crate) fn reduce_domains(
 /// options and numerically interchangeable with the VSA paths. Requires
 /// `a.nrows() % nb == 0`, like every tile executor.
 pub fn tile_qr_tsqr(a: &Matrix, opts: &QrOptions, threads: usize) -> TileQrFactors {
-    walk_plan(a, opts, threads)
+    walk_plan(a, opts, threads, &mut Workspace::new())
 }
 
 #[cfg(test)]

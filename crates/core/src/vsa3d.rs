@@ -38,14 +38,20 @@
 use crate::factors::{Reflectors, TileQrFactors};
 use crate::ops::{apply_op, collect_factors, factor_op, r_blocks};
 use crate::plan::{Boundary, PanelOp, QrPlan};
+use crate::policy::Backend;
+use crate::seqqr::walk_plan;
 use crate::store::stream_operands;
 use crate::QrOptions;
+use pulsar_linalg::flops::qr_flops;
 use pulsar_linalg::kernels::ApplyTrans;
 use pulsar_linalg::{Matrix, TileMatrix, Workspace};
 use pulsar_runtime::{
-    ChannelSpec, Packet, RunConfig, RunError, RunOutput, RunStats, Trace, Tuple, VdpContext,
-    VdpLogic, VdpSpec, Vsa, VsaPool,
+    panic_message, ChannelSpec, Packet, RunConfig, RunError, RunOutput, RunStats, TaskSpan, Trace,
+    Tuple, VdpContext, VdpLogic, VdpSpec, Vsa, VsaPool,
 };
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Result of a VSA-executed factorization.
@@ -336,43 +342,61 @@ pub fn tile_qr_vsa(a: &Matrix, opts: &QrOptions, config: &RunConfig) -> VsaQrRes
     }
 }
 
-/// Result of a batched VSA launch: one factorization per job, in
-/// submission order, plus the shared run's stats and trace.
+/// Result of a batched launch: one factorization per job, in submission
+/// order, plus the batch's trace.
 pub struct BatchQrResult {
     /// Per-job factorizations, indexed like the input slice.
     pub factors: Vec<TileQrFactors>,
-    /// Statistics of the single run that executed every job.
-    pub stats: RunStats,
     /// Execution trace of the whole batch, when requested.
     pub trace: Option<Trace>,
-    /// Time spent describing every job's sub-array before the launch.
-    pub build: Duration,
+    /// The executor that ran the batch ([`batch_backend`]).
+    pub backend: Backend,
 }
 
-/// Factor several matrices in ONE VSA launch on a persistent [`VsaPool`]
-/// — the warm path of `pulsar-qr serve`, where the pool's kernel
-/// workspaces persist from batch to batch. Each job's sub-array gets a
-/// disjoint tuple namespace (its batch index prefixes every tuple), and the
-/// runtime schedules all of them together — the service's small-job
-/// batching, amortizing thread wake-up and run setup across jobs.
-///
-/// The dataflow of each sub-array is independent, so every job's factors
-/// are identical to what a solo [`tile_qr_vsa`] run would produce.
+/// The executor for `jobs` on `workers` pool threads. A *balanced* batch
+/// (its largest job's flops times `workers` at most the total: a job for
+/// every worker) walks each job whole on one worker, [`Backend::Seq`]; a
+/// lone or lopsided one shares the array.
+pub fn batch_backend(jobs: &[(&Matrix, &QrOptions)], workers: usize) -> Backend {
+    let flops = jobs.iter().map(|(a, _)| job_flops(a));
+    let (max, total) = flops.fold((0.0, 0.0), |(max, total), f| (f64::max(max, f), total + f));
+    if max * workers as f64 <= total {
+        Backend::Seq
+    } else {
+        Backend::Vsa3d
+    }
+}
+
+/// A job's weight in the balance rule (wide jobs count as transposed).
+fn job_flops(a: &Matrix) -> f64 {
+    qr_flops(a.nrows().max(a.ncols()), a.nrows().min(a.ncols()))
+}
+
+/// Factor several matrices on a persistent [`VsaPool`] — the warm path of
+/// `pulsar-qr serve`. A balanced batch ([`batch_backend`]) is walked: the
+/// workers pull jobs, largest first, and run the plan walker on their warm
+/// workspaces, reading only `config.trace` and `config.chaos_panic`.
+/// Otherwise each job's sub-array gets a disjoint tuple namespace (its
+/// batch index prefixes every tuple) in ONE VSA launch. Either way every
+/// job's factors are bit-identical to [`crate::tile_qr_seq`]'s, and a
+/// panic in job `b` returns [`RunError::VdpPanicked`] whose tuple leads
+/// with `b`.
 pub fn tile_qr_vsa_batch_pooled(
     jobs: &[(&Matrix, &QrOptions)],
     config: &RunConfig,
     pool: &VsaPool,
 ) -> Result<BatchQrResult, RunError> {
     assert!(!jobs.is_empty(), "batch needs at least one job");
+    if batch_backend(jobs, pool.threads()) == Backend::Seq {
+        return walk_batch(jobs, config, pool);
+    }
     let ns = |b: usize| Ns {
         job: Some(b as i32),
     };
-    let t0 = Instant::now();
     let mut vsa = Vsa::new();
     for (b, (a, opts)) in jobs.iter().enumerate() {
         build_qr_array_into(&mut vsa, a, opts, ns(b));
     }
-    let build = t0.elapsed();
     let mut out = vsa.run_pooled(config, pool)?;
     let factors = jobs
         .iter()
@@ -381,9 +405,71 @@ pub fn tile_qr_vsa_batch_pooled(
         .collect();
     Ok(BatchQrResult {
         factors,
-        stats: out.stats,
         trace: out.trace,
-        build,
+        backend: Backend::Vsa3d,
+    })
+}
+
+/// Walk a balanced batch. A panic in a walk is caught per job, stops every
+/// worker taking another job, and fails the call; with `config.trace`
+/// each walk is one `walk` span on its worker.
+fn walk_batch(
+    jobs: &[(&Matrix, &QrOptions)],
+    config: &RunConfig,
+    pool: &VsaPool,
+) -> Result<BatchQrResult, RunError> {
+    let t0 = Instant::now();
+    let us = || t0.elapsed().as_secs_f64() * 1e6;
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by(|&x, &y| job_flops(jobs[y].0).total_cmp(&job_flops(jobs[x].0)));
+    let factors: Vec<OnceLock<TileQrFactors>> = jobs.iter().map(|_| OnceLock::new()).collect();
+    let (next, failure, spans) = (AtomicUsize::new(0), OnceLock::new(), Mutex::new(Vec::new()));
+    pool.run_scoped(&|thread, scratch| {
+        while failure.get().is_none() {
+            let Some(&b) = order.get(next.fetch_add(1, Relaxed)) else {
+                return;
+            };
+            let (a, opts) = jobs[b];
+            let start_us = us();
+            let walked = catch_unwind(AssertUnwindSafe(|| {
+                let chaos = config.chaos_panic.as_ref();
+                if chaos.is_some_and(|t| t.len() == 4 && t.ids()[0] == b as i32) {
+                    panic!("chaos: injected panic walking batch job {b}");
+                }
+                scratch.with(|ws: &mut Workspace| walk_plan(a, opts, 1, ws))
+            }));
+            match walked {
+                Ok(f) => drop(factors[b].set(f)),
+                Err(e) => {
+                    let tuple = Tuple::new4(b as i32, 0, 0, 0); // the job's first VDP
+                    let payload = panic_message(&*e);
+                    let _ = failure.set(RunError::VdpPanicked { tuple, payload });
+                    return;
+                }
+            }
+            if config.trace {
+                spans.lock().expect("span list").push(TaskSpan {
+                    node: 0,
+                    thread,
+                    tuple: Tuple::new1(b as i32).to_string(),
+                    label: "walk".to_string(),
+                    start_us,
+                    end_us: us(),
+                });
+            }
+        }
+    });
+    if let Some(e) = failure.into_inner() {
+        return Err(e);
+    }
+    let spans = spans.into_inner().expect("span list");
+    Ok(BatchQrResult {
+        factors: factors
+            .into_iter()
+            .map(|f| f.into_inner().expect("walked"))
+            .collect(),
+        trace: config.trace.then_some(Trace { spans }),
+        backend: Backend::Seq,
     })
 }
 
@@ -724,6 +810,26 @@ mod tests {
                 assert_eq!(f.r, tile_qr_seq(a, &opts).r);
             }
         }
+    }
+
+    #[test]
+    fn walked_batch_traces_one_walk_span_per_job() {
+        let pool = VsaPool::new(2);
+        let mut rng = rand::rng();
+        let opts = QrOptions::new(4, 2, Tree::Greedy);
+        let mats: Vec<Matrix> = (0..3).map(|_| Matrix::random(16, 8, &mut rng)).collect();
+        let jobs: Vec<(&Matrix, &QrOptions)> = mats.iter().map(|a| (a, &opts)).collect();
+        let out = tile_qr_vsa_batch_pooled(&jobs, &RunConfig::smp(2).with_trace(), &pool)
+            .expect("walked batch");
+        assert_eq!(out.backend, Backend::Seq);
+        let trace = out.trace.expect("traced");
+        let mut slots: Vec<&str> = trace.spans.iter().map(|s| s.tuple.as_str()).collect();
+        slots.sort_unstable();
+        assert_eq!(slots, ["(0)", "(1)", "(2)"]);
+        assert!(trace
+            .spans
+            .iter()
+            .all(|s| s.label == "walk" && s.thread < 2));
     }
 
     #[test]

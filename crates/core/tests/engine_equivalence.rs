@@ -2,16 +2,18 @@
 //! (on the flat tree, the 2D domino array) run the same schedule through
 //! the same op core, so they must produce the *same* factorization — bit
 //! for bit, in `R` and in every recorded `op`/`V`/`T`, not merely within a
-//! tolerance — under fixed and shifted boundaries alike.
+//! tolerance — under fixed and shifted boundaries alike. A pooled batch
+//! holds them to the same bar on both of its executors: each job walked
+//! whole on one worker, or all jobs in one shared array.
 
 use pulsar_core::applyq::apply_q_vsa;
 use pulsar_core::plan::Tree;
-use pulsar_core::vsa3d::tile_qr_vsa;
-use pulsar_core::{tile_qr_seq, tile_qr_tsqr, QrOptions, TileQrFactors};
+use pulsar_core::vsa3d::{tile_qr_vsa, tile_qr_vsa_batch_pooled};
+use pulsar_core::{tile_qr_seq, tile_qr_tsqr, Backend, QrOptions, TileQrFactors};
 use pulsar_linalg::kernels::ApplyTrans;
 use pulsar_linalg::verify::r_factor_distance;
 use pulsar_linalg::Matrix;
-use pulsar_runtime::RunConfig;
+use pulsar_runtime::{RunConfig, RunError, Tuple, VsaPool};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -176,4 +178,71 @@ fn fixed_vs_shifted_same_numerics_different_schedule() {
         ops_s, ops_f,
         "boundary strategies should differ from panel 1 on"
     );
+}
+
+/// Run `mats` as one pooled batch under `opts`, require the executor
+/// `want`, and every job identical to its sequential oracle.
+fn batch_identical(pool: &VsaPool, mats: &[Matrix], opts: &QrOptions, want: Backend) {
+    let jobs: Vec<(&Matrix, &QrOptions)> = mats.iter().map(|a| (a, opts)).collect();
+    let cfg = RunConfig::smp(pool.threads());
+    let out = tile_qr_vsa_batch_pooled(&jobs, &cfg, pool).expect("batch runs");
+    let shapes: Vec<_> = mats.iter().map(|a| (a.nrows(), a.ncols())).collect();
+    let what = format!("{shapes:?} {} {:?}", opts.tree, opts.boundary);
+    assert_eq!(out.backend, want, "{what}: executor");
+    for (b, (a, got)) in mats.iter().zip(&out.factors).enumerate() {
+        let want = tile_qr_seq(a, opts);
+        assert_identical(&want, got, &format!("{what}: job {b}"));
+    }
+}
+
+#[test]
+fn balanced_batches_walk_lopsided_batches_share_the_array() {
+    let mut rng = StdRng::seed_from_u64(28);
+    let pool = VsaPool::new(2);
+    for tree in [
+        Tree::Flat,
+        Tree::Binary,
+        Tree::BinaryOnFlat { h: 2 },
+        Tree::Greedy,
+        Tree::custom([3, 2]),
+    ] {
+        let shifted = QrOptions::new(8, 4, tree);
+        for opts in [shifted.clone(), shifted.with_fixed_boundary()] {
+            // At least one job per worker: each job walks whole.
+            for count in 2..=5 {
+                let mats: Vec<Matrix> = (0..count)
+                    .map(|_| Matrix::random(64, 32, &mut rng))
+                    .collect();
+                batch_identical(&pool, &mats, &opts, Backend::Seq);
+            }
+            // Unequal jobs still balance while the largest is at most
+            // 1/workers of the total.
+            let mixed = [(64, 32), (48, 16), (64, 32)].map(|(m, n)| Matrix::random(m, n, &mut rng));
+            batch_identical(&pool, &mixed, &opts, Backend::Seq);
+            // One job outweighs the rest: the shared array spreads it.
+            let lopsided =
+                [(256, 64), (32, 16), (32, 16)].map(|(m, n)| Matrix::random(m, n, &mut rng));
+            batch_identical(&pool, &lopsided, &opts, Backend::Vsa3d);
+        }
+    }
+}
+
+#[test]
+fn chaos_panic_in_a_walked_batch_names_its_slot() {
+    let mut rng = StdRng::seed_from_u64(1);
+    let pool = VsaPool::new(2);
+    let opts = QrOptions::new(4, 2, Tree::Greedy);
+    let mats: Vec<Matrix> = (0..3).map(|_| Matrix::random(32, 16, &mut rng)).collect();
+    let jobs: Vec<(&Matrix, &QrOptions)> = mats.iter().map(|a| (a, &opts)).collect();
+    let cfg = RunConfig::smp(2).with_chaos_panic(Tuple::new4(1, 0, 0, 0));
+    match tile_qr_vsa_batch_pooled(&jobs, &cfg, &pool) {
+        Err(RunError::VdpPanicked { tuple, payload }) => {
+            assert_eq!((tuple.len(), tuple.ids()[0]), (4, 1), "{tuple}");
+            assert!(payload.contains("chaos"), "{payload}");
+        }
+        Err(e) => panic!("expected VdpPanicked, got {e}"),
+        Ok(out) => panic!("poisoned batch succeeded on {}", out.backend),
+    }
+    // The pool survives the caught panic: the same batch then walks clean.
+    batch_identical(&pool, &mats, &opts, Backend::Seq);
 }

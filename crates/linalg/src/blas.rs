@@ -320,10 +320,23 @@ pub fn ddot(x: &[f64], y: &[f64]) -> f64 {
     x.iter().zip(y).map(|(a, b)| a * b).sum()
 }
 
-/// Euclidean norm of a slice.
-#[inline]
+/// Euclidean norm of a slice, accumulated relative to the largest entry
+/// so that no square overflows or underflows (LAPACK's scaled `dnrm2`).
+/// NaN when any entry is NaN.
 pub fn dnrm2(x: &[f64]) -> f64 {
-    ddot(x, x).sqrt()
+    let (mut scale, mut ssq) = (0.0f64, 1.0f64);
+    for a in x.iter().map(|xi| xi.abs()) {
+        if a.is_nan() {
+            return f64::NAN;
+        }
+        if a > scale {
+            ssq = 1.0 + ssq * (scale / a) * (scale / a);
+            scale = a;
+        } else if a > 0.0 && a.is_finite() {
+            ssq += (a / scale) * (a / scale);
+        }
+    }
+    scale * ssq.sqrt()
 }
 
 /// `x := alpha * x` on a slice.
@@ -516,5 +529,20 @@ mod tests {
         let mut z = [2.0, 4.0];
         dscal(0.5, &mut z);
         assert_eq!(z, [1.0, 2.0]);
+    }
+
+    #[test]
+    fn dnrm2_is_scaled_and_propagates_nan() {
+        for scale in [1e160, 1e-170, 1e-320] {
+            let x = [scale, 2.0 * scale, 2.0 * scale];
+            let rel = (dnrm2(&x) / (3.0 * scale) - 1.0).abs();
+            assert!(rel < 1e-15 || scale < 1e-300, "{scale}: {rel}");
+            assert!(dnrm2(&x) > 0.0);
+        }
+        assert_eq!(dnrm2(&[0.0, 0.0]), 0.0);
+        assert_eq!(dnrm2(&[]), 0.0);
+        assert_eq!(dnrm2(&[1.0, f64::INFINITY, f64::INFINITY]), f64::INFINITY);
+        assert!(dnrm2(&[1.0, f64::NAN, 2.0]).is_nan());
+        assert!(dnrm2(&[f64::INFINITY, f64::NAN]).is_nan());
     }
 }

@@ -1,7 +1,7 @@
 //! Elementary Householder reflector generation and application
 //! (LAPACK `dlarfg` / `dlarf` / `dlarft` analogues).
 
-use crate::blas::{ddot, dnrm2};
+use crate::blas::{ddot, dnrm2, dscal};
 use crate::matrix::Matrix;
 
 /// Generate an elementary Householder reflector.
@@ -16,18 +16,53 @@ use crate::matrix::Matrix;
 ///
 /// Returns `(beta, tau)`. When `x` is already zero, `tau == 0` and the
 /// reflector is the identity.
+///
+/// The plain sum of squares `alpha^2 + ||x||^2` is used whenever it is
+/// finite and at least `SAFMIN`; only inputs whose squares overflow or
+/// underflow take LAPACK's scaled route (`dlarfg_scaled`).
 pub fn dlarfg(alpha: f64, x: &mut [f64]) -> (f64, f64) {
-    let xnorm = dnrm2(x);
+    let xnorm = ddot(x, x).sqrt();
+    let sumsq = alpha * alpha + xnorm * xnorm;
+    if !(sumsq.is_finite() && sumsq >= SAFMIN) {
+        return dlarfg_scaled(alpha, x);
+    }
     if xnorm == 0.0 {
         return (alpha, 0.0);
     }
     // beta = -sign(alpha) * ||[alpha; x]||, computed stably.
-    let beta = -alpha.signum() * (alpha * alpha + xnorm * xnorm).sqrt();
-    let tau = (beta - alpha) / beta;
-    let scale = 1.0 / (alpha - beta);
-    for xi in x.iter_mut() {
-        *xi *= scale;
+    reflect(alpha, -alpha.signum() * sumsq.sqrt(), x)
+}
+
+/// LAPACK's `safmin / eps`: below it a sum of squares may have lost
+/// digits to underflow, and `1 / beta` is no longer safe.
+const SAFMIN: f64 = f64::MIN_POSITIVE / f64::EPSILON;
+
+/// `dlarfg` for inputs whose squares overflow or underflow: a scaled norm,
+/// a `hypot` for `beta`, and LAPACK's rescale when `beta` is tiny (scale
+/// `x` and `alpha` up by `1 / SAFMIN`, then `beta` back down). LAPACK
+/// loops that rescale; in `f64` one pass always suffices, since `2^970`
+/// lifts even the smallest subnormal above `SAFMIN`.
+#[cold]
+fn dlarfg_scaled(mut alpha: f64, x: &mut [f64]) -> (f64, f64) {
+    let xnorm = dnrm2(x);
+    if xnorm == 0.0 {
+        return (alpha, 0.0);
     }
+    let mut beta = -alpha.signum() * alpha.hypot(xnorm);
+    let rescale = beta.abs() < SAFMIN;
+    if rescale {
+        dscal(1.0 / SAFMIN, x);
+        alpha /= SAFMIN;
+        beta = -alpha.signum() * alpha.hypot(dnrm2(x));
+    }
+    let (beta, tau) = reflect(alpha, beta, x);
+    (if rescale { beta * SAFMIN } else { beta }, tau)
+}
+
+/// Finish a reflector once `beta` is known: `tau` and the scaled tail.
+fn reflect(alpha: f64, beta: f64, x: &mut [f64]) -> (f64, f64) {
+    let tau = (beta - alpha) / beta;
+    dscal(1.0 / (alpha - beta), x);
     (beta, tau)
 }
 
@@ -117,6 +152,31 @@ mod tests {
         // Norm preserved.
         let n0: f64 = orig.iter().map(|a| a * a).sum::<f64>().sqrt();
         assert!((beta.abs() - n0).abs() < 1e-14);
+    }
+
+    /// Entries whose squares overflow (1e160) or underflow (1e-170) still
+    /// give `|beta| = ||[alpha; x]||` and an annihilating reflector.
+    #[test]
+    fn larfg_survives_extreme_scales() {
+        for scale in [1e160, 1.0, 1e-170, 1e-300] {
+            let (alpha, x0) = (3.0 * scale, [1.0 * scale, -2.0 * scale, 0.5 * scale]);
+            let mut x = x0;
+            let (beta, tau) = dlarfg(alpha, &mut x);
+            let norm = (9.0f64 + 1.0 + 4.0 + 0.25).sqrt();
+            assert!(
+                (beta / scale + norm).abs() < 1e-14 * norm,
+                "{scale}: {beta}"
+            );
+            // H [alpha; x0] = [beta; 0], in units of `scale`.
+            let w = tau * (alpha + x.iter().zip(&x0).map(|(v, a)| v * a).sum::<f64>()) / scale;
+            assert!((alpha / scale - w - beta / scale).abs() < 1e-14 * norm);
+            for (v, a) in x.iter().zip(&x0) {
+                assert!((a / scale - w * v).abs() < 1e-14 * norm, "{scale}");
+            }
+        }
+        // A NaN tail poisons the reflector instead of passing as a zero one.
+        let (beta, tau) = dlarfg(1.0, &mut [f64::NAN, f64::NAN]);
+        assert!(beta.is_nan() && tau.is_nan());
     }
 
     #[test]

@@ -7,6 +7,18 @@ use crate::tuple::Tuple;
 use pulsar_fabric::FabricError;
 use std::time::Duration;
 
+/// Render a panic payload for diagnostics (the `payload` of
+/// [`RunError::VdpPanicked`]).
+pub fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = e.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = e.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        String::from("non-string panic payload")
+    }
+}
+
 /// A VDP the stall watchdog found alive but unable to fire.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StuckVdp {

@@ -69,7 +69,7 @@ pub mod vsa;
 
 pub use channel::{ChannelSpec, ChannelState};
 pub use checkpoint::CheckpointError;
-pub use error::{RunError, StuckVdp};
+pub use error::{panic_message, RunError, StuckVdp};
 pub use net::NetModel;
 pub use packet::{Packet, PacketCodec, PacketRegistry, WireError};
 pub use pool::VsaPool;

@@ -1,7 +1,7 @@
 //! Worker-thread scheduling: each worker sweeps its list of live VDPs and
 //! fires the ready ones (lazy or aggressive), parking when nothing is ready.
 
-use crate::error::{RunError, StuckVdp};
+use crate::error::{panic_message, RunError, StuckVdp};
 use crate::packet::Packet;
 use crate::trace::TaskSpan;
 use crate::tuple::Tuple;
@@ -132,17 +132,6 @@ impl WorkerServices<'_> {
                 end_us: t.now_us(),
             });
         }
-    }
-}
-
-/// Render a panic payload for diagnostics.
-fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        String::from("non-string panic payload")
     }
 }
 

@@ -2,11 +2,13 @@
 //! the warm [`VsaPool`] that executes every job.
 //!
 //! One scheduler thread owns the pool. It pops jobs FIFO off a bounded
-//! queue, packs up to `batch_max` of them into a single VSA launch
-//! (capped by `batch_bytes` of matrix data so one giant job cannot drag
-//! a batch of small ones behind it), runs
+//! queue, packs up to `batch_max` of them into one batch (capped by
+//! `batch_bytes` of matrix data so one giant job cannot drag a batch of
+//! small ones behind it), runs
 //! [`tile_qr_vsa_batch_pooled`](pulsar_core::vsa3d::tile_qr_vsa_batch_pooled)
-//! on the warm pool, and distributes each R to its waiters. Admission is
+//! on the warm pool — each job walked whole on one worker when the batch
+//! has a job for every worker, one shared VSA launch otherwise — and
+//! distributes each R to its waiters. Admission is
 //! rejected — not stalled — when the queue is full, with a retry hint
 //! derived from the observed batch rate.
 
@@ -15,7 +17,7 @@ use crate::server::{validate_job, IdemMap};
 use crate::store::{FactorHandle, FactorStore, StoreError, WalError};
 use parking_lot::{Condvar, Mutex};
 use pulsar_core::update::append_rows;
-use pulsar_core::vsa3d::tile_qr_vsa_batch_pooled;
+use pulsar_core::vsa3d::{batch_backend, tile_qr_vsa_batch_pooled};
 use pulsar_core::{grid_aspect, tile_qr_tsqr, QrOptions, TileQrFactors};
 use pulsar_linalg::Matrix;
 use pulsar_runtime::trace::{TaskSpan, Trace};
@@ -226,6 +228,9 @@ struct Counters {
     expired: u64,
     rejected: u64,
     batches: u64,
+    /// Batches whose jobs were each walked whole on one pool worker
+    /// ([`pulsar_core::vsa3d::batch_backend`]), poisoned ones included.
+    batches_walked: u64,
     solves: u64,
     applies: u64,
     updates: u64,
@@ -713,6 +718,7 @@ impl Service {
             ("jobs_expired", c.expired.into()),
             ("jobs_rejected", c.rejected.into()),
             ("batches", c.batches.into()),
+            ("batches_walked", c.batches_walked.into()),
             ("jobs_panicked", c.panicked.into()),
             ("jobs_redispatched", c.redispatched.into()),
             ("pool_respawns", self.pool.respawns().into()),
@@ -907,6 +913,7 @@ impl Service {
                     }
                 }
             }
+            let backend = batch_backend(&jobs, pool.threads());
             let result = tile_qr_vsa_batch_pooled(&jobs, &config, pool);
             let wall = t0.elapsed();
             drop(jobs);
@@ -918,12 +925,13 @@ impl Service {
                 pool.respawn_all();
             }
 
-            if result.is_ok() {
-                self.observe(&batch, pulsar_core::Backend::Vsa3d, wall);
+            if let Ok(out) = &result {
+                self.observe(&batch, out.backend, wall);
             }
 
             let mut st = self.state.lock();
             st.counters.batches += 1;
+            st.counters.batches_walked += u64::from(backend == pulsar_core::Backend::Seq);
             st.busy += wall;
             st.running -= batch.len();
             match result {

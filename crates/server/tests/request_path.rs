@@ -340,6 +340,7 @@ fn stats_surfaces_keep_their_full_key_sets() {
     const SERVICE: &[&str] = &[
         "applies",
         "batches",
+        "batches_walked",
         "idem_evictions",
         "idem_hits",
         "jobs_cancelled",

@@ -110,6 +110,9 @@ fn panic_mid_batch_fails_only_the_offending_job() {
     assert!(stats.contains("\"jobs_panicked\":1"), "stats: {stats}");
     assert!(stats.contains("\"jobs_redispatched\":2"), "stats: {stats}");
     assert!(!stats.contains("\"pool_respawns\":0"), "stats: {stats}");
+    // The three equal victims fill both workers, so the poisoned batch and
+    // its re-dispatch were each walked; the lone decoy used the array.
+    assert!(stats.contains("\"batches_walked\":2"), "stats: {stats}");
 }
 
 /// A job whose batch is poisoned repeatedly exhausts its retry budget and

@@ -273,8 +273,9 @@ impl ProfilePolicy {
             // A tuned TSQR cell only transfers where the aspect rule holds;
             // a square shape borrowing a tall cell must stay on the VSA.
             Backend::Tsqr if grid_aspect(m, n, nb) >= self.table.tsqr_min_aspect => Backend::Tsqr,
-            Backend::Tsqr => Backend::Vsa3d,
-            Backend::Vsa3d => Backend::Vsa3d,
+            // A walked cell records what a balanced batch ran on; the
+            // batch chose it, not the shape, so a lone job stays on the VSA.
+            Backend::Tsqr | Backend::Seq | Backend::Vsa3d => Backend::Vsa3d,
         };
         PlanChoice {
             tree,

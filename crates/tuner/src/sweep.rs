@@ -13,7 +13,7 @@
 use crate::profile::{ProfileCell, ProfileTable, TSQR_MIN_ASPECT};
 use pulsar_core::policy::{Backend, PlanChoice};
 use pulsar_core::vsa3d::tile_qr_vsa;
-use pulsar_core::{tile_qr_tsqr, QrOptions, Tree};
+use pulsar_core::{tile_qr_seq, tile_qr_tsqr, QrOptions, Tree};
 use pulsar_linalg::Matrix;
 use pulsar_runtime::RunConfig;
 use rand::rngs::StdRng;
@@ -169,6 +169,10 @@ fn measure(a: &Matrix, choice: &PlanChoice, threads: usize, reps: usize) -> f64 
             Backend::Vsa3d => {
                 let r = tile_qr_vsa(a, &opts, &RunConfig::smp(threads));
                 std::hint::black_box(&r.factors.r);
+            }
+            Backend::Seq => {
+                let f = tile_qr_seq(a, &opts);
+                std::hint::black_box(&f.r);
             }
         }
         best = best.min(t0.elapsed().as_secs_f64());

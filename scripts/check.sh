@@ -14,9 +14,10 @@ cargo fmt --all --check
 # wire/disk formats, seed->fault sequences and admission rules cannot
 # drift apart between layers; there is one QR array builder, with one
 # chain VDP and one tuple namespace for its `R` exits, so one collector
-# drains them all; the service tier has one accept loop and
-# one verb table under both `serve` and `route`, and builds its JSON with
-# the one writer. Prints the offending file:line.
+# drains them all; there is one sequential plan walker (`walk_plan`), which
+# `tile_qr_seq`, TSQR and every walked service batch run; the service tier
+# has one accept loop and one verb table under both `serve` and `route`,
+# and builds its JSON with the one writer. Prints the offending file:line.
 dup=0
 hits=$(grep -nE '\b(geqrt|unmqr|tsqrt|tsmqr|ttqrt|ttmqr)(_ws)?\(' crates/core/src/*.rs \
     | grep -v '^crates/core/src/ops\.rs:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
@@ -26,7 +27,7 @@ if [ -n "$hits" ]; then
     dup=1
 fi
 for pat in '0x811c_9dc5' '0x82f6_3b78' 'struct SplitMix64' 'fn put_u64' 'fn validate_job' 'fn exit_r' \
-    'fn build_qr_array_into' 'struct FlatDomainVdp'; do
+    'fn build_qr_array_into' 'struct FlatDomainVdp' 'fn walk_plan'; do
     hits=$(grep -rn --include='*.rs' -F "$pat" src crates/*/src || true)
     if [ "$(printf '%s\n' "$hits" | cut -d: -f1 | sort -u | grep -c .)" -ne 1 ]; then
         echo "guard: \`$pat\` must appear in exactly one non-test source file:" >&2
@@ -95,8 +96,9 @@ fi
 
 # Optional: SERVE=1 ./scripts/check.sh smoke-tests the persistent QR
 # service end-to-end through the release binary: start a daemon, drive it
-# with verified submits (one racing a cancel — either outcome is fine),
-# drain it, and require a clean exit.
+# with verified submits (one racing a cancel — either outcome is fine, and
+# one burst whose batches the daemon walks, one job per pool worker),
+# drain it, and require a walked batch and a clean exit.
 if [ "${SERVE:-0}" = "1" ]; then
     serve_out=$(mktemp)
     ./target/release/pulsar-qr serve --threads 2 --stats true > "$serve_out" &
@@ -113,6 +115,8 @@ if [ "${SERVE:-0}" = "1" ]; then
         --nb 16 --tree binary --seed 9
     ./target/release/pulsar-qr submit --addr "$addr" --rows 256 --cols 64 \
         --nb 8 --cancel true
+    ./target/release/pulsar-qr submit --addr "$addr" --rows 32 --cols 16 \
+        --nb 8 --burst 8
     # Factor-store verbs: keep a factorization, then solve / apply-q /
     # stream rows against its handle (each self-verifies its oracle).
     keep_out=$(./target/release/pulsar-qr submit --addr "$addr" --rows 96 \
@@ -126,7 +130,10 @@ if [ "${SERVE:-0}" = "1" ]; then
         --handle "$handle" --rows 96 --cols 32 --seed 13
     ./target/release/pulsar-qr submit --addr "$addr" --verb update \
         --handle "$handle" --rows 96 --cols 32 --seed 13 --append-rows 16
-    ./target/release/pulsar-qr drain --addr "$addr"
+    drain_out=$(./target/release/pulsar-qr drain --addr "$addr")
+    echo "$drain_out"
+    walked=$(echo "$drain_out" | grep -o '"batches_walked":[0-9]*' | cut -d: -f2)
+    [ "${walked:-0}" -ge 1 ] || { echo "SERVE smoke: no batch was walked" >&2; exit 1; }
     wait "$serve_pid"
     rm -f "$serve_out"
     echo "SERVE smoke: ok"
