@@ -170,8 +170,18 @@ fn over_admission_gets_typed_backpressure_not_a_stall() {
 
 #[test]
 fn cancel_status_and_deadline_over_the_wire() {
-    let (child, addr, _tail) =
-        spawn_daemon(&["--threads", "1", "--queue-cap", "16", "--batch-max", "1"]);
+    // The scheduler stalls 50 ms after popping each batch, so the jobs
+    // behind the head stay queued however fast the kernels run.
+    let (child, addr, _tail) = spawn_daemon(&[
+        "--threads",
+        "1",
+        "--queue-cap",
+        "16",
+        "--batch-max",
+        "1",
+        "--fault-plan",
+        "sched-delay-ms=50",
+    ]);
     let opts = QrOptions::new(8, 2, Tree::Greedy);
     let mut client = Client::connect(&addr).unwrap();
 
@@ -196,9 +206,9 @@ fn cancel_status_and_deadline_over_the_wire() {
     }
 
     client.result(head).expect("head completes");
-    // The 1 ms deadline passed long before the head job finished; unless
-    // the scheduler beat us to it (it cannot: one worker, FIFO), the
-    // deadline job expired in-queue.
+    // The deadline is checked when the job is popped, which is at least
+    // the head's 50 ms stall after it was submitted: one worker, FIFO, so
+    // the 1 ms deadline job expired in-queue.
     match client.result(expired) {
         Err(ClientError::Job { msg, .. }) => {
             assert!(msg.contains("deadline"), "wrong failure: {msg}")

@@ -60,15 +60,76 @@ fn crc32c_portable(bytes: &[u8]) -> u32 {
     })
 }
 
+/// Bytes per lane of the three-lane CRC32C. A `crc32` step's latency is
+/// three times its issue interval, so every whole `3 * CRC_LANE` block runs
+/// three independent chains, one per third, joined by [`crc32c_shift`].
+const CRC_LANE: usize = 2048;
+
+/// `CRC_SHIFT[k][b]` is the CRC register `b << 8k` after `CRC_LANE` zero
+/// bytes. The zero-byte step is linear over GF(2), so four lookups shift
+/// any register.
+const CRC_SHIFT: [[u32; 256]; 4] = {
+    let mut img = [0u32; 32];
+    let mut bit = 0;
+    while bit < 32 {
+        let (mut c, mut n) = (1u32 << bit, 0);
+        while n < CRC_LANE {
+            c = CRC32C_TABLE[(c & 0xff) as usize] ^ (c >> 8);
+            n += 1;
+        }
+        img[bit] = c;
+        bit += 1;
+    }
+    let mut table = [[0u32; 256]; 4];
+    let mut i = 0;
+    while i < 4 * 256 {
+        let (k, b) = (i / 256, i % 256);
+        let mut bit = 0;
+        while bit < 8 {
+            if (b >> bit) & 1 == 1 {
+                table[k][b] ^= img[8 * k + bit];
+            }
+            bit += 1;
+        }
+        i += 1;
+    }
+    table
+};
+
+/// The CRC register `c` after `CRC_LANE` zero bytes.
+fn crc32c_shift(c: u32) -> u32 {
+    let t = &CRC_SHIFT;
+    t[0][(c & 0xff) as usize]
+        ^ t[1][((c >> 8) & 0xff) as usize]
+        ^ t[2][((c >> 16) & 0xff) as usize]
+        ^ t[3][(c >> 24) as usize]
+}
+
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
 fn crc32c_sse42(bytes: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
-    let mut words = bytes.chunks_exact(8);
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
     let mut c = u64::from(!0u32);
+    let mut blocks = bytes.chunks_exact(3 * CRC_LANE);
+    for block in &mut blocks {
+        let (l0, rest) = block.split_at(CRC_LANE);
+        let (l1, l2) = rest.split_at(CRC_LANE);
+        let (mut c1, mut c2) = (0u64, 0u64);
+        for ((w0, w1), w2) in l0
+            .chunks_exact(8)
+            .zip(l1.chunks_exact(8))
+            .zip(l2.chunks_exact(8))
+        {
+            c = _mm_crc32_u64(c, word(w0));
+            c1 = _mm_crc32_u64(c1, word(w1));
+            c2 = _mm_crc32_u64(c2, word(w2));
+        }
+        c = u64::from(crc32c_shift(crc32c_shift(c as u32) ^ c1 as u32) ^ c2 as u32);
+    }
+    let mut words = blocks.remainder().chunks_exact(8);
     for w in &mut words {
-        let w = w.try_into().expect("chunks_exact(8) yields 8 bytes");
-        c = _mm_crc32_u64(c, u64::from_le_bytes(w));
+        c = _mm_crc32_u64(c, word(w));
     }
     let tail = words.remainder();
     !tail.iter().fold(c as u32, |c, &b| _mm_crc32_u8(c, b))
@@ -375,18 +436,25 @@ mod tests {
     #[test]
     fn crc32c_paths_agree_on_every_length_and_alignment() {
         assert_eq!(crc32c_portable(b"123456789"), 0xe306_9283);
-        let buf: Vec<u8> = (0..1032u32)
+        let l = CRC_LANE;
+        let buf: Vec<u8> = (0..(6 * l + 16) as u32)
             .map(|i| (i.wrapping_mul(0x9e37_79b9) >> 24) as u8)
             .collect();
-        #[cfg(target_arch = "x86_64")]
-        if std::is_x86_feature_detected!("sse4.2") {
+        // Every length up to 1024, then 5 either side of each lane boundary
+        // (single lane below 3 * CRC_LANE), of the three-lane threshold, and
+        // of the second block's lanes.
+        let edges = [l, 2 * l, 3 * l, 4 * l, 5 * l, 6 * l];
+        let lens = (0..=1024).chain(edges.into_iter().flat_map(|e| e - 5..=e + 5));
+        for len in lens {
             for off in 0..8 {
-                for len in 0..=1024 {
-                    let s = &buf[off..off + len];
+                let s = &buf[off..off + len];
+                #[cfg(target_arch = "x86_64")]
+                if std::is_x86_feature_detected!("sse4.2") {
                     // SAFETY: SSE4.2 was just detected.
                     let fast = unsafe { crc32c_sse42(s) };
                     assert_eq!(fast, crc32c_portable(s), "offset {off}, length {len}");
                 }
+                assert_eq!(crc32c(s), crc32c_portable(s));
             }
         }
     }

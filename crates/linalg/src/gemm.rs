@@ -115,7 +115,10 @@ impl GemmTier {
                     && std::arch::is_x86_feature_detected!("fma")
             }
             #[cfg(target_arch = "x86_64")]
-            GemmTier::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            // Implies Avx2: the fused small-block apply runs its body here.
+            GemmTier::Avx512 => {
+                GemmTier::Avx2.is_available() && std::arch::is_x86_feature_detected!("avx512f")
+            }
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
         }

@@ -44,6 +44,8 @@ use crate::blas::ddot;
 use crate::gemm::{gemm_into, GemmScratch, MatMut, MatRef};
 use crate::matrix::Matrix;
 use crate::workspace::grow;
+#[cfg(target_arch = "x86_64")]
+use std::arch::x86_64 as x86;
 use std::cell::Cell;
 
 /// Which operator to apply in the `*mqr` kernels.
@@ -120,26 +122,15 @@ pub(crate) fn inner_blocks(
     })
 }
 
-/// Below this block width `apply_t_block` keeps its in-place scalar
-/// triangular loops: the dense-`T` GEMM doubles the flops, and for small
-/// `ibb` the product falls under the packed-GEMM threshold anyway, so the
-/// 2x runs in the slow small-product loops and loses outright.
+/// The one crossover of a block-reflector apply: narrower blocks run
+/// [`fused_apply`], wider ones two GEMMs around [`apply_t_block`]. Below it
+/// products miss the packed GEMM, and staging them through `W` costs more.
 const T_APPLY_GEMM_MIN: usize = 16;
 
-/// Multiply the `ibb x nc` column-major workspace `w` (leading dimension
-/// `ibb`) by the upper-triangular `T` block stored in columns
-/// `t_col0..t_col0+ibb` of the flat column-major buffer `t` (leading
-/// dimension `t_ld`). **Out of place**: the result `op(T) * w` lands in the
-/// first `ibb * nc` elements of `scratch`, which is returned; `w` is left
-/// untouched.
-///
-/// For `ibb >= T_APPLY_GEMM_MIN` the triangle is zero-filled into a dense
-/// `ibb x ibb` copy (the tail of `scratch`, which must hold `ibb * (nc +
-/// ibb)` elements) and the whole product becomes one GEMM from `w` into the
-/// output — no copy of `w` at all. The padded zeros contribute exact zeros,
-/// so the math is unchanged; it trades 2x the flops for the vectorized GEMM
-/// rate, which wins by an order of magnitude over the scalar triangular
-/// loops that would otherwise dominate every block apply.
+/// `op(T) * w` for the `ibb x nc` block `w` (`ibb >= T_APPLY_GEMM_MIN`), `T`
+/// upper triangular in columns `t_col0..` of `t` (leading dimension `t_ld`),
+/// into the first `ibb * nc` elements of `scratch` (returned). `T` is
+/// zero-filled into a dense copy in the rest of `scratch`: one GEMM.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_t_block<'s>(
     t: &[f64],
@@ -152,58 +143,187 @@ pub(crate) fn apply_t_block<'s>(
     nc: usize,
     gemm: &mut GemmScratch,
 ) -> &'s mut [f64] {
-    debug_assert!(w.len() >= ibb * nc);
-    debug_assert!(scratch.len() >= ibb * (nc + ibb));
-    let tcol = |j: usize| &t[(t_col0 + j) * t_ld..][..ibb.min(t_ld)];
+    debug_assert!(ibb >= T_APPLY_GEMM_MIN && scratch.len() >= ibb * (nc + ibb));
     let (out, td) = scratch.split_at_mut(ibb * nc);
-    if ibb >= T_APPLY_GEMM_MIN {
-        for j in 0..ibb {
-            let dst = &mut td[j * ibb..(j + 1) * ibb];
-            dst[..=j].copy_from_slice(&tcol(j)[..=j]);
-            dst[j + 1..].fill(0.0);
-        }
-        let tv = MatRef::new(&td[..ibb * ibb], ibb, ibb, 1, ibb);
-        let tv = match trans {
-            ApplyTrans::Trans => tv.t(),
-            ApplyTrans::NoTrans => tv,
+    for j in 0..ibb {
+        let dst = &mut td[j * ibb..(j + 1) * ibb];
+        dst[..=j].copy_from_slice(&t[(t_col0 + j) * t_ld..][..=j]);
+        dst[j + 1..].fill(0.0);
+    }
+    let tv = MatRef::new(&td[..ibb * ibb], ibb, ibb, 1, ibb);
+    let tv = match trans {
+        ApplyTrans::Trans => tv.t(),
+        ApplyTrans::NoTrans => tv,
+    };
+    gemm_into(
+        1.0,
+        tv,
+        MatRef::new(&w[..ibb * nc], ibb, nc, 1, ibb),
+        0.0,
+        MatMut::new(out, ibb, nc, 1, ibb),
+        gemm,
+    );
+    out
+}
+
+/// The operands of a [`fused_apply`]: `V` is `rows x ibb` (column `k` at
+/// `v[k * v_ld..]`), `C` is `rows x nc` (column `j` at `c[j * c_ld..]`), and
+/// a stacked reflector's identity part targets `ibb` rows of `head`.
+struct Fused<'a> {
+    v: &'a [f64],
+    v_ld: usize,
+    rows: usize,
+    head: Option<(&'a mut [f64], usize)>,
+    c: &'a mut [f64],
+    c_ld: usize,
+    nc: usize,
+}
+
+/// Apply a block reflector narrower than [`T_APPLY_GEMM_MIN`] in one pass
+/// per target column on stack arrays: `w = head + V^T c`, `w := op(T) w`
+/// (`T` upper triangular in columns `t_col0..` of `t`, leading dimension
+/// `t_ld`), `head -= w`, `c -= V w`. Each width has a fixed-size body, picked
+/// from [`crate::gemm::active_gemm_tier`]. Columns never interact.
+fn fused_apply(f: Fused<'_>, ibb: usize, t: &[f64], t_ld: usize, t_col0: usize, trans: ApplyTrans) {
+    macro_rules! widths {
+        ($($k:literal)*) => {
+            match ibb {
+                $($k => fused_k::<$k>(f, t, t_ld, t_col0, trans),)*
+                _ => unreachable!("fused apply of a {ibb}-wide block"),
+            }
         };
-        gemm_into(
-            1.0,
-            tv,
-            MatRef::new(&w[..ibb * nc], ibb, nc, 1, ibb),
-            0.0,
-            MatMut::new(out, ibb, nc, 1, ibb),
-            gemm,
-        );
-        return out;
     }
-    out.copy_from_slice(&w[..ibb * nc]);
-    let w = out;
-    match trans {
-        ApplyTrans::Trans => {
-            // Row i of T^T w depends on rows <= i of w: bottom-up in place.
-            for c in 0..nc {
-                let col = &mut w[c * ibb..(c + 1) * ibb];
-                for i in (0..ibb).rev() {
-                    col[i] = ddot(&tcol(i)[..=i], &col[..=i]);
-                }
+    widths!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)
+}
+
+fn fused_k<const K: usize>(f: Fused<'_>, t: &[f64], ld: usize, col0: usize, tr: ApplyTrans) {
+    // opt[j] = column j of op(T), zero outside the triangle.
+    let opt: [[f64; K]; K] = std::array::from_fn(|j| {
+        std::array::from_fn(|i| match tr {
+            ApplyTrans::Trans if j <= i => t[j + (col0 + i) * ld],
+            ApplyTrans::NoTrans if i <= j => t[i + (col0 + j) * ld],
+            _ => 0.0,
+        })
+    });
+    #[cfg(target_arch = "x86_64")]
+    if crate::gemm::active_gemm_tier() != crate::gemm::GemmTier::Scalar {
+        // SAFETY: the wider tiers are only selected when runtime detection
+        // confirmed avx2 + fma support on this CPU.
+        return unsafe { fused_columns_fma::<K>(f, &opt) };
+    }
+    fused_columns::<K, [f64; 4]>(f, &opt)
+}
+
+/// [`fused_columns`] on AVX2 registers with FMA.
+///
+/// # Safety
+/// The CPU must support avx2 and fma.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn fused_columns_fma<const K: usize>(f: Fused<'_>, opt: &[[f64; K]; K]) {
+    fused_columns::<K, x86::__m256d>(f, opt);
+}
+
+/// Four `f64` lanes, the register type of [`fused_columns`]: left to it, the
+/// autovectorizer runs the chunk loops across chunks, transposing loads.
+trait Lanes: Copy {
+    /// Whether `mul_add` rounds once (and so must the scalar tails).
+    const FMA: bool;
+    fn load(s: &[f64; 4]) -> Self;
+    fn store(self, s: &mut [f64; 4]);
+    /// `self + a * b`.
+    fn mul_add(self, a: Self, b: Self) -> Self;
+    #[inline(always)]
+    fn sum(self) -> f64 {
+        let mut s = [0.0; 4];
+        self.store(&mut s);
+        (s[0] + s[1]) + (s[2] + s[3])
+    }
+}
+
+impl Lanes for [f64; 4] {
+    const FMA: bool = false;
+    fn load(s: &[f64; 4]) -> Self {
+        *s
+    }
+    fn store(self, s: &mut [f64; 4]) {
+        *s = self;
+    }
+    fn mul_add(self, a: Self, b: Self) -> Self {
+        std::array::from_fn(|l| self[l] + a[l] * b[l])
+    }
+}
+
+/// Only used inside [`fused_columns_fma`], so avx2 + fma are present.
+#[cfg(target_arch = "x86_64")]
+impl Lanes for x86::__m256d {
+    const FMA: bool = true;
+    #[inline(always)]
+    fn load(s: &[f64; 4]) -> Self {
+        // SAFETY: avx2 is present (see the impl); `s` is 4 readable f64s.
+        unsafe { x86::_mm256_loadu_pd(s.as_ptr()) }
+    }
+    #[inline(always)]
+    fn store(self, s: &mut [f64; 4]) {
+        // SAFETY: avx2 is present (see the impl); `s` is 4 writable f64s.
+        unsafe { x86::_mm256_storeu_pd(s.as_mut_ptr(), self) }
+    }
+    #[inline(always)]
+    fn mul_add(self, a: Self, b: Self) -> Self {
+        // SAFETY: fma is present (see the impl).
+        unsafe { x86::_mm256_fmadd_pd(a, b, self) }
+    }
+}
+
+#[inline(always)]
+fn fused_columns<const K: usize, L: Lanes>(f: Fused<'_>, opt: &[[f64; K]; K]) {
+    let fma = |a: f64, b: f64, c: f64| if L::FMA { a.mul_add(b, c) } else { a * b + c };
+    let (c, mut head) = (f.c, f.head);
+    // Every column is `rows` long: four-lane chunks, then a scalar tail.
+    let vc: [(&[[f64; 4]], &[f64]); K] =
+        std::array::from_fn(|k| f.v[k * f.v_ld..][..f.rows].as_chunks());
+    for j in 0..f.nc {
+        let (xc, xt) = c[j * f.c_ld..][..f.rows].as_chunks_mut::<4>();
+        let mut acc = [L::load(&[0.0; 4]); K];
+        for (i, xi) in xc.iter().enumerate() {
+            let x = L::load(xi);
+            for (a, (vi, _)) in acc.iter_mut().zip(&vc) {
+                *a = a.mul_add(L::load(&vi[i]), x);
             }
         }
-        ApplyTrans::NoTrans => {
-            // Row i of T w depends on rows >= i of w: top-down in place.
-            for c in 0..nc {
-                let col = &mut w[c * ibb..(c + 1) * ibb];
-                for i in 0..ibb {
-                    let mut s = 0.0;
-                    for (l, &cl) in col.iter().enumerate().take(ibb).skip(i) {
-                        s += tcol(l)[i] * cl;
-                    }
-                    col[i] = s;
-                }
+        let mut h = head.as_mut().map(|(h, ld)| &mut h[j * *ld..][..K]);
+        let mut w = [0.0f64; K];
+        for k in 0..K {
+            let mut s = acc[k].sum();
+            for (vi, xi) in vc[k].1.iter().zip(xt.iter()) {
+                s = fma(*vi, *xi, s);
+            }
+            w[k] = h.as_ref().map_or(s, |h| h[k] + s);
+        }
+        // y = -op(T) w, so both updates below are multiply-adds.
+        let mut y = [0.0f64; K];
+        for (col, &wj) in opt.iter().zip(&w) {
+            for (yi, &ti) in y.iter_mut().zip(col) {
+                *yi = fma(ti, -wj, *yi);
+            }
+        }
+        for (hk, yk) in h.iter_mut().flat_map(|h| h.iter_mut()).zip(&y) {
+            *hk += yk;
+        }
+        let ys = y.map(|yk| L::load(&[yk; 4]));
+        for (i, xi) in xc.iter_mut().enumerate() {
+            let mut x = L::load(xi);
+            for ((vi, _), &yk) in vc.iter().zip(&ys) {
+                x = x.mul_add(L::load(&vi[i]), yk);
+            }
+            x.store(xi);
+        }
+        for ((_, vt), &yk) in vc.iter().zip(&y) {
+            for (xi, vi) in xt.iter_mut().zip(vt.iter()) {
+                *xi = fma(*vi, yk, *xi);
             }
         }
     }
-    w
 }
 
 /// Form the upper-triangular `T` factor of an `ibb`-wide reflector block
@@ -407,8 +527,9 @@ pub(crate) fn pad_stair_v(
 /// (leading dimension `t_ld`). `a2` is a raw column-major slice (leading
 /// dimension `a2m`) whose first column is global column `a2_col0` — this
 /// lets `tsqrt` split its tile into reflector and target halves and apply
-/// in place, with no `V` copy. Both `V2` products are single GEMMs;
-/// `w`/`gemm` are the caller's scratch (no allocations in steady state).
+/// in place, with no `V` copy. Blocks narrower than [`T_APPLY_GEMM_MIN`]
+/// take [`fused_apply`]; wider ones make both `V2` products single GEMMs,
+/// with `w`/`gemm` the caller's scratch (no allocations in steady state).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_stacked_block(
     v2: &[f64],
@@ -434,6 +555,19 @@ pub(crate) fn apply_stacked_block(
         return;
     }
     let a2_off = (cols.start - a2_col0) * a2m;
+    if ibb < T_APPLY_GEMM_MIN {
+        let (a1m, h0) = (a1.nrows(), a1_row0 + cols.start * a1.nrows());
+        let f = Fused {
+            v: &v2[v2_col0 * v2_ld..],
+            v_ld: v2_ld,
+            rows: v2_rows,
+            head: Some((&mut a1.data_mut()[h0..], a1m)),
+            c: &mut a2[a2_off..],
+            c_ld: a2m,
+            nc,
+        };
+        return fused_apply(f, ibb, t, t_ld, t_col0, trans);
+    }
     let wbuf = grow(w, ibb * (2 * nc + ibb));
     let (w, tscratch) = wbuf.split_at_mut(ibb * nc);
 
@@ -485,9 +619,10 @@ pub(crate) fn apply_stacked_block(
 /// ```
 ///
 /// `vhat` is the zero-padded dense `rows x ibb` reflector block from
-/// [`pad_tile_v`] (unit heads explicit, so the whole apply is two GEMMs —
-/// no triangular fringe). The `T` block lives in columns `t_col0..` of the
-/// flat buffer `t` (leading dimension `t_ld`).
+/// [`pad_tile_v`] (unit heads explicit, so there is no triangular fringe:
+/// [`fused_apply`] below [`T_APPLY_GEMM_MIN`], two GEMMs from it up). The
+/// `T` block lives in columns `t_col0..` of the flat buffer `t` (leading
+/// dimension `t_ld`).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_tile_block(
     vhat: &[f64],
@@ -507,6 +642,18 @@ pub(crate) fn apply_tile_block(
 ) {
     if nc == 0 || ibb == 0 || rows == 0 {
         return;
+    }
+    if ibb < T_APPLY_GEMM_MIN {
+        let f = Fused {
+            v: vhat,
+            v_ld: rows,
+            rows,
+            head: None,
+            c: &mut c[c_col0 * ld + row0..],
+            c_ld: ld,
+            nc,
+        };
+        return fused_apply(f, ibb, t, t_ld, t_col0, trans);
     }
     let wbuf = grow(w, ibb * (2 * nc + ibb));
     let (w, tscratch) = wbuf.split_at_mut(ibb * nc);
@@ -550,10 +697,11 @@ mod tests {
         assert_eq!(inner_blocks(0, 4, ApplyTrans::Trans).count(), 0);
     }
 
-    // Checks both dispatch paths: `ibb = 3` runs the scalar triangular
-    // loops, `ibb = 24` the zero-padded dense-T GEMM.
-    fn check_apply_t_block(ibb: usize, nc: usize, tol: f64) {
+    // The dense-T GEMM path (`ibb >= T_APPLY_GEMM_MIN`).
+    #[test]
+    fn apply_t_block_matches_dense_gemm_path() {
         use crate::blas::{dgemm, Trans};
+        let (ibb, nc) = (24, 17);
         let mut rng = rand::rng();
         // t with the block at columns 2..2+ibb, upper triangular.
         let mut t = Matrix::zeros(ibb + 1, ibb + 4);
@@ -585,21 +733,145 @@ mod tests {
             let got = Matrix::from_fn(ibb, nc, |i, j| out[i + j * ibb]);
             let mut want = Matrix::zeros(ibb, nc);
             dgemm(tt, Trans::No, 1.0, &tdense, &w0, 0.0, &mut want);
-            assert!(
-                got.sub(&want).norm_fro() < tol,
-                "ibb={ibb} nc={nc} trans={trans:?}"
-            );
+            assert!(got.sub(&want).norm_fro() < 1e-12, "trans={trans:?}");
         }
     }
 
-    #[test]
-    fn apply_t_block_matches_dense_scalar_path() {
-        check_apply_t_block(3, 5, 1e-13);
+    /// `(I - V op(T) V^T) C`, with the reflector built densely by `dgemm`.
+    fn reflect_dense(v: &Matrix, t: &Matrix, trans: ApplyTrans, c: &Matrix) -> Matrix {
+        use crate::blas::{dgemm, Trans};
+        let tt = match trans {
+            ApplyTrans::Trans => Trans::Yes,
+            ApplyTrans::NoTrans => Trans::No,
+        };
+        let n = v.nrows();
+        let mut vt = Matrix::zeros(n, v.ncols());
+        dgemm(Trans::No, tt, 1.0, v, t, 0.0, &mut vt);
+        let mut h = Matrix::identity(n);
+        dgemm(Trans::No, Trans::Yes, -1.0, &vt, v, 1.0, &mut h);
+        let mut out = Matrix::zeros(n, c.ncols());
+        dgemm(Trans::No, Trans::No, 1.0, &h, c, 0.0, &mut out);
+        out
+    }
+
+    /// Both fused callers against [`reflect_dense`] at one shape: the
+    /// in-tile apply on rows `1..1+rows`, columns `2..2+nc` of a wider
+    /// buffer, and the stacked apply on `[A1 rows 2..2+ibb; A2]`, columns
+    /// `3..3+nc`. `T` sits at columns `2..` of a buffer whose sub-diagonal
+    /// is dirty; column `zero` of it is a zero-`tau` reflector.
+    fn check_fused(ibb: usize, rows: usize, nc: usize, trans: ApplyTrans, zero: Option<usize>) {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64((ibb * 1000 + rows * 10 + nc) as u64);
+        let mut t = Matrix::from_fn(ibb + 1, ibb + 3, |_, _| 9.0);
+        for j in 0..ibb {
+            for i in 0..=j {
+                t[(i, 2 + j)] = if zero == Some(j) {
+                    0.0
+                } else {
+                    rand::Rng::random::<f64>(&mut rng)
+                };
+            }
+        }
+        let tdense = Matrix::from_fn(ibb, ibb, |i, j| if i <= j { t[(i, 2 + j)] } else { 0.0 });
+        let close = |got: &Matrix, want: &Matrix, before: &Matrix, what: &str| {
+            let err = got.sub(want).norm_fro();
+            let scale = want.norm_fro() + before.norm_fro();
+            assert!(
+                err <= 1e-13 * scale,
+                "{what} ibb={ibb} rows={rows} nc={nc} {trans:?} zero={zero:?}: {err:e}"
+            );
+        };
+        let mut w = Vec::new();
+        let mut gemm = GemmScratch::default();
+
+        // In-tile: C[1..1+rows, 2..2+nc] -= V op(T) V^T C.
+        let v = Matrix::random(rows, ibb, &mut rng);
+        let c0 = Matrix::random(rows + 2, nc + 3, &mut rng);
+        let mut c = c0.clone();
+        let ld = c.nrows();
+        apply_tile_block(
+            v.data(),
+            rows,
+            ibb,
+            t.data(),
+            t.nrows(),
+            2,
+            trans,
+            c.data_mut(),
+            ld,
+            1,
+            2,
+            nc,
+            &mut w,
+            &mut gemm,
+        );
+        let mut want = c0.clone();
+        let target = c0.submatrix(1, 2, rows, nc);
+        want.set_submatrix(1, 2, &reflect_dense(&v, &tdense, trans, &target));
+        close(&c, &want, &c0, "in-tile");
+
+        // Stacked: [A1 rows 2..2+ibb; A2] with reflector [I; V2], V2 in
+        // columns 2..2+ibb of its store.
+        let v2 = Matrix::random(rows, ibb + 2, &mut rng);
+        let a10 = Matrix::random(ibb + 3, nc + 3, &mut rng);
+        let a20 = Matrix::random(rows, nc + 3, &mut rng);
+        let (mut a1, mut a2) = (a10.clone(), a20.clone());
+        apply_stacked_block(
+            v2.data(),
+            rows,
+            2,
+            rows,
+            t.data(),
+            t.nrows(),
+            2,
+            ibb,
+            trans,
+            &mut a1,
+            2,
+            a2.data_mut(),
+            rows,
+            0,
+            3..3 + nc,
+            &mut w,
+            &mut gemm,
+        );
+        let vfull = Matrix::from_fn(ibb + rows, ibb, |i, j| {
+            if i < ibb {
+                f64::from(u8::from(i == j))
+            } else {
+                v2[(i - ibb, 2 + j)]
+            }
+        });
+        let mut target = Matrix::zeros(ibb + rows, nc);
+        target.set_submatrix(0, 0, &a10.submatrix(2, 3, ibb, nc));
+        target.set_submatrix(ibb, 0, &a20.submatrix(0, 3, rows, nc));
+        let out = reflect_dense(&vfull, &tdense, trans, &target);
+        let (mut want1, mut want2) = (a10.clone(), a20.clone());
+        want1.set_submatrix(2, 3, &out.submatrix(0, 0, ibb, nc));
+        want2.set_submatrix(0, 3, &out.submatrix(ibb, 0, rows, nc));
+        close(&a1, &want1, &a10, "stacked head");
+        close(&a2, &want2, &a20, "stacked tail");
+        assert!(w.is_empty(), "the fused pass must not touch the W scratch");
     }
 
     #[test]
-    fn apply_t_block_matches_dense_gemm_path() {
-        check_apply_t_block(24, 17, 1e-12);
+    fn fused_apply_matches_dense_reflector_at_every_narrow_width() {
+        use crate::gemm::{set_gemm_tier, GemmTier};
+        // The plain body and the FMA body (shared by every wider tier).
+        for tier in [GemmTier::Scalar, GemmTier::detect()] {
+            set_gemm_tier(Some(tier));
+            for ibb in 1..T_APPLY_GEMM_MIN {
+                for rows in [0, 1, 3, 4, 5, 16, 17, 32] {
+                    for nc in [0, 1, 7, 16] {
+                        for trans in [ApplyTrans::Trans, ApplyTrans::NoTrans] {
+                            let zero = (nc % 2 == 1).then_some(ibb / 2);
+                            check_fused(ibb, rows, nc, trans, zero);
+                        }
+                    }
+                }
+            }
+        }
+        set_gemm_tier(None);
     }
 
     #[test]

@@ -132,6 +132,43 @@ fn apply_kernels_are_alloc_free_after_warmup() {
     });
 }
 
+#[test]
+fn fine_tile_kernels_are_alloc_free_after_warmup() {
+    // The fine-tile shapes, where every block apply is narrower than 16
+    // columns and runs the fused per-column pass on stack arrays.
+    for (nb, ib) in [(16, 4), (32, 8)] {
+        let mut rng = StdRng::seed_from_u64(nb as u64);
+        let mut ws = Workspace::new();
+        let mut t = Matrix::zeros(ib, nb);
+        let mut c1 = Matrix::random(nb, nb, &mut rng);
+        let mut c2 = Matrix::random(nb, nb, &mut rng);
+
+        let mut v = Matrix::random(nb, nb, &mut rng);
+        assert_steady_state_alloc_free("geqrt_ws", &mut ws, |ws| geqrt_ws(&mut v, &mut t, ib, ws));
+        assert_steady_state_alloc_free("unmqr_ws", &mut ws, |ws| {
+            unmqr_ws(&v, &t, ApplyTrans::Trans, &mut c1, ib, ws)
+        });
+
+        let mut r = Matrix::random(nb, nb, &mut rng).upper_triangle();
+        let mut v = Matrix::random(nb, nb, &mut rng);
+        assert_steady_state_alloc_free("tsqrt_ws", &mut ws, |ws| {
+            tsqrt_ws(&mut r, &mut v, &mut t, ib, ws)
+        });
+        assert_steady_state_alloc_free("tsmqr_ws", &mut ws, |ws| {
+            tsmqr_ws(&mut c1, &mut c2, &v, &t, ApplyTrans::Trans, ib, ws)
+        });
+
+        let mut r = Matrix::random(nb, nb, &mut rng).upper_triangle();
+        let mut v = Matrix::random(nb, nb, &mut rng).upper_triangle();
+        assert_steady_state_alloc_free("ttqrt_ws", &mut ws, |ws| {
+            ttqrt_ws(&mut r, &mut v, &mut t, ib, ws)
+        });
+        assert_steady_state_alloc_free("ttmqr_ws", &mut ws, |ws| {
+            ttmqr_ws(&mut c1, &mut c2, &v, &t, ApplyTrans::NoTrans, ib, ws)
+        });
+    }
+}
+
 /// One service "job" worth of kernel work: every `_ws` kernel once, in
 /// factor → apply order, against pre-allocated inputs.
 #[allow(clippy::too_many_arguments)]

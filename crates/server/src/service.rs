@@ -1181,8 +1181,10 @@ mod tests {
             batch_max: 1,
             ..ServeConfig::default()
         });
-        // A big head-of-line job keeps the queue busy long enough for the
-        // cancel and the 1 ms deadline behind it to take effect.
+        // The scheduler stalls 50 ms after popping each batch, so the head
+        // job holds the single worker long enough for the cancel and the
+        // 1 ms deadline behind it to take effect, however fast it factors.
+        svc.inject_sched_delay(Duration::from_millis(50));
         let head = svc
             .submit(random_matrix(96, 32, 1), opts(), None, false)
             .unwrap();
@@ -1201,8 +1203,8 @@ mod tests {
         assert!(!svc.cancel(doomed), "second cancel is a no-op");
         assert_eq!(svc.wait_result(doomed), Err(JobError::Cancelled));
         svc.wait_result(head).expect("head job completes");
-        // The deadline is checked when the scheduler reaches the job; by
-        // now 1 ms has long passed.
+        // The deadline is checked when the scheduler pops the job, at
+        // least 50 ms after it was submitted.
         match svc.wait_result(expired) {
             Err(JobError::DeadlineExpired) => {}
             Ok(_) => panic!("deadline should have expired"),

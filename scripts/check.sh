@@ -15,9 +15,11 @@ cargo fmt --all --check
 # drift apart between layers; there is one QR array builder, with one
 # chain VDP and one tuple namespace for its `R` exits, so one collector
 # drains them all; there is one sequential plan walker (`walk_plan`), which
-# `tile_qr_seq`, TSQR and every walked service batch run; the service tier
-# has one accept loop and one verb table under both `serve` and `route`,
-# and builds its JSON with the one writer. Prints the offending file:line.
+# `tile_qr_seq`, TSQR and every walked service batch run; a block-reflector
+# apply narrower than 16 columns has one path (`fused_apply`), so no second
+# small-apply loop can drift from it; the service tier has one accept loop
+# and one verb table under both `serve` and `route`, and builds its JSON
+# with the one writer. Prints the offending file:line.
 dup=0
 hits=$(grep -nE '\b(geqrt|unmqr|tsqrt|tsmqr|ttqrt|ttmqr)(_ws)?\(' crates/core/src/*.rs \
     | grep -v '^crates/core/src/ops\.rs:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
@@ -27,7 +29,7 @@ if [ -n "$hits" ]; then
     dup=1
 fi
 for pat in '0x811c_9dc5' '0x82f6_3b78' 'struct SplitMix64' 'fn put_u64' 'fn validate_job' 'fn exit_r' \
-    'fn build_qr_array_into' 'struct FlatDomainVdp' 'fn walk_plan'; do
+    'fn build_qr_array_into' 'struct FlatDomainVdp' 'fn walk_plan' 'fn fused_apply'; do
     hits=$(grep -rn --include='*.rs' -F "$pat" src crates/*/src || true)
     if [ "$(printf '%s\n' "$hits" | cut -d: -f1 | sort -u | grep -c .)" -ne 1 ]; then
         echo "guard: \`$pat\` must appear in exactly one non-test source file:" >&2
@@ -77,9 +79,12 @@ cargo test --offline --workspace -q
 # The linalg suite again under each forcible GEMM microkernel tier, so a
 # bug in one tier's microkernel cannot hide behind runtime dispatch picking
 # another. The env override clamps to what the CPU supports, so these runs
-# are safe (if degenerate) on hosts without the wider ISA.
+# are safe (if degenerate) on hosts without the wider ISA. The scalar tier
+# also reruns cross-executor bit-identity, so the fused small-block apply's
+# plain multiply-add body is held to it as well as its FMA body.
 PULSAR_GEMM_TIER=scalar cargo test --offline -p pulsar-linalg -q
 PULSAR_GEMM_TIER=avx2 cargo test --offline -p pulsar-linalg -q
+PULSAR_GEMM_TIER=scalar cargo test --offline -p pulsar-core --test engine_equivalence -q
 
 # Optional: BENCH=1 ./scripts/check.sh also smoke-runs the kernel bench
 # harness (few samples), refreshes BENCH_kernels.json, runs the
