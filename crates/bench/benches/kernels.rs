@@ -6,10 +6,9 @@
 //! fills are off the clock — the timings are the kernels alone.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
-use pulsar_linalg::blas::{dgemm_pooled, dgemm_with, GemmAlgo, Trans};
+use pulsar_linalg::blas::{dgemm_with, GemmAlgo, Trans};
 use pulsar_linalg::kernels::ApplyTrans;
 use pulsar_linalg::{flops, geqrt, tsmqr, tsqrt, ttmqr, ttqrt, unmqr, Matrix};
-use pulsar_runtime::VsaPool;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -38,51 +37,6 @@ fn bench_dgemm(c: &mut Criterion) {
                 )
             });
         }
-    }
-    g.finish();
-}
-
-/// Pool-parallel GEMM against the single-threaded packed engine, at sizes
-/// above the parallel threshold. `pool4` numbers depend on how many cores
-/// the host actually exposes — on a single-core box the chunked path shows
-/// its dispatch overhead rather than a speedup.
-fn bench_dgemm_mt(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(9);
-    let pool = VsaPool::new(4);
-    let mut g = c.benchmark_group("dgemm_mt");
-    for &n in &[768usize, 1024] {
-        let a = Matrix::random(n, n, &mut rng);
-        let b = Matrix::random(n, n, &mut rng);
-        g.throughput(Throughput::Elements(2 * (n * n * n) as u64));
-        g.bench_with_input(BenchmarkId::new("single", n), &n, |bch, _| {
-            bch.iter_batched(
-                || Matrix::zeros(n, n),
-                |mut cmat| {
-                    dgemm_with(
-                        GemmAlgo::Packed,
-                        Trans::No,
-                        Trans::No,
-                        1.0,
-                        &a,
-                        &b,
-                        0.0,
-                        &mut cmat,
-                    );
-                    black_box(cmat)
-                },
-                BatchSize::LargeInput,
-            )
-        });
-        g.bench_with_input(BenchmarkId::new("pool4", n), &n, |bch, _| {
-            bch.iter_batched(
-                || Matrix::zeros(n, n),
-                |mut cmat| {
-                    dgemm_pooled(Trans::No, Trans::No, 1.0, &a, &b, 0.0, &mut cmat, &pool);
-                    black_box(cmat)
-                },
-                BatchSize::LargeInput,
-            )
-        });
     }
     g.finish();
 }
@@ -191,6 +145,6 @@ fn bench_kernels(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_dgemm, bench_dgemm_mt, bench_kernels
+    targets = bench_dgemm, bench_kernels
 }
 criterion_main!(benches);

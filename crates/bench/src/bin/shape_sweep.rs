@@ -17,18 +17,13 @@
 //! - `tuned >= fixed` on every shape;
 //! - `tsqr >= 1.2 * fixed` on the tall-skinny shapes (grid aspect >= 32),
 //!   where skipping the 3D VSA construction must pay off, not just tie.
-//!
-//! Also records the measured pooled-GEMM crossover (`pool_min_mnk`): the
-//! smallest `m*n*k` where pool-split GEMM beats single-threaded, or null
-//! if the pool never won (the fixed 16 Mi-flop constant mispredicts on
-//! some hosts — see BENCH_kernels.json's pool4 vs single rates).
 
 use pulsar_core::policy::{Backend, PaperPolicy, PlanChoice, PlanPolicy};
 use pulsar_core::vsa3d::tile_qr_vsa;
 use pulsar_core::{grid_aspect, tile_qr_seq, tile_qr_tsqr, Tree};
 use pulsar_linalg::Matrix;
 use pulsar_runtime::RunConfig;
-use pulsar_tuner::{candidates, measure_pool_crossover, qr_flops};
+use pulsar_tuner::{candidates, qr_flops};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -129,11 +124,6 @@ fn main() {
         }
     }
 
-    let crossover = measure_pool_crossover(THREADS);
-    fields.push((
-        "meta/pool_min_mnk".into(),
-        crossover.map_or("null".into(), |v| v.to_string()),
-    ));
     fields.push((
         "meta/gates".into(),
         if failures.is_empty() {

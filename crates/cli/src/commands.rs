@@ -47,9 +47,6 @@ COMMANDS
             measured: --profile table.json
             [--shapes 256x256,512x128,1024x32,2048x8] [--threads 4]
             [--reps 3] [--nb-list 8,16,32,64] [--seed 42]
-            [--pool-crossover false]
-  cholesky  factor a random SPD matrix on the runtime and verify
-            --n N [--nb 64] [--threads 4] [--seed 42]
   launch    distributed QR: spawn N worker processes meshed over TCP,
             verify each rank's R tiles against a shared-memory run
             [--nodes 2] [--rows 64] [--cols 16] [--nb 8] [--ib nb/4]
@@ -121,7 +118,6 @@ pub fn run(args: &Args) -> Result<String, CliError> {
         "ls" => least_squares(args).map_err(CliError::from),
         "simulate" => simulate(args).map_err(CliError::from),
         "tune" => tune(args).map_err(CliError::from),
-        "cholesky" => cholesky(args).map_err(CliError::from),
         "launch" => crate::dist::launch(args),
         "resume" => crate::dist::resume(args),
         "worker" => crate::dist::worker(args),
@@ -222,13 +218,13 @@ fn factor(args: &Args) -> Result<String, String> {
     if !m.is_multiple_of(opts.nb) {
         return Err(format!("--rows must be a multiple of nb ({})", opts.nb));
     }
-    let nodes: usize = args.opt("nodes", 1)?;
+    let nodes = positive("nodes", args.opt("nodes", 1)?)?;
     let engine: String = args.opt("engine", default_engine)?;
     let seed: u64 = args.opt("seed", 42)?;
 
     let mut rng = StdRng::seed_from_u64(seed);
     let a = Matrix::random(m, n, &mut rng);
-    let mut config = if nodes <= 1 {
+    let mut config = if nodes == 1 {
         RunConfig::smp(threads)
     } else {
         let plan = opts.plan(m / opts.nb, n.div_ceil(opts.nb));
@@ -458,15 +454,7 @@ fn tune(args: &Args) -> Result<String, String> {
 /// path is extended (cells for re-swept shapes are replaced), so repeated
 /// runs refine coverage instead of discarding it.
 fn tune_measured(args: &Args) -> Result<String, String> {
-    args.ensure_known(&[
-        "profile",
-        "shapes",
-        "threads",
-        "reps",
-        "nb-list",
-        "seed",
-        "pool-crossover",
-    ])?;
+    args.ensure_known(&["profile", "shapes", "threads", "reps", "nb-list", "seed"])?;
     let path = std::path::PathBuf::from(args.get("profile").expect("dispatched on --profile"));
     let shapes_spec: String = args.opt("shapes", "256x256,512x128,1024x32,2048x8".to_string())?;
     let mut shapes = Vec::new();
@@ -501,11 +489,10 @@ fn tune_measured(args: &Args) -> Result<String, String> {
     }
     let cfg = pulsar_tuner::SweepConfig {
         shapes,
-        threads: args.opt("threads", 4)?,
-        reps: args.opt("reps", 3)?,
+        threads: positive("threads", args.opt("threads", 4)?)?,
+        reps: positive("reps", args.opt("reps", 3)?)?,
         nb_list,
         seed: args.opt("seed", 42)?,
-        pool_crossover: args.opt("pool-crossover", false)?,
     };
 
     let report = pulsar_tuner::run_sweep(&cfg);
@@ -516,9 +503,6 @@ fn tune_measured(args: &Args) -> Result<String, String> {
     };
     for cell in report.table.cells() {
         table.insert(cell.clone());
-    }
-    if report.table.pool_min_mnk.is_some() {
-        table.pool_min_mnk = report.table.pool_min_mnk;
     }
     table
         .save(&path)
@@ -544,12 +528,6 @@ fn tune_measured(args: &Args) -> Result<String, String> {
             .unwrap();
         }
     }
-    if cfg.pool_crossover {
-        match table.pool_min_mnk {
-            Some(mnk) => writeln!(out, "pooled-GEMM crossover: m*n*k >= {mnk}").unwrap(),
-            None => writeln!(out, "pooled-GEMM crossover: not reached (pool stays off)").unwrap(),
-        }
-    }
     writeln!(
         out,
         "PROFILE {} ({} cells)",
@@ -557,55 +535,6 @@ fn tune_measured(args: &Args) -> Result<String, String> {
         table.cells().len()
     )
     .unwrap();
-    Ok(out)
-}
-
-fn cholesky(args: &Args) -> Result<String, String> {
-    args.ensure_known(&["n", "nb", "threads", "seed"])?;
-    let n = positive("n", args.req("n")?)?;
-    let nb = positive("nb", args.opt("nb", 64)?)?;
-    if !n.is_multiple_of(nb) {
-        return Err(format!("--n must be a multiple of nb ({nb})"));
-    }
-    let threads = positive("threads", args.opt("threads", 4)?)?;
-    let seed: u64 = args.opt("seed", 42)?;
-
-    let mut rng = StdRng::seed_from_u64(seed);
-    let b = Matrix::random(n, n, &mut rng);
-    let mut a = Matrix::zeros(n, n);
-    pulsar_linalg::blas::dgemm(
-        pulsar_linalg::blas::Trans::No,
-        pulsar_linalg::blas::Trans::Yes,
-        1.0,
-        &b,
-        &b,
-        0.0,
-        &mut a,
-    );
-    for i in 0..n {
-        a[(i, i)] += n as f64;
-    }
-
-    let t0 = Instant::now();
-    let res = pulsar_core::cholesky::tile_cholesky_vsa(&a, nb, &RunConfig::smp(threads));
-    let dt = t0.elapsed().as_secs_f64();
-    let resid = pulsar_core::cholesky::cholesky_residual(&a, &res.l);
-
-    let mut out = String::new();
-    writeln!(out, "cholesky {n}x{n}  nb={nb}  threads={threads}").unwrap();
-    writeln!(
-        out,
-        "time {:.1} ms   {:.2} Gflop/s   {} tasks",
-        dt * 1e3,
-        flops::cholesky_flops(n) / dt * 1e-9,
-        res.stats.fired
-    )
-    .unwrap();
-    writeln!(out, "residual ||A - L L^T||/(||A|| n) = {resid:.2e}").unwrap();
-    if resid > 1e-12 {
-        return Err(format!("verification FAILED\n{out}"));
-    }
-    writeln!(out, "verification OK").unwrap();
     Ok(out)
 }
 
@@ -853,12 +782,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn cholesky_smoke() {
-        let out = run_line(&["cholesky", "--n", "16", "--nb", "4", "--threads", "2"]).unwrap();
-        assert!(out.contains("verification OK"), "{out}");
-    }
-
     /// `--help`, the README table, and [`crate::error::EXIT_CODES`] must
     /// agree on every exit code the CLI can produce.
     #[test]
@@ -922,14 +845,20 @@ mod tests {
             &["tune", "--m", "1920", "--n", "192", "--cores", "1"],
             "at least 12",
         );
-    }
-
-    #[test]
-    fn cholesky_refuses_zero_threads() {
-        refused(
-            &["cholesky", "--n", "64", "--threads", "0"],
-            "--threads must be positive",
-        );
+        // The measured sweep refuses before it measures or writes anything.
+        let path =
+            std::env::temp_dir().join(format!("pulsar-tune-zero-{}.json", std::process::id()));
+        let path = path.to_str().unwrap();
+        for (flag, want) in [
+            ("--threads", "--threads must be positive"),
+            ("--reps", "--reps must be positive"),
+        ] {
+            refused(
+                &["tune", "--profile", path, "--shapes", "64x64", flag, "0"],
+                want,
+            );
+        }
+        assert!(!std::path::Path::new(path).exists());
     }
 
     #[test]
@@ -942,7 +871,7 @@ mod tests {
                 .contains("multiple of nb")
         );
         // A zero size is a typed error (exit 1), not a panic.
-        for flag in ["--rows", "--cols", "--ib", "--threads"] {
+        for flag in ["--rows", "--cols", "--ib", "--threads", "--nodes"] {
             let mut line = [
                 "factor",
                 "--rows",
@@ -955,6 +884,8 @@ mod tests {
                 "2",
                 "--threads",
                 "2",
+                "--nodes",
+                "1",
             ];
             let at = line.iter().position(|a| *a == flag).unwrap();
             line[at + 1] = "0";
@@ -966,9 +897,11 @@ mod tests {
                 err.msg
             );
         }
-        let unknown = run_line(&["nope"]).unwrap_err();
-        assert!(unknown.msg.contains("unknown command"));
-        assert_eq!(unknown.code, 2, "usage errors exit with code 2");
+        for cmd in ["nope", "cholesky"] {
+            let unknown = run_line(&[cmd]).unwrap_err();
+            assert!(unknown.msg.contains("unknown command"), "{cmd}");
+            assert_eq!(unknown.code, 2, "usage errors exit with code 2");
+        }
         assert!(
             run_line(&["factor", "--rows", "8", "--cols", "4", "--zzz", "1"])
                 .unwrap_err()

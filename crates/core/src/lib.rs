@@ -34,8 +34,6 @@
 //!   against the stored `R`).
 //! - [`lsqr`] — the least-squares driver: factor and apply `Q^T` as VSAs,
 //!   then back-substitute.
-//! - [`cholesky`] — tile Cholesky on the same runtime (its own kernels; the
-//!   generality demonstration, not part of the QR op core).
 //! - [`mapping`] — VDP→(node, thread) mapping functions.
 //! - [`policy`] — plan policies: `{tree, h, nb, ib, backend}` chosen per
 //!   `(m, n, threads)` instead of hard-coded at call sites.
@@ -43,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod applyq;
-pub mod cholesky;
 pub mod factors;
 pub mod lsqr;
 pub mod mapping;

@@ -8,7 +8,7 @@
 //! dominate. The remaining routines (TRMM/TRSM and the level-1 helpers) are
 //! simple loops sized for the narrow triangular factors the kernels use.
 
-use crate::gemm::{gemm_into_impl, gemm_into_pooled, GemmPool, MatMut, MatRef};
+use crate::gemm::{gemm_into_impl, MatMut, MatRef};
 use crate::matrix::Matrix;
 use crate::workspace::with_thread_workspace;
 
@@ -39,36 +39,6 @@ pub enum GemmAlgo {
 /// the scale pass.
 pub fn dgemm(ta: Trans, tb: Trans, alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &mut Matrix) {
     dgemm_with(GemmAlgo::Auto, ta, tb, alpha, a, b, beta, c);
-}
-
-/// [`dgemm`] split column-wise across a [`GemmPool`] of warm workers.
-///
-/// Small products (below the engine's pool threshold) run single-threaded
-/// on the caller's thread-local workspace, so hot small-tile paths never
-/// pay dispatch overhead. Large products are partitioned into one
-/// contiguous column chunk of `C` per worker; the result is bit-identical
-/// to the single-threaded packed path (`dgemm_with(GemmAlgo::Packed, ..)`).
-#[allow(clippy::too_many_arguments)]
-pub fn dgemm_pooled(
-    ta: Trans,
-    tb: Trans,
-    alpha: f64,
-    a: &Matrix,
-    b: &Matrix,
-    beta: f64,
-    c: &mut Matrix,
-    pool: &(impl GemmPool + ?Sized),
-) {
-    let av = match ta {
-        Trans::No => MatRef::from_matrix(a),
-        Trans::Yes => MatRef::from_matrix(a).t(),
-    };
-    let bv = match tb {
-        Trans::No => MatRef::from_matrix(b),
-        Trans::Yes => MatRef::from_matrix(b).t(),
-    };
-    let (m, n) = (c.nrows(), c.ncols());
-    gemm_into_pooled(alpha, av, bv, beta, c.data_mut(), m, n, m.max(1), pool);
 }
 
 /// [`dgemm`] with an explicit algorithm choice (for tests and benchmarks).

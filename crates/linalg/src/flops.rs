@@ -56,26 +56,6 @@ pub fn ttmqr_flops(nc: usize, k: usize) -> f64 {
     2.0 * (nc as f64) * (k as f64) * (k as f64)
 }
 
-/// Standard Cholesky flop count for an `n x n` SPD matrix: `n^3 / 3`.
-pub fn cholesky_flops(n: usize) -> f64 {
-    (n as f64).powi(3) / 3.0
-}
-
-/// Flops for `potrf` on an `nb x nb` tile.
-pub fn potrf_flops(nb: usize) -> f64 {
-    cholesky_flops(nb)
-}
-
-/// Flops for the Cholesky `trsm` on an `m x nb` block.
-pub fn trsm_flops(m: usize, nb: usize) -> f64 {
-    (m as f64) * (nb as f64) * (nb as f64)
-}
-
-/// Flops for `syrk` updating an `n x n` lower tile with an `n x k` block.
-pub fn syrk_flops(n: usize, k: usize) -> f64 {
-    (n as f64) * (n as f64) * (k as f64)
-}
-
 /// Flops for a general `m x n x k` gemm.
 pub fn gemm_flops(m: usize, n: usize, k: usize) -> f64 {
     2.0 * (m as f64) * (n as f64) * (k as f64)
@@ -84,24 +64,6 @@ pub fn gemm_flops(m: usize, n: usize, k: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cholesky_counts() {
-        // Tile counts must sum to ~n^3/3 for an nt x nt grid.
-        let nb = 100;
-        let nt = 8;
-        let mut total = 0.0;
-        for k in 0..nt {
-            total += potrf_flops(nb);
-            total += (nt - k - 1) as f64 * trsm_flops(nb, nb);
-            for i in k + 1..nt {
-                total += syrk_flops(nb, nb);
-                total += (i - k - 1) as f64 * gemm_flops(nb, nb, nb);
-            }
-        }
-        let n = nb * nt;
-        assert!((total / cholesky_flops(n) - 1.0).abs() < 0.05, "{total}");
-    }
 
     #[test]
     fn qr_flops_square() {

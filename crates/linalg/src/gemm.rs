@@ -20,17 +20,8 @@
 //! benches can force a lower tier with the `PULSAR_GEMM_TIER` environment
 //! variable (`scalar`/`avx2`/`avx512`, clamped to what the CPU supports) or
 //! per-thread with [`set_gemm_tier`].
-//!
-//! Large products can additionally be split across a warm worker pool via
-//! [`gemm_into_pooled`] / [`GemmPool`]: the `C` columns are partitioned into
-//! one contiguous chunk per worker, and each worker runs the ordinary packed
-//! path on its chunk with its own packing buffers. Because every `C` element
-//! is produced by a fixed-order accumulation that does not depend on which
-//! panel its column lands in, the parallel result is bit-identical to the
-//! single-threaded one.
 
 use crate::matrix::Matrix;
-use crate::workspace::Workspace;
 use std::cell::Cell;
 use std::sync::OnceLock;
 
@@ -54,44 +45,9 @@ const KC: usize = 256;
 const NC: usize = 4096;
 /// Below this `m*n*k`, the packed path loses to the plain loops.
 const PACKED_MIN_FLOPS: usize = 8192;
-/// Default `m*n*k` below which [`gemm_into_pooled`] stays single-threaded:
-/// pool dispatch costs a cross-thread round-trip that small tiles never
-/// earn back (~256^3 is where 4-way splitting starts to win on one
-/// socket). The live threshold is [`pool_min_mnk`], settable from a
-/// measured profile table — BENCH_kernels.json showed the fixed constant
-/// mispredicting the crossover on some hosts (pool4/1024 slower than
-/// single), so the tuner measures it per machine instead.
-pub const POOL_MIN_MNK_DEFAULT: usize = 16 << 20;
 /// Packed-`A` prefetch distance in k-steps (one k-step of a 16-row panel
 /// is two cache lines).
 const PF_DIST: usize = 4;
-
-/// Upper bound on pool workers one GEMM will split across (the chunk table
-/// lives on the stack).
-pub const MAX_GEMM_WORKERS: usize = 64;
-
-/// Process-wide pooled-GEMM threshold override; 0 means "use the default".
-static POOL_MIN_MNK_OVERRIDE: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(0);
-
-/// The live `m*n*k` threshold below which [`gemm_into_pooled`] runs
-/// single-threaded. [`POOL_MIN_MNK_DEFAULT`] unless overridden by
-/// [`set_pool_min_mnk`].
-pub fn pool_min_mnk() -> usize {
-    match POOL_MIN_MNK_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
-        0 => POOL_MIN_MNK_DEFAULT,
-        v => v,
-    }
-}
-
-/// Override the pooled-GEMM threshold process-wide (a measured crossover
-/// from the tuner's profile table). Passing 0 restores the default;
-/// `usize::MAX` effectively disables pooled dispatch. Safe to call
-/// concurrently with running GEMMs — the threshold is read once per
-/// product.
-pub fn set_pool_min_mnk(mnk: usize) {
-    POOL_MIN_MNK_OVERRIDE.store(mnk, std::sync::atomic::Ordering::Relaxed);
-}
 
 /// Microkernel tier, ordered from narrowest to widest.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -184,8 +140,7 @@ thread_local! {
 /// process-wide default). Panics if the tier is not available on this CPU —
 /// callers (tests) should check [`GemmTier::is_available`] first.
 ///
-/// The override is thread-local: it does **not** propagate to pool workers
-/// in [`gemm_into_pooled`]. Use `PULSAR_GEMM_TIER` to pin every thread.
+/// The override is thread-local. Use `PULSAR_GEMM_TIER` to pin every thread.
 pub fn set_gemm_tier(tier: Option<GemmTier>) {
     if let Some(t) = tier {
         assert!(
@@ -288,27 +243,6 @@ impl<'a> MatRef<'a> {
         }
     }
 
-    /// View of columns `j0..j0+ncols` (same row extent).
-    pub(crate) fn cols(self, j0: usize, ncols: usize) -> Self {
-        assert!(j0 + ncols <= self.n, "MatRef column slice out of range");
-        if self.m == 0 || ncols == 0 {
-            return MatRef {
-                data: self.data,
-                m: self.m,
-                n: ncols,
-                rs: self.rs,
-                cs: self.cs,
-            };
-        }
-        MatRef {
-            data: &self.data[j0 * self.cs..],
-            m: self.m,
-            n: ncols,
-            rs: self.rs,
-            cs: self.cs,
-        }
-    }
-
     #[inline]
     fn at(&self, i: usize, j: usize) -> f64 {
         self.data[i * self.rs + j * self.cs]
@@ -390,112 +324,6 @@ pub(crate) fn gemm_into_impl(
     } else {
         gemm_small(alpha, a, b, c);
     }
-}
-
-/// Work-pool abstraction for [`gemm_into_pooled`]: `workers()` independent
-/// lanes, each with its own [`Workspace`].
-///
-/// # Safety
-///
-/// Implementations must uphold the contract [`gemm_into_pooled`] relies on
-/// for its disjoint-slice aliasing argument: [`GemmPool::run`] invokes
-/// `job` **exactly once** for every index in `0..workers()` (each index on
-/// at most one thread at a time, with a distinct `Workspace` per concurrent
-/// invocation) and does **not return** until every invocation has finished.
-pub unsafe trait GemmPool {
-    /// Number of parallel lanes `run` will invoke the job on.
-    fn workers(&self) -> usize;
-    /// Invoke `job(i, workspace_i)` for every `i in 0..workers()`, blocking
-    /// until all invocations complete.
-    fn run(&self, job: &(dyn Fn(usize, &mut Workspace) + Sync));
-}
-
-/// Chunk table for the pooled path: a raw pointer to the full `C` buffer
-/// plus per-worker disjoint column ranges. `Sync` is sound because workers
-/// only ever touch the columns in their own range.
-struct ColChunks {
-    c: *mut f64,
-    c_len: usize,
-    ld: usize,
-    bounds: [(usize, usize); MAX_GEMM_WORKERS],
-}
-
-// SAFETY: workers index disjoint column ranges of `c` (enforced by the
-// bounds table construction in `gemm_into_pooled`); no element is aliased.
-unsafe impl Sync for ColChunks {}
-
-/// `C := alpha * A * B + beta * C` on a dense column-major `C` (leading
-/// dimension `ld >= m`), split column-wise across a [`GemmPool`].
-///
-/// Falls back to the ordinary single-threaded path (on the caller's
-/// workspace) when the pool has fewer than two workers or the product is
-/// below [`pool_min_mnk`]. The parallel result is **bit-identical** to the
-/// single-threaded packed path: each worker runs the same packed loop nest
-/// over a contiguous column chunk, and no element of `C` is touched by two
-/// workers.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_into_pooled(
-    alpha: f64,
-    a: MatRef<'_>,
-    b: MatRef<'_>,
-    beta: f64,
-    c_data: &mut [f64],
-    m: usize,
-    n: usize,
-    ld: usize,
-    pool: &(impl GemmPool + ?Sized),
-) {
-    assert!(ld >= m.max(1), "C leading dimension too small");
-    let k = a.n;
-    let nw = pool.workers().min(MAX_GEMM_WORKERS).min(n.max(1));
-    if nw < 2 || m * n * k < pool_min_mnk() {
-        crate::workspace::with_thread_workspace(|ws| {
-            let mut cv = MatMut::new(c_data, m, n, 1, ld);
-            gemm_into_impl(alpha, a, b, beta, &mut cv, &mut ws.gemm, false);
-        });
-        return;
-    }
-    let per = n.div_ceil(nw);
-    let mut bounds = [(0usize, 0usize); MAX_GEMM_WORKERS];
-    for (w, slot) in bounds.iter_mut().enumerate().take(nw) {
-        *slot = ((w * per).min(n), ((w + 1) * per).min(n));
-    }
-    let chunks = ColChunks {
-        c: c_data.as_mut_ptr(),
-        c_len: c_data.len(),
-        ld,
-        bounds,
-    };
-    let job = move |w: usize, ws: &mut Workspace| {
-        // Capture the whole `ColChunks` (not its fields) so its `Sync` impl
-        // applies; edition-2021 field capture would grab the raw pointer.
-        let chunks = &chunks;
-        let (j0, j1) = if w < MAX_GEMM_WORKERS {
-            chunks.bounds[w]
-        } else {
-            (0, 0)
-        };
-        if j1 <= j0 {
-            return;
-        }
-        let nc = j1 - j0;
-        // SAFETY: workers receive non-overlapping column ranges, so these
-        // sub-slices of `C` never alias; the GemmPool contract guarantees
-        // each range is live on one thread at a time and that all workers
-        // finish before `run` returns (and thus before the borrow of
-        // `c_data` ends).
-        let cslice = unsafe {
-            std::slice::from_raw_parts_mut(
-                chunks.c.add(j0 * chunks.ld),
-                chunks.c_len - j0 * chunks.ld,
-            )
-        };
-        let mut cv = MatMut::new(&mut cslice[..(nc - 1) * chunks.ld + m], m, nc, 1, chunks.ld);
-        // force_packed: tiny edge chunks must not fall back to the
-        // small-product loops, which sum in a different order.
-        gemm_into_impl(alpha, a, b.cols(j0, nc), beta, &mut cv, &mut ws.gemm, true);
-    };
-    pool.run(&job);
 }
 
 /// Apply `beta` to `C`: zero-fill for `beta == 0` (so garbage, including
@@ -914,17 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_threshold_is_settable() {
-        // Only small values here: other tests may read the live threshold
-        // concurrently and expect their products to stay above it.
-        assert_eq!(pool_min_mnk(), POOL_MIN_MNK_DEFAULT);
-        set_pool_min_mnk(1);
-        assert_eq!(pool_min_mnk(), 1);
-        set_pool_min_mnk(0);
-        assert_eq!(pool_min_mnk(), POOL_MIN_MNK_DEFAULT);
-    }
-
-    #[test]
     fn packed_matches_naive_with_offsets_and_strides() {
         let (m, n, k) = (13, 9, 21);
         let a = dense(m, k, |i, j| (i * 31 + j * 7) as f64 * 0.01 - 1.0);
@@ -1043,107 +860,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Sequential in-process pool: good enough to exercise the chunked
-    /// dispatch and its bit-identity claim without threads.
-    struct SeqPool {
-        lanes: std::cell::RefCell<Vec<Workspace>>,
-    }
-
-    unsafe impl GemmPool for SeqPool {
-        fn workers(&self) -> usize {
-            self.lanes.borrow().len()
-        }
-        fn run(&self, job: &(dyn Fn(usize, &mut Workspace) + Sync)) {
-            let mut lanes = self.lanes.borrow_mut();
-            for (i, ws) in lanes.iter_mut().enumerate() {
-                job(i, ws);
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_is_bit_identical_to_single_threaded() {
-        // Odd sizes above the threshold so the chunked path actually runs.
-        let (m, n, k) = (260, 301, 220);
-        assert!(m * n * k >= pool_min_mnk());
-        let a = dense(m, k, |i, j| ((i * 13 + j * 17) % 29) as f64 * 0.1 - 1.4);
-        let b = dense(k, n, |i, j| ((i * 11 + j * 7) % 23) as f64 * 0.2 - 2.2);
-        let c0 = dense(m, n, |i, j| (i + j) as f64 * 0.01);
-
-        let mut single = c0.clone();
-        let mut scratch = GemmScratch::default();
-        gemm_into_impl(
-            1.25,
-            MatRef::new(&a, m, k, 1, m),
-            MatRef::new(&b, k, n, 1, k),
-            -0.5,
-            &mut MatMut::new(&mut single, m, n, 1, m),
-            &mut scratch,
-            true,
-        );
-
-        for workers in [2, 3, 5] {
-            let pool = SeqPool {
-                lanes: std::cell::RefCell::new((0..workers).map(|_| Workspace::new()).collect()),
-            };
-            let mut pooled = c0.clone();
-            gemm_into_pooled(
-                1.25,
-                MatRef::new(&a, m, k, 1, m),
-                MatRef::new(&b, k, n, 1, k),
-                -0.5,
-                &mut pooled,
-                m,
-                n,
-                m,
-                &pool,
-            );
-            assert!(
-                single
-                    .iter()
-                    .zip(&pooled)
-                    .all(|(x, y)| x.to_bits() == y.to_bits()),
-                "pooled GEMM with {workers} workers is not bit-identical"
-            );
-        }
-    }
-
-    #[test]
-    fn pooled_small_product_takes_single_threaded_path() {
-        let (m, n, k) = (16, 16, 16);
-        let a = dense(m, k, |i, j| (i + j) as f64 * 0.1);
-        let b = dense(k, n, |i, j| (i * 2 + j) as f64 * 0.1);
-        let mut pooled = vec![f64::NAN; m * n];
-        let pool = SeqPool {
-            lanes: std::cell::RefCell::new(vec![Workspace::new(), Workspace::new()]),
-        };
-        gemm_into_pooled(
-            1.0,
-            MatRef::new(&a, m, k, 1, m),
-            MatRef::new(&b, k, n, 1, k),
-            0.0,
-            &mut pooled,
-            m,
-            n,
-            m,
-            &pool,
-        );
-        let mut want = vec![0.0; m * n];
-        let mut scratch = GemmScratch::default();
-        gemm_into_impl(
-            1.0,
-            MatRef::new(&a, m, k, 1, m),
-            MatRef::new(&b, k, n, 1, k),
-            0.0,
-            &mut MatMut::new(&mut want, m, n, 1, m),
-            &mut scratch,
-            false,
-        );
-        assert!(pooled
-            .iter()
-            .zip(&want)
-            .all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 }

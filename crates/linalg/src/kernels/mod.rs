@@ -29,7 +29,6 @@
 //! taking an explicit [`Workspace`] (allocation-free in steady state); the
 //! plain names borrow the thread-local workspace.
 
-pub mod cholesky;
 mod geqrt;
 mod tsqrt;
 mod ttqrt;
@@ -37,8 +36,6 @@ mod ttqrt;
 pub use geqrt::{geqrt, geqrt_ws, unmqr, unmqr_ws};
 pub use tsqrt::{tsmqr, tsmqr_ws, tsqrt, tsqrt_ws};
 pub use ttqrt::{ttmqr, ttmqr_ws, ttqrt, ttqrt_ws};
-
-pub use cholesky::{potrf_lower, syrk_lower, trsm_right_lower_trans};
 
 use crate::blas::ddot;
 use crate::gemm::{gemm_into, GemmScratch, MatMut, MatRef};

@@ -3,8 +3,6 @@
 //! once to warm its [`Workspace`] up to size, and the second call must
 //! perform zero heap allocations.
 
-use pulsar_linalg::blas::{dgemm_pooled, Trans};
-use pulsar_linalg::gemm::GemmPool;
 use pulsar_linalg::kernels::ApplyTrans;
 use pulsar_linalg::{
     back_substitute, geqrt_ws, tsmqr_ws, tsqrt_ws, ttmqr_ws, ttqrt_ws, unmqr_ws, Matrix, Workspace,
@@ -12,7 +10,7 @@ use pulsar_linalg::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
@@ -273,47 +271,6 @@ fn warm_solve_on_cached_factors_is_alloc_free() {
         }
         back_substitute(&r, &mut top[0]).expect("R is nonsingular");
     });
-}
-
-/// A dispatch-free [`GemmPool`]: pre-allocated per-worker workspaces, jobs
-/// run inline on the calling thread. Proves the pooled GEMM's *algorithm*
-/// makes no allocations in steady state — any thread-dispatch overhead a
-/// real executor adds is on the executor, not the GEMM.
-struct InlinePool {
-    scratch: RefCell<Vec<Workspace>>,
-}
-
-// SAFETY: each index runs exactly once per `run`, sequentially, each with
-// its own pre-allocated Workspace, and `run` returns only when all done.
-unsafe impl GemmPool for InlinePool {
-    fn workers(&self) -> usize {
-        self.scratch.borrow().len()
-    }
-
-    fn run(&self, job: &(dyn Fn(usize, &mut Workspace) + Sync)) {
-        let mut scratch = self.scratch.borrow_mut();
-        for (i, ws) in scratch.iter_mut().enumerate() {
-            job(i, ws);
-        }
-    }
-}
-
-#[test]
-fn pooled_gemm_is_alloc_free_after_warmup() {
-    // 280^3 clears the pooled-GEMM flop threshold, so the counted call runs
-    // the real chunked parallel path (inline, 4 workers).
-    let mut rng = StdRng::seed_from_u64(6);
-    let pool = InlinePool {
-        scratch: RefCell::new((0..4).map(|_| Workspace::new()).collect()),
-    };
-    let a = Matrix::random(280, 280, &mut rng);
-    let b = Matrix::random(280, 280, &mut rng);
-    let mut c = Matrix::zeros(280, 280);
-    dgemm_pooled(Trans::No, Trans::No, 1.0, &a, &b, 0.0, &mut c, &pool);
-    let before = alloc_count();
-    dgemm_pooled(Trans::No, Trans::No, 1.0, &a, &b, 0.0, &mut c, &pool);
-    let during = alloc_count() - before;
-    assert_eq!(during, 0, "pooled dgemm made {during} allocations warm");
 }
 
 #[test]

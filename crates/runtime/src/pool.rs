@@ -207,20 +207,6 @@ impl VsaPool {
     }
 }
 
-// SAFETY: `run_scoped` invokes the job exactly once per worker index
-// 0..threads(), each pool thread owns its private `WorkerScratch` (so the
-// `Workspace` handed to concurrent invocations is never shared), and the
-// call blocks until every dispatched job has completed.
-unsafe impl pulsar_linalg::gemm::GemmPool for VsaPool {
-    fn workers(&self) -> usize {
-        self.threads()
-    }
-
-    fn run(&self, job: &(dyn Fn(usize, &mut pulsar_linalg::Workspace) + Sync)) {
-        self.run_scoped(&|i, scratch| scratch.with(|ws: &mut pulsar_linalg::Workspace| job(i, ws)));
-    }
-}
-
 impl Drop for VsaPool {
     fn drop(&mut self) {
         // Closing the channels lets every worker fall out of its recv loop.

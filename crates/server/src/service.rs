@@ -335,11 +335,6 @@ impl Service {
             } else {
                 ProfileTable::new()
             };
-            // The measured pooled-GEMM crossover (if the sweep recorded
-            // one) replaces the library's fixed heuristic process-wide.
-            if let Some(mnk) = table.pool_min_mnk {
-                pulsar_linalg::gemm::set_pool_min_mnk(mnk);
-            }
             Mutex::new(TunerState {
                 table,
                 refiner: Refiner::default(),

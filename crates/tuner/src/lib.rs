@@ -10,7 +10,7 @@
 //!   by `(m, n, threads)`, deterministic lookup with nearest-shape
 //!   fallback, and [`ProfilePolicy`] implementing `PlanPolicy` over it.
 //! - [`sweep`] — offline measured sweeps (`pulsar-qr tune`) that seed the
-//!   table, including the pooled-GEMM crossover measurement.
+//!   table.
 //! - [`refine`] — online refinement from serve traffic with hysteresis
 //!   (a cell flips only after a streak of persistently better
 //!   observations).
@@ -26,6 +26,4 @@ pub mod sweep;
 
 pub use profile::{ProfileCell, ProfilePolicy, ProfileTable, PROFILE_VERSION, TSQR_MIN_ASPECT};
 pub use refine::{PlanKey, Refiner};
-pub use sweep::{
-    candidates, measure_pool_crossover, qr_flops, run_sweep, SweepConfig, SweepReport,
-};
+pub use sweep::{candidates, qr_flops, run_sweep, SweepConfig, SweepReport};

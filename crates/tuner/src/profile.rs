@@ -90,10 +90,6 @@ impl ProfileCell {
 /// The profile table (see module docs for lookup semantics).
 #[derive(Clone, Debug, Default)]
 pub struct ProfileTable {
-    /// Measured pooled-GEMM crossover: below this `m*n*k`, splitting a
-    /// GEMM across the pool loses to running it single-threaded. `None`
-    /// keeps the library default.
-    pub pool_min_mnk: Option<usize>,
     /// TSQR routing threshold on the tile-grid aspect ratio.
     pub tsqr_min_aspect: usize,
     cells: Vec<ProfileCell>,
@@ -103,7 +99,6 @@ impl ProfileTable {
     /// An empty table with default thresholds.
     pub fn new() -> Self {
         ProfileTable {
-            pool_min_mnk: None,
             tsqr_min_aspect: TSQR_MIN_ASPECT,
             cells: Vec::new(),
         }
@@ -161,18 +156,15 @@ impl ProfileTable {
 
     /// Serialize to the versioned JSON format.
     pub fn to_json(&self) -> String {
-        let mut fields = vec![
+        obj(vec![
             ("version", Json::Num(PROFILE_VERSION as f64)),
             ("tsqr_min_aspect", Json::Num(self.tsqr_min_aspect as f64)),
             (
                 "cells",
                 Json::Arr(self.cells.iter().map(ProfileCell::to_json).collect()),
             ),
-        ];
-        if let Some(mnk) = self.pool_min_mnk {
-            fields.push(("pool_min_mnk", Json::Num(mnk as f64)));
-        }
-        obj(fields).write()
+        ])
+        .write()
     }
 
     /// Parse the JSON format, rejecting unknown versions.
@@ -188,7 +180,6 @@ impl ProfileTable {
             ));
         }
         let mut table = ProfileTable::new();
-        table.pool_min_mnk = v.get("pool_min_mnk").and_then(Json::as_usize);
         if let Some(a) = v.get("tsqr_min_aspect").and_then(Json::as_usize) {
             table.tsqr_min_aspect = a.max(1);
         }
@@ -330,13 +321,25 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let mut t = ProfileTable::new();
-        t.pool_min_mnk = Some(768 * 768 * 768);
         t.insert(cell(512, 64, 4, Tree::BinaryOnFlat { h: 8 }, 64));
         t.insert(cell(64, 64, 4, Tree::Greedy, 16));
         let back = ProfileTable::parse(&t.to_json()).unwrap();
         assert_eq!(back.cells(), t.cells());
-        assert_eq!(back.pool_min_mnk, t.pool_min_mnk);
         assert_eq!(back.tsqr_min_aspect, t.tsqr_min_aspect);
+        // A version-1 table saved with the retired pooled-GEMM crossover
+        // key still loads, and is saved again without it.
+        let saved = concat!(
+            r#"{"cells":[{"backend":"vsa3d","gflops":1,"ib":16,"m":64,"n":64,"#,
+            r#""nb":16,"samples":1,"threads":4,"tree":"greedy"},"#,
+            r#"{"backend":"vsa3d","gflops":1,"ib":16,"m":512,"n":64,"nb":64,"#,
+            r#""samples":1,"threads":4,"tree":"hier:8"}],"#,
+            r#""pool_min_mnk":452984832,"tsqr_min_aspect":32,"version":1}"#
+        );
+        let old = ProfileTable::parse(saved).unwrap();
+        assert_eq!(old.cells(), t.cells());
+        assert_eq!(old.tsqr_min_aspect, t.tsqr_min_aspect);
+        assert_eq!(old.to_json(), t.to_json());
+        assert!(!old.to_json().contains("pool_min_mnk"));
     }
 
     #[test]

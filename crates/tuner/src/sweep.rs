@@ -44,8 +44,6 @@ pub struct SweepConfig {
     pub nb_list: Vec<usize>,
     /// RNG seed for the measurement matrices.
     pub seed: u64,
-    /// Also measure the pooled-GEMM crossover ([`measure_pool_crossover`]).
-    pub pool_crossover: bool,
 }
 
 impl Default for SweepConfig {
@@ -56,7 +54,6 @@ impl Default for SweepConfig {
             reps: 3,
             nb_list: vec![8, 16, 32, 64],
             seed: 42,
-            pool_crossover: false,
         }
     }
 }
@@ -213,45 +210,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
         });
         shapes.push(ShapeReport { m, n, ranked });
     }
-    if cfg.pool_crossover {
-        table.pool_min_mnk = measure_pool_crossover(cfg.threads.max(2));
-    }
     SweepReport { table, shapes }
-}
-
-/// Measure where pool-split GEMM starts beating single-threaded GEMM:
-/// returns the `m*n*k` of the smallest swept size whose pooled run is at
-/// least as fast, or `None` if the pool never wins (in which case pooled
-/// dispatch should stay effectively disabled for these sizes).
-pub fn measure_pool_crossover(threads: usize) -> Option<usize> {
-    use pulsar_linalg::blas::{dgemm, dgemm_pooled, Trans};
-    let pool = pulsar_runtime::VsaPool::new(threads.max(2));
-    let mut rng = StdRng::seed_from_u64(7);
-    for size in [256usize, 384, 512, 768, 1024] {
-        let a = Matrix::random(size, size, &mut rng);
-        let b = Matrix::random(size, size, &mut rng);
-        let mut c = Matrix::zeros(size, size);
-        let time = |pooled: bool, c: &mut Matrix| {
-            let t0 = Instant::now();
-            for _ in 0..2 {
-                if pooled {
-                    dgemm_pooled(Trans::No, Trans::No, 1.0, &a, &b, 0.0, c, &pool);
-                } else {
-                    dgemm(Trans::No, Trans::No, 1.0, &a, &b, 0.0, c);
-                }
-            }
-            t0.elapsed().as_secs_f64()
-        };
-        // Warm both paths once, then time.
-        let _ = time(false, &mut c);
-        let single = time(false, &mut c);
-        let _ = time(true, &mut c);
-        let pooled = time(true, &mut c);
-        if pooled <= single {
-            return Some(size * size * size);
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -284,7 +243,6 @@ mod tests {
             reps: 1,
             nb_list: vec![16],
             seed: 1,
-            pool_crossover: false,
         };
         let report = run_sweep(&cfg);
         let sq = report.table.lookup_exact(64, 64, 2).unwrap();

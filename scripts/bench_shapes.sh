@@ -8,8 +8,7 @@
 #     paper's fixed plan);
 #   - TSQR >= 1.2x fixed on the tall-skinny shapes (grid aspect >= 32).
 # The JSON is written either way, so a failed gate leaves the honest
-# numbers behind for inspection. It also records the measured pooled-GEMM
-# crossover (meta/pool_min_mnk, null when the pool never won).
+# numbers behind for inspection.
 #
 # Usage: scripts/bench_shapes.sh [output.json]
 set -eu

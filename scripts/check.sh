@@ -19,7 +19,8 @@ cargo fmt --all --check
 # apply narrower than 16 columns has one path (`fused_apply`), so no second
 # small-apply loop can drift from it; the service tier has one accept loop
 # and one verb table under both `serve` and `route`, and builds its JSON
-# with the one writer. Prints the offending file:line.
+# with the one writer; every hand-argued thread-safety claim (`unsafe impl`)
+# lives in one file, the channel queue. Prints the offending file:line.
 dup=0
 hits=$(grep -nE '\b(geqrt|unmqr|tsqrt|tsmqr|ttqrt|ttmqr)(_ws)?\(' crates/core/src/*.rs \
     | grep -v '^crates/core/src/ops\.rs:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
@@ -29,7 +30,7 @@ if [ -n "$hits" ]; then
     dup=1
 fi
 for pat in '0x811c_9dc5' '0x82f6_3b78' 'struct SplitMix64' 'fn put_u64' 'fn validate_job' 'fn exit_r' \
-    'fn build_qr_array_into' 'struct FlatDomainVdp' 'fn walk_plan' 'fn fused_apply'; do
+    'fn build_qr_array_into' 'struct FlatDomainVdp' 'fn walk_plan' 'fn fused_apply' 'unsafe impl'; do
     hits=$(grep -rn --include='*.rs' -F "$pat" src crates/*/src || true)
     if [ "$(printf '%s\n' "$hits" | cut -d: -f1 | sort -u | grep -c .)" -ne 1 ]; then
         echo "guard: \`$pat\` must appear in exactly one non-test source file:" >&2
@@ -56,7 +57,9 @@ fi
 # The flat array stays flat (grep only, always on): firing labels are
 # closures the runtime evaluates only when tracing, a channel queue is never
 # a mutex-guarded deque again, and queues are addressed by arena index, not
-# held through an `Arc` each.
+# held through an `Arc` each. No crate declares an `unsafe trait`: its
+# contract would be a second hand-argued thread-safety claim outside the
+# channel queue.
 forbid() { # <pattern> <why> <dir>...: no hit anywhere under the dirs
     pat=$1; why=$2; shift 2
     hits=$(grep -rn --include='*.rs' -F "$pat" "$@" || true)
@@ -70,6 +73,7 @@ forbid 'set_label(format!' 'formats a label on every firing; pass a closure' \
     crates/*/src examples
 forbid 'Mutex<VecDeque<Packet>>' 'puts a lock back on the readiness path' crates/runtime/src
 forbid 'Arc<ChannelQueue>' 'holds a queue outside the run arena' crates/runtime/src
+forbid 'unsafe trait' 'puts a thread-safety contract outside the channel queue' crates/*/src
 [ "$dup" -eq 0 ] || exit 1
 
 cargo clippy --offline --workspace --all-targets -- -D warnings
