@@ -21,9 +21,10 @@
 use pulsar_core::policy::{Backend, PaperPolicy, PlanChoice, PlanPolicy};
 use pulsar_core::vsa3d::tile_qr_vsa;
 use pulsar_core::{grid_aspect, tile_qr_seq, tile_qr_tsqr, Tree};
+use pulsar_linalg::flops::qr_flops;
 use pulsar_linalg::Matrix;
 use pulsar_runtime::RunConfig;
-use pulsar_tuner::{candidates, qr_flops};
+use pulsar_tuner::candidates;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;

@@ -549,19 +549,29 @@ mod tests {
 
     #[test]
     fn factor_smoke() {
-        let out = run_line(&[
-            "factor",
-            "--rows",
-            "32",
-            "--cols",
-            "8",
-            "--nb",
-            "4",
-            "--threads",
-            "2",
-        ])
-        .unwrap();
-        assert!(out.contains("verification OK"), "{out}");
+        // Tall, then wide: both verify, and neither reports a negative
+        // rate (not even a rounded "-0.00").
+        for (rows, cols) in [("32", "8"), ("16", "64")] {
+            let out = run_line(&[
+                "factor",
+                "--rows",
+                rows,
+                "--cols",
+                cols,
+                "--nb",
+                "4",
+                "--threads",
+                "2",
+            ])
+            .unwrap();
+            assert!(out.contains("verification OK"), "{out}");
+            let rate = out.split_whitespace().take_while(|w| *w != "Gflop/s");
+            let rate = rate.last().and_then(|w| w.parse::<f64>().ok());
+            assert!(
+                rate.is_some_and(f64::is_sign_positive),
+                "{rows}x{cols}: {out}"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 
 use crate::factors::{Reflectors, TileQrFactors};
 use crate::ops::apply_op;
-use crate::plan::PanelOp;
+use crate::plan::{row_hops, PanelOp};
 use pulsar_linalg::kernels::ApplyTrans;
 use pulsar_linalg::{Matrix, Workspace};
 use pulsar_runtime::{ChannelSpec, Packet, RunConfig, Tuple, VdpContext, VdpSpec, Vsa};
@@ -22,28 +22,6 @@ fn vdp_tuple(k: usize) -> Tuple {
 
 fn exit_tuple(row: usize) -> Tuple {
     Tuple::new2(-1, row as i32)
-}
-
-/// Where a row's tile goes next: `(op index, input slot)`.
-type Touch = Option<(usize, usize)>;
-
-/// Every block row's chain through `ops`, built in one backward pass:
-/// `next[k][side]` is the hop after op `k` for its primary (side 0) and
-/// secondary (side 1) row, and `first[row]` the row's first op.
-fn hops(ops: &[PanelOp], mt: usize) -> (Vec<[Touch; 2]>, Vec<Touch>) {
-    // Walking backwards, `seen[row]` is the nearest later op touching
-    // `row`; what is left at the end is the first.
-    let mut seen: Vec<Touch> = vec![None; mt];
-    let mut next = vec![[None; 2]; ops.len()];
-    for (k, op) in ops.iter().enumerate().rev() {
-        let (prim, sec) = op.rows();
-        for (side, row) in [Some(prim), sec].into_iter().enumerate() {
-            if let Some(row) = row {
-                next[k][side] = seen[row].replace((k, side));
-            }
-        }
-    }
-    (next, seen)
 }
 
 /// One VDP of the apply array: applies a fixed recorded transformation to
@@ -108,7 +86,7 @@ pub fn apply_q_vsa(
     }
 
     let ops: Vec<PanelOp> = seq.iter().map(|r| r.op).collect();
-    let (next, first) = hops(&ops, mt);
+    let (next, first) = row_hops(&ops, mt);
 
     let tile_bytes = 8 * nb * b.ncols().max(1);
     let mut vsa = Vsa::new();
@@ -183,31 +161,6 @@ mod tests {
         let opts = QrOptions::new(4, 2, tree);
         let f = tile_qr_vsa(&a, &opts, &RunConfig::smp(2)).factors;
         (a, f)
-    }
-
-    /// The tables against the definition they replace: for every op and
-    /// row, the next op touching that row, found by scanning.
-    #[test]
-    fn hops_agree_with_a_scan_of_the_op_list() {
-        use crate::plan::{Boundary, QrPlan};
-        for tree in [Tree::Greedy, Tree::Binary, Tree::BinaryOnFlat { h: 3 }] {
-            let plan = QrPlan::new(11, 4, tree, Boundary::Shifted);
-            let ops: Vec<PanelOp> = (0..plan.panels()).flat_map(|j| plan.panel_ops(j)).collect();
-            let (next, first) = hops(&ops, plan.mt);
-            let scan = |from: usize, row: usize| {
-                (from..ops.len())
-                    .find(|&k| ops[k].touches(row))
-                    .map(|k| (k, ops[k].role_slot(row)))
-            };
-            for (row, &f) in first.iter().enumerate() {
-                assert_eq!(f, scan(0, row));
-            }
-            for (k, op) in ops.iter().enumerate() {
-                let (prim, sec) = op.rows();
-                assert_eq!(next[k][0], scan(k + 1, prim));
-                assert_eq!(next[k][1], sec.and_then(|r| scan(k + 1, r)));
-            }
-        }
     }
 
     #[test]

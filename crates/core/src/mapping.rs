@@ -4,7 +4,7 @@
 //! reproduce the paper's choices: tiles of a block row live on that row's
 //! node; threads are assigned cyclically; a binary-reduction parent shares
 //! the thread of its first child (automatic here, because a `Ttqrt` op is
-//! owned by its `top` row, which is also its first child's owner).
+//! placed by its `top` row, which is also its first child's row).
 
 use crate::plan::QrPlan;
 use pulsar_runtime::{MappingFn, Place, Tuple};
@@ -33,14 +33,16 @@ impl RowDist {
     }
 }
 
-/// The paper's mapping for the QR array: each op VDP is placed by its
-/// *owner row* (the top child for TT, the head for GEQRT — so a domain's
-/// flat chain, named after its `Geqrt`, sits with its head) and spread over
-/// threads cyclically by `(row + column)`.
+/// The paper's mapping for the QR array: each op `(j, q, l)` is placed by
+/// its primary row ([`PanelOp::rows`](crate::plan::PanelOp::rows)`.0`: the
+/// head for GEQRT and TSQRT — so a domain's flat chain, named after its
+/// `Geqrt`, sits with its head — and the top child for TT) and spread over
+/// threads cyclically by `(row + column)`. The simulator places its tasks
+/// with this same function.
 pub fn qr_mapping(plan: &QrPlan, dist: RowDist, nodes: usize, tpn: usize) -> MappingFn {
     // Precompute owner rows: owner[j][q].
     let owners: Vec<Vec<usize>> = (0..plan.panels())
-        .map(|j| plan.panel_ops(j).iter().map(|op| op.owner_row()).collect())
+        .map(|j| plan.panel_ops(j).iter().map(|op| op.rows().0).collect())
         .collect();
     let mt = plan.mt;
     Arc::new(move |t: &Tuple| {

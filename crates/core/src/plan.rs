@@ -201,17 +201,6 @@ impl PanelOp {
         }
     }
 
-    /// The row whose node/thread should own this op's VDP (the eliminated
-    /// row for TS — its tile lives there; the top child for TT, matching
-    /// the paper's parent-with-first-child mapping; the head for GEQRT).
-    pub fn owner_row(&self) -> usize {
-        match *self {
-            PanelOp::Geqrt { row } => row,
-            PanelOp::Tsqrt { row, .. } => row,
-            PanelOp::Ttqrt { top, .. } => top,
-        }
-    }
-
     /// Kernel name of the panel (factorization) side.
     pub fn factor_kernel(&self) -> &'static str {
         match self {
@@ -384,15 +373,6 @@ impl QrPlan {
             .sum()
     }
 
-    /// Ops of panel `j` touching row `i`, as `(index, op)` in order.
-    pub fn row_ops(&self, j: usize, i: usize) -> Vec<(usize, PanelOp)> {
-        self.panel_ops(j)
-            .into_iter()
-            .enumerate()
-            .filter(|(_, op)| op.touches(i))
-            .collect()
-    }
-
     /// Dependency depth of panel `j`'s elimination DAG: the length of the
     /// longest chain of kernels that must run in sequence. This is the
     /// structural reason the flat tree cannot strong-scale (`depth = rows`)
@@ -411,6 +391,31 @@ impl QrPlan {
         }
         max
     }
+}
+
+/// Where a row's tile goes next: `(op index, input slot)`.
+pub type Touch = Option<(usize, usize)>;
+
+/// Every block row's chain through `ops` (any op list over `mt` rows — a
+/// plan's panels flattened in order, or their reverse), built in one
+/// backward pass: `next[k][side]` is the hop after op `k` for its primary
+/// (side 0) and secondary (side 1) row, and `first[row]` the row's first
+/// op. This is the one derivation of the tiles' dataflow; apply-Q wires
+/// its array from it and the simulator its task graph.
+pub fn row_hops(ops: &[PanelOp], mt: usize) -> (Vec<[Touch; 2]>, Vec<Touch>) {
+    // Walking backwards, `seen[row]` is the nearest later op touching
+    // `row`; what is left at the end is the first.
+    let mut seen: Vec<Touch> = vec![None; mt];
+    let mut next = vec![[None; 2]; ops.len()];
+    for (k, op) in ops.iter().enumerate().rev() {
+        let (prim, sec) = op.rows();
+        for (side, row) in [Some(prim), sec].into_iter().enumerate() {
+            if let Some(row) = row {
+                next[k][side] = seen[row].replace((k, side));
+            }
+        }
+    }
+    (next, seen)
 }
 
 /// Check that a panel schedule is a valid, complete elimination of rows
@@ -607,14 +612,19 @@ mod tests {
     #[test]
     fn row_ops_chains() {
         let p = QrPlan::new(6, 3, Tree::BinaryOnFlat { h: 3 }, Boundary::Shifted);
+        let row_ops = |i: usize| -> Vec<PanelOp> {
+            p.panel_ops(0)
+                .into_iter()
+                .filter(|op| op.touches(i))
+                .collect()
+        };
         // Row 0 in panel 0: geqrt, two tsqrts as head, final ttqrt as top.
-        let chain: Vec<PanelOp> = p.row_ops(0, 0).into_iter().map(|(_, o)| o).collect();
+        let chain = row_ops(0);
         assert_eq!(chain.len(), 4);
         assert_eq!(chain[0], PanelOp::Geqrt { row: 0 });
         assert_eq!(chain[3], PanelOp::Ttqrt { top: 0, bot: 3 });
         // Row 5: tsqrt elimination only.
-        let chain5 = p.row_ops(0, 5);
-        assert_eq!(chain5.len(), 1);
+        assert_eq!(row_ops(5).len(), 1);
     }
 
     #[test]
@@ -692,9 +702,30 @@ mod tests {
         let op = PanelOp::Tsqrt { head: 2, row: 5 };
         assert_eq!(op.role_slot(2), 0);
         assert_eq!(op.role_slot(5), 1);
-        assert_eq!(op.owner_row(), 5);
-        let tt = PanelOp::Ttqrt { top: 1, bot: 4 };
-        assert_eq!(tt.owner_row(), 1);
+    }
+
+    /// The tables against the definition they replace: for every op and
+    /// row, the next op touching that row, found by scanning.
+    #[test]
+    fn hops_agree_with_a_scan_of_the_op_list() {
+        for tree in [Tree::Greedy, Tree::Binary, Tree::BinaryOnFlat { h: 3 }] {
+            let plan = QrPlan::new(11, 4, tree, Boundary::Shifted);
+            let ops: Vec<PanelOp> = (0..plan.panels()).flat_map(|j| plan.panel_ops(j)).collect();
+            let (next, first) = row_hops(&ops, plan.mt);
+            let scan = |from: usize, row: usize| {
+                (from..ops.len())
+                    .find(|&k| ops[k].touches(row))
+                    .map(|k| (k, ops[k].role_slot(row)))
+            };
+            for (row, &f) in first.iter().enumerate() {
+                assert_eq!(f, scan(0, row));
+            }
+            for (k, op) in ops.iter().enumerate() {
+                let (prim, sec) = op.rows();
+                assert_eq!(next[k][0], scan(k + 1, prim));
+                assert_eq!(next[k][1], sec.and_then(|r| scan(k + 1, r)));
+            }
+        }
     }
 
     #[test]

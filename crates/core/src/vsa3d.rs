@@ -367,9 +367,9 @@ pub fn batch_backend(jobs: &[(&Matrix, &QrOptions)], workers: usize) -> Backend 
     }
 }
 
-/// A job's weight in the balance rule (wide jobs count as transposed).
+/// A job's weight in the balance rule.
 fn job_flops(a: &Matrix) -> f64 {
-    qr_flops(a.nrows().max(a.ncols()), a.nrows().min(a.ncols()))
+    qr_flops(a.nrows(), a.ncols())
 }
 
 /// Factor several matrices on a persistent [`VsaPool`] — the warm path of

@@ -13,18 +13,18 @@
 //! | TTQRT  | 2/3 nb^3 |
 //! | TTMQR  | 2 nb^3 |
 
-/// Standard Householder QR flop count for an `m x n` matrix (`m >= n`):
-/// `2 n^2 (m - n/3)`. This is the numerator the paper (and PLASMA) uses
-/// when reporting Gflop/s, regardless of the extra flops a tree variant does.
+/// Standard Householder QR flop count for an `m x n` matrix of either
+/// orientation: `2 n^2 (m - n/3)` for `m >= n`, and its transpose for a
+/// wide one. This is the numerator the paper (and PLASMA) uses when
+/// reporting Gflop/s, regardless of the extra flops a tree variant does.
 pub fn qr_flops(m: usize, n: usize) -> f64 {
-    let m = m as f64;
-    let n = n as f64;
+    let (m, n) = (m.max(n) as f64, m.min(n) as f64);
     2.0 * n * n * (m - n / 3.0)
 }
 
 /// Flops for `geqrt` on an `m x n` tile.
 pub fn geqrt_flops(m: usize, n: usize) -> f64 {
-    qr_flops(m.max(n), m.min(n))
+    qr_flops(m, n)
 }
 
 /// Flops for `unmqr` applying `k` reflectors of a tile QR to an `m x n` tile.
@@ -70,6 +70,13 @@ mod tests {
         // 2 n^2 (n - n/3) = 4/3 n^3.
         let n = 300;
         assert!((qr_flops(n, n) - 4.0 / 3.0 * (n as f64).powi(3)).abs() < 1.0);
+    }
+
+    #[test]
+    fn qr_flops_is_orientation_free() {
+        assert!(qr_flops(100, 100) > 0.0);
+        assert_eq!(qr_flops(50, 200), qr_flops(200, 50));
+        assert!(qr_flops(64, 256) > 0.0);
     }
 
     #[test]

@@ -19,11 +19,12 @@ use parking_lot::{Condvar, Mutex};
 use pulsar_core::update::append_rows;
 use pulsar_core::vsa3d::{batch_backend, tile_qr_vsa_batch_pooled};
 use pulsar_core::{grid_aspect, tile_qr_tsqr, QrOptions, TileQrFactors};
+use pulsar_linalg::flops::qr_flops;
 use pulsar_linalg::Matrix;
 use pulsar_runtime::trace::{TaskSpan, Trace};
 use pulsar_runtime::{RunConfig, RunError, Tuple, VsaPool};
 use pulsar_tuner::json::{obj, Json};
-use pulsar_tuner::{qr_flops, PlanKey, ProfileTable, Refiner};
+use pulsar_tuner::{PlanKey, ProfileTable, Refiner};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;

@@ -4,8 +4,11 @@
 //! simulator that replays the *same* dataflow graphs the real runtime
 //! executes, on a modeled Cray XT5 (Kraken) with per-kernel efficiencies and
 //! an alpha-beta interconnect. This substitutes for the paper's 9,216-core
-//! testbed (see DESIGN.md) and regenerates Figures 10 and 11; the real
-//! runtime cross-checks the simulator at small scale.
+//! testbed (see DESIGN.md) and regenerates Figures 10 and 11. The graph is
+//! wired from the plan's row hops and placed by the runtime's `qr_mapping`
+//! ([`taskgraph`]), so at small scale its task count, cross-node messages
+//! and bytes equal the real runtime's exactly
+//! (`tests/end_to_end.rs::simulator_task_count_matches_runtime_firings`).
 
 #![warn(missing_docs)]
 

@@ -132,12 +132,6 @@ impl Machine {
             self.latency_us + bytes as f64 / self.bytes_per_us
         }
     }
-
-    /// Aggregate peak Gflop/s of the workers (the paper's Gflop/s axes are
-    /// measured against total machine size; we report achieved flops).
-    pub fn peak_gflops(&self) -> f64 {
-        self.total_workers() as f64 * self.core_gflops
-    }
 }
 
 #[cfg(test)]

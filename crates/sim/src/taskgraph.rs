@@ -1,22 +1,16 @@
-//! Task-graph construction: the same dataflow the 3D VSA executes, expressed
-//! as a DAG of kernel tasks with data-transfer edges, placed on a modeled
-//! machine by the same owner-row mapping the real runtime uses.
+//! Task-graph construction: the dataflow the 3D VSA executes, as a DAG of
+//! kernel tasks with data-transfer edges, one task per (op, column) firing.
+//! The tile edges come from the plan's one row-hop derivation
+//! ([`row_hops`]) and every task is placed by the runtime's own
+//! [`qr_mapping`], so the graph's cross-node messages and bytes are the
+//! runtime's exactly (pinned by `tests/end_to_end.rs`).
 
 use crate::machine::Machine;
-use pulsar_core::mapping::RowDist;
-use pulsar_core::plan::PanelOp;
+use pulsar_core::mapping::{qr_mapping, RowDist};
+use pulsar_core::plan::{row_hops, PanelOp};
 use pulsar_core::QrOptions;
 use pulsar_linalg::flops;
-
-/// When a producer releases an outgoing edge.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Release {
-    /// At task start (the runtime's bypass: transformations are forwarded
-    /// before they are applied locally).
-    AtStart,
-    /// At task end (tiles, and the factor kernel's own transformation).
-    AtEnd,
-}
+use pulsar_runtime::Tuple;
 
 /// A data dependence between two tasks.
 #[derive(Copy, Clone, Debug)]
@@ -111,16 +105,12 @@ pub fn build_tree_qr_graph(
     let id = |j: usize, q: usize, l: usize| -> u32 { (off[j] + q * (nt - j) + (l - j)) as u32 };
     let total = off[kt];
 
-    let wpn = machine.workers_per_node;
-    let place = |owner: usize, l: usize| -> (u32, u32) {
-        let node = dist.node_of(owner, mt, machine.nodes);
-        ((node) as u32, (node * wpn + (owner + l) % wpn) as u32)
-    };
+    let map = qr_mapping(&plan, dist, machine.nodes, machine.workers_per_node);
 
     let mut tasks: Vec<Task> = Vec::with_capacity(total);
     let mut executed = 0.0f64;
     for (j, ops) in stage_ops.iter().enumerate() {
-        for &op in ops.iter() {
+        for (q, &op) in ops.iter().enumerate() {
             for l in j..nt {
                 let kernel = if l == j {
                     op.factor_kernel()
@@ -136,13 +126,13 @@ pub fn build_tree_qr_graph(
                     (PanelOp::Ttqrt { .. }, false) => flops::ttmqr_flops(cb(l), cb(j)),
                 };
                 executed += f;
-                let (node, thread) = place(op.owner_row(), l);
+                let place = map(&Tuple::new3(j as i32, q as i32, l as i32));
                 tasks.push(Task {
                     kernel,
                     duration_us: machine.kernel_time_us(kernel, f) * model.duration_scale
                         + model.task_overhead_us,
-                    node,
-                    thread,
+                    node: place.node as u32,
+                    thread: (place.node * machine.workers_per_node + place.thread) as u32,
                     pending: 0,
                     out_start: Vec::new(),
                     out_end: Vec::new(),
@@ -150,85 +140,65 @@ pub fn build_tree_qr_graph(
             }
         }
     }
-
-    // Edges (consumer-driven), plus seed arrivals.
-    let tile_bytes = |l: usize| (8 * nb * cb(l)) as u32;
-    let trans_bytes = |j: usize| (8 * nb * cb(j) + 8 * opts.ib * cb(j)) as u32;
-    let mut seeds: Vec<(u32, f64)> = Vec::new();
-
-    // Previous producer of `row`'s tile before op q of stage j, at column l.
-    let prev_producer = |j: usize, q: usize, row: usize| -> Option<(usize, usize)> {
-        if let Some((q2, _)) = stage_ops[j][..q]
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, op)| op.touches(row))
-        {
-            return Some((j, q2));
+    let mut link = |src: u32, edge: Edge, at_start: bool| {
+        tasks[edge.dst as usize].pending += 1;
+        let src = &mut tasks[src as usize];
+        if at_start {
+            src.out_start.push(edge);
+        } else {
+            src.out_end.push(edge);
         }
-        if j > 0 {
-            let (q2, _) = stage_ops[j - 1]
-                .iter()
-                .enumerate()
-                .rev()
-                .find(|(_, op)| op.touches(row))
-                .expect("every row is touched in every earlier stage");
-            return Some((j - 1, q2));
-        }
-        None
     };
 
+    // Transformations go one column right. The factor kernel computes its
+    // transformation during execution; update tasks forward it before use
+    // (released at start) when the runtime supports bypass.
+    let trans_bytes = |j: usize| (8 * nb * cb(j) + 8 * opts.ib * cb(j)) as u32;
     for (j, ops) in stage_ops.iter().enumerate() {
-        for (q, &op) in ops.iter().enumerate() {
-            let (prim, sec) = op.rows();
-            let mut rows = vec![prim];
-            if let Some(s) = sec {
-                rows.push(s);
+        for q in 0..ops.len() {
+            for l in j + 1..nt {
+                let edge = Edge {
+                    dst: id(j, q, l),
+                    bytes: trans_bytes(j),
+                };
+                link(id(j, q, l - 1), edge, model.bypass && l - 1 > j);
             }
-            for l in j..nt {
-                let me = id(j, q, l);
-                // Tile inputs.
-                for &row in &rows {
-                    match prev_producer(j, q, row) {
-                        Some((pj, pq)) => {
-                            let src = id(pj, pq, l);
-                            tasks[src as usize].out_end.push(Edge {
-                                dst: me,
-                                bytes: tile_bytes(l),
-                            });
-                            tasks[me as usize].pending += 1;
-                        }
-                        None => {
-                            // Fresh tile from the initial distribution.
-                            let home = dist.node_of(row, mt, machine.nodes) as u32;
-                            let t0 = machine.comm_us(
-                                home as usize,
-                                tasks[me as usize].node as usize,
-                                tile_bytes(l) as usize,
-                            );
-                            tasks[me as usize].pending += 1;
-                            seeds.push((me, t0));
-                        }
-                    }
-                }
-                // Transformation input from the previous column.
-                if l > j {
-                    let src = id(j, q, l - 1);
-                    let edge = Edge {
-                        dst: me,
-                        bytes: trans_bytes(j),
-                    };
-                    // The factor kernel computes its transformation during
-                    // execution (AtEnd); update VDPs forward before use
-                    // (AtStart) when the runtime supports bypass.
-                    if l - 1 == j || !model.bypass {
-                        tasks[src as usize].out_end.push(edge);
-                    } else {
-                        tasks[src as usize].out_start.push(edge);
-                    }
-                    tasks[me as usize].pending += 1;
-                }
+        }
+    }
+
+    // Tiles follow the plan's row hops over its ops flattened in order: at
+    // column `l` a row's tile goes from each op to the next op touching the
+    // row, which fires at `l` only if its panel is at most `l`.
+    let tile_bytes = |l: usize| (8 * nb * cb(l)) as u32;
+    let at: Vec<(usize, usize)> = stage_ops
+        .iter()
+        .enumerate()
+        .flat_map(|(j, ops)| (0..ops.len()).map(move |q| (j, q)))
+        .collect();
+    let (next, first) = row_hops(&stage_ops.concat(), mt);
+    for (k, hops) in next.iter().enumerate() {
+        let (j, q) = at[k];
+        for &(k2, _) in hops.iter().flatten() {
+            let (j2, q2) = at[k2];
+            for l in j2..nt {
+                let edge = Edge {
+                    dst: id(j2, q2, l),
+                    bytes: tile_bytes(l),
+                };
+                link(id(j, q, l), edge, false);
             }
+        }
+    }
+    // Each matrix tile arrives from its row's home node at the row's first op.
+    let mut seeds: Vec<(u32, f64)> = Vec::new();
+    for (row, hop) in first.iter().enumerate() {
+        let (j, q) = at[hop.expect("panel 0 touches every row").0];
+        let home = dist.node_of(row, mt, machine.nodes);
+        for l in j..nt {
+            let me = id(j, q, l);
+            tasks[me as usize].pending += 1;
+            let node = tasks[me as usize].node as usize;
+            seeds.push((me, machine.comm_us(home, node, tile_bytes(l) as usize)));
         }
     }
 
@@ -237,7 +207,7 @@ pub fn build_tree_qr_graph(
     for i in 0..mt {
         let home = dist.node_of(i, mt, machine.nodes);
         for l in 0..nt {
-            node_bytes[home] += (8 * nb * cb(l)) as u64;
+            node_bytes[home] += tile_bytes(l) as u64;
         }
     }
 

@@ -26,4 +26,4 @@ pub mod sweep;
 
 pub use profile::{ProfileCell, ProfilePolicy, ProfileTable, PROFILE_VERSION, TSQR_MIN_ASPECT};
 pub use refine::{PlanKey, Refiner};
-pub use sweep::{candidates, qr_flops, run_sweep, SweepConfig, SweepReport};
+pub use sweep::{candidates, run_sweep, SweepConfig, SweepReport};

@@ -14,22 +14,12 @@ use crate::profile::{ProfileCell, ProfileTable, TSQR_MIN_ASPECT};
 use pulsar_core::policy::{Backend, PlanChoice};
 use pulsar_core::vsa3d::tile_qr_vsa;
 use pulsar_core::{tile_qr_seq, tile_qr_tsqr, QrOptions, Tree};
+use pulsar_linalg::flops::qr_flops;
 use pulsar_linalg::Matrix;
 use pulsar_runtime::RunConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
-
-/// Householder QR flop count (the standard `2n^2(m - n/3)` and its wide
-/// transpose).
-pub fn qr_flops(m: usize, n: usize) -> f64 {
-    let (m, n) = (m as f64, n as f64);
-    if m >= n {
-        2.0 * n * n * (m - n / 3.0)
-    } else {
-        2.0 * m * m * (n - m / 3.0)
-    }
-}
 
 /// What one sweep should measure.
 #[derive(Clone, Debug)]
@@ -253,11 +243,5 @@ mod tests {
         );
         assert_eq!(tall.backend, Backend::Tsqr);
         assert!(report.shapes.iter().all(|s| !s.ranked.is_empty()));
-    }
-
-    #[test]
-    fn flops_formula_is_symmetric_enough() {
-        assert!(qr_flops(100, 100) > 0.0);
-        assert_eq!(qr_flops(50, 200), qr_flops(200, 50));
     }
 }

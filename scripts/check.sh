@@ -20,7 +20,12 @@ cargo fmt --all --check
 # small-apply loop can drift from it; the service tier has one accept loop
 # and one verb table under both `serve` and `route`, and builds its JSON
 # with the one writer; every hand-argued thread-safety claim (`unsafe impl`)
-# lives in one file, the channel queue. Prints the offending file:line.
+# lives in one file, the channel queue. One dataflow, one placement, one
+# flop count: the row hops (`row_hops`) that apply-Q and the simulator both
+# wire from, the mapping (`qr_mapping`) that places the runtime's VDPs and
+# the simulator's tasks alike, and the QR flop count (`qr_flops`) behind
+# every Gflop/s, so the simulator's traffic and rates cannot drift from
+# the runtime's. Prints the offending file:line.
 dup=0
 hits=$(grep -nE '\b(geqrt|unmqr|tsqrt|tsmqr|ttqrt|ttmqr)(_ws)?\(' crates/core/src/*.rs \
     | grep -v '^crates/core/src/ops\.rs:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
@@ -30,7 +35,8 @@ if [ -n "$hits" ]; then
     dup=1
 fi
 for pat in '0x811c_9dc5' '0x82f6_3b78' 'struct SplitMix64' 'fn put_u64' 'fn validate_job' 'fn exit_r' \
-    'fn build_qr_array_into' 'struct FlatDomainVdp' 'fn walk_plan' 'fn fused_apply' 'unsafe impl'; do
+    'fn build_qr_array_into' 'struct FlatDomainVdp' 'fn walk_plan' 'fn fused_apply' 'unsafe impl' \
+    'fn row_hops' 'fn qr_mapping' 'fn qr_flops'; do
     hits=$(grep -rn --include='*.rs' -F "$pat" src crates/*/src || true)
     if [ "$(printf '%s\n' "$hits" | cut -d: -f1 | sort -u | grep -c .)" -ne 1 ]; then
         echo "guard: \`$pat\` must appear in exactly one non-test source file:" >&2
@@ -59,7 +65,8 @@ fi
 # a mutex-guarded deque again, and queues are addressed by arena index, not
 # held through an `Arc` each. No crate declares an `unsafe trait`: its
 # contract would be a second hand-argued thread-safety claim outside the
-# channel queue.
+# channel queue. The simulator never scans the op list for the ops touching
+# a row: its tile edges come from the one dataflow, `row_hops`.
 forbid() { # <pattern> <why> <dir>...: no hit anywhere under the dirs
     pat=$1; why=$2; shift 2
     hits=$(grep -rn --include='*.rs' -F "$pat" "$@" || true)
@@ -74,6 +81,7 @@ forbid 'set_label(format!' 'formats a label on every firing; pass a closure' \
 forbid 'Mutex<VecDeque<Packet>>' 'puts a lock back on the readiness path' crates/runtime/src
 forbid 'Arc<ChannelQueue>' 'holds a queue outside the run arena' crates/runtime/src
 forbid 'unsafe trait' 'puts a thread-safety contract outside the channel queue' crates/*/src
+forbid '.touches(' 'rescans the op list; read core::plan::row_hops' crates/sim/src
 [ "$dup" -eq 0 ] || exit 1
 
 cargo clippy --offline --workspace --all-targets -- -D warnings

@@ -65,24 +65,60 @@ fn vsa_firing_count_equals_plan_task_count() {
 
 #[test]
 fn simulator_task_count_matches_runtime_firings() {
-    let mut rng = rand::rng();
-    let nb = 8;
-    let (m, n) = (64, 24);
-    let a = Matrix::random(m, n, &mut rng);
-    let o = opts(Tree::BinaryOnFlat { h: 3 }, Boundary::Shifted);
+    // The simulator's graph is the one the runtime runs: under the same
+    // mapping it has the runtime's firings, and its cross-node messages
+    // and bytes are the ones the runtime ships, on every tree, boundary,
+    // row distribution and node layout — plus the `cluster_cyclic`
+    // benchmark shape.
+    use pulsar::core::mapping::{qr_mapping, RowDist};
+    use pulsar::sim::{build_tree_qr_graph, simulate, Machine, RuntimeModel};
+    let mut cells = Vec::new();
+    for tree in [
+        Tree::Flat,
+        Tree::Binary,
+        Tree::Greedy,
+        Tree::BinaryOnFlat { h: 3 },
+        Tree::custom([3, 2]),
+    ] {
+        for boundary in [Boundary::Shifted, Boundary::Fixed] {
+            for dist in [RowDist::Cyclic, RowDist::Block] {
+                for (nodes, tpn) in [(2, 1), (3, 2)] {
+                    for (m, n) in [(48, 20), (24, 40), (64, 16)] {
+                        let o = QrOptions {
+                            nb: 4,
+                            ib: 2,
+                            tree: tree.clone(),
+                            boundary,
+                        };
+                        cells.push((m, n, o, dist, nodes, tpn));
+                    }
+                }
+            }
+        }
+    }
+    let cluster_cyclic = QrOptions::new(32, 8, Tree::BinaryOnFlat { h: 4 });
+    cells.push((2048, 256, cluster_cyclic, RowDist::Cyclic, 2, 1));
 
-    let res = tile_qr_vsa(&a, &o, &RunConfig::smp(2));
-    let mach = pulsar::sim::Machine::kraken(2);
-    let g = pulsar::sim::build_tree_qr_graph(
-        m,
-        n,
-        &o,
-        pulsar::core::mapping::RowDist::Cyclic,
-        &mach,
-        pulsar::sim::RuntimeModel::pulsar(),
-    );
-    assert_eq!(g.tasks.len(), res.stats.fired);
-    let _ = nb;
+    let mut rng = rand::rng();
+    for (m, n, o, dist, nodes, tpn) in cells {
+        let a = Matrix::random(m, n, &mut rng);
+        let plan = o.plan(m / o.nb, n.div_ceil(o.nb));
+        let config = RunConfig::cluster(nodes, tpn, qr_mapping(&plan, dist, nodes, tpn));
+        let run = tile_qr_vsa(&a, &o, &config).stats;
+        let machine = Machine {
+            workers_per_node: tpn,
+            ..Machine::kraken(nodes)
+        };
+        let graph = build_tree_qr_graph(m, n, &o, dist, &machine, RuntimeModel::pulsar());
+        let sim = simulate(&graph, &machine);
+        assert_eq!(
+            (sim.tasks, sim.remote_messages, sim.remote_bytes),
+            (run.fired, run.remote_msgs, run.wire_bytes_sent),
+            "{m}x{n} {} {:?} {dist:?} on {nodes}x{tpn}",
+            o.tree,
+            o.boundary
+        );
+    }
 }
 
 #[test]
