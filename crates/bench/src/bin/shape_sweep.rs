@@ -11,7 +11,7 @@
 //!   candidate set *and* the fixed plan. Because the maximum is taken over
 //!   a set containing `fixed`, `tuned >= fixed` holds by construction;
 //!   the gate asserts it anyway (a violation means the harness is broken).
-//! - `tsqr` — the best TSQR-backend plan for the shape.
+//! - `tsqr` — the best walked (TSQR) plan for the shape.
 //!
 //! Gates (exit 1 on failure, numbers still printed):
 //! - `tuned >= fixed` on every shape;
@@ -19,15 +19,13 @@
 //!   where skipping the 3D VSA construction must pay off, not just tie.
 
 use pulsar_core::policy::{Backend, PaperPolicy, PlanChoice, PlanPolicy};
-use pulsar_core::vsa3d::tile_qr_vsa;
-use pulsar_core::{grid_aspect, tile_qr_seq, tile_qr_tsqr, Tree};
+use pulsar_core::{grid_aspect, Tree};
 use pulsar_linalg::flops::qr_flops;
 use pulsar_linalg::Matrix;
-use pulsar_runtime::RunConfig;
-use pulsar_tuner::candidates;
+use pulsar_tuner::json::{obj, Json};
+use pulsar_tuner::{candidates, measure};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::time::Instant;
 
 const SHAPES: &[(usize, usize, &str)] = &[
     (512, 512, "1:1"),
@@ -40,34 +38,21 @@ const REPS: usize = 3;
 const TSQR_GATE_ASPECT: usize = 32;
 const TSQR_GATE_SPEEDUP: f64 = 1.2;
 
-fn measure(a: &Matrix, choice: &PlanChoice) -> f64 {
-    let opts = choice.options();
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        match choice.backend {
-            Backend::Tsqr => {
-                let f = tile_qr_tsqr(a, &opts, THREADS);
-                std::hint::black_box(&f.r);
-            }
-            Backend::Vsa3d => {
-                let r = tile_qr_vsa(a, &opts, &RunConfig::smp(THREADS));
-                std::hint::black_box(&r.factors.r);
-            }
-            Backend::Seq => {
-                let f = tile_qr_seq(a, &opts);
-                std::hint::black_box(&f.r);
-            }
-        }
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    qr_flops(a.nrows(), a.ncols()) / best / 1e9
+/// GFLOP/s of `choice` on `a`, best of [`REPS`], on the tuner's timer.
+fn gflops(a: &Matrix, choice: &PlanChoice) -> f64 {
+    qr_flops(a.nrows(), a.ncols()) / measure(a, choice, THREADS, REPS) / 1e9
+}
+
+/// A rate to three decimals.
+fn num(x: f64) -> Json {
+    Json::Num((x * 1e3).round() / 1e3)
 }
 
 fn main() {
-    let mut fields: Vec<(String, String)> = Vec::new();
-    fields.push(("meta/threads".into(), THREADS.to_string()));
-    fields.push(("meta/reps".into(), REPS.to_string()));
+    let mut fields = vec![
+        ("meta/threads".to_string(), THREADS.into()),
+        ("meta/reps".to_string(), REPS.into()),
+    ];
     let mut failures = Vec::new();
 
     for &(m, n, label) in SHAPES {
@@ -75,7 +60,7 @@ fn main() {
         let a = Matrix::random(m, n, &mut rng);
 
         let fixed_choice = PaperPolicy::default().choose(m, n, THREADS);
-        let fixed = measure(&a, &fixed_choice);
+        let fixed = gflops(&a, &fixed_choice);
 
         // The tuner's structural candidates for this shape, with the
         // fixed plan always in the pool so `tuned` can never regress it.
@@ -83,36 +68,39 @@ fn main() {
         if !pool.contains(&fixed_choice) {
             pool.push(fixed_choice.clone());
         }
-        // Every shape also gets a TSQR contender (the tall ones already
-        // have them; square shapes get a binary-tree one for reference).
-        if !pool.iter().any(|c| c.backend == Backend::Tsqr) {
+        // Every shape also gets a walked (TSQR) contender (the tall ones
+        // already have them; square shapes get a binary-tree one for
+        // reference).
+        if !pool.iter().any(|c| c.backend == Backend::Walk) {
             pool.push(PlanChoice {
                 tree: Tree::Binary,
                 nb: fixed_choice.nb,
                 ib: fixed_choice.ib,
-                backend: Backend::Tsqr,
+                backend: Backend::Walk,
             });
         }
         let measured: Vec<(PlanChoice, f64)> = pool
             .into_iter()
-            .map(|c| (c.clone(), measure(&a, &c)))
+            .map(|c| {
+                let g = gflops(&a, &c);
+                (c, g)
+            })
             .collect();
         let tuned = measured.iter().map(|&(_, g)| g).fold(fixed, f64::max);
         let tsqr = measured
             .iter()
-            .filter(|(c, _)| c.backend == Backend::Tsqr)
+            .filter(|(c, _)| c.backend == Backend::Walk)
             .map(|&(_, g)| g)
             .fold(0.0, f64::max);
 
         let key = format!("{m}x{n}");
-        fields.push((format!("{key}/aspect"), format!("\"{label}\"")));
-        fields.push((format!("{key}/fixed"), format!("{fixed:.3}")));
-        fields.push((format!("{key}/tuned"), format!("{tuned:.3}")));
-        fields.push((format!("{key}/tsqr"), format!("{tsqr:.3}")));
-        fields.push((
-            format!("{key}/tuned_speedup"),
-            format!("{:.3}", tuned / fixed),
-        ));
+        fields.extend([
+            (format!("{key}/aspect"), Json::Str(label.into())),
+            (format!("{key}/fixed"), num(fixed)),
+            (format!("{key}/tuned"), num(tuned)),
+            (format!("{key}/tsqr"), num(tsqr)),
+            (format!("{key}/tuned_speedup"), num(tuned / fixed)),
+        ]);
 
         if tuned < fixed {
             failures.push(format!("{key}: tuned {tuned:.3} < fixed {fixed:.3}"));
@@ -125,21 +113,9 @@ fn main() {
         }
     }
 
-    fields.push((
-        "meta/gates".into(),
-        if failures.is_empty() {
-            "\"ok\"".into()
-        } else {
-            "\"FAILED\"".into()
-        },
-    ));
-
-    println!("{{");
-    for (i, (k, v)) in fields.iter().enumerate() {
-        let comma = if i + 1 < fields.len() { "," } else { "" };
-        println!("  \"{k}\": {v}{comma}");
-    }
-    println!("}}");
+    let gates = if failures.is_empty() { "ok" } else { "FAILED" };
+    fields.push(("meta/gates".to_string(), Json::Str(gates.into())));
+    println!("{}", obj(fields).write());
 
     if !failures.is_empty() {
         for f in &failures {

@@ -5,7 +5,7 @@ use crate::args::{parse_tree, Args};
 use crate::error::CliError;
 use pulsar_core::mapping::{qr_mapping, RowDist};
 use pulsar_core::plan::Tree;
-use pulsar_core::policy::PlanPolicy;
+use pulsar_core::policy::{Backend, PlanPolicy};
 use pulsar_core::vsa3d::VsaQrResult;
 use pulsar_core::QrOptions;
 use pulsar_linalg::{flops, Matrix};
@@ -29,7 +29,7 @@ COMMANDS
   factor    factorize a random tall-skinny matrix on the runtime and verify
             --rows N --cols N [--nb 64] [--ib nb/4] [--tree hier:4]
             [--threads 4] [--nodes 1]
-            [--engine vsa3d|seq|tsqr]
+            [--engine vsa3d|walk] (walk: the plan walker, TSQR on --threads)
             [--seed 42] [--net seastar] [--trace-out trace.json]
             [--profile table.json] (plan defaults from the tuned policy;
             prints the chosen `PLAN ...`) [--stats true] (adds the
@@ -65,9 +65,9 @@ COMMANDS
             until a client drains it
             [--port 0] [--threads 2] [--queue-cap 32] [--batch-max 4]
             [--batch-mb 64] [--retry-ms 50] [--store-mb 256] [--stats true]
-            [--trace-out trace.json] [--profile table.json] (route
-            tall-skinny jobs to the TSQR fast path, refine the table
-            online, persist it on drain)
+            [--trace-out trace.json] [--profile table.json] (refine
+            the table online, persist it on drain; tall-skinny jobs
+            walk with or without it)
   submit    drive a serve daemon: factor a random matrix (default verb) or
             exercise a stored factorization; every verb self-verifies
             against a local oracle re-derived from the seed
@@ -195,10 +195,9 @@ fn factor(args: &Args) -> Result<String, String> {
             let policy = pulsar_tuner::ProfilePolicy::new(table);
             let choice = PlanPolicy::choose(&policy, m, n, threads);
             plan_line = Some(format!("PLAN {}", choice.describe()));
-            let engine = choice.backend.to_string();
-            (choice.nb, choice.ib, choice.tree, engine)
+            (choice.nb, choice.ib, choice.tree, choice.backend)
         }
-        None => (64, 16, Tree::BinaryOnFlat { h: 4 }, "vsa3d".to_string()),
+        None => (64, 16, Tree::BinaryOnFlat { h: 4 }, Backend::Vsa3d),
     };
     let nb = positive("nb", args.opt("nb", default_nb)?)?;
     let ib = args.opt(
@@ -219,7 +218,10 @@ fn factor(args: &Args) -> Result<String, String> {
         return Err(format!("--rows must be a multiple of nb ({})", opts.nb));
     }
     let nodes = positive("nodes", args.opt("nodes", 1)?)?;
-    let engine: String = args.opt("engine", default_engine)?;
+    let engine = match args.get("engine") {
+        Some(e) => e.parse::<Backend>()?,
+        None => default_engine,
+    };
     let seed: u64 = args.opt("seed", 42)?;
 
     let mut rng = StdRng::seed_from_u64(seed);
@@ -239,7 +241,7 @@ fn factor(args: &Args) -> Result<String, String> {
     }
     let trace_out = args.get("trace-out").map(str::to_string);
     if trace_out.is_some() {
-        if matches!(engine.as_str(), "seq" | "tsqr") {
+        if engine == Backend::Walk {
             return Err("--trace-out needs the runtime engine (vsa3d)".into());
         }
         config = config.with_trace();
@@ -248,11 +250,9 @@ fn factor(args: &Args) -> Result<String, String> {
     let t0 = Instant::now();
     // The runtime engines also report their run; the others only factor.
     let on_runtime = |r: VsaQrResult| (r.factors, Some((r.stats, r.build)), r.trace);
-    let (factors, stats, trace) = match engine.as_str() {
-        "vsa3d" => on_runtime(pulsar_core::vsa3d::tile_qr_vsa(&a, &opts, &config)),
-        "seq" => (pulsar_core::tile_qr_seq(&a, &opts), None, None),
-        "tsqr" => (pulsar_core::tile_qr_tsqr(&a, &opts, threads), None, None),
-        other => return Err(format!("unknown engine `{other}`")),
+    let (factors, stats, trace) = match engine {
+        Backend::Vsa3d => on_runtime(pulsar_core::vsa3d::tile_qr_vsa(&a, &opts, &config)),
+        Backend::Walk => (pulsar_core::tile_qr_tsqr(&a, &opts, threads), None, None),
     };
     let dt = t0.elapsed().as_secs_f64();
 
@@ -622,7 +622,7 @@ mod tests {
 
     #[test]
     fn factor_all_engines_agree_on_ok() {
-        let engines = ["vsa3d", "seq", "tsqr"];
+        let engines = ["vsa3d", "walk", "seq"];
         for (engine, tree) in engines
             .iter()
             .flat_map(|e| ["flat", "hier:2", "greedy", "domains:3,2"].map(|t| (e, t)))
@@ -770,7 +770,7 @@ mod tests {
         let square = plan_of("64", "64");
         let tall = plan_of("512", "8");
         assert_ne!(square, tall, "tuned plans must differ by shape");
-        assert!(tall.contains("backend=tsqr"), "{tall}");
+        assert!(tall.contains("backend=walk"), "{tall}");
         assert!(square.contains("backend=vsa3d"), "{square}");
         // Explicit flags still beat the profile.
         let pinned = run_line(&[
@@ -788,7 +788,7 @@ mod tests {
         ])
         .unwrap();
         assert!(pinned.contains("nb=4"), "{pinned}");
-        assert!(pinned.contains("engine=seq"), "{pinned}");
+        assert!(pinned.contains("engine=walk"), "{pinned}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -16,7 +16,7 @@
 //! - [`seqqr`] — the plan walker over one tile grid, run on one thread: the
 //!   numerical oracle. Adds nothing to the op core but the loop.
 //! - [`tsqr`] — the same walker with each panel's domains dispatched onto
-//!   scoped threads (communication-optimal TSQR; no VSA at all).
+//!   warm pool workers (communication-optimal TSQR; no VSA at all).
 //! - [`vsa3d`] — the 3D VSA of the paper's Section V-C / Figure 8, the one
 //!   QR array: one multi-fire VDP per (panel, domain, column) running the
 //!   domain's flat chain against a persistent local tile, one single-fire
@@ -58,7 +58,7 @@ pub use lsqr::{least_squares, LsSolution};
 pub use plan::{Boundary, PanelOp, QrPlan, Tree};
 pub use policy::{Backend, PaperPolicy, PlanChoice, PlanPolicy};
 pub use seqqr::tile_qr_seq;
-pub use tsqr::{grid_aspect, tile_qr_tsqr};
+pub use tsqr::{grid_aspect, tall_grid, tile_qr_tsqr, TSQR_MIN_ASPECT};
 pub use update::{append_rows, UpdateError};
 
 /// Decoders for every payload the QR arrays send across node boundaries:

@@ -19,21 +19,18 @@ pub enum Backend {
     /// The paper's 3D virtual systolic array (panel pipelining across the
     /// full grid) — the default for general shapes.
     Vsa3d,
-    /// The direct TSQR reduction ([`crate::tsqr::tile_qr_tsqr`]) — wins on
-    /// tall-skinny grids where VSA construction overhead dominates.
-    Tsqr,
-    /// The plan walker on one thread ([`crate::tile_qr_seq`]): what a
-    /// balanced service batch runs each of its jobs on
-    /// ([`crate::vsa3d::batch_backend`]).
-    Seq,
+    /// The plan walker (`walk_plan`): on one thread it is
+    /// [`crate::tile_qr_seq`], with its domain stage on pool workers it is
+    /// TSQR ([`crate::tile_qr_tsqr`]). What a tall grid and each job of a
+    /// balanced service batch run on ([`crate::vsa3d::batch_backend`]).
+    Walk,
 }
 
 impl std::fmt::Display for Backend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             Backend::Vsa3d => "vsa3d",
-            Backend::Tsqr => "tsqr",
-            Backend::Seq => "seq",
+            Backend::Walk => "walk",
         })
     }
 }
@@ -44,9 +41,9 @@ impl std::str::FromStr for Backend {
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
             "vsa3d" => Ok(Backend::Vsa3d),
-            "tsqr" => Ok(Backend::Tsqr),
-            "seq" => Ok(Backend::Seq),
-            _ => Err(format!("unknown backend `{s}` (use vsa3d | tsqr | seq)")),
+            // `seq` and `tsqr` name the same walker in older tables.
+            "walk" | "seq" | "tsqr" => Ok(Backend::Walk),
+            _ => Err(format!("unknown backend `{s}` (use vsa3d | walk)")),
         }
     }
 }
@@ -161,8 +158,11 @@ mod tests {
 
     #[test]
     fn backend_specs_round_trip() {
-        for b in [Backend::Vsa3d, Backend::Tsqr, Backend::Seq] {
+        for b in [Backend::Vsa3d, Backend::Walk] {
             assert_eq!(b.to_string().parse::<Backend>().unwrap(), b);
+        }
+        for old in ["seq", "tsqr"] {
+            assert_eq!(old.parse::<Backend>().unwrap(), Backend::Walk);
         }
         assert!("fpga".parse::<Backend>().is_err());
     }

@@ -1,8 +1,9 @@
 //! The plan walker: runs the exact Figure-5 schedule over one tile grid.
 //! [`tile_qr_seq`] walks it on a single thread — the numerical oracle for
 //! the runtime implementations and the reference for plan-equivalence
-//! tests; [`crate::tsqr::tile_qr_tsqr`] is the same walker with each
-//! panel's domain stage dispatched onto scoped threads.
+//! tests; [`crate::tsqr::tile_qr_tsqr`] and a walked service batch are the
+//! same walker, the former with each panel's domain stage dispatched onto
+//! the workers of a [`VsaPool`].
 
 use crate::factors::{Reflectors, TileQrFactors};
 use crate::ops::{apply_op, assemble_r, factor_op};
@@ -10,24 +11,26 @@ use crate::plan::{PanelOp, QrPlan};
 use crate::QrOptions;
 use pulsar_linalg::kernels::ApplyTrans;
 use pulsar_linalg::{Matrix, TileMatrix, Workspace};
+use pulsar_runtime::VsaPool;
 
 /// Factor `a` with the given options on the current thread.
 ///
 /// Requires `a.nrows() % nb == 0` (exact row tiling; see DESIGN.md — domain
 /// heads must be full-height tiles). Ragged column edges are fine.
 pub fn tile_qr_seq(a: &Matrix, opts: &QrOptions) -> TileQrFactors {
-    walk_plan(a, opts, 1, &mut Workspace::new())
+    walk_plan(a, opts, None, &mut Workspace::new())
 }
 
-/// Walk the plan `opts` induces for `a`, panel by panel. With
-/// `threads > 1` the domain stage of each panel runs on scoped threads
+/// Walk the plan `opts` induces for `a`, panel by panel. With a `pool`
+/// the domain stage of each panel runs on its workers
 /// ([`crate::tsqr::reduce_domains`]); everything it leaves — the merge
-/// tree, or the whole panel when `threads <= 1` — runs inline in plan
-/// order, with its kernels drawing scratch from `ws`.
+/// tree, or the whole panel without a pool — runs inline in plan order,
+/// with its kernels drawing scratch from `ws`. The caller must not be a
+/// worker of `pool`.
 pub(crate) fn walk_plan(
     a: &Matrix,
     opts: &QrOptions,
-    threads: usize,
+    pool: Option<&VsaPool>,
     ws: &mut Workspace,
 ) -> TileQrFactors {
     assert_eq!(
@@ -43,9 +46,9 @@ pub(crate) fn walk_plan(
         .map(|j| {
             let ops = plan.panel_ops(j);
             let mut recorded = Vec::with_capacity(ops.len());
-            if threads > 1 {
+            if let Some(pool) = pool {
                 let active = &mut tiles.tiles_mut()[j * nt..];
-                crate::tsqr::reduce_domains(active, j, nt, &ops, ib, threads, &mut recorded);
+                crate::tsqr::reduce_domains(active, j, nt, &ops, ib, pool, &mut recorded);
             }
             for &op in &ops[recorded.len()..] {
                 recorded.push(run_op(tiles.tiles_mut(), 0, nt, j, op, ib, ws));

@@ -6,17 +6,19 @@
 //! tile grid that is exactly a [`QrPlan`](crate::plan::QrPlan) panel
 //! schedule — flat reductions inside each domain, `ttqrt` merges of the
 //! domain tops — so TSQR is not a second executor: it is the plan walker
-//! of [`crate::seqqr`] with one extra dispatch, and no 3D VSA: no VDPs, no
-//! channels, no packet traffic. For jobs with `mt >> nt` (the dominant
-//! least-squares serve shape) the array-construction and channel overheads
-//! of the VSA dwarf the actual kernel work, and this direct path wins.
+//! of [`crate::seqqr`] with its domain stage on pool workers, and no 3D
+//! VSA: no VDPs, no channels, no packet traffic. For jobs with `mt >> nt`
+//! (grid aspect at least [`TSQR_MIN_ASPECT`]) the array-construction and
+//! channel overheads of the VSA dwarf the actual kernel work, and this
+//! direct path wins.
 //!
 //! Parallelism comes from the plan itself: the flat reduction of each
 //! domain touches only that domain's block rows, and the tile grid is
-//! row-major, so `reduce_domains` hands each scoped thread one
-//! contiguous `&mut` chunk of it. The merge tree is executed on the
-//! calling thread (it is `O(log domains)` deep and cheap relative to the
-//! domain stage whenever `h > log2(mt/h)`).
+//! row-major, so `reduce_domains` hands each [`VsaPool`] worker one
+//! contiguous `&mut` chunk of it, walked on the worker's warm workspace.
+//! The merge tree is executed on the calling thread (it is
+//! `O(log domains)` deep and cheap relative to the domain stage whenever
+//! `h > log2(mt/h)`).
 //!
 //! Every op goes through the same `run_op` as the sequential oracle — same
 //! inputs, and ops that share a tile run in the same relative order (ops
@@ -30,18 +32,33 @@ use crate::plan::PanelOp;
 use crate::seqqr::{run_op, walk_plan};
 use crate::QrOptions;
 use pulsar_linalg::{Matrix, Workspace};
+use pulsar_runtime::VsaPool;
+use std::sync::{Mutex, OnceLock};
 
 /// Tile-grid aspect ratio `mt / nt` of an `m x n` matrix under tile size
-/// `nb` — the quantity the tuner's TSQR routing threshold is compared
-/// against (0 when the grid is wider than tall).
+/// `nb` (0 when the grid is wider than tall).
 pub fn grid_aspect(m: usize, n: usize, nb: usize) -> usize {
     let mt = m.div_ceil(nb).max(1);
     let nt = n.div_ceil(nb).max(1);
     mt / nt
 }
 
+/// Grid aspect at and above which a job walks instead of building the
+/// array: at 32:1 there are almost no trailing panels left to pipeline,
+/// and the array's construction and channel costs exceed any benefit (see
+/// DESIGN.md §15 and the `BENCH_shapes.json` gate). The service runs such
+/// a job alone ([`crate::vsa3d::batch_backend`]), and the tuner sweeps and
+/// transfers walked plans only at this aspect.
+pub const TSQR_MIN_ASPECT: usize = 32;
+
+/// Whether an `m x n` matrix under tile size `nb` has a tall grid (aspect
+/// at least [`TSQR_MIN_ASPECT`]): the one shape rule that makes a job walk.
+pub fn tall_grid(m: usize, n: usize, nb: usize) -> bool {
+    grid_aspect(m, n, nb) >= TSQR_MIN_ASPECT
+}
+
 /// Run the domain stage of panel `j` — the `Geqrt`/`Tsqrt` ops leading
-/// `ops` — on up to `threads` scoped threads, appending the recorded
+/// `ops` — on the workers of `pool`, appending the recorded
 /// transformations to `recorded` in plan order. `rows` holds the row-major
 /// tiles of block rows `j..`. When the stage does not split into at least
 /// two groups nothing runs and the walker executes the whole panel inline.
@@ -51,9 +68,10 @@ pub(crate) fn reduce_domains(
     nt: usize,
     ops: &[PanelOp],
     ib: usize,
-    threads: usize,
+    pool: &VsaPool,
     recorded: &mut Vec<Reflectors>,
 ) {
+    let threads = pool.threads();
     let merge_at = ops
         .iter()
         .position(|o| matches!(o, PanelOp::Ttqrt { .. }))
@@ -81,40 +99,52 @@ pub(crate) fn reduce_domains(
     if cuts.len() <= 2 {
         return;
     }
-    std::thread::scope(|s| {
-        let mut rest = rows;
-        let handles: Vec<_> = cuts
-            .windows(2)
-            .map(|w| {
-                let group = &ops[w[0]..w[1]];
-                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(group.len() * nt);
-                rest = tail;
-                let row0 = j + w[0];
-                s.spawn(move || {
-                    let mut ws = Workspace::new();
-                    group
-                        .iter()
-                        .map(|&op| run_op(chunk, row0, nt, j, op, ib, &mut ws))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            recorded.extend(h.join().expect("tsqr domain worker panicked"));
-        }
+    // Group k — its ops, first block row and chunk of rows — is taken by
+    // pool worker k; workers past the last group have nothing to do.
+    let mut rest = rows;
+    let groups: Vec<_> = cuts
+        .windows(2)
+        .map(|w| {
+            let group = &ops[w[0]..w[1]];
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(group.len() * nt);
+            rest = tail;
+            Mutex::new(Some((group, j + w[0], chunk)))
+        })
+        .collect();
+    let done: Vec<OnceLock<Vec<Reflectors>>> = groups.iter().map(|_| OnceLock::new()).collect();
+    pool.run_scoped(&|k, scratch| {
+        let slot = groups
+            .get(k)
+            .map(|g| g.lock().expect("held only to take").take());
+        let Some((group, row0, chunk)) = slot.flatten() else {
+            return;
+        };
+        let out = scratch.with(|ws: &mut Workspace| {
+            group
+                .iter()
+                .map(|&op| run_op(chunk, row0, nt, j, op, ib, ws))
+                .collect()
+        });
+        let _ = done[k].set(out);
     });
+    for group in done {
+        recorded.extend(group.into_inner().expect("every domain group ran"));
+    }
 }
 
 /// Factor `a` by TSQR reduction, bypassing the 3D VSA: domains of each
-/// panel are flat-reduced in parallel on up to `threads` scoped threads,
-/// then the domain tops are merged on the calling thread in plan order.
+/// panel are flat-reduced in parallel on a [`VsaPool`] of `threads`
+/// workers built for this call, then the domain tops are merged on the
+/// calling thread in plan order. With `threads <= 1` the whole plan walks
+/// inline. A panic in a domain worker re-raises its own payload.
 ///
 /// Executes the exact [`QrPlan`](crate::plan::QrPlan) induced by `opts`,
 /// so the result is bit-identical to [`crate::tile_qr_seq`] with the same
 /// options and numerically interchangeable with the VSA paths. Requires
 /// `a.nrows() % nb == 0`, like every tile executor.
 pub fn tile_qr_tsqr(a: &Matrix, opts: &QrOptions, threads: usize) -> TileQrFactors {
-    walk_plan(a, opts, threads, &mut Workspace::new())
+    let pool = (threads > 1).then(|| VsaPool::new(threads));
+    walk_plan(a, opts, pool.as_ref(), &mut Workspace::new())
 }
 
 #[cfg(test)]

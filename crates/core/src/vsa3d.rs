@@ -41,6 +41,7 @@ use crate::plan::{Boundary, PanelOp, QrPlan};
 use crate::policy::Backend;
 use crate::seqqr::walk_plan;
 use crate::store::stream_operands;
+use crate::tsqr::tall_grid;
 use crate::QrOptions;
 use pulsar_linalg::flops::qr_flops;
 use pulsar_linalg::kernels::ApplyTrans;
@@ -353,15 +354,18 @@ pub struct BatchQrResult {
     pub backend: Backend,
 }
 
-/// The executor for `jobs` on `workers` pool threads. A *balanced* batch
+/// The executor for `jobs` on `workers` pool threads: [`Backend::Walk`]
+/// for a lone job with a [`tall_grid`] (it walks with its domain stage on
+/// the pool), and for a *balanced* batch
 /// (its largest job's flops times `workers` at most the total: a job for
-/// every worker) walks each job whole on one worker, [`Backend::Seq`]; a
-/// lone or lopsided one shares the array.
+/// every worker, each walked whole on one worker); otherwise the batch
+/// shares the array.
 pub fn batch_backend(jobs: &[(&Matrix, &QrOptions)], workers: usize) -> Backend {
     let flops = jobs.iter().map(|(a, _)| job_flops(a));
     let (max, total) = flops.fold((0.0, 0.0), |(max, total), f| (f64::max(max, f), total + f));
-    if max * workers as f64 <= total {
-        Backend::Seq
+    let lone_tall = matches!(jobs, [(a, o)] if tall_grid(a.nrows(), a.ncols(), o.nb));
+    if max * workers as f64 <= total || lone_tall {
+        Backend::Walk
     } else {
         Backend::Vsa3d
     }
@@ -373,21 +377,22 @@ fn job_flops(a: &Matrix) -> f64 {
 }
 
 /// Factor several matrices on a persistent [`VsaPool`] — the warm path of
-/// `pulsar-qr serve`. A balanced batch ([`batch_backend`]) is walked: the
-/// workers pull jobs, largest first, and run the plan walker on their warm
-/// workspaces, reading only `config.trace` and `config.chaos_panic`.
-/// Otherwise each job's sub-array gets a disjoint tuple namespace (its
-/// batch index prefixes every tuple) in ONE VSA launch. Either way every
-/// job's factors are bit-identical to [`crate::tile_qr_seq`]'s, and a
-/// panic in job `b` returns [`RunError::VdpPanicked`] whose tuple leads
-/// with `b`.
+/// `pulsar-qr serve`. A walked batch ([`batch_backend`]) reads only
+/// `config.trace` and `config.chaos_panic`: on a pool of two or more
+/// workers a lone job walks on the calling thread with its domain stage
+/// on the pool; otherwise the workers pull the jobs, largest first, and
+/// walk each whole on their warm workspaces. Otherwise each job's sub-array gets a
+/// disjoint tuple namespace (its batch index prefixes every tuple) in ONE
+/// VSA launch. Either way every job's factors are bit-identical to
+/// [`crate::tile_qr_seq`]'s, and a panic in job `b` returns
+/// [`RunError::VdpPanicked`] whose tuple leads with `b`.
 pub fn tile_qr_vsa_batch_pooled(
     jobs: &[(&Matrix, &QrOptions)],
     config: &RunConfig,
     pool: &VsaPool,
 ) -> Result<BatchQrResult, RunError> {
     assert!(!jobs.is_empty(), "batch needs at least one job");
-    if batch_backend(jobs, pool.threads()) == Backend::Seq {
+    if batch_backend(jobs, pool.threads()) == Backend::Walk {
         return walk_batch(jobs, config, pool);
     }
     let ns = |b: usize| Ns {
@@ -410,9 +415,10 @@ pub fn tile_qr_vsa_batch_pooled(
     })
 }
 
-/// Walk a balanced batch. A panic in a walk is caught per job, stops every
-/// worker taking another job, and fails the call; with `config.trace`
-/// each walk is one `walk` span on its worker.
+/// Walk a batch. A panic in a walk is caught per job, stops every worker
+/// taking another job, and fails the call; with `config.trace` each walk
+/// is one `walk` span on its worker (thread 0 for a lone job walked on
+/// the calling thread).
 fn walk_batch(
     jobs: &[(&Matrix, &QrOptions)],
     config: &RunConfig,
@@ -420,45 +426,55 @@ fn walk_batch(
 ) -> Result<BatchQrResult, RunError> {
     let t0 = Instant::now();
     let us = || t0.elapsed().as_secs_f64() * 1e6;
-    let mut order: Vec<usize> = (0..jobs.len()).collect();
-    order.sort_by(|&x, &y| job_flops(jobs[y].0).total_cmp(&job_flops(jobs[x].0)));
     let factors: Vec<OnceLock<TileQrFactors>> = jobs.iter().map(|_| OnceLock::new()).collect();
-    let (next, failure, spans) = (AtomicUsize::new(0), OnceLock::new(), Mutex::new(Vec::new()));
-    pool.run_scoped(&|thread, scratch| {
-        while failure.get().is_none() {
-            let Some(&b) = order.get(next.fetch_add(1, Relaxed)) else {
-                return;
-            };
-            let (a, opts) = jobs[b];
-            let start_us = us();
-            let walked = catch_unwind(AssertUnwindSafe(|| {
-                let chaos = config.chaos_panic.as_ref();
-                if chaos.is_some_and(|t| t.len() == 4 && t.ids()[0] == b as i32) {
-                    panic!("chaos: injected panic walking batch job {b}");
-                }
-                scratch.with(|ws: &mut Workspace| walk_plan(a, opts, 1, ws))
-            }));
-            match walked {
-                Ok(f) => drop(factors[b].set(f)),
-                Err(e) => {
-                    let tuple = Tuple::new4(b as i32, 0, 0, 0); // the job's first VDP
-                    let payload = panic_message(&*e);
-                    let _ = failure.set(RunError::VdpPanicked { tuple, payload });
+    let (failure, spans) = (OnceLock::new(), Mutex::new(Vec::new()));
+    // Walk job `b` on `thread`, its domain stage on `domains` if given;
+    // false once the batch has failed.
+    let walk = |b: usize, thread: usize, domains: Option<&VsaPool>, ws: &mut Workspace| {
+        let (a, opts) = jobs[b];
+        let start_us = us();
+        let walked = catch_unwind(AssertUnwindSafe(|| {
+            let chaos = config.chaos_panic.as_ref();
+            if chaos.is_some_and(|t| t.len() == 4 && t.ids()[0] == b as i32) {
+                panic!("chaos: injected panic walking batch job {b}");
+            }
+            walk_plan(a, opts, domains, ws)
+        }));
+        match walked {
+            Ok(f) => drop(factors[b].set(f)),
+            Err(e) => {
+                let tuple = Tuple::new4(b as i32, 0, 0, 0); // the job's first VDP
+                let payload = panic_message(&*e);
+                let _ = failure.set(RunError::VdpPanicked { tuple, payload });
+                return false;
+            }
+        }
+        if config.trace {
+            spans.lock().expect("span list").push(TaskSpan {
+                node: 0,
+                thread,
+                tuple: Tuple::new1(b as i32).to_string(),
+                label: "walk".to_string(),
+                start_us,
+                end_us: us(),
+            });
+        }
+        true
+    };
+    if jobs.len() == 1 && pool.threads() > 1 {
+        walk(0, 0, Some(pool), &mut Workspace::new());
+    } else {
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.sort_by(|&x, &y| job_flops(jobs[y].0).total_cmp(&job_flops(jobs[x].0)));
+        let next = AtomicUsize::new(0);
+        pool.run_scoped(&|thread, scratch| {
+            while let Some(&b) = order.get(next.fetch_add(1, Relaxed)) {
+                if failure.get().is_some() || !scratch.with(|ws| walk(b, thread, None, ws)) {
                     return;
                 }
             }
-            if config.trace {
-                spans.lock().expect("span list").push(TaskSpan {
-                    node: 0,
-                    thread,
-                    tuple: Tuple::new1(b as i32).to_string(),
-                    label: "walk".to_string(),
-                    start_us,
-                    end_us: us(),
-                });
-            }
-        }
-    });
+        });
+    }
     if let Some(e) = failure.into_inner() {
         return Err(e);
     }
@@ -469,7 +485,7 @@ fn walk_batch(
             .map(|f| f.into_inner().expect("walked"))
             .collect(),
         trace: config.trace.then_some(Trace { spans }),
-        backend: Backend::Seq,
+        backend: Backend::Walk,
     })
 }
 
@@ -821,7 +837,7 @@ mod tests {
         let jobs: Vec<(&Matrix, &QrOptions)> = mats.iter().map(|a| (a, &opts)).collect();
         let out = tile_qr_vsa_batch_pooled(&jobs, &RunConfig::smp(2).with_trace(), &pool)
             .expect("walked batch");
-        assert_eq!(out.backend, Backend::Seq);
+        assert_eq!(out.backend, Backend::Walk);
         let trace = out.trace.expect("traced");
         let mut slots: Vec<&str> = trace.spans.iter().map(|s| s.tuple.as_str()).collect();
         slots.sort_unstable();

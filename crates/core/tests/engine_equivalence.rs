@@ -198,7 +198,7 @@ fn batch_identical(pool: &VsaPool, mats: &[Matrix], opts: &QrOptions, want: Back
 #[test]
 fn balanced_batches_walk_lopsided_batches_share_the_array() {
     let mut rng = StdRng::seed_from_u64(28);
-    let pool = VsaPool::new(2);
+    let (pool, one) = (VsaPool::new(2), VsaPool::new(1));
     for tree in [
         Tree::Flat,
         Tree::Binary,
@@ -213,16 +213,24 @@ fn balanced_batches_walk_lopsided_batches_share_the_array() {
                 let mats: Vec<Matrix> = (0..count)
                     .map(|_| Matrix::random(64, 32, &mut rng))
                     .collect();
-                batch_identical(&pool, &mats, &opts, Backend::Seq);
+                batch_identical(&pool, &mats, &opts, Backend::Walk);
             }
             // Unequal jobs still balance while the largest is at most
             // 1/workers of the total.
             let mixed = [(64, 32), (48, 16), (64, 32)].map(|(m, n)| Matrix::random(m, n, &mut rng));
-            batch_identical(&pool, &mixed, &opts, Backend::Seq);
+            batch_identical(&pool, &mixed, &opts, Backend::Walk);
             // One job outweighs the rest: the shared array spreads it.
             let lopsided =
                 [(256, 64), (32, 16), (32, 16)].map(|(m, n)| Matrix::random(m, n, &mut rng));
             batch_identical(&pool, &lopsided, &opts, Backend::Vsa3d);
+            // A lone tall job (grid aspect 32) walks, its domain stage on
+            // the pool; a lone job of any other shape stays on the array.
+            let tall = [Matrix::random(512, 16, &mut rng)];
+            batch_identical(&pool, &tall, &opts, Backend::Walk);
+            // On one worker every lone job walks whole on that worker.
+            batch_identical(&one, &tall, &opts, Backend::Walk);
+            let lone = [Matrix::random(64, 32, &mut rng)];
+            batch_identical(&pool, &lone, &opts, Backend::Vsa3d);
         }
     }
 }
@@ -244,5 +252,13 @@ fn chaos_panic_in_a_walked_batch_names_its_slot() {
         Ok(out) => panic!("poisoned batch succeeded on {}", out.backend),
     }
     // The pool survives the caught panic: the same batch then walks clean.
-    batch_identical(&pool, &mats, &opts, Backend::Seq);
+    batch_identical(&pool, &mats, &opts, Backend::Walk);
+    // A lone tall walk reports its panic the same way, as slot 0.
+    let tall = Matrix::random(256, 8, &mut rng);
+    let cfg = RunConfig::smp(2).with_chaos_panic(Tuple::new4(0, 0, 0, 0));
+    match tile_qr_vsa_batch_pooled(&[(&tall, &opts)], &cfg, &pool) {
+        Err(RunError::VdpPanicked { tuple, .. }) => assert_eq!(tuple.ids()[0], 0, "{tuple}"),
+        Err(e) => panic!("expected VdpPanicked, got {e}"),
+        Ok(out) => panic!("poisoned lone walk succeeded on {}", out.backend),
+    }
 }

@@ -6,8 +6,9 @@
 //! worker layout alive between runs: one OS thread per configured worker,
 //! each owning a [`WorkerScratch`] whose typed slots (notably the
 //! `linalg::Workspace` arenas the QR kernels allocate from) stay warm from
-//! job to job. [`Vsa::run_pooled`](crate::Vsa::run_pooled) dispatches a
-//! prepared array onto the pool instead of spawning threads.
+//! job to job. It has one entry point, [`VsaPool::run_scoped`]:
+//! [`Vsa::run_pooled`](crate::Vsa::run_pooled), a walked service batch and
+//! the TSQR domain stage all dispatch through it.
 
 use crate::vdp::WorkerScratch;
 use parking_lot::Mutex;
@@ -17,15 +18,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::thread::JoinHandle;
 
-/// One unit of pool work: a worker-thread body that borrows the pool
-/// thread's persistent scratch store for its duration.
-pub(crate) type PoolJob = Box<dyn FnOnce(&WorkerScratch) + Send>;
+/// The body every worker of one [`VsaPool::run_scoped`] call runs, with its
+/// borrow erased for the hand-off (see the safety note there).
+type ScopedBody = &'static (dyn Fn(usize, &WorkerScratch) + Sync);
 
 struct Envelope {
-    job: PoolJob,
+    body: ScopedBody,
     /// Signals completion; carries the worker's index and the panic payload
-    /// if the job panicked. The job (and everything it captured) is dropped
-    /// before this fires.
+    /// if the body panicked. The worker never touches `body` after this
+    /// fires.
     done: mpsc::Sender<(usize, Option<Box<dyn Any + Send>>)>,
 }
 
@@ -43,8 +44,8 @@ fn spawn_worker(i: usize) -> Worker {
             // The thread's whole reason to exist: this scratch store
             // outlives every job the thread runs.
             let scratch = WorkerScratch::new();
-            while let Ok(Envelope { job, done }) = rx.recv() {
-                let r = catch_unwind(AssertUnwindSafe(|| job(&scratch)));
+            while let Ok(Envelope { body, done }) = rx.recv() {
+                let r = catch_unwind(AssertUnwindSafe(|| body(i, &scratch)));
                 let _ = done.send((i, r.err()));
             }
         })
@@ -55,15 +56,15 @@ fn spawn_worker(i: usize) -> Worker {
 /// A fixed-size pool of long-lived worker threads with warm per-thread
 /// [`WorkerScratch`] stores.
 ///
-/// Jobs are dispatched positionally — job `i` always runs on pool thread
+/// Work is dispatched positionally — worker `i` always runs on pool thread
 /// `i` — so a deterministic VDP→thread mapping lands the same work on the
 /// same warm arenas across runs. Runs are serialized internally: a second
-/// [`Vsa::run_pooled`](crate::Vsa::run_pooled) blocks until the first
-/// finishes. A panicking job does not lose its pool slot: the panic is
-/// captured and re-raised on the caller, and the worker whose
-/// `catch_unwind` tripped is quarantined — retired and respawned with a
-/// fresh [`WorkerScratch`], since a panic mid-kernel can leave the warm
-/// arenas in an arbitrary state. Dropping the pool joins every thread.
+/// [`VsaPool::run_scoped`] blocks until the first finishes. A panicking
+/// worker does not lose its pool slot: the panic is captured and re-raised
+/// on the caller, and the worker whose `catch_unwind` tripped is
+/// quarantined — retired and respawned with a fresh [`WorkerScratch`],
+/// since a panic mid-kernel can leave the warm arenas in an arbitrary
+/// state. Dropping the pool joins every thread.
 pub struct VsaPool {
     /// The mutex both serializes runs and guards worker replacement, so a
     /// respawn can never race a dispatch.
@@ -119,71 +120,28 @@ impl VsaPool {
         }
     }
 
-    /// Dispatch one job per pool thread (job `i` → thread `i`) and block
-    /// until all complete. Returns the first panic payload, if any job
-    /// panicked; the caller decides whether to resume it. Panicked workers
-    /// are respawned with fresh scratch before this returns.
-    pub(crate) fn run_jobs(&self, jobs: Vec<PoolJob>) -> Option<Box<dyn Any + Send>> {
-        let mut workers = self.workers.lock();
-        assert_eq!(
-            jobs.len(),
-            workers.len(),
-            "run_jobs needs exactly one job per pool thread"
-        );
-        let (done_tx, done_rx) = mpsc::channel();
-        for (w, job) in workers.iter().zip(jobs) {
-            w.tx.send(Envelope {
-                job,
-                done: done_tx.clone(),
-            })
-            .expect("pool worker thread died");
-        }
-        drop(done_tx);
-        let mut first_panic = None;
-        let mut tripped = Vec::new();
-        for (idx, outcome) in done_rx.iter() {
-            if let Some(payload) = outcome {
-                tripped.push(idx);
-                if first_panic.is_none() {
-                    first_panic = Some(payload);
-                }
-            }
-        }
-        for idx in tripped {
-            self.replace_worker(&mut workers, idx);
-        }
-        first_panic
-    }
-}
-
-impl VsaPool {
     /// Run `f(i, scratch_i)` once on every pool thread `i`, borrowing `f`
-    /// for the duration of the call (no `'static` bound, no per-call
-    /// allocations beyond the dispatch envelopes). Blocks until every
-    /// worker finishes; re-raises the first panic.
+    /// for the duration of the call (no `'static` bound, no allocation
+    /// beyond the dispatch messages). Blocks until every worker finishes;
+    /// re-raises the first panic with its own payload, after respawning
+    /// every worker that panicked.
+    ///
+    /// Must not be called from a pool worker of the same pool: the call
+    /// holds the dispatch lock until every worker is done.
     pub fn run_scoped(&self, f: &(dyn Fn(usize, &WorkerScratch) + Sync)) {
         let mut workers = self.workers.lock();
-        // SAFETY of the lifetime erasure: every dispatched job is dropped by
-        // its worker before the matching done signal fires, a failed send
-        // drops its envelope (and job) immediately, and we drain every done
-        // signal below before returning — so no borrow of `f` survives this
-        // call, even if a job panics. Worker replacement happens only after
-        // the drain, when no job referencing `f` exists anywhere.
-        let f_static: &'static (dyn Fn(usize, &WorkerScratch) + Sync) =
-            unsafe { std::mem::transmute(f) };
+        // SAFETY of the lifetime erasure: a worker calls `body` only
+        // between receiving its envelope and sending the matching done
+        // signal, a failed send drops its envelope unused, and we drain
+        // every done signal below before returning — so no use of `f`
+        // survives this call, even if a body panics. Worker replacement
+        // happens only after the drain.
+        let body: ScopedBody = unsafe { std::mem::transmute(f) };
         let (done_tx, done_rx) = mpsc::channel();
         let mut send_failed = false;
-        for (i, w) in workers.iter().enumerate() {
-            let job: PoolJob = Box::new(move |s: &WorkerScratch| f_static(i, s));
-            if w.tx
-                .send(Envelope {
-                    job,
-                    done: done_tx.clone(),
-                })
-                .is_err()
-            {
-                send_failed = true;
-            }
+        for w in workers.iter() {
+            let done = done_tx.clone();
+            send_failed |= w.tx.send(Envelope { body, done }).is_err();
         }
         drop(done_tx);
         let mut first_panic = None;
@@ -191,9 +149,7 @@ impl VsaPool {
         for (idx, outcome) in done_rx.iter() {
             if let Some(payload) = outcome {
                 tripped.push(idx);
-                if first_panic.is_none() {
-                    first_panic = Some(payload);
-                }
+                first_panic.get_or_insert(payload);
             }
         }
         for idx in tripped {
@@ -221,59 +177,55 @@ impl Drop for VsaPool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
-    fn job(f: impl FnOnce(&WorkerScratch) + Send + 'static) -> PoolJob {
-        Box::new(f)
+    /// Push `v[i]` onto worker `i`'s scratch vector.
+    fn stamp(pool: &VsaPool, v: &[usize]) {
+        pool.run_scoped(&|i, s| s.with(|x: &mut Vec<usize>| x.push(v[i])));
+    }
+
+    /// Read `f` of every worker's scratch vector, in worker order.
+    fn read(pool: &VsaPool, f: fn(&Vec<usize>) -> usize) -> Vec<usize> {
+        let seen = Mutex::new(vec![usize::MAX; pool.threads()]);
+        pool.run_scoped(&|i, s| seen.lock()[i] = s.with(|x: &mut Vec<usize>| f(x)));
+        seen.into_inner()
+    }
+
+    /// Run `f` on the pool, returning the re-raised panic's message.
+    fn panic_of(pool: &VsaPool, f: &(dyn Fn(usize, &WorkerScratch) + Sync)) -> Option<String> {
+        catch_unwind(AssertUnwindSafe(|| pool.run_scoped(f)))
+            .err()
+            .map(|p| crate::panic_message(&*p))
     }
 
     #[test]
     fn scratch_persists_across_runs_on_the_same_thread() {
         let pool = VsaPool::new(2);
-        // Run 1 stamps each thread's scratch slot.
-        pool.run_jobs(vec![
-            job(|s| s.with(|v: &mut Vec<usize>| v.push(10))),
-            job(|s| s.with(|v: &mut Vec<usize>| v.push(20))),
-        ]);
-        // Run 2 must see run 1's state, positionally.
-        let seen = Arc::new(Mutex::new(vec![0usize; 2]));
-        let (a, b) = (seen.clone(), seen.clone());
-        pool.run_jobs(vec![
-            job(move |s| a.lock()[0] = s.with(|v: &mut Vec<usize>| v[0])),
-            job(move |s| b.lock()[1] = s.with(|v: &mut Vec<usize>| v[0])),
-        ]);
-        assert_eq!(*seen.lock(), vec![10, 20]);
+        // Run 1 stamps each thread's scratch slot; run 2 must see run 1's
+        // state, positionally.
+        stamp(&pool, &[10, 20]);
+        assert_eq!(read(&pool, |x| x[0]), vec![10, 20]);
     }
 
     #[test]
     fn panicking_job_reports_payload_and_spares_the_thread() {
         let pool = VsaPool::new(2);
-        let fired = Arc::new(AtomicUsize::new(0));
-        let f = fired.clone();
-        let payload = pool.run_jobs(vec![
-            job(|_| panic!("boom from job 0")),
-            job(move |_| {
-                f.fetch_add(1, Ordering::SeqCst);
-            }),
-        ]);
-        let payload = payload.expect("panic payload must surface");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert!(msg.contains("boom"), "unexpected payload {msg:?}");
+        let fired = AtomicUsize::new(0);
+        let msg = panic_of(&pool, &|i, _| {
+            if i == 0 {
+                panic!("boom from worker 0");
+            }
+            fired.fetch_add(1, Ordering::SeqCst);
+        });
+        let msg = msg.expect("panic payload must surface");
+        assert!(
+            msg.contains("boom from worker 0"),
+            "unexpected payload {msg:?}"
+        );
         assert_eq!(fired.load(Ordering::SeqCst), 1);
         // The pool survives: the same slots run another round.
-        let f = fired.clone();
-        let payload = pool.run_jobs(vec![
-            job({
-                let f = fired.clone();
-                move |_| {
-                    f.fetch_add(1, Ordering::SeqCst);
-                }
-            }),
-            job(move |_| {
-                f.fetch_add(1, Ordering::SeqCst);
-            }),
-        ]);
-        assert!(payload.is_none());
+        pool.run_scoped(&|_, _| {
+            fired.fetch_add(1, Ordering::SeqCst);
+        });
         assert_eq!(fired.load(Ordering::SeqCst), 3);
     }
 
@@ -281,48 +233,23 @@ mod tests {
     fn panicked_worker_is_respawned_with_fresh_scratch() {
         let pool = VsaPool::new(2);
         // Warm both scratches, then panic on thread 0.
-        pool.run_jobs(vec![
-            job(|s| s.with(|v: &mut Vec<usize>| v.push(1))),
-            job(|s| s.with(|v: &mut Vec<usize>| v.push(2))),
-        ]);
+        stamp(&pool, &[1, 2]);
         assert_eq!(pool.respawns(), 0);
-        let payload = pool.run_jobs(vec![job(|_| panic!("poison")), job(|_| {})]);
-        assert!(payload.is_some());
+        let msg = panic_of(&pool, &|i, _| assert!(i != 0, "poison"));
+        assert!(msg.is_some());
         assert_eq!(pool.respawns(), 1);
         // Thread 0 was quarantined: its replacement starts cold. Thread 1
         // was innocent: its warm scratch survives.
-        let seen = Arc::new(Mutex::new(vec![usize::MAX; 2]));
-        let (a, b) = (seen.clone(), seen.clone());
-        pool.run_jobs(vec![
-            job(move |s| a.lock()[0] = s.with(|v: &mut Vec<usize>| v.len())),
-            job(move |s| b.lock()[1] = s.with(|v: &mut Vec<usize>| v.len())),
-        ]);
-        assert_eq!(*seen.lock(), vec![0, 1]);
+        assert_eq!(read(&pool, Vec::len), vec![0, 1]);
     }
 
     #[test]
     fn respawn_all_replaces_every_scratch() {
         let pool = VsaPool::new(2);
-        pool.run_jobs(vec![
-            job(|s| s.with(|v: &mut Vec<usize>| v.push(1))),
-            job(|s| s.with(|v: &mut Vec<usize>| v.push(2))),
-        ]);
+        stamp(&pool, &[1, 2]);
         pool.respawn_all();
         assert_eq!(pool.respawns(), 2);
-        let seen = Arc::new(Mutex::new(vec![usize::MAX; 2]));
-        let (a, b) = (seen.clone(), seen.clone());
-        pool.run_jobs(vec![
-            job(move |s| a.lock()[0] = s.with(|v: &mut Vec<usize>| v.len())),
-            job(move |s| b.lock()[1] = s.with(|v: &mut Vec<usize>| v.len())),
-        ]);
-        assert_eq!(*seen.lock(), vec![0, 0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one job per pool thread")]
-    fn job_count_must_match_thread_count() {
-        let pool = VsaPool::new(2);
-        pool.run_jobs(vec![job(|_| {})]);
+        assert_eq!(read(&pool, Vec::len), vec![0, 0]);
     }
 
     #[test]
@@ -335,38 +262,5 @@ mod tests {
         for h in &hits {
             assert_eq!(h.load(Ordering::SeqCst), 1);
         }
-    }
-
-    #[test]
-    fn run_scoped_propagates_panic_and_pool_survives() {
-        let pool = VsaPool::new(2);
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            pool.run_scoped(&|i, _s| {
-                if i == 1 {
-                    panic!("scoped boom");
-                }
-            });
-        }));
-        assert!(r.is_err(), "panic must propagate to the caller");
-        assert_eq!(pool.respawns(), 1);
-        let hits = AtomicUsize::new(0);
-        pool.run_scoped(&|_, _| {
-            hits.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn run_scoped_sees_warm_scratch_from_run_jobs() {
-        let pool = VsaPool::new(2);
-        pool.run_jobs(vec![
-            job(|s| s.with(|v: &mut Vec<usize>| v.push(7))),
-            job(|s| s.with(|v: &mut Vec<usize>| v.push(8))),
-        ]);
-        let seen = Mutex::new(vec![0usize; 2]);
-        pool.run_scoped(&|i, s| {
-            seen.lock()[i] = s.with(|v: &mut Vec<usize>| v[0]);
-        });
-        assert_eq!(*seen.lock(), vec![7, 8]);
     }
 }

@@ -5,7 +5,7 @@ use crate::checkpoint::{self, CheckpointError, RankCheckpoint, VdpEntry};
 use crate::error::RunError;
 use crate::net::NetModel;
 use crate::packet::{Packet, PacketRegistry, WireError};
-use crate::pool::{PoolJob, VsaPool};
+use crate::pool::VsaPool;
 use crate::sched::{worker_loop, OutgoingQueue, ThreadNotifier};
 use crate::trace::{Trace, TraceCollector};
 use crate::tuple::Tuple;
@@ -963,9 +963,9 @@ impl Vsa {
             .collect();
 
         Ok(Prepared {
-            shared: Arc::new(shared),
+            shared,
             per_thread,
-            node_shared: Arc::new(node_shared),
+            node_shared,
             local_nodes,
             t0,
             prepare: t0.elapsed(),
@@ -991,15 +991,15 @@ impl Vsa {
         let nodes = config.nodes;
         let tpn = config.threads_per_node;
         let Prepared {
-            shared: shared_arc,
+            shared: shared_owned,
             mut per_thread,
-            node_shared: node_shared_arc,
+            node_shared,
             local_nodes,
             t0,
             prepare,
         } = self.prepare(config)?;
-        let shared: &Shared = &shared_arc;
-        let node_shared: &[NodeShared] = &node_shared_arc;
+        let shared = &shared_owned;
+        let node_shared: &[NodeShared] = &node_shared;
 
         let scheme = config.scheme;
         // `thread::scope` replaces panic payloads with a generic message, so
@@ -1121,16 +1121,18 @@ impl Vsa {
         if let Some(p) = first_panic.into_inner() {
             std::panic::resume_unwind(p);
         }
-        finish_run(shared_arc, t0, prepare)
+        finish_run(shared_owned, t0, prepare)
     }
 
     /// Run the array on a persistent [`VsaPool`] instead of spawning one
     /// scoped thread per worker. The pool's per-thread [`WorkerScratch`]
     /// stores survive from run to run, so kernel workspaces warmed by one
     /// job are reused allocation-free by the next — the warm-pool path of
-    /// `pulsar-qr serve`. Because the tuple→thread mapping is deterministic
-    /// and jobs are dispatched thread-`i`→pool-worker-`i`, repeated runs of
-    /// the same array shape always land on the same warm arenas.
+    /// `pulsar-qr serve`. The run dispatches through
+    /// [`VsaPool::run_scoped`], borrowing the prepared state: pool worker
+    /// `i` takes thread `i`'s VDPs from its slot. Because the tuple→thread
+    /// mapping is deterministic, repeated runs of the same array shape
+    /// always land on the same warm arenas.
     ///
     /// Restricted to single-node in-process runs: `config` must have
     /// `nodes == 1`, [`Backend::InProcess`], no fault injection, no
@@ -1157,30 +1159,21 @@ impl Vsa {
                 "config.threads_per_node must match the pool's thread count",
             ));
         }
-        let tpn = config.threads_per_node;
         let scheme = config.scheme;
         let Prepared {
             shared,
-            mut per_thread,
+            per_thread,
             node_shared,
             local_nodes: _,
             t0,
             prepare,
         } = self.prepare(config)?;
-        let jobs: Vec<PoolJob> = (0..tpn)
-            .map(|local| {
-                let vdps = std::mem::take(&mut per_thread[local]);
-                let shared = Arc::clone(&shared);
-                let node_shared = Arc::clone(&node_shared);
-                let job: PoolJob = Box::new(move |scratch: &WorkerScratch| {
-                    worker_loop(0, local, vdps, &shared, &node_shared[0], scheme, scratch)
-                });
-                job
-            })
-            .collect();
-        if let Some(p) = pool.run_jobs(jobs) {
-            std::panic::resume_unwind(p);
-        }
+        // Pool worker `i` takes thread `i`'s VDPs out of its slot.
+        let slots: Vec<Mutex<Vec<VdpState>>> = per_thread.into_iter().map(Mutex::new).collect();
+        pool.run_scoped(&|local, scratch| {
+            let vdps = std::mem::take(&mut *slots[local].lock());
+            worker_loop(0, local, vdps, &shared, &node_shared[0], scheme, scratch)
+        });
         finish_run(shared, t0, prepare)
     }
 }
@@ -1196,9 +1189,9 @@ struct Home {
 
 /// Everything [`Vsa::prepare`] builds for the execution step.
 struct Prepared {
-    shared: Arc<Shared>,
+    shared: Shared,
     per_thread: Vec<Vec<VdpState>>,
-    node_shared: Arc<Vec<NodeShared>>,
+    node_shared: Vec<NodeShared>,
     local_nodes: Range<usize>,
     t0: Instant,
     prepare: Duration,
@@ -1206,20 +1199,7 @@ struct Prepared {
 
 /// Tear down after every worker has stopped: reclaim the shared block,
 /// surface the first typed error, and assemble stats + output.
-fn finish_run(shared: Arc<Shared>, t0: Instant, prepare: Duration) -> Result<RunOutput, RunError> {
-    // Scoped runs reach here holding the only reference; pooled runs can
-    // momentarily race a pool thread that has signalled completion but not
-    // yet dropped its clone.
-    let mut shared = shared;
-    let mut shared = loop {
-        match Arc::try_unwrap(shared) {
-            Ok(s) => break s,
-            Err(again) => {
-                shared = again;
-                std::thread::yield_now();
-            }
-        }
-    };
+fn finish_run(mut shared: Shared, t0: Instant, prepare: Duration) -> Result<RunOutput, RunError> {
     if let Some(e) = shared.take_error() {
         return Err(e);
     }

@@ -69,11 +69,13 @@ pub trait Node: Send + Sync + 'static {
 
 // --- admission, shared by the worker and the router ---------------------
 
-/// Shape and tile-size checks every submit passes before admission.
+/// Shape, tile-size and finiteness checks every submit passes before
+/// admission.
 pub(crate) fn validate_job(a: &Matrix, opts: &QrOptions) -> Result<(), String> {
     if a.nrows() == 0 || a.ncols() == 0 {
         return Err("matrix must be non-empty".into());
     }
+    all_finite("matrix", a)?;
     if opts.nb == 0 || opts.ib == 0 || opts.ib > opts.nb {
         return Err(format!(
             "need 0 < ib <= nb, got nb={} ib={}",
@@ -89,6 +91,20 @@ pub(crate) fn validate_job(a: &Matrix, opts: &QrOptions) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// Refuse a NaN or infinite entry of `a` (named `what`): a factorization
+/// of it is meaningless, and a kept one would poison every later verb.
+pub(crate) fn all_finite(what: &str, a: &Matrix) -> Result<(), String> {
+    match a.data().iter().position(|x| !x.is_finite()) {
+        None => Ok(()),
+        Some(k) => Err(format!(
+            "{what} has a non-finite entry {} at ({}, {})",
+            a.data()[k],
+            k % a.nrows(),
+            k / a.nrows()
+        )),
+    }
 }
 
 /// Client idempotency key → job id, bounded FIFO. A retried submit whose

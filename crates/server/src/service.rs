@@ -13,12 +13,12 @@
 //! derived from the observed batch rate.
 
 use crate::proto::{ErrCode, JobState};
-use crate::server::{validate_job, IdemMap};
+use crate::server::{all_finite, validate_job, IdemMap};
 use crate::store::{FactorHandle, FactorStore, StoreError, WalError};
 use parking_lot::{Condvar, Mutex};
 use pulsar_core::update::append_rows;
 use pulsar_core::vsa3d::{batch_backend, tile_qr_vsa_batch_pooled};
-use pulsar_core::{grid_aspect, tile_qr_tsqr, QrOptions, TileQrFactors};
+use pulsar_core::{tall_grid, QrOptions, TileQrFactors};
 use pulsar_linalg::flops::qr_flops;
 use pulsar_linalg::Matrix;
 use pulsar_runtime::trace::{TaskSpan, Trace};
@@ -72,10 +72,10 @@ pub struct ServeConfig {
     pub wal_compact_bytes: u64,
     /// Path of a tuner profile table (JSON, written by `pulsar-qr tune`).
     /// When set, the service loads it at start (a missing file starts
-    /// empty), routes tall-skinny jobs to the TSQR fast path, refines the
-    /// table online from observed service times, and persists the refined
-    /// table back to the same path on drain. `None` disables the tuner
-    /// entirely — every job runs on the 3D VSA exactly as before.
+    /// empty), refines the table online from observed service times, and
+    /// persists the refined table back to the same path on drain. `None`
+    /// disables the tuner. Either way the executor of a batch follows from
+    /// its jobs' shapes ([`pulsar_core::vsa3d::batch_backend`]).
     pub profile_path: Option<PathBuf>,
 }
 
@@ -229,8 +229,10 @@ struct Counters {
     expired: u64,
     rejected: u64,
     batches: u64,
-    /// Batches whose jobs were each walked whole on one pool worker
-    /// ([`pulsar_core::vsa3d::batch_backend`]), poisoned ones included.
+    /// Batches the plan walker ran instead of the array — a lone tall
+    /// job, or a balanced batch whose jobs each walked whole on one pool
+    /// worker ([`pulsar_core::vsa3d::batch_backend`]) — poisoned ones
+    /// included.
     batches_walked: u64,
     solves: u64,
     applies: u64,
@@ -272,12 +274,6 @@ struct State {
 struct TunerState {
     table: ProfileTable,
     refiner: Refiner,
-    /// Routing lookups answered by a profile cell (exact or nearest).
-    hits: u64,
-    /// Routing lookups with no cell at all (empty table).
-    misses: u64,
-    /// Jobs executed on the TSQR fast path instead of the VSA.
-    tsqr_jobs: u64,
 }
 
 /// A running QR service. Cheap to share behind an [`Arc`]; every method
@@ -339,9 +335,6 @@ impl Service {
             Mutex::new(TunerState {
                 table,
                 refiner: Refiner::default(),
-                hits: 0,
-                misses: 0,
-                tsqr_jobs: 0,
             })
         });
         let svc = Arc::new(Service {
@@ -616,8 +609,11 @@ impl Service {
     /// re-factoring (TSQRT chain against the resident `R`), and commit
     /// the grown factors back under the same handle. Returns the updated
     /// row count. Updates on one handle serialize on its gate; eviction
-    /// between the read and the commit surfaces as `HandleExpired`.
+    /// between the read and the commit surfaces as `HandleExpired`. Rows
+    /// with a NaN or infinite entry are refused as `Invalid` before the
+    /// stored factor is touched.
     pub fn update(&self, handle: u64, e: &Matrix) -> Result<u64, JobError> {
+        all_finite("update rows", e).map_err(JobError::Invalid)?;
         let h = FactorHandle::from_raw(handle);
         let gate = self.store.lock().update_gate(h)?;
         // Hold the per-handle gate (not the store lock) across the math.
@@ -696,10 +692,7 @@ impl Service {
         let tuner_json = obj([
             ("enabled", Json::Bool(tuner.is_some())),
             ("profile_cells", of(|t| t.table.cells().len() as u64)),
-            ("profile_hits", of(|t| t.hits)),
-            ("profile_misses", of(|t| t.misses)),
             ("refinements", of(|t| t.refiner.refinements())),
-            ("tsqr_jobs", of(|t| t.tsqr_jobs)),
         ]);
         drop(tuner);
         let store_json = self.store.lock().stats_json();
@@ -778,69 +771,6 @@ impl Service {
         }
     }
 
-    /// Peel tall-skinny jobs off a batch and run each on the TSQR fast
-    /// path (same kernel sequence as the VSA schedule, so the factors are
-    /// bit-identical — solve/apply-q/update against a kept handle cannot
-    /// tell which executor produced it). Returns the jobs left for the
-    /// VSA launch. A no-op returning the batch untouched when the tuner
-    /// is disabled.
-    fn run_tsqr_routed(
-        &self,
-        batch: Vec<(u64, Matrix, QrOptions)>,
-    ) -> Vec<(u64, Matrix, QrOptions)> {
-        let Some(tuner) = &self.tuner else {
-            return batch;
-        };
-        let threads = self.cfg.threads;
-        let mut rest = Vec::with_capacity(batch.len());
-        let mut routed = Vec::new();
-        {
-            let mut t = tuner.lock();
-            for (id, a, o) in batch {
-                match t.table.lookup(a.nrows(), a.ncols(), threads) {
-                    Some(_) => t.hits += 1,
-                    None => t.misses += 1,
-                }
-                if grid_aspect(a.nrows(), a.ncols(), o.nb) >= t.table.tsqr_min_aspect {
-                    t.tsqr_jobs += 1;
-                    routed.push((id, a, o));
-                } else {
-                    rest.push((id, a, o));
-                }
-            }
-        }
-        for job in routed {
-            let (id, a, opts) = (job.0, &job.1, &job.2);
-            let t0 = Instant::now();
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                tile_qr_tsqr(a, opts, threads)
-            }));
-            let wall = t0.elapsed();
-            if result.is_ok() {
-                self.observe(std::slice::from_ref(&job), pulsar_core::Backend::Tsqr, wall);
-            }
-            let mut st = self.state.lock();
-            st.counters.batches += 1;
-            st.busy += wall;
-            st.running -= 1;
-            match result {
-                Ok(factors) => self.publish(&mut st, id, factors),
-                Err(_) => {
-                    let job = st.jobs.get_mut(&id).expect("running job exists");
-                    job.state = JobState::Failed;
-                    job.outcome = Some(Err(JobError::Panicked(
-                        "TSQR fast path panicked".to_string(),
-                    )));
-                    st.counters.failed += 1;
-                    st.counters.panicked += 1;
-                }
-            }
-            drop(st);
-            self.done.notify_all();
-        }
-        rest
-    }
-
     /// Feed the online refiner (a no-op without a tuner): every job of a
     /// successful run is one throughput observation of the plan it
     /// actually ran. Wall time is attributed by flop share, which reduces
@@ -870,7 +800,7 @@ impl Service {
         }
     }
 
-    /// Scheduler body: pull → batch → route → run on the pool → distribute.
+    /// Scheduler body: pull → batch → run on the pool → distribute.
     fn scheduler(self: Arc<Service>) {
         let pool = &self.pool;
         loop {
@@ -882,13 +812,6 @@ impl Service {
             let stall = self.state.lock().chaos_sched_delay;
             if let Some(d) = stall {
                 std::thread::sleep(d);
-            }
-            // Tuner routing: tall-skinny jobs skip the VSA and run on the
-            // TSQR fast path (bit-identical factors). No-op when no
-            // profile is configured.
-            let batch = self.run_tsqr_routed(batch);
-            if batch.is_empty() {
-                continue;
             }
             let t0 = Instant::now();
             let offset_us = (t0 - self.started).as_secs_f64() * 1e6;
@@ -927,7 +850,7 @@ impl Service {
 
             let mut st = self.state.lock();
             st.counters.batches += 1;
-            st.counters.batches_walked += u64::from(backend == pulsar_core::Backend::Seq);
+            st.counters.batches_walked += u64::from(backend == pulsar_core::Backend::Walk);
             st.busy += wall;
             st.running -= batch.len();
             match result {
@@ -995,13 +918,16 @@ impl Service {
 
     /// Block until at least one schedulable job exists (resolving
     /// cancellations and expired deadlines along the way), then pull up to
-    /// `batch_max` / `batch_bytes` of them. `None` means drained.
+    /// `batch_max` / `batch_bytes` of them. A tall job ([`tall_grid`])
+    /// runs alone: it closes the batch it would join, and no job joins it.
+    /// `None` means drained.
     fn next_batch(&self) -> Option<Vec<(u64, Matrix, QrOptions)>> {
         let mut st = self.state.lock();
         loop {
             let mut batch: Vec<(u64, Matrix, QrOptions)> = Vec::new();
             let mut bytes = 0usize;
-            while batch.len() < self.cfg.batch_max {
+            let mut alone = false;
+            while batch.len() < self.cfg.batch_max && !alone {
                 let Some(&id) = st.queue.front() else { break };
                 enum Pulled {
                     Run(Matrix, QrOptions),
@@ -1021,10 +947,13 @@ impl Service {
                             } else {
                                 let a = job.a.as_ref().expect("queued job holds its matrix");
                                 let sz = a.nrows() * a.ncols() * 8;
-                                if !batch.is_empty() && bytes + sz > self.cfg.batch_bytes {
+                                let tall = tall_grid(a.nrows(), a.ncols(), job.opts.nb);
+                                if !batch.is_empty() && (tall || bytes + sz > self.cfg.batch_bytes)
+                                {
                                     Pulled::BatchFull
                                 } else {
                                     bytes += sz;
+                                    alone = tall;
                                     job.state = JobState::Running;
                                     Pulled::Run(job.a.take().unwrap(), job.opts.clone())
                                 }
@@ -1235,6 +1164,28 @@ mod tests {
         );
         assert!(bad_ib.is_ok(), "ib == nb is legal");
         svc.drain();
+    }
+
+    #[test]
+    fn non_finite_update_rows_never_reach_the_stored_factor() {
+        let svc = Service::start(ServeConfig::default());
+        let handle = svc
+            .submit(random_matrix(24, 8, 21), opts(), None, true)
+            .unwrap();
+        svc.wait_result(handle).expect("keep job completes");
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut e = random_matrix(8, 8, 22);
+            e[(3, 5)] = bad;
+            match svc.update(handle, &e) {
+                Err(JobError::Invalid(m)) => assert!(m.contains("(3, 5)"), "{m}"),
+                other => panic!("expected Invalid for {bad}, got {other:?}"),
+            }
+        }
+        // The factor is untouched: a finite update still grows it from 24.
+        let rows = svc.update(handle, &random_matrix(8, 8, 23)).unwrap();
+        assert_eq!(rows, 32);
+        let stats = svc.drain();
+        assert!(stats.contains("\"updates\":1,"), "{stats}");
     }
 
     #[test]

@@ -299,8 +299,8 @@ json_from_count!(u32, u64, usize);
 
 /// Build an object from key/value pairs (the table writer and every stats
 /// surface of the service tier).
-pub fn obj(pairs: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
-    Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+pub fn obj<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Json)>) -> Json {
+    Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
 #[cfg(test)]

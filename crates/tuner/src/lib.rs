@@ -24,6 +24,6 @@ pub mod profile;
 pub mod refine;
 pub mod sweep;
 
-pub use profile::{ProfileCell, ProfilePolicy, ProfileTable, PROFILE_VERSION, TSQR_MIN_ASPECT};
+pub use profile::{ProfileCell, ProfilePolicy, ProfileTable, PROFILE_VERSION};
 pub use refine::{PlanKey, Refiner};
-pub use sweep::{candidates, run_sweep, SweepConfig, SweepReport};
+pub use sweep::{candidates, measure, run_sweep, SweepConfig, SweepReport};

@@ -11,19 +11,12 @@
 
 use crate::json::{obj, Json};
 use pulsar_core::policy::{divisor_nb, Backend, PaperPolicy, PlanChoice, PlanPolicy};
-use pulsar_core::{grid_aspect, Tree};
+use pulsar_core::{tall_grid, Tree};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Current on-disk format version. Bump on any incompatible change.
 pub const PROFILE_VERSION: u64 = 1;
-
-/// Tile-grid aspect ratio (`mt / nt`) at and above which jobs route to the
-/// TSQR backend when no measured cell says otherwise. At 32:1 the VSA's
-/// array-construction and channel costs exceed any pipelining benefit —
-/// there are almost no trailing panels left to pipeline (see DESIGN.md
-/// §15 and the `BENCH_shapes.json` gate).
-pub const TSQR_MIN_ASPECT: usize = 32;
 
 /// One measured cell: the winning plan for a shape.
 #[derive(Clone, Debug, PartialEq)]
@@ -90,18 +83,13 @@ impl ProfileCell {
 /// The profile table (see module docs for lookup semantics).
 #[derive(Clone, Debug, Default)]
 pub struct ProfileTable {
-    /// TSQR routing threshold on the tile-grid aspect ratio.
-    pub tsqr_min_aspect: usize,
     cells: Vec<ProfileCell>,
 }
 
 impl ProfileTable {
-    /// An empty table with default thresholds.
+    /// An empty table.
     pub fn new() -> Self {
-        ProfileTable {
-            tsqr_min_aspect: TSQR_MIN_ASPECT,
-            cells: Vec::new(),
-        }
+        Self::default()
     }
 
     /// All cells, in deterministic (m, n, threads) order.
@@ -158,7 +146,6 @@ impl ProfileTable {
     pub fn to_json(&self) -> String {
         obj(vec![
             ("version", Json::Num(PROFILE_VERSION as f64)),
-            ("tsqr_min_aspect", Json::Num(self.tsqr_min_aspect as f64)),
             (
                 "cells",
                 Json::Arr(self.cells.iter().map(ProfileCell::to_json).collect()),
@@ -180,9 +167,6 @@ impl ProfileTable {
             ));
         }
         let mut table = ProfileTable::new();
-        if let Some(a) = v.get("tsqr_min_aspect").and_then(Json::as_usize) {
-            table.tsqr_min_aspect = a.max(1);
-        }
         for cell in v
             .get("cells")
             .and_then(Json::as_arr)
@@ -260,13 +244,12 @@ impl ProfilePolicy {
             },
             t => t.clone(),
         };
+        // A walked cell only transfers where the aspect rule holds: a
+        // square shape borrowing a tall cell, or a cell a balanced batch
+        // walked, stays on the VSA.
         let backend = match cell.backend {
-            // A tuned TSQR cell only transfers where the aspect rule holds;
-            // a square shape borrowing a tall cell must stay on the VSA.
-            Backend::Tsqr if grid_aspect(m, n, nb) >= self.table.tsqr_min_aspect => Backend::Tsqr,
-            // A walked cell records what a balanced batch ran on; the
-            // batch chose it, not the shape, so a lone job stays on the VSA.
-            Backend::Tsqr | Backend::Seq | Backend::Vsa3d => Backend::Vsa3d,
+            Backend::Walk if tall_grid(m, n, nb) => Backend::Walk,
+            Backend::Walk | Backend::Vsa3d => Backend::Vsa3d,
         };
         PlanChoice {
             tree,
@@ -291,8 +274,8 @@ impl PlanPolicy for ProfilePolicy {
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 let mut choice = self.fallback.choose(m, n, threads);
-                if grid_aspect(m, n, choice.nb) >= self.table.tsqr_min_aspect {
-                    choice.backend = Backend::Tsqr;
+                if tall_grid(m, n, choice.nb) {
+                    choice.backend = Backend::Walk;
                 }
                 choice
             }
@@ -325,21 +308,22 @@ mod tests {
         t.insert(cell(64, 64, 4, Tree::Greedy, 16));
         let back = ProfileTable::parse(&t.to_json()).unwrap();
         assert_eq!(back.cells(), t.cells());
-        assert_eq!(back.tsqr_min_aspect, t.tsqr_min_aspect);
         // A version-1 table saved with the retired pooled-GEMM crossover
-        // key still loads, and is saved again without it.
+        // and TSQR threshold keys still loads, and is saved again without
+        // them.
         let saved = concat!(
             r#"{"cells":[{"backend":"vsa3d","gflops":1,"ib":16,"m":64,"n":64,"#,
             r#""nb":16,"samples":1,"threads":4,"tree":"greedy"},"#,
             r#"{"backend":"vsa3d","gflops":1,"ib":16,"m":512,"n":64,"nb":64,"#,
             r#""samples":1,"threads":4,"tree":"hier:8"}],"#,
-            r#""pool_min_mnk":452984832,"tsqr_min_aspect":32,"version":1}"#
+            r#""pool_min_mnk":452984832,"tsqr_"#,
+            r#"min_aspect":32,"version":1}"#
         );
         let old = ProfileTable::parse(saved).unwrap();
         assert_eq!(old.cells(), t.cells());
-        assert_eq!(old.tsqr_min_aspect, t.tsqr_min_aspect);
         assert_eq!(old.to_json(), t.to_json());
         assert!(!old.to_json().contains("pool_min_mnk"));
+        assert!(!old.to_json().contains("aspect"));
     }
 
     #[test]
@@ -373,7 +357,7 @@ mod tests {
     fn policy_adapts_cells_to_foreign_shapes() {
         let mut t = ProfileTable::new();
         let mut tall = cell(2048, 8, 2, Tree::BinaryOnFlat { h: 64 }, 16);
-        tall.backend = Backend::Tsqr;
+        tall.backend = Backend::Walk;
         t.insert(tall);
         let p = ProfilePolicy::new(t);
         // Same family, smaller: h clamps to the grid, nb divides m.
@@ -382,7 +366,7 @@ mod tests {
         if let Tree::BinaryOnFlat { h } = c.tree {
             assert!(h <= 96 / c.nb);
         }
-        // A square shape borrowing the tall cell must not route to TSQR.
+        // A square shape borrowing the tall cell must not walk.
         let c = p.choose(64, 64, 2);
         assert_eq!(c.backend, Backend::Vsa3d);
         assert_eq!(p.hits(), 0);
@@ -396,6 +380,6 @@ mod tests {
         assert_eq!(square.backend, Backend::Vsa3d);
         assert_eq!(square.tree, Tree::BinaryOnFlat { h: 4 });
         let tall = p.choose(16384, 64, 4);
-        assert_eq!(tall.backend, Backend::Tsqr);
+        assert_eq!(tall.backend, Backend::Walk);
     }
 }

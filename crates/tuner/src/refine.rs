@@ -244,12 +244,12 @@ mod tests {
     fn seeding_requires_a_streak_too() {
         let mut table = ProfileTable::new();
         let mut r = Refiner::new(0.10, 3);
-        let k = key(Tree::Flat, 8, Backend::Tsqr);
+        let k = key(Tree::Flat, 8, Backend::Walk);
         assert!(!r.observe(&mut table, (512, 8, 1), &k, 8, 5.0));
         assert!(!r.observe(&mut table, (512, 8, 1), &k, 8, 5.0));
         assert!(r.observe(&mut table, (512, 8, 1), &k, 8, 5.0));
         let cell = table.lookup_exact(512, 8, 1).unwrap();
-        assert_eq!(cell.backend, Backend::Tsqr);
+        assert_eq!(cell.backend, Backend::Walk);
         assert_eq!(cell.samples, 3);
     }
 }

@@ -3,17 +3,17 @@
 //!
 //! Candidate generation is *structural* and deterministic: which trees and
 //! backends are worth measuring depends on the tile-grid aspect ratio.
-//! Tall-skinny grids (`mt/nt >=` [`TSQR_MIN_ASPECT`]) sweep the TSQR
-//! backend with communication-optimal domain sizes (`h ~ mt/threads`,
+//! Tall-skinny grids ([`pulsar_core::tall_grid`]) sweep the walker
+//! (TSQR) with communication-optimal domain sizes (`h ~ mt/threads`,
 //! arXiv:0809.2407) — the 3D VSA has nothing to pipeline there and only
 //! pays construction overhead. General grids sweep the VSA with the
 //! paper's hierarchy and its neighbours. Within a candidate set the winner
 //! is picked by measured throughput (best-of-`reps` wall time).
 
-use crate::profile::{ProfileCell, ProfileTable, TSQR_MIN_ASPECT};
+use crate::profile::{ProfileCell, ProfileTable};
 use pulsar_core::policy::{Backend, PlanChoice};
 use pulsar_core::vsa3d::tile_qr_vsa;
-use pulsar_core::{tile_qr_seq, tile_qr_tsqr, QrOptions, Tree};
+use pulsar_core::{tall_grid, tile_qr_tsqr, QrOptions, Tree};
 use pulsar_linalg::flops::qr_flops;
 use pulsar_linalg::Matrix;
 use pulsar_runtime::RunConfig;
@@ -98,9 +98,8 @@ pub fn candidates(m: usize, n: usize, threads: usize, nb_list: &[usize]) -> Vec<
     for nb in nbs {
         let ib = (nb / 4).max(1);
         let mt = (m / nb).max(1);
-        let nt = n.div_ceil(nb).max(1);
-        if mt / nt >= TSQR_MIN_ASPECT {
-            // Tall-skinny: TSQR backend, one local block per thread (and
+        if tall_grid(m, n, nb) {
+            // Tall-skinny: the walker (TSQR), one local block per thread (and
             // half that, for overlap), plus the pure binary tree.
             let h1 = mt.div_ceil(threads.max(1)).max(2);
             let h2 = (h1 / 2).max(2);
@@ -115,7 +114,7 @@ pub fn candidates(m: usize, n: usize, threads: usize, nb_list: &[usize]) -> Vec<
                         tree,
                         nb,
                         ib,
-                        backend: Backend::Tsqr,
+                        backend: Backend::Walk,
                     },
                 );
             }
@@ -142,26 +141,18 @@ pub fn candidates(m: usize, n: usize, threads: usize, nb_list: &[usize]) -> Vec<
     cands
 }
 
-/// Time one candidate on `a`: best-of-`reps` wall seconds.
-fn measure(a: &Matrix, choice: &PlanChoice, threads: usize, reps: usize) -> f64 {
+/// Time one candidate on `a` on `threads` workers: best-of-`reps` wall
+/// seconds. A walked candidate runs [`tile_qr_tsqr`].
+pub fn measure(a: &Matrix, choice: &PlanChoice, threads: usize, reps: usize) -> f64 {
     let opts: QrOptions = choice.options();
     let mut best = f64::INFINITY;
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
-        match choice.backend {
-            Backend::Tsqr => {
-                let f = tile_qr_tsqr(a, &opts, threads);
-                std::hint::black_box(&f.r);
-            }
-            Backend::Vsa3d => {
-                let r = tile_qr_vsa(a, &opts, &RunConfig::smp(threads));
-                std::hint::black_box(&r.factors.r);
-            }
-            Backend::Seq => {
-                let f = tile_qr_seq(a, &opts);
-                std::hint::black_box(&f.r);
-            }
-        }
+        let r = match choice.backend {
+            Backend::Walk => tile_qr_tsqr(a, &opts, threads).r,
+            Backend::Vsa3d => tile_qr_vsa(a, &opts, &RunConfig::smp(threads)).factors.r,
+        };
+        std::hint::black_box(r);
         best = best.min(t0.elapsed().as_secs_f64());
     }
     best
@@ -209,13 +200,13 @@ mod tests {
 
     #[test]
     fn candidate_sets_are_structural_and_disjoint_by_aspect() {
-        // Square: VSA candidates only; tall: TSQR candidates only — and
+        // Square: VSA candidates only; tall: walked candidates only — and
         // the tree sets do not overlap, so the tuned {tree, h, nb} for
         // these two shapes necessarily differ.
         let square = candidates(64, 64, 2, &[16]);
         assert!(square.iter().all(|c| c.backend == Backend::Vsa3d));
         let tall = candidates(2048, 8, 2, &[16]);
-        assert!(tall.iter().all(|c| c.backend == Backend::Tsqr));
+        assert!(tall.iter().all(|c| c.backend == Backend::Walk));
         for t in &tall {
             assert!(!square.iter().any(|s| s.tree == t.tree), "{:?}", t.tree);
         }
@@ -241,7 +232,7 @@ mod tests {
             (&sq.tree, sq.nb, sq.backend),
             (&tall.tree, tall.nb, tall.backend)
         );
-        assert_eq!(tall.backend, Backend::Tsqr);
+        assert_eq!(tall.backend, Backend::Walk);
         assert!(report.shapes.iter().all(|s| !s.ranked.is_empty()));
     }
 }

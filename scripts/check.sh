@@ -36,7 +36,7 @@ if [ -n "$hits" ]; then
 fi
 for pat in '0x811c_9dc5' '0x82f6_3b78' 'struct SplitMix64' 'fn put_u64' 'fn validate_job' 'fn exit_r' \
     'fn build_qr_array_into' 'struct FlatDomainVdp' 'fn walk_plan' 'fn fused_apply' 'unsafe impl' \
-    'fn row_hops' 'fn qr_mapping' 'fn qr_flops'; do
+    'fn row_hops' 'fn qr_mapping' 'fn qr_flops' 'const TSQR_MIN_ASPECT'; do
     hits=$(grep -rn --include='*.rs' -F "$pat" src crates/*/src || true)
     if [ "$(printf '%s\n' "$hits" | cut -d: -f1 | sort -u | grep -c .)" -ne 1 ]; then
         echo "guard: \`$pat\` must appear in exactly one non-test source file:" >&2
@@ -82,6 +82,22 @@ forbid 'Mutex<VecDeque<Packet>>' 'puts a lock back on the readiness path' crates
 forbid 'Arc<ChannelQueue>' 'holds a queue outside the run arena' crates/runtime/src
 forbid 'unsafe trait' 'puts a thread-safety contract outside the channel queue' crates/*/src
 forbid '.touches(' 'rescans the op list; read core::plan::row_hops' crates/sim/src
+# One walker, one pool dispatch, a rule taken from the shape. The plan
+# walker is the one executor beside the array, and its parallel domain
+# stage runs on the warm VsaPool's workers, so core spawns no thread of its
+# own; the service runs a tall job through its one batch path (typed panic,
+# retry budget, respawn), never through a TSQR call of its own; the pool
+# has one entry point, `run_scoped`; and whether a job walks follows from
+# its grid aspect against one constant (`TSQR_MIN_ASPECT`, in the
+# exactly-one-file list above), never from a profile field.
+forbid 'thread::scope' 'spawns threads beside the warm pool; use VsaPool::run_scoped' crates/core/src
+forbid 'thread::spawn' 'spawns threads beside the warm pool; use VsaPool::run_scoped' crates/core/src
+forbid 'tile_qr_tsqr' 'runs beside the batch path; a tall job walks in tile_qr_vsa_batch_pooled' \
+    crates/server/src
+forbid 'tsqr_min_aspect' 'makes the tall-grid rule a knob; read pulsar_core::TSQR_MIN_ASPECT' \
+    crates/*/src
+forbid 'fn run_jobs' 'adds a second pool entry point; dispatch through VsaPool::run_scoped' \
+    crates/*/src
 [ "$dup" -eq 0 ] || exit 1
 
 cargo clippy --offline --workspace --all-targets -- -D warnings
@@ -113,8 +129,9 @@ fi
 
 # Optional: SERVE=1 ./scripts/check.sh smoke-tests the persistent QR
 # service end-to-end through the release binary: start a daemon, drive it
-# with verified submits (one racing a cancel — either outcome is fine, and
-# one burst whose batches the daemon walks, one job per pool worker),
+# with verified submits (one racing a cancel — either outcome is fine, one
+# burst whose batches the daemon walks, one job per pool worker, and one
+# tall job it walks alone),
 # drain it, and require a walked batch and a clean exit.
 if [ "${SERVE:-0}" = "1" ]; then
     serve_out=$(mktemp)
@@ -134,6 +151,8 @@ if [ "${SERVE:-0}" = "1" ]; then
         --nb 8 --cancel true
     ./target/release/pulsar-qr submit --addr "$addr" --rows 32 --cols 16 \
         --nb 8 --burst 8
+    # A tall job (grid aspect 32) runs alone on the walker.
+    ./target/release/pulsar-qr submit --addr "$addr" --rows 256 --cols 8 --nb 8
     # Factor-store verbs: keep a factorization, then solve / apply-q /
     # stream rows against its handle (each self-verifies its oracle).
     keep_out=$(./target/release/pulsar-qr submit --addr "$addr" --rows 96 \
