@@ -220,3 +220,54 @@ impl TileQrFactors {
         pulsar_linalg::cond::cond_est_upper(&self.r)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::plan::Tree;
+    use crate::vsa3d::tile_qr_vsa;
+    use crate::QrOptions;
+    use pulsar_linalg::{Matrix, SolveError};
+    use pulsar_runtime::RunConfig;
+
+    fn factor(a: &Matrix) -> super::TileQrFactors {
+        let opts = QrOptions::new(4, 2, Tree::BinaryOnFlat { h: 2 });
+        tile_qr_vsa(a, &opts, &RunConfig::smp(2)).factors
+    }
+
+    #[test]
+    fn consistent_system_recovers_exactly() {
+        let mut rng = rand::rng();
+        let a = Matrix::random(40, 8, &mut rng);
+        let x0 = Matrix::random(8, 2, &mut rng);
+        let x = factor(&a).solve_ls(&a.matmul(&x0));
+        assert!(x.sub(&x0).norm_fro() < 1e-10);
+    }
+
+    #[test]
+    fn condition_estimate_flags_bad_systems() {
+        let mut rng = rand::rng();
+        let a = Matrix::random(32, 8, &mut rng);
+        assert!(factor(&a).r_condition_estimate() < 1e4);
+
+        // Nearly rank-deficient: last column almost a copy of the first.
+        let mut bad = a.clone();
+        for i in 0..32 {
+            bad[(i, 7)] = bad[(i, 0)] * (1.0 + 1e-13);
+        }
+        assert!(factor(&bad).r_condition_estimate() > 1e8);
+    }
+
+    #[test]
+    fn zero_column_fails_typed_instead_of_returning_nan() {
+        let mut rng = rand::rng();
+        let mut a = Matrix::random(24, 6, &mut rng);
+        for i in 0..24 {
+            a[(i, 2)] = 0.0;
+        }
+        let b = Matrix::random(24, 1, &mut rng);
+        assert_eq!(
+            factor(&a).try_solve_ls(&b).err(),
+            Some(SolveError::Singular { col: 2 })
+        );
+    }
+}

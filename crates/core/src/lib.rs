@@ -26,23 +26,18 @@
 //!   tree it is the IPDPS'13 2D domino QR (Figure 9). Adds batching of many
 //!   jobs into one launch and the SPMD partial collector for distributed
 //!   ranks.
-//! - [`applyq`] — `Q`/`Q^T` application as a VSA: one VDP per recorded
-//!   transformation, row tiles streaming through them.
 //! - [`factors`] — the factorization output: `R`, the transformation tree,
-//!   sequential `Q` application, least-squares solving, and verification.
+//!   `Q` application by replaying that tree, least-squares solving, and
+//!   verification.
 //! - [`update`] — streaming row append to stored factors (a TSQRT chain
 //!   against the stored `R`).
-//! - [`lsqr`] — the least-squares driver: factor and apply `Q^T` as VSAs,
-//!   then back-substitute.
 //! - [`mapping`] — VDP→(node, thread) mapping functions.
 //! - [`policy`] — plan policies: `{tree, h, nb, ib, backend}` chosen per
 //!   `(m, n, threads)` instead of hard-coded at call sites.
 
 #![warn(missing_docs)]
 
-pub mod applyq;
 pub mod factors;
-pub mod lsqr;
 pub mod mapping;
 pub(crate) mod ops;
 pub mod plan;
@@ -54,7 +49,6 @@ pub mod update;
 pub mod vsa3d;
 
 pub use factors::{Reflectors, TileQrFactors};
-pub use lsqr::{least_squares, LsSolution};
 pub use plan::{Boundary, PanelOp, QrPlan, Tree};
 pub use policy::{Backend, PaperPolicy, PlanChoice, PlanPolicy};
 pub use seqqr::tile_qr_seq;

@@ -400,8 +400,8 @@ pub type Touch = Option<(usize, usize)>;
 /// plan's panels flattened in order, or their reverse), built in one
 /// backward pass: `next[k][side]` is the hop after op `k` for its primary
 /// (side 0) and secondary (side 1) row, and `first[row]` the row's first
-/// op. This is the one derivation of the tiles' dataflow; apply-Q wires
-/// its array from it and the simulator its task graph.
+/// op. This is the one derivation of the tiles' dataflow; the simulator
+/// wires its task graph from it.
 pub fn row_hops(ops: &[PanelOp], mt: usize) -> (Vec<[Touch; 2]>, Vec<Touch>) {
     // Walking backwards, `seen[row]` is the nearest later op touching
     // `row`; what is left at the end is the first.

@@ -6,11 +6,9 @@
 //! holds them to the same bar on both of its executors: each job walked
 //! whole on one worker, or all jobs in one shared array.
 
-use pulsar_core::applyq::apply_q_vsa;
 use pulsar_core::plan::Tree;
 use pulsar_core::vsa3d::{tile_qr_vsa, tile_qr_vsa_batch_pooled};
 use pulsar_core::{tile_qr_seq, tile_qr_tsqr, Backend, QrOptions, TileQrFactors};
-use pulsar_linalg::kernels::ApplyTrans;
 use pulsar_linalg::verify::r_factor_distance;
 use pulsar_linalg::Matrix;
 use pulsar_runtime::{RunConfig, RunError, Tuple, VsaPool};
@@ -104,20 +102,6 @@ fn transforms_are_identical_not_just_r() {
         Tree::custom([1, 4]),
     ] {
         all_engines_identical(&a, &QrOptions::new(4, 2, tree), 3);
-    }
-}
-
-#[test]
-fn vsa_apply_is_identical_to_sequential_apply() {
-    let mut rng = StdRng::seed_from_u64(1553);
-    let a = Matrix::random(32, 12, &mut rng);
-    let b = Matrix::random(32, 3, &mut rng);
-    for tree in [Tree::Flat, Tree::Binary, Tree::BinaryOnFlat { h: 3 }] {
-        let f = tile_qr_seq(&a, &QrOptions::new(4, 2, tree.clone()));
-        let qb = apply_q_vsa(&f, &b, ApplyTrans::NoTrans, &RunConfig::smp(3));
-        assert!(same_bits(&qb, &f.apply_q(&b)), "{tree}: Q b differs");
-        let qtb = apply_q_vsa(&f, &b, ApplyTrans::Trans, &RunConfig::smp(3));
-        assert!(same_bits(&qtb, &f.apply_qt(&b)), "{tree}: Q^T b differs");
     }
 }
 

@@ -20,7 +20,7 @@
 
 use crate::channel::{ChannelQueue, ChannelState};
 use crate::packet::{Packet, PacketRegistry, WireError};
-use crate::tuple::Tuple;
+use crate::tuple::{Tuple, INLINE};
 use pulsar_fabric::fnv1a;
 use pulsar_fabric::frame::{put_u32, put_u64, Cursor, Truncated};
 use std::io::Write;
@@ -188,16 +188,11 @@ pub(crate) unsafe fn entry_of(v: &crate::vdp::VdpState, queues: &[ChannelQueue])
 
 // ---- body writers ---------------------------------------------------------
 
-fn put_tuple(out: &mut Vec<u8>, t: &Tuple) -> Result<(), CheckpointError> {
-    let ids = t.ids();
-    if ids.len() > u8::MAX as usize {
-        return Err(CheckpointError::Malformed("tuple arity exceeds 255"));
-    }
-    out.push(ids.len() as u8);
-    for &id in ids {
+fn put_tuple(out: &mut Vec<u8>, t: &Tuple) {
+    out.push(t.len() as u8);
+    for &id in t.ids() {
         out.extend_from_slice(&id.to_le_bytes());
     }
-    Ok(())
 }
 
 fn put_packets(out: &mut Vec<u8>, packets: &[Packet]) -> Result<(), CheckpointError> {
@@ -214,11 +209,16 @@ fn put_packets(out: &mut Vec<u8>, packets: &[Packet]) -> Result<(), CheckpointEr
 
 fn read_tuple(r: &mut Cursor<'_>) -> Result<Tuple, CheckpointError> {
     let arity = r.u8()? as usize;
-    let mut ids = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        ids.push(r.i32()?);
+    if arity > INLINE {
+        return Err(CheckpointError::Malformed(
+            "tuple arity exceeds the inline capacity",
+        ));
     }
-    Ok(Tuple::new(&ids))
+    let mut ids = [0; INLINE];
+    for id in &mut ids[..arity] {
+        *id = r.i32()?;
+    }
+    Ok(Tuple::new(&ids[..arity]))
 }
 
 fn read_packets(r: &mut Cursor<'_>, reg: &PacketRegistry) -> Result<Vec<Packet>, CheckpointError> {
@@ -245,7 +245,7 @@ pub fn encode(ck: &RankCheckpoint) -> Result<Vec<u8>, CheckpointError> {
     let mut body = Vec::new();
     put_u64(&mut body, ck.vdps.len() as u64);
     for v in &ck.vdps {
-        put_tuple(&mut body, &v.tuple)?;
+        put_tuple(&mut body, &v.tuple);
         put_u32(&mut body, v.counter);
         put_u32(&mut body, v.fired);
         put_u64(&mut body, v.logic.len() as u64);
@@ -267,7 +267,7 @@ pub fn encode(ck: &RankCheckpoint) -> Result<Vec<u8>, CheckpointError> {
     }
     put_u64(&mut body, ck.exits.len() as u64);
     for e in &ck.exits {
-        put_tuple(&mut body, &e.tuple)?;
+        put_tuple(&mut body, &e.tuple);
         put_u32(
             &mut body,
             u32::try_from(e.slot)
@@ -585,6 +585,34 @@ mod tests {
                 "cut {cut} gave {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn an_arity_past_the_inline_capacity_is_malformed() {
+        // A body holding one exit named by six ids, framed like `encode`.
+        let mut body = Vec::new();
+        put_u64(&mut body, 0);
+        put_u64(&mut body, 1);
+        body.push(6);
+        for id in 0..6i32 {
+            body.extend_from_slice(&id.to_le_bytes());
+        }
+        put_u32(&mut body, 0);
+        put_u64(&mut body, 0);
+        let mut bytes = MAGIC.to_vec();
+        for word in [VERSION, 0, 1] {
+            put_u32(&mut bytes, word);
+        }
+        put_u64(&mut bytes, 0);
+        put_u64(&mut bytes, body.len() as u64);
+        put_u32(&mut bytes, fnv1a(&body));
+        bytes.extend_from_slice(&body);
+        assert_eq!(
+            decode(&bytes, &PacketRegistry::standard()).err(),
+            Some(CheckpointError::Malformed(
+                "tuple arity exceeds the inline capacity"
+            ))
+        );
     }
 
     #[test]

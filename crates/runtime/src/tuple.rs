@@ -6,40 +6,38 @@
 //!
 //! Up to [`INLINE`] ids live inside the value (every array in this
 //! repository uses at most four), so building, cloning and comparing a
-//! tuple touches no allocator; longer tuples spill to the heap.
+//! tuple touches no allocator.
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-/// Ids stored inline; one more than `prt_tuple_new4` needs, because the
-/// fifth fits in the space the spill pointer occupies anyway.
-const INLINE: usize = 5;
-
-#[derive(Clone)]
-enum Repr {
-    Inline { len: u8, ids: [i32; INLINE] },
-    Spilled(Box<[i32]>),
-}
+/// Most ids a tuple holds, one more than `prt_tuple_new4` takes.
+pub(crate) const INLINE: usize = 5;
 
 /// A VDP identity: an ordered string of integers. Equality, ordering and
-/// hashing are those of the id slice, whichever way it is stored.
+/// hashing are those of the id slice.
 #[derive(Clone)]
-pub struct Tuple(Repr);
+pub struct Tuple {
+    len: u8,
+    ids: [i32; INLINE],
+}
 
 impl Tuple {
-    /// Build from any integer list.
+    /// Build from any integer list. Panics past [`INLINE`] ids, like the
+    /// other wiring asserts: an array naming its VDPs so is mis-built.
     pub fn new(ids: impl AsRef<[i32]>) -> Self {
         let ids = ids.as_ref();
-        if ids.len() <= INLINE {
-            let mut inline = [0; INLINE];
-            inline[..ids.len()].copy_from_slice(ids);
-            Tuple(Repr::Inline {
-                len: ids.len() as u8,
-                ids: inline,
-            })
-        } else {
-            Tuple(Repr::Spilled(ids.into()))
+        assert!(
+            ids.len() <= INLINE,
+            "tuple of {} ids exceeds the {INLINE}-id capacity",
+            ids.len()
+        );
+        let mut inline = [0; INLINE];
+        inline[..ids.len()].copy_from_slice(ids);
+        Tuple {
+            len: ids.len() as u8,
+            ids: inline,
         }
     }
 
@@ -65,10 +63,7 @@ impl Tuple {
 
     /// The components.
     pub fn ids(&self) -> &[i32] {
-        match &self.0 {
-            Repr::Inline { len, ids } => &ids[..*len as usize],
-            Repr::Spilled(ids) => ids,
-        }
+        &self.ids[..self.len as usize]
     }
 
     /// Component `k`, panicking when out of range.
@@ -183,14 +178,13 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// A tuple is its id list: whichever side of the spill boundary
-        /// either operand is stored on, `Eq`, `Ord`, `Hash` and `Display`
-        /// are those of the `Vec<i32>` it was built from. Small id ranges
-        /// make equal and prefix-equal pairs common.
+        /// A tuple is its id list: `Eq`, `Ord`, `Hash` and `Display` are
+        /// those of the `Vec<i32>` it was built from. Small id ranges make
+        /// equal and prefix-equal pairs common.
         #[test]
-        fn agrees_with_vec_across_the_spill_boundary(
-            a in proptest::collection::vec(-2i32..3, 0..9),
-            b in proptest::collection::vec(-2i32..3, 0..9),
+        fn agrees_with_its_id_list(
+            a in proptest::collection::vec(-2i32..3, 0..INLINE + 1),
+            b in proptest::collection::vec(-2i32..3, 0..INLINE + 1),
         ) {
             let (ta, tb) = (Tuple::new(&a), Tuple::new(&b));
             proptest::prop_assert_eq!(ta.ids(), &a[..]);
@@ -209,13 +203,14 @@ mod tests {
     }
 
     #[test]
-    fn short_tuples_are_stored_inline() {
-        assert!(matches!(
-            Tuple::new4(1, 2, 3, 4).0,
-            Repr::Inline { len: 4, .. }
-        ));
-        assert!(matches!(Tuple::new([0; INLINE]).0, Repr::Inline { .. }));
-        assert!(matches!(Tuple::new([0; INLINE + 1]).0, Repr::Spilled(_)));
+    fn tuples_are_small_and_hold_up_to_inline_ids() {
+        assert_eq!(Tuple::new([7; INLINE]).len(), INLINE);
         assert!(std::mem::size_of::<Tuple>() <= 24);
+    }
+
+    #[test]
+    #[should_panic(expected = "tuple of 6 ids exceeds the 5-id capacity")]
+    fn a_longer_tuple_is_refused() {
+        Tuple::new([0; INLINE + 1]);
     }
 }

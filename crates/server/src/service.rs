@@ -562,8 +562,11 @@ impl Service {
     /// factorization `handle`: `Q^T b` through the V/T reflector tree,
     /// then back-substitution against `R`. Runs entirely on the calling
     /// thread — the store lock is held only for the lookup, so solves on
-    /// different handles (or the same one) proceed concurrently.
+    /// different handles (or the same one) proceed concurrently. A
+    /// right-hand side with a NaN or infinite entry is refused as
+    /// `Invalid` before the lookup.
     pub fn solve(&self, handle: u64, b: &Matrix) -> Result<Matrix, JobError> {
+        all_finite("rhs", b).map_err(JobError::Invalid)?;
         let f = self.store.lock().get(FactorHandle::from_raw(handle))?;
         if f.m < f.n {
             return Err(JobError::Invalid(format!(
@@ -586,8 +589,10 @@ impl Service {
     }
 
     /// Apply `Q` (or `Q^T` when `transpose`) from the stored factorization
-    /// to an `m x k` operand, using the recorded block reflectors.
+    /// to an `m x k` operand, using the recorded block reflectors. A
+    /// non-finite operand is refused as `Invalid` before the lookup.
     pub fn apply_q(&self, handle: u64, b: &Matrix, transpose: bool) -> Result<Matrix, JobError> {
+        all_finite("operand", b).map_err(JobError::Invalid)?;
         let f = self.store.lock().get(FactorHandle::from_raw(handle))?;
         if b.nrows() != f.m {
             return Err(JobError::Invalid(format!(
@@ -1186,6 +1191,34 @@ mod tests {
         assert_eq!(rows, 32);
         let stats = svc.drain();
         assert!(stats.contains("\"updates\":1,"), "{stats}");
+    }
+
+    #[test]
+    fn non_finite_right_hand_sides_are_refused_before_the_lookup() {
+        let svc = Service::start(ServeConfig::default());
+        let handle = svc
+            .submit(random_matrix(24, 8, 24), opts(), None, true)
+            .unwrap();
+        svc.wait_result(handle).expect("keep job completes");
+        let mut b = random_matrix(24, 2, 25);
+        b[(4, 1)] = f64::NAN;
+        // Refused on the kept handle and on one never kept alike: the
+        // operand is checked before the store is read.
+        for h in [handle, handle + 1000] {
+            match svc.solve(h, &b) {
+                Err(JobError::Invalid(m)) => assert!(m.contains("(4, 1)"), "{m}"),
+                other => panic!("solve: expected Invalid, got {other:?}"),
+            }
+            for transpose in [false, true] {
+                match svc.apply_q(h, &b, transpose) {
+                    Err(JobError::Invalid(m)) => assert!(m.contains("(4, 1)"), "{m}"),
+                    other => panic!("apply_q: expected Invalid, got {other:?}"),
+                }
+            }
+        }
+        let stats = svc.drain();
+        assert!(stats.contains("\"solves\":0,"), "{stats}");
+        assert!(stats.contains("\"applies\":0,"), "{stats}");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The one request path under `serve` and `route`: the front end over a
 //! fake node (no pool, no sockets behind it), worker and router answering
-//! bad submits identically, each request answered in the frame version it
-//! came in, oversized messages refused on the client, the idempotency
+//! bad submits identically, a routed handle refusing a non-finite
+//! right-hand side, each request answered in the frame version it came in, oversized messages refused on the client, the idempotency
 //! bound counted on both, and the full key set of every stats surface.
 
 use pulsar_core::{QrOptions, Tree};
@@ -275,6 +275,40 @@ fn worker_and_router_refuse_bad_submits_identically() {
     Client::connect(&raddr).unwrap().drain().unwrap();
     Client::connect(&waddr).unwrap().drain().unwrap();
     for h in [rh, wh, w2h] {
+        h.join().unwrap().unwrap();
+    }
+}
+
+#[test]
+fn a_routed_handle_refuses_a_non_finite_right_hand_side() {
+    let (waddr, _svc, wh) = spawn_worker(ServeConfig::default());
+    let (raddr, router, rh) = spawn_router(RouteConfig::default());
+    router.join(&waddr, caps()).unwrap();
+    let mut c = Client::connect(&raddr).unwrap();
+    let a = Matrix::random(16, 8, &mut StdRng::seed_from_u64(41));
+    let handle = c
+        .submit_keep(&a, &QrOptions::new(4, 2, Tree::Greedy), 0)
+        .unwrap();
+    c.result(handle).unwrap();
+
+    let mut b = Matrix::random(16, 2, &mut StdRng::seed_from_u64(42));
+    b[(3, 0)] = f64::NAN;
+    let invalid = |r: Result<Matrix, ClientError>, verb: &str| match r {
+        Err(ClientError::Job {
+            code: ErrCode::Invalid,
+            msg,
+            ..
+        }) => assert!(msg.contains("(3, 0)"), "{verb}: {msg}"),
+        other => panic!("{verb}: expected a typed Invalid, got {other:?}"),
+    };
+    invalid(c.solve(handle, &b), "solve");
+    invalid(c.apply_q(handle, &b, true), "apply-q");
+    // The handle is still live: a finite right-hand side solves.
+    b[(3, 0)] = 1.0;
+    assert_eq!(c.solve(handle, &b).unwrap().nrows(), 8);
+
+    c.drain().unwrap();
+    for h in [rh, wh] {
         h.join().unwrap().unwrap();
     }
 }

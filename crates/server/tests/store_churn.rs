@@ -3,7 +3,9 @@
 //! concurrent keep/solve/release traffic. Under constant eviction every
 //! call must end in a correct answer or a typed error — `HandleExpired`
 //! when the LRU spilled a handle, `StoreFull` when a keep could not be
-//! charged — and the service must neither deadlock nor panic.
+//! charged — and the service must neither deadlock nor panic. A
+//! single-threaded phase first keeps four handles at once, so an eviction
+//! happens whatever the later interleaving.
 
 use pulsar_core::{tile_qr_seq, QrOptions, Tree};
 use pulsar_linalg::verify::r_factor_distance;
@@ -34,6 +36,28 @@ fn eviction_churn_yields_answers_or_typed_errors() {
         store_bytes: probe.approx_bytes() * 3,
         ..ServeConfig::default()
     });
+
+    // Deterministic phase: one thread keeps four handles without releasing
+    // any, so the fourth keep must evict the least recently used, the first.
+    let kept: Vec<u64> = (0..4)
+        .map(|k| {
+            let id = svc
+                .submit(matrix(24, 8, 900 + k), opts(), None, true)
+                .expect("an idle service admits the keep");
+            svc.wait_result(id).expect("a resident-sized keep lands");
+            id
+        })
+        .collect();
+    let b = matrix(24, 2, 999);
+    match svc.solve(kept[0], &b) {
+        Err(JobError::HandleExpired(h)) => assert_eq!(h, kept[0]),
+        other => panic!("four keeps in a three-slot budget left the first resident: {other:?}"),
+    }
+    for &id in &kept[1..] {
+        svc.solve(id, &b)
+            .expect("the three newest keeps stay resident");
+        assert!(svc.release(id));
+    }
 
     let handles: Vec<_> = (0..WORKERS)
         .map(|w| {

@@ -1,7 +1,7 @@
 //! Task-graph construction: the dataflow the 3D VSA executes, as a DAG of
 //! kernel tasks with data-transfer edges, one task per (op, column) firing.
 //! The tile edges come from the plan's one row-hop derivation
-//! ([`row_hops`]) and every task is placed by the runtime's own
+//! ([`row_hops`], read by nothing else) and every task is placed by the runtime's own
 //! [`qr_mapping`], so the graph's cross-node messages and bytes are the
 //! runtime's exactly (pinned by `tests/end_to_end.rs`).
 

@@ -21,11 +21,11 @@ cargo fmt --all --check
 # and one verb table under both `serve` and `route`, and builds its JSON
 # with the one writer; every hand-argued thread-safety claim (`unsafe impl`)
 # lives in one file, the channel queue. One dataflow, one placement, one
-# flop count: the row hops (`row_hops`) that apply-Q and the simulator both
-# wire from, the mapping (`qr_mapping`) that places the runtime's VDPs and
-# the simulator's tasks alike, and the QR flop count (`qr_flops`) behind
-# every Gflop/s, so the simulator's traffic and rates cannot drift from
-# the runtime's. Prints the offending file:line.
+# flop count: the row hops (`row_hops`) that the simulator wires from, the
+# mapping (`qr_mapping`) that places the runtime's VDPs and the simulator's
+# tasks alike, and the QR flop count (`qr_flops`) behind every Gflop/s, so
+# the simulator's traffic and rates cannot drift from the runtime's. Prints
+# the offending file:line.
 dup=0
 hits=$(grep -nE '\b(geqrt|unmqr|tsqrt|tsmqr|ttqrt|ttmqr)(_ws)?\(' crates/core/src/*.rs \
     | grep -v '^crates/core/src/ops\.rs:' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
@@ -54,6 +54,15 @@ one_front() { # <what> <grep hits>: the hits must all be in one file
 one_front '`Msg::Submit {` (outside proto.rs and client.rs)' "$(grep -rn -F 'Msg::Submit {' \
     crates/server/src | grep -vE '^crates/server/src/(proto|client)\.rs:' || true)"
 one_front '`listener.accept()`' "$(grep -rn -F 'listener.accept()' crates/server/src || true)"
+# One Q application, one least-squares solve: `Q`/`Q^T` are applied by
+# replaying the stored reflector tree (`TileQrFactors::apply`), and the one
+# back-substitution against `R` is `try_solve_ls`'s, in factors.rs.
+hits=$(grep -rn --include='*.rs' -F 'back_substitute(' crates/core/src || true)
+if [ "$(printf '%s\n' "$hits" | cut -d: -f1 | sort -u)" != crates/core/src/factors.rs ]; then
+    echo "guard: \`back_substitute(\` may be called only from crates/core/src/factors.rs:" >&2
+    echo "$hits" >&2
+    dup=1
+fi
 hits=$(grep -rn -F '{{\"' crates/server/src crates/cli/src || true)
 if [ -n "$hits" ]; then
     echo "guard: hand-assembled JSON; build it with pulsar_tuner::json::obj:" >&2
@@ -82,6 +91,10 @@ forbid 'Mutex<VecDeque<Packet>>' 'puts a lock back on the readiness path' crates
 forbid 'Arc<ChannelQueue>' 'holds a queue outside the run arena' crates/runtime/src
 forbid 'unsafe trait' 'puts a thread-safety contract outside the channel queue' crates/*/src
 forbid '.touches(' 'rescans the op list; read core::plan::row_hops' crates/sim/src
+forbid 'apply_q_vsa' 'applies Q beside the stored tree; call TileQrFactors::apply_q/apply_qt' \
+    crates/*/src
+forbid 'mod lsqr' 'adds a second least-squares driver; solve with TileQrFactors::try_solve_ls' \
+    crates/*/src
 # One walker, one pool dispatch, a rule taken from the shape. The plan
 # walker is the one executor beside the array, and its parallel domain
 # stage runs on the warm VsaPool's workers, so core spawns no thread of its

@@ -114,25 +114,6 @@ fn domino_across_nodes() {
 }
 
 #[test]
-fn apply_q_vsa_across_nodes() {
-    use pulsar::core::applyq::apply_q_vsa;
-    use pulsar::linalg::kernels::ApplyTrans;
-    let (a, opts) = fixture(10, 2, 8);
-    let f = tile_qr_vsa(&a, &opts, &RunConfig::smp(2)).factors;
-    let mut rng = rand::rng();
-    let b = pulsar::linalg::Matrix::random(80, 3, &mut rng);
-    let seq = f.apply_qt(&b);
-    let mapping: pulsar::runtime::MappingFn =
-        std::sync::Arc::new(|t: &pulsar::runtime::Tuple| pulsar::runtime::Place {
-            node: (t.id(1).unsigned_abs() as usize) % 2,
-            thread: 0,
-        });
-    let cfg = RunConfig::cluster(2, 2, mapping).with_net(NetModel::seastar2());
-    let dist = apply_q_vsa(&f, &b, ApplyTrans::Trans, &cfg);
-    assert!(dist.sub(&seq).norm_fro() < 1e-12);
-}
-
-#[test]
 fn trace_works_across_nodes() {
     let (a, opts) = fixture(8, 2, 8);
     let plan = opts.plan(8, 2);
