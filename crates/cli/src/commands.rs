@@ -5,7 +5,7 @@ use crate::args::{parse_tree, Args};
 use crate::error::CliError;
 use pulsar_core::mapping::{qr_mapping, RowDist};
 use pulsar_core::plan::Tree;
-use pulsar_core::policy::{Backend, PlanPolicy};
+use pulsar_core::policy::{Backend, PlanChoice, PlanPolicy};
 use pulsar_core::vsa3d::VsaQrResult;
 use pulsar_core::QrOptions;
 use pulsar_linalg::{flops, Matrix};
@@ -65,9 +65,7 @@ COMMANDS
             until a client drains it
             [--port 0] [--threads 2] [--queue-cap 32] [--batch-max 4]
             [--batch-mb 64] [--retry-ms 50] [--store-mb 256] [--stats true]
-            [--trace-out trace.json] [--profile table.json] (refine
-            the table online, persist it on drain; tall-skinny jobs
-            walk with or without it)
+            [--trace-out trace.json] (tall-skinny jobs walk)
   submit    drive a serve daemon: factor a random matrix (default verb) or
             exercise a stored factorization; every verb self-verifies
             against a local oracle re-derived from the seed
@@ -153,14 +151,39 @@ fn kraken_cores(args: &Args) -> Result<(usize, Machine), String> {
     Ok((cores, Machine::kraken_cores(cores)))
 }
 
-fn opts_from(args: &Args, default_nb: usize, default_tree: Tree) -> Result<QrOptions, String> {
-    let nb = positive("nb", args.opt("nb", default_nb)?)?;
-    let ib = positive("ib", args.opt("ib", (nb / 4).max(1))?)?;
+/// `--nb`/`--ib`/`--tree` over their defaults. `--ib` defaults to `ib`
+/// at the default `nb`, and to `nb / 4` once `--nb` moves it.
+fn opts_from(args: &Args, nb0: usize, ib0: usize, tree0: Tree) -> Result<QrOptions, String> {
+    let nb = positive("nb", args.opt("nb", nb0)?)?;
+    let ib = if nb == nb0 { ib0 } else { (nb / 4).max(1) };
+    let ib = positive("ib", args.opt("ib", ib)?)?;
     let tree = match args.get("tree") {
         Some(s) => parse_tree(s)?,
-        None => default_tree,
+        None => tree0,
     };
     Ok(QrOptions::new(nb, ib, tree))
+}
+
+/// The one read path for a profile table (`factor` and `submit`). With
+/// `--profile table.json`, the tuned policy's choice for an `m x n` job on
+/// `threads` workers gives the defaults, and each explicit `--nb`/`--ib`/
+/// `--tree` still beats its field; without it the verb's own `nb` and
+/// `tree` are the defaults. Returns the choice too, for its executor and
+/// the `PLAN` line.
+pub(crate) fn plan_opts(
+    args: &Args,
+    (m, n, threads): (usize, usize, usize),
+    nb: usize,
+    tree: Tree,
+) -> Result<(QrOptions, Option<PlanChoice>), String> {
+    let Some(path) = args.get("profile") else {
+        return Ok((opts_from(args, nb, (nb / 4).max(1), tree)?, None));
+    };
+    let table = pulsar_tuner::ProfileTable::load(std::path::Path::new(path))
+        .map_err(|e| format!("loading profile {path}: {e}"))?;
+    let choice = pulsar_tuner::ProfilePolicy::new(table).choose(m, n, threads);
+    let opts = opts_from(args, choice.nb, choice.ib, choice.tree.clone())?;
+    Ok((opts, Some(choice)))
 }
 
 fn factor(args: &Args) -> Result<String, String> {
@@ -184,43 +207,15 @@ fn factor(args: &Args) -> Result<String, String> {
     let threads = positive("threads", args.opt("threads", 4)?)?;
     let want_stats: bool = args.opt("stats", false)?;
 
-    // With a profile table, the plan defaults come from the tuned policy
-    // for this shape; explicit --nb/--ib/--tree/--engine still win
-    // field-by-field.
-    let mut plan_line = None;
-    let (default_nb, default_ib, default_tree, default_engine) = match args.get("profile") {
-        Some(path) => {
-            let table = pulsar_tuner::ProfileTable::load(std::path::Path::new(path))
-                .map_err(|e| format!("loading profile {path}: {e}"))?;
-            let policy = pulsar_tuner::ProfilePolicy::new(table);
-            let choice = PlanPolicy::choose(&policy, m, n, threads);
-            plan_line = Some(format!("PLAN {}", choice.describe()));
-            (choice.nb, choice.ib, choice.tree, choice.backend)
-        }
-        None => (64, 16, Tree::BinaryOnFlat { h: 4 }, Backend::Vsa3d),
-    };
-    let nb = positive("nb", args.opt("nb", default_nb)?)?;
-    let ib = args.opt(
-        "ib",
-        if nb == default_nb {
-            default_ib
-        } else {
-            (nb / 4).max(1)
-        },
-    )?;
-    let ib = positive("ib", ib)?;
-    let tree = match args.get("tree") {
-        Some(s) => parse_tree(s)?,
-        None => default_tree,
-    };
-    let opts = QrOptions::new(nb, ib, tree);
+    let (opts, choice) = plan_opts(args, (m, n, threads), 64, Tree::BinaryOnFlat { h: 4 })?;
     if !m.is_multiple_of(opts.nb) {
         return Err(format!("--rows must be a multiple of nb ({})", opts.nb));
     }
     let nodes = positive("nodes", args.opt("nodes", 1)?)?;
+    // --engine beats the profile's executor as the other flags beat theirs.
     let engine = match args.get("engine") {
         Some(e) => e.parse::<Backend>()?,
-        None => default_engine,
+        None => choice.as_ref().map_or(Backend::Vsa3d, |c| c.backend),
     };
     let seed: u64 = args.opt("seed", 42)?;
 
@@ -257,8 +252,8 @@ fn factor(args: &Args) -> Result<String, String> {
     let dt = t0.elapsed().as_secs_f64();
 
     let mut out = String::new();
-    if let Some(line) = plan_line {
-        writeln!(out, "{line}").unwrap();
+    if let Some(c) = &choice {
+        writeln!(out, "PLAN {}", c.describe()).unwrap();
     }
     writeln!(
         out,
@@ -320,8 +315,8 @@ fn least_squares(args: &Args) -> Result<String, String> {
     if m < n {
         return Err("least squares needs --rows >= --cols".into());
     }
-    let nrhs: usize = args.opt("rhs", 1)?;
-    let opts = opts_from(args, 64, Tree::BinaryOnFlat { h: 4 })?;
+    let nrhs = positive("rhs", args.opt("rhs", 1)?)?;
+    let opts = opts_from(args, 64, 16, Tree::BinaryOnFlat { h: 4 })?;
     if !m.is_multiple_of(opts.nb) {
         return Err(format!("--rows must be a multiple of nb ({})", opts.nb));
     }
@@ -366,7 +361,7 @@ fn simulate(args: &Args) -> Result<String, String> {
     let m = positive("m", args.req("m")?)?;
     let n = positive("n", args.req("n")?)?;
     let (_, mach) = kraken_cores(args)?;
-    let opts = opts_from(args, 192, Tree::BinaryOnFlat { h: 6 })?;
+    let opts = opts_from(args, 192, 48, Tree::BinaryOnFlat { h: 6 })?;
     if !m.is_multiple_of(opts.nb) {
         return Err(format!("--m must be a multiple of nb ({})", opts.nb));
     }
@@ -830,6 +825,65 @@ mod tests {
         refused(
             &["ls", "--rows", "64", "--cols", "0"],
             "--cols must be positive",
+        );
+        refused(
+            &["ls", "--rows", "128", "--cols", "32", "--rhs", "0"],
+            "--rhs must be positive",
+        );
+    }
+
+    /// `factor --profile` and `submit --profile` read a table through one
+    /// path: for one shape they resolve the same options, with and without
+    /// explicit flags beating the table's fields.
+    #[test]
+    fn factor_and_submit_resolve_one_plan_from_a_profile() {
+        let path =
+            std::env::temp_dir().join(format!("pulsar-one-read-{}.json", std::process::id()));
+        let mut table = pulsar_tuner::ProfileTable::new();
+        table.insert(pulsar_tuner::ProfileCell {
+            m: 128,
+            n: 16,
+            threads: 2,
+            tree: Tree::BinaryOnFlat { h: 2 },
+            nb: 16,
+            ib: 8,
+            backend: Backend::Vsa3d,
+            gflops: 1.0,
+            samples: 1,
+        });
+        table.save(&path).unwrap();
+        let path_s = path.to_str().unwrap();
+        let shape = ["--rows", "128", "--cols", "16", "--threads", "2"];
+        for (pinned, want) in [
+            (&[][..], "nb=16 ib=8 tree=BinaryOnFlat { h: 2 }"),
+            (&["--nb", "8"][..], "nb=8 ib=2 tree=BinaryOnFlat { h: 2 }"),
+            (
+                &["--ib", "4", "--tree", "greedy"][..],
+                "nb=16 ib=4 tree=Greedy",
+            ),
+        ] {
+            let line = |verb: &str| {
+                let mut line = vec![verb, "--profile", path_s];
+                line.extend(shape.iter().chain(pinned));
+                Args::parse(line.iter().map(|s| s.to_string())).unwrap()
+            };
+            let factor = run(&line("factor")).unwrap();
+            assert!(factor.contains(&format!("{want} engine=vsa3d")), "{factor}");
+            let o = crate::serve_cmd::submit_opts(&line("submit")).unwrap();
+            let submit = format!("nb={} ib={} tree={:?}", o.nb, o.ib, o.tree);
+            assert_eq!(submit, want, "{pinned:?}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn serve_refuses_the_retired_profile_flag() {
+        let err = run_line(&["serve", "--profile", "t.json"]).unwrap_err();
+        assert_eq!(err.code, 2, "{}", err.msg);
+        assert!(
+            err.msg.contains("unknown option --profile for `serve`"),
+            "{}",
+            err.msg
         );
     }
 

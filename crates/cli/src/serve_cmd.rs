@@ -5,7 +5,8 @@
 //! `SERVE <addr>` on stdout as soon as the socket is bound, so a parent
 //! process (or `scripts/check.sh`) can scrape the ephemeral port.
 
-use crate::args::{parse_tree, Args};
+use crate::args::Args;
+use crate::commands::plan_opts;
 use crate::error::CliError;
 use pulsar_core::plan::Tree;
 use pulsar_core::QrOptions;
@@ -36,7 +37,6 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
         "fault-plan",
         "stats",
         "trace-out",
-        "profile",
     ])
     .map_err(CliError::usage)?;
     let port: u16 = args.opt("port", 0)?;
@@ -57,7 +57,6 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
         ),
         wal_compact_bytes: args.opt("wal-compact-mb", d.wal_compact_bytes >> 20)? << 20,
         trace: trace_out.is_some(),
-        profile_path: args.get("profile").map(std::path::PathBuf::from),
     };
     let faults = args
         .get("fault-plan")
@@ -102,46 +101,15 @@ pub fn serve(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn submit_opts(args: &Args) -> Result<QrOptions, String> {
-    // With a profile table, unpinned nb/ib/tree come from the tuned
-    // policy for the job's shape; explicit flags still win field-by-field.
-    // (Which *executor* runs the job stays a server-side routing choice.)
-    if let Some(path) = args.get("profile") {
-        let m: usize = args.req("rows")?;
-        let n: usize = args.req("cols")?;
-        let threads: usize = args.opt("threads", 2)?;
-        let table = pulsar_tuner::ProfileTable::load(std::path::Path::new(path))
-            .map_err(|e| format!("loading profile {path}: {e}"))?;
-        let policy = pulsar_tuner::ProfilePolicy::new(table);
-        let choice = pulsar_core::policy::PlanPolicy::choose(&policy, m, n, threads);
-        let nb: usize = args.opt("nb", choice.nb)?;
-        if nb == 0 {
-            return Err("--nb must be positive".into());
-        }
-        let ib: usize = args.opt(
-            "ib",
-            if nb == choice.nb {
-                choice.ib
-            } else {
-                (nb / 4).max(1)
-            },
-        )?;
-        let tree = match args.get("tree") {
-            Some(s) => parse_tree(s)?,
-            None => choice.tree,
-        };
-        return Ok(QrOptions::new(nb, ib, tree));
-    }
-    let nb: usize = args.opt("nb", 8)?;
-    if nb == 0 {
-        return Err("--nb must be positive".into());
-    }
-    let ib: usize = args.opt("ib", (nb / 4).max(1))?;
-    let tree = match args.get("tree") {
-        Some(s) => parse_tree(s)?,
-        None => Tree::Greedy,
-    };
-    Ok(QrOptions::new(nb, ib, tree))
+/// The job's options, through the read path `factor` uses. Which executor
+/// runs the job stays the server's choice, so the profile's is dropped.
+pub(crate) fn submit_opts(args: &Args) -> Result<QrOptions, String> {
+    let shape = (
+        args.req("rows")?,
+        args.req("cols")?,
+        args.opt("threads", 2)?,
+    );
+    Ok(plan_opts(args, shape, 8, Tree::Greedy)?.0)
 }
 
 /// `pulsar-qr submit`: drive a serve daemon with one request. The default

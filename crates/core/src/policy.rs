@@ -3,14 +3,15 @@
 //! "Hierarchical QR factorization algorithms for multi-core cluster
 //! systems" (arXiv:1110.1553) shows the best reduction tree depends on the
 //! matrix aspect ratio and core count — there is no single right plan. A
-//! [`PlanPolicy`] makes that choice a first-class, swappable object instead
-//! of constants hard-coded at every call site: the CLI, the serve
-//! scheduler, and the batch pool all ask a policy for a [`PlanChoice`] and
-//! execute whatever it returns. [`PaperPolicy`] reproduces the paper's
-//! fixed hierarchy; the `pulsar-tuner` crate provides a measured,
-//! profile-table-backed policy on top of this trait.
+//! [`PlanPolicy`] makes that choice a swappable object instead of constants
+//! hard-coded at a call site. [`PaperPolicy`] reproduces the paper's fixed
+//! hierarchy; the `pulsar-tuner` crate provides a measured,
+//! profile-table-backed policy on top of this trait, which the CLI's
+//! `--profile` flags ask for a [`PlanChoice`]. The service asks no policy:
+//! a job carries its own options, and the executor of a batch follows from
+//! its jobs' shapes ([`crate::vsa3d::batch_backend`]).
 
-use crate::plan::{Boundary, QrPlan, Tree};
+use crate::plan::Tree;
 use crate::QrOptions;
 
 /// Which executor a plan should run on.
@@ -132,26 +133,6 @@ impl PlanPolicy for PaperPolicy {
     }
 }
 
-impl QrPlan {
-    /// Policy-driven constructor: ask `policy` for the plan of an `m x n`
-    /// factorization on `threads` workers and build it. Returns the plan
-    /// together with the full choice (the caller needs `nb`/`ib`/`backend`
-    /// to actually execute it).
-    pub fn with_policy(
-        m: usize,
-        n: usize,
-        threads: usize,
-        policy: &dyn PlanPolicy,
-    ) -> (QrPlan, PlanChoice) {
-        let choice = policy.choose(m, n, threads);
-        assert_eq!(m % choice.nb, 0, "policy returned nb not dividing m");
-        let mt = (m / choice.nb).max(1);
-        let nt = n.div_ceil(choice.nb).max(1);
-        let plan = QrPlan::new(mt, nt, choice.tree.clone(), Boundary::Shifted);
-        (plan, choice)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,14 +159,15 @@ mod tests {
     #[test]
     fn paper_policy_builds_valid_plans() {
         let p = PaperPolicy::default();
-        let (plan, choice) = QrPlan::with_policy(512, 64, 4, &p);
+        let choice = p.choose(512, 64, 4);
         assert_eq!(choice.nb, 64);
+        assert_eq!(choice.ib, 16);
         assert_eq!(choice.tree, Tree::BinaryOnFlat { h: 4 });
         assert_eq!(choice.backend, Backend::Vsa3d);
-        assert_eq!(plan.mt, 8);
-        assert_eq!(plan.nt, 1);
+        let plan = choice.options().plan(512 / choice.nb, 64 / choice.nb);
+        assert_eq!((plan.mt, plan.nt), (8, 1));
         // Awkward row counts still get a dividing nb.
-        let (_, c2) = QrPlan::with_policy(96, 96, 4, &p);
+        let c2 = p.choose(96, 96, 4);
         assert_eq!(96 % c2.nb, 0);
         assert!(c2.ib <= c2.nb);
     }

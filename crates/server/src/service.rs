@@ -19,12 +19,10 @@ use parking_lot::{Condvar, Mutex};
 use pulsar_core::update::append_rows;
 use pulsar_core::vsa3d::{batch_backend, tile_qr_vsa_batch_pooled};
 use pulsar_core::{tall_grid, QrOptions, TileQrFactors};
-use pulsar_linalg::flops::qr_flops;
 use pulsar_linalg::Matrix;
 use pulsar_runtime::trace::{TaskSpan, Trace};
 use pulsar_runtime::{RunConfig, RunError, Tuple, VsaPool};
 use pulsar_tuner::json::{obj, Json};
-use pulsar_tuner::{PlanKey, ProfileTable, Refiner};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -70,13 +68,6 @@ pub struct ServeConfig {
     /// WAL size past which the durable factor store folds the log into a
     /// fresh snapshot.
     pub wal_compact_bytes: u64,
-    /// Path of a tuner profile table (JSON, written by `pulsar-qr tune`).
-    /// When set, the service loads it at start (a missing file starts
-    /// empty), refines the table online from observed service times, and
-    /// persists the refined table back to the same path on drain. `None`
-    /// disables the tuner. Either way the executor of a batch follows from
-    /// its jobs' shapes ([`pulsar_core::vsa3d::batch_backend`]).
-    pub profile_path: Option<PathBuf>,
 }
 
 impl Default for ServeConfig {
@@ -94,7 +85,6 @@ impl Default for ServeConfig {
             idem_cap: 1024,
             drain_grace: Duration::from_millis(250),
             wal_compact_bytes: 32 << 20,
-            profile_path: None,
         }
     }
 }
@@ -269,13 +259,6 @@ struct State {
     chaos_sched_delay: Option<Duration>,
 }
 
-/// Tuner state behind its own lock (never held together with `state` —
-/// the scheduler takes them strictly one at a time).
-struct TunerState {
-    table: ProfileTable,
-    refiner: Refiner,
-}
-
 /// A running QR service. Cheap to share behind an [`Arc`]; every method
 /// takes `&self` and is safe to call from any connection thread.
 pub struct Service {
@@ -293,9 +276,6 @@ pub struct Service {
     /// Signals waiters that some job reached a terminal state.
     done: Condvar,
     sched: Mutex<Option<JoinHandle<()>>>,
-    /// Shape-aware plan tuner; `None` when no profile path is configured
-    /// (the service then behaves exactly as before the tuner existed).
-    tuner: Option<Mutex<TunerState>>,
 }
 
 impl Service {
@@ -323,20 +303,6 @@ impl Service {
             None => (FactorStore::new(cfg.store_bytes), 0),
         };
         store.set_wal_compact_bytes(cfg.wal_compact_bytes);
-        let tuner = cfg.profile_path.as_ref().map(|path| {
-            let table = if path.exists() {
-                ProfileTable::load(path).unwrap_or_else(|e| {
-                    eprintln!("warning: ignoring unreadable profile {path:?}: {e}");
-                    ProfileTable::new()
-                })
-            } else {
-                ProfileTable::new()
-            };
-            Mutex::new(TunerState {
-                table,
-                refiner: Refiner::default(),
-            })
-        });
         let svc = Arc::new(Service {
             cfg: cfg.clone(),
             started: Instant::now(),
@@ -363,7 +329,6 @@ impl Service {
             work: Condvar::new(),
             done: Condvar::new(),
             sched: Mutex::new(None),
-            tuner,
         });
         let runner = svc.clone();
         let handle = std::thread::Builder::new()
@@ -666,13 +631,6 @@ impl Service {
         if let Err(e) = self.store.lock().compact_log() {
             eprintln!("warning: factor store compaction failed: {e}");
         }
-        // Persist whatever the online refiner learned: the next boot (or
-        // an offline `factor --profile`) starts from the refined table.
-        if let (Some(path), Some(tuner)) = (&self.cfg.profile_path, &self.tuner) {
-            if let Err(e) = tuner.lock().table.save(path) {
-                eprintln!("warning: tuner profile save failed: {e}");
-            }
-        }
         self.stats_json()
     }
 
@@ -690,16 +648,8 @@ impl Service {
     /// throughput, queue depth, pool utilization, verb counters, and the
     /// nested factor-store section.
     pub fn stats_json(&self) -> String {
-        // The tuner and store sections are built first so no two service
-        // locks are ever held together here.
-        let tuner = self.tuner.as_ref().map(|t| t.lock());
-        let of = |f: fn(&TunerState) -> u64| tuner.as_deref().map_or(0, f).into();
-        let tuner_json = obj([
-            ("enabled", Json::Bool(tuner.is_some())),
-            ("profile_cells", of(|t| t.table.cells().len() as u64)),
-            ("refinements", of(|t| t.refiner.refinements())),
-        ]);
-        drop(tuner);
+        // The store section is built first so the two service locks are
+        // never held together here.
         let store_json = self.store.lock().stats_json();
         let st = self.state.lock();
         let uptime = self.started.elapsed().as_secs_f64().max(1e-9);
@@ -734,7 +684,6 @@ impl Service {
             ("update_rows", c.update_rows.into()),
             ("idem_hits", st.idem.hits.into()),
             ("idem_evictions", st.idem.evictions.into()),
-            ("tuner", tuner_json),
             ("store", store_json),
         ])
         .write()
@@ -773,35 +722,6 @@ impl Service {
             st.counters.done += 1;
         } else {
             st.counters.failed += 1;
-        }
-    }
-
-    /// Feed the online refiner (a no-op without a tuner): every job of a
-    /// successful run is one throughput observation of the plan it
-    /// actually ran. Wall time is attributed by flop share, which reduces
-    /// to the run's aggregate throughput for every member.
-    fn observe(
-        &self,
-        jobs: &[(u64, Matrix, QrOptions)],
-        backend: pulsar_core::Backend,
-        wall: Duration,
-    ) {
-        let Some(tuner) = &self.tuner else { return };
-        let total: f64 = jobs
-            .iter()
-            .map(|(_, a, _)| qr_flops(a.nrows(), a.ncols()))
-            .sum();
-        let gflops = total / wall.as_secs_f64().max(1e-9) / 1e9;
-        let mut t = tuner.lock();
-        let TunerState { table, refiner, .. } = &mut *t;
-        for (_, a, o) in jobs {
-            let key = PlanKey {
-                tree: o.tree.clone(),
-                nb: o.nb,
-                backend,
-            };
-            let shape = (a.nrows(), a.ncols(), self.cfg.threads);
-            refiner.observe(table, shape, &key, o.ib, gflops);
         }
     }
 
@@ -847,10 +767,6 @@ impl Service {
             // batch touches them.
             if matches!(result, Err(RunError::VdpPanicked { .. })) {
                 pool.respawn_all();
-            }
-
-            if let Ok(out) = &result {
-                self.observe(&batch, out.backend, wall);
             }
 
             let mut st = self.state.lock();

@@ -400,7 +400,6 @@ fn stats_surfaces_keep_their_full_key_sets() {
         "running",
         "solves",
         "store",
-        "tuner",
         "update_rows",
         "updates",
         "uptime_s",
@@ -416,7 +415,6 @@ fn stats_surfaces_keep_their_full_key_sets() {
         "rejected",
         "released",
     ];
-    const TUNER: &[&str] = &["enabled", "profile_cells", "refinements"];
     const ROUTER: &[&str] = &[
         "idem_evictions",
         "idem_hits",
@@ -445,7 +443,6 @@ fn stats_surfaces_keep_their_full_key_sets() {
     let service = Json::parse(&svc.stats_json()).unwrap();
     assert_eq!(keys(&service), SERVICE);
     assert_eq!(keys(service.get("store").unwrap()), STORE);
-    assert_eq!(keys(service.get("tuner").unwrap()), TUNER);
 
     let router = Router::new(RouteConfig::default());
     router.join(&waddr, caps()).unwrap();

@@ -1,43 +1,15 @@
-//! Serve-side tuner integration and the shape rule: a tall-skinny job
-//! (grid aspect at least `TSQR_MIN_ASPECT`) runs alone on the plan
-//! walker, with or without a profile — factors bit-identical to the
-//! sequential oracle, so the kept handle serves solve/apply-q like any
-//! other, and a panic in it fails only that job. Refinement shows up in
-//! the `"tuner"` stats section, and the profile table round-trips through
-//! the configured path across drain.
+//! The service's shape rule: a tall-skinny job (grid aspect at least
+//! `TSQR_MIN_ASPECT`) runs alone on the plan walker — factors
+//! bit-identical to the sequential oracle, so the kept handle serves
+//! solve/apply-q like any other, and a panic in it fails only that job.
 
 use pulsar_core::{tile_qr_seq, QrOptions, Tree};
 use pulsar_linalg::verify::r_factor_distance;
 use pulsar_linalg::Matrix;
 use pulsar_server::{JobError, JobState, ServeConfig, Service};
-use pulsar_tuner::{ProfileCell, ProfileTable};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
-
-/// A unique scratch file per test; best-effort cleanup on drop.
-struct TempFile(PathBuf);
-
-impl TempFile {
-    fn new(tag: &str) -> TempFile {
-        static SALT: AtomicU64 = AtomicU64::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "pulsar-tuner-{tag}-{}-{}.json",
-            std::process::id(),
-            SALT.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_file(&path);
-        TempFile(path)
-    }
-}
-
-impl Drop for TempFile {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
-    }
-}
 
 fn matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
     Matrix::random(rows, cols, &mut StdRng::seed_from_u64(seed))
@@ -56,12 +28,9 @@ fn json_u64(stats: &str, key: &str) -> u64 {
         .unwrap()
 }
 
-/// Without a profile path the tuner is off and the stats section says so
-/// (it is still always emitted, so router rollups can rely on its
-/// presence) — yet a tall job still walks: its R is bit-identical to the
-/// sequential oracle and it counts as a walked batch. A panic aimed at
-/// it fails that job with a typed error through the one batch path, and
-/// the next tall job succeeds.
+/// A tall job walks: its R is bit-identical to the sequential oracle and
+/// it counts as a walked batch. A panic aimed at it fails that job with a
+/// typed error through the one batch path, and the next tall job succeeds.
 #[test]
 fn tall_jobs_walk_without_a_profile() {
     let svc = Service::start(ServeConfig::default());
@@ -88,7 +57,6 @@ fn tall_jobs_walk_without_a_profile() {
         .expect("the job after the panic succeeds");
 
     let stats = svc.drain();
-    assert!(stats.contains("\"tuner\":{\"enabled\":false"), "{stats}");
     assert_eq!(json_u64(&stats, "batches_walked"), 3, "{stats}");
     assert_eq!(json_u64(&stats, "jobs_panicked"), 1, "{stats}");
     assert_eq!(json_u64(&stats, "jobs_done"), 2, "{stats}");
@@ -123,18 +91,12 @@ fn a_tall_job_between_small_ones_runs_alone() {
     assert_eq!(json_u64(&stats, "batches_walked"), 1, "{stats}");
 }
 
-/// With a profile configured, a tall-skinny job walks and a square job
-/// stays on the VSA — both bit-identical to the sequential oracle, both
-/// kept handles live. The (initially missing) profile file exists after
-/// drain and parses.
+/// A tall-skinny job walks and a square job stays on the VSA — both match
+/// the sequential oracle, and the kept walked handle serves solves like
+/// any VSA handle.
 #[test]
-fn tall_jobs_walk_and_profile_persists() {
-    let profile = TempFile::new("route");
-    let svc = Service::start(ServeConfig {
-        threads: 2,
-        profile_path: Some(profile.0.clone()),
-        ..ServeConfig::default()
-    });
+fn tall_jobs_walk_and_kept_handles_solve() {
+    let svc = Service::start(ServeConfig::default());
 
     // 256x8 at nb=8: 32x1 tiles, aspect 32 -> walk. 32x32: aspect 1 -> VSA.
     let tall = matrix(256, 8, 7);
@@ -166,62 +128,5 @@ fn tall_jobs_walk_and_profile_persists() {
     assert!(x.sub(&x_ref).norm_fro() < 1e-10 * x_ref.norm_fro().max(1.0));
 
     let stats = svc.drain();
-    assert!(stats.contains("\"tuner\":{\"enabled\":true"), "{stats}");
     assert!(json_u64(&stats, "batches_walked") >= 1, "{stats}");
-
-    // Drain persisted the (possibly still empty) table to the path.
-    let saved = ProfileTable::load(&profile.0).expect("profile written on drain");
-    let _ = saved.cells();
-}
-
-/// A pre-seeded profile loads, and enough repeat traffic on one shape lets
-/// the online refiner seed a cell, which survives the drain into the
-/// saved table beside the pre-seeded one.
-#[test]
-fn preseeded_profile_and_online_refinement_persist() {
-    let profile = TempFile::new("refine");
-    let mut table = ProfileTable::new();
-    table.insert(ProfileCell {
-        m: 64,
-        n: 64,
-        threads: 2,
-        tree: Tree::BinaryOnFlat { h: 4 },
-        nb: 8,
-        ib: 4,
-        backend: pulsar_core::Backend::Vsa3d,
-        gflops: 1.0,
-        samples: 1,
-    });
-    table.save(&profile.0).unwrap();
-
-    let svc = Service::start(ServeConfig {
-        threads: 2,
-        profile_path: Some(profile.0.clone()),
-        ..ServeConfig::default()
-    });
-
-    // Repeat one tall shape often enough to out-streak the refiner's
-    // hysteresis (default streak 3) on its shape's empty cell.
-    let opts = QrOptions::new(8, 4, Tree::Binary);
-    for seed in 0..4u64 {
-        let id = svc
-            .submit(matrix(256, 8, 100 + seed), opts.clone(), None, false)
-            .unwrap();
-        svc.wait_result(id).unwrap();
-    }
-
-    let stats = svc.drain();
-    assert_eq!(json_u64(&stats, "profile_cells"), 2, "{stats}");
-    assert_eq!(json_u64(&stats, "batches_walked"), 4, "{stats}");
-    assert!(json_u64(&stats, "refinements") >= 1, "{stats}");
-
-    // The refined cell is in the saved table: shape (256, 8) on the
-    // walker, alongside the pre-seeded square cell.
-    let saved = ProfileTable::load(&profile.0).unwrap();
-    assert!(saved.lookup_exact(64, 64, 2).is_some());
-    let cell = saved
-        .lookup_exact(256, 8, 2)
-        .expect("online refinement seeded the tall shape");
-    assert_eq!(cell.backend, pulsar_core::Backend::Walk);
-    assert!(cell.samples >= 3);
 }

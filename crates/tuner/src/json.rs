@@ -1,11 +1,11 @@
 //! Minimal JSON reader/writer for the profile table.
 //!
-//! The workspace vendors no serde; every JSON producer in the repo
-//! hand-formats strings. The profile table additionally needs to *read*
-//! JSON back (the serve refiner rewrites it), so this module implements
-//! the small recursive-descent parser and escaping writer the table
-//! format requires. It covers the full JSON grammar minus exotic number
-//! forms — enough to round-trip anything [`Json::write`] emits.
+//! The workspace vendors no serde. The profile table needs to *read* JSON
+//! back (`factor --profile` and `submit --profile` load it), so this
+//! module implements the small recursive-descent parser and escaping
+//! writer the table format requires; every service stats line is built
+//! with the same writer. It covers the full JSON grammar minus exotic
+//! number forms — enough to round-trip anything [`Json::write`] emits.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

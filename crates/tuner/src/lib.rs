@@ -4,26 +4,23 @@
 //! [`PlanPolicy`](pulsar_core::policy::PlanPolicy) abstraction. The best
 //! reduction tree, tile size, and executor depend on the matrix aspect
 //! ratio and core count (arXiv:1110.1553); this crate finds and caches
-//! that choice:
+//! that choice offline. `pulsar-qr tune --profile` writes the table, and
+//! `factor --profile` / `submit --profile` read it; nothing edits it
+//! online.
 //!
 //! - [`profile`] — the versioned JSON profile table: measured cells keyed
 //!   by `(m, n, threads)`, deterministic lookup with nearest-shape
 //!   fallback, and [`ProfilePolicy`] implementing `PlanPolicy` over it.
-//! - [`sweep`] — offline measured sweeps (`pulsar-qr tune`) that seed the
+//! - [`sweep`] — offline measured sweeps (`pulsar-qr tune`) that write the
 //!   table.
-//! - [`refine`] — online refinement from serve traffic with hysteresis
-//!   (a cell flips only after a streak of persistently better
-//!   observations).
 //! - [`json`] — the dependency-free JSON reader/writer the table format
-//!   uses.
+//!   and every service stats line use.
 
 #![warn(missing_docs)]
 
 pub mod json;
 pub mod profile;
-pub mod refine;
 pub mod sweep;
 
 pub use profile::{ProfileCell, ProfilePolicy, ProfileTable, PROFILE_VERSION};
-pub use refine::{PlanKey, Refiner};
 pub use sweep::{candidates, measure, run_sweep, SweepConfig, SweepReport};

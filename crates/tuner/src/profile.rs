@@ -13,7 +13,6 @@ use crate::json::{obj, Json};
 use pulsar_core::policy::{divisor_nb, Backend, PaperPolicy, PlanChoice, PlanPolicy};
 use pulsar_core::{tall_grid, Tree};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Current on-disk format version. Bump on any incompatible change.
 pub const PROFILE_VERSION: u64 = 1;
@@ -37,8 +36,9 @@ pub struct ProfileCell {
     pub backend: Backend,
     /// Throughput of the winner at tune time (GFLOP/s).
     pub gflops: f64,
-    /// Observations folded into this cell (1 from the offline sweep, +1
-    /// per accepted online refinement).
+    /// Measurements behind this cell: always 1 from the offline sweep.
+    /// Tables an older `serve --profile` refined may carry more; they
+    /// load and save unchanged.
     pub samples: u64,
 }
 
@@ -195,15 +195,12 @@ impl ProfileTable {
 }
 
 /// A [`PlanPolicy`] backed by a [`ProfileTable`]: exact hit, nearest-shape
-/// fallback, and — with no cells at all — the paper's fixed plan. Tracks
-/// hit/miss counters for the serve stats block.
+/// fallback, and — with no cells at all — the paper's fixed plan.
 #[derive(Debug, Default)]
 pub struct ProfilePolicy {
     /// The table consulted on every choice.
     pub table: ProfileTable,
     fallback: PaperPolicy,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl ProfilePolicy {
@@ -212,20 +209,7 @@ impl ProfilePolicy {
         ProfilePolicy {
             table,
             fallback: PaperPolicy::default(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
-    }
-
-    /// Exact-cell hits since construction.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Misses (nearest-shape fallback or paper fallback) since
-    /// construction.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
     }
 
     /// Adapt a cell tuned for one shape to a concrete `(m, n)`: clamp `nb`
@@ -245,8 +229,8 @@ impl ProfilePolicy {
             t => t.clone(),
         };
         // A walked cell only transfers where the aspect rule holds: a
-        // square shape borrowing a tall cell, or a cell a balanced batch
-        // walked, stays on the VSA.
+        // square shape borrowing a tall cell, or a walked cell that an
+        // older table booked for a balanced batch, stays on the VSA.
         let backend = match cell.backend {
             Backend::Walk if tall_grid(m, n, nb) => Backend::Walk,
             Backend::Walk | Backend::Vsa3d => Backend::Vsa3d,
@@ -263,16 +247,8 @@ impl ProfilePolicy {
 impl PlanPolicy for ProfilePolicy {
     fn choose(&self, m: usize, n: usize, threads: usize) -> PlanChoice {
         match self.table.lookup(m, n, threads) {
-            Some((cell, exact)) => {
-                if exact {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                }
-                self.adapt(cell, m, n)
-            }
+            Some((cell, _)) => self.adapt(cell, m, n),
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
                 let mut choice = self.fallback.choose(m, n, threads);
                 if tall_grid(m, n, choice.nb) {
                     choice.backend = Backend::Walk;
@@ -369,8 +345,6 @@ mod tests {
         // A square shape borrowing the tall cell must not walk.
         let c = p.choose(64, 64, 2);
         assert_eq!(c.backend, Backend::Vsa3d);
-        assert_eq!(p.hits(), 0);
-        assert_eq!(p.misses(), 2);
     }
 
     #[test]

@@ -111,6 +111,18 @@ forbid 'tsqr_min_aspect' 'makes the tall-grid rule a knob; read pulsar_core::TSQ
     crates/*/src
 forbid 'fn run_jobs' 'adds a second pool entry point; dispatch through VsaPool::run_scoped' \
     crates/*/src
+# One way into the profile table: `tune --profile` writes it offline, and
+# `factor --profile` / `submit --profile` read it through one function. The
+# service neither loads, edits nor saves a table, so a write-only online
+# tuner path (a refiner module, a serve-side profile path) cannot come back
+# unnoticed, nor a policy constructor on the plan that no verb reaches.
+forbid 'mod refine' 'adds an online refiner; the table is written offline by tune --profile' \
+    crates/*/src
+forbid 'Refiner' 'adds an online refiner; the table is written offline by tune --profile' \
+    crates/*/src
+forbid 'profile_path' 'hands the service a profile table it never reads' crates/*/src
+forbid 'fn with_policy' 'adds a policy constructor no verb reaches; call PlanPolicy::choose' \
+    crates/*/src
 [ "$dup" -eq 0 ] || exit 1
 
 cargo clippy --offline --workspace --all-targets -- -D warnings
